@@ -60,8 +60,8 @@ class CauchySolution:
             # -(p u')' / r along one axis
             du = np.gradient(vals, grid, axis=axis)
             with np.errstate(all="ignore"):
-                pv = np.asarray(spec.p(grid), dtype=float) + np.zeros_like(grid)
-                rv = np.asarray(spec.r(grid), dtype=float) + np.zeros_like(grid)
+                pv = spec.p(grid)
+                rv = spec.r(grid)
             shape = [1, 1]
             shape[axis] = len(grid)
             flux = du * pv.reshape(shape)
@@ -69,12 +69,6 @@ class CauchySolution:
 
         res = ell(xs, f, 0) - ell(ys, f, 1)
         return res[2:-2, 2:-2]
-
-
-def _spectral_sum(tbl_values, sm, xs, ys, wy_rows):
-    coef = sm.masses * tbl_values
-    Wx = sm.w_values(xs)
-    return (Wx * coef[:, None]).T @ wy_rows
 
 
 def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
@@ -85,7 +79,8 @@ def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
     tbl = forward_transform(h, sm)
-    vals = _spectral_sum(tbl.values, sm, xs, ys, sm.w_values(ys))
+    coef = sm.masses * tbl.values
+    vals = (sm.w_values(xs) * coef[:, None]).T @ sm.w_values(ys)
     return CauchySolution(h, xs, ys, vals, sm)
 
 
@@ -107,55 +102,13 @@ def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
     for k in np.where(keep)[0]:
         wk, _ = sm.evaluator.eval_w_shifted(sm.lambdas[k], a_m, ys)
         wy[k] = wk.real
-    vals = _spectral_sum(np.where(keep, tbl.values, 0.0), sm, xs, ys, wy)
+    coef = sm.masses * np.where(keep, tbl.values, 0.0)
+    vals = (sm.w_values(xs) * coef[:, None]).T @ wy
     return CauchySolution(h, xs, ys, vals, sm, shifted_origin=a_m)
 
 
 # ---------------------------------------------------------------------------
 # triangle identity
-
-
-class StandardCoordinateView:
-    """A Cauchy solution as a function of the standard coordinates
-    xi = gamma(x), with analytic partial derivatives from the underlying
-    spline (finite differences of a spline do not refine cleanly)."""
-
-    def __init__(self, sol: CauchySolution, sf, n_table: int = 2049):
-        from scipy.interpolate import CubicSpline
-        self.sol = sol
-        xs = np.linspace(sol.xs[0], sol.xs[-1], n_table)
-        xi_tab = np.array([sf.gamma(float(t)) for t in xs])
-        self._inv = CubicSpline(xi_tab, xs)
-        self.xi_min, self.xi_max = xi_tab[0], xi_tab[-1]
-
-    def _xy(self, xi, zeta):
-        return self._inv(xi), self._inv(zeta)
-
-    def __call__(self, xi, zeta):
-        x, y = self._xy(xi, zeta)
-        return self.sol._spline(x, y, grid=False)
-
-    def d_xi(self, xi, zeta):
-        x, y = self._xy(xi, zeta)
-        return self.sol._spline(x, y, dx=1, grid=False) * self._inv(xi, nu=1)
-
-    def d_zeta(self, xi, zeta):
-        x, y = self._xy(xi, zeta)
-        return self.sol._spline(x, y, dy=1, grid=False) * self._inv(zeta, nu=1)
-
-    def dd_xi(self, xi, zeta):
-        x, y = self._xy(xi, zeta)
-        g1 = self._inv(xi, nu=1)
-        return (self.sol._spline(x, y, dx=2, grid=False) * g1 * g1
-                + self.sol._spline(x, y, dx=1, grid=False)
-                * self._inv(xi, nu=2))
-
-    def dd_zeta(self, xi, zeta):
-        x, y = self._xy(xi, zeta)
-        g1 = self._inv(zeta, nu=1)
-        return (self.sol._spline(x, y, dy=2, grid=False) * g1 * g1
-                + self.sol._spline(x, y, dy=1, grid=False)
-                * self._inv(zeta, nu=2))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -26,11 +24,10 @@ from .operator import (load_operator, build_standard_form, certify_mp,
                        support_params, check_left_boundary)
 from .kernel import KernelEvaluator
 from .spectral import (GridFunction, build_spectral_measure, bump_function,
-                       forward_transform, heat_kernel_grid)
+                       forward_transform, heat_kernel_grid, inverse_transform)
 from .hconv import (DEFAULT_T_SCHEDULE, product_density, default_xi_grid,
                     translate, convolve_functions, classify_support)
-from .cauchy import (solve_cauchy, StandardCoordinateView,
-                     triangle_identity_residual)
+from .cauchy import solve_cauchy, triangle_identity_residual
 from .inteq import EquationProblem, solve_equation, solve_qt_equation
 
 __all__ = ["main"]
@@ -63,23 +60,6 @@ class RunConfig:
     @property
     def sha(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SLHYPER_THREADS")
-    if not cap:
-        return
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -367,8 +347,7 @@ class _EigenPair:
         else:
             # w1 is the flux p w'; d/dxi = sqrt(p/r) d/dx, so divide by
             # sqrt(p r)
-            scale = 1.0 / np.sqrt(np.asarray(self.sf.spec.p(x), dtype=float)
-                                  * np.asarray(self.sf.spec.r(x), dtype=float))
+            scale = 1.0 / np.sqrt(self.sf.spec.p(x) * self.sf.spec.r(x))
             if deriv == 1:
                 out = w1 * scale
             else:
@@ -479,7 +458,7 @@ def _cmd_selftest(args) -> int:
     grid = np.linspace(0.0, 12.0, 1201)
     h = bump_function(2.0, 1.0, grid)
     tbl = forward_transform(h, sm)
-    back = (tbl.values * sm.masses) @ sm.w_values(grid)
+    back = inverse_transform(tbl, sm, grid).values
     l2 = math.sqrt(float(np.trapezoid((back - h.values) ** 2, grid)))
     ref = math.sqrt(float(np.trapezoid(h.values ** 2, grid)))
     all_ok &= report("parseval-roundtrip", l2 / ref, 1e-3)
@@ -628,7 +607,6 @@ def _merge_config_file(args) -> None:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

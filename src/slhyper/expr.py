@@ -325,9 +325,14 @@ class CoefficientExpr:
         self._fd_only = False
 
     def __call__(self, x):
+        """Value at a scalar, or a float array of the input's shape at an
+        array (constant expressions included)."""
         if self._fd_only:
             return self._fd(x)
-        return _eval(self._ast, np.asarray(x, dtype=float) if np.ndim(x) else x)
+        if np.ndim(x) == 0:
+            return _eval(self._ast, x)
+        x = np.asarray(x, dtype=float)
+        return np.asarray(_eval(self._ast, x), dtype=float) + np.zeros_like(x)
 
     def __repr__(self):
         return f"CoefficientExpr({self.source!r})"

@@ -13,13 +13,12 @@ product, which is exact on the measure's atoms.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operator import StandardForm, SupportParams
-from .spectral import (GridFunction, SpectralMeasure, TransformTable,
+from .spectral import (GridFunction, SpectralMeasure, _trapz_weights,
                        forward_transform)
 
 __all__ = [
@@ -52,34 +51,21 @@ class ProductKernel:
     xi: np.ndarray
     values: np.ndarray
     mass: float
-    coarse_mass_warning: bool = False
 
     def __call__(self, xq):
         return np.interp(xq, self.xi, self.values, left=0.0, right=0.0)
 
 
-_qt_cache: dict = {}
-_qt_lock = threading.Lock()
-
-
 def _r_on(sm: SpectralMeasure, grid: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
-        rv = np.asarray(sm.spec.r(grid), dtype=float) + np.zeros_like(grid)
+        rv = sm.spec.r(grid)
     return np.where(np.isfinite(rv), rv, 0.0)
-
-
-def _trapz_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.empty_like(grid)
-    w[0] = (grid[1] - grid[0]) / 2
-    w[-1] = (grid[-1] - grid[-2]) / 2
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2
-    return w
 
 
 def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
                     n: int = 3001) -> np.ndarray:
     """Grid covering the region where q_t is non-negligible."""
-    lo = sm._fine.xs[0]
+    lo = sm._a_eff
     hi = min(sm.L, x + y + 8.0 * math.sqrt(t) + 2.0)
     hi = max(hi, lo + 1.0)
     return np.linspace(lo, hi, n)
@@ -90,11 +76,6 @@ def product_density(t: float, x: float, y: float, xi_grid,
     if t <= 0:
         raise ValueError("t must be positive")
     xi_grid = np.asarray(xi_grid, dtype=float)
-    key = (id(sm), t, x, y, xi_grid[0], xi_grid[-1], len(xi_grid))
-    with _qt_lock:
-        hit = _qt_cache.get(key)
-    if hit is not None:
-        return hit
     damp = np.exp(-t * sm.lambdas)
     keep = damp >= 1e-16
     wx = sm.w_values(np.array([x]))[keep, 0]
@@ -102,13 +83,7 @@ def product_density(t: float, x: float, y: float, xi_grid,
     coef = sm.masses[keep] * damp[keep] * wx * wy
     vals = coef @ sm.w_values(xi_grid)[keep]
     mass = float(np.sum(vals * _r_on(sm, xi_grid) * _trapz_weights(xi_grid)))
-    pk = ProductKernel(t=t, x=x, y=y, xi=xi_grid, values=vals, mass=mass,
-                       coarse_mass_warning=abs(mass - 1.0) > 1e-2)
-    with _qt_lock:
-        if len(_qt_cache) > 64:
-            _qt_cache.clear()
-        _qt_cache[key] = pk
-    return pk
+    return ProductKernel(t=t, x=x, y=y, xi=xi_grid, values=vals, mass=mass)
 
 
 def product_formula_residual(lam: float, t: float, x: float, y: float,

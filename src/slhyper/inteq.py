@@ -98,8 +98,8 @@ def l1_kappa_norm(h: GridFunction, kappa: float, sm: SpectralMeasure) -> float:
     if kappa > sm.sigma2 + 1e-12:
         raise ValueError("kappa must not exceed sigma2")
     wk, _, _ = sm.evaluator.eval_grid(complex(kappa), h.grid)
-    rv = np.asarray(sm.spec.r(h.grid), dtype=float) + np.zeros_like(h.grid)
-    contrib = np.abs(h.values) * np.abs(wk) * rv * h.trapezoid_weights()
+    contrib = (np.abs(h.values) * np.abs(wk) * sm.spec.r(h.grid)
+               * h.trapezoid_weights())
     total = float(np.sum(contrib))
     # partial-integral growth test on the trailing half of the grid
     n = len(contrib)
@@ -158,8 +158,7 @@ class ResolventResult:
 def _transform_samples(f: GridFunction, lams, sm: SpectralMeasure) -> np.ndarray:
     """(Ff)(lambda) for arbitrary (possibly complex) lambda, one ODE solve
     per sample point."""
-    rv = np.asarray(sm.spec.r(f.grid), dtype=float) + np.zeros_like(f.grid)
-    wgt = f.values * rv * f.trapezoid_weights()
+    wgt = f.values * sm.spec.r(f.grid) * f.trapezoid_weights()
     out = np.empty(len(lams), dtype=complex)
     for i, lam in enumerate(lams):
         w, _, _ = sm.evaluator.eval_grid(complex(lam), f.grid)
@@ -269,8 +268,7 @@ def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
         raise ValueError(
             f"rho + Ff vanishes at atom lambda = {sm.lambdas[k]:.6g}")
     fg_vals = 1.0 / denom - rho
-    fg = TransformTable(lambdas=sm.lambdas.copy(), values=fg_vals,
-                        source_norm=0.0)
+    fg = TransformTable(lambdas=sm.lambdas.copy(), values=fg_vals)
     grid = f.grid if out_grid is None else np.asarray(out_grid, dtype=float)
     g = inverse_transform(fg, sm, grid)
     rt = float(np.max(np.abs((rho + fg_vals) * denom - 1.0)))

@@ -15,16 +15,15 @@ integrating the first-order system w' = w1/p, w1' = -lambda r w.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .operator import OperatorSpec
 
-__all__ = ["KernelValue", "KernelEvaluator", "KappaShiftedOperator", "bochner_check"]
+__all__ = ["KernelValue", "KernelEvaluator", "KappaShiftedOperator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
@@ -40,13 +39,12 @@ class KernelValue:
 
 
 class KernelEvaluator:
-    """Kernel evaluation bound to one operator; thread-safe and cached."""
+    """Kernel evaluation bound to one operator, with its series table."""
 
     def __init__(self, spec: OperatorSpec, rtol: float = 1e-11, atol: float = 1e-13):
         self.spec = spec
         self.rtol = rtol
         self.atol = atol
-        self._lock = threading.Lock()
         self._build_series_table()
 
     # -- series table -------------------------------------------------------
@@ -60,8 +58,8 @@ class KernelEvaluator:
         xs = a + offs
         # clip points where the coefficients are not representable
         with np.errstate(all="ignore"):
-            pv = np.asarray(self.spec.p(xs), dtype=float) + np.zeros_like(xs)
-            rv = np.asarray(self.spec.r(xs), dtype=float) + np.zeros_like(xs)
+            pv = self.spec.p(xs)
+            rv = self.spec.r(xs)
             inv_p = 1.0 / pv
         ok = (pv > 0) & (rv > 0) & np.isfinite(inv_p) & np.isfinite(rv) & (inv_p < 1e15)
         return xs[ok]
@@ -72,16 +70,16 @@ class KernelEvaluator:
             # left-infinite domains: start grid from far left, measure decay
             xs = np.linspace(-50.0, 10.0, _SERIES_POINTS)
             with np.errstate(all="ignore"):
-                rv = np.asarray(self.spec.r(xs), dtype=float) + np.zeros_like(xs)
-                pv = np.asarray(self.spec.p(xs), dtype=float) + np.zeros_like(xs)
+                rv = self.spec.r(xs)
+                pv = self.spec.p(xs)
             ok = (pv > 0) & (rv > 0) & np.isfinite(1.0 / pv)
             xs = xs[ok]
         else:
             xs = self._left_grid()
         if xs.size < 64:
             raise ValueError(f"{self.spec.name}: cannot build series grid near a")
-        pv = np.asarray(self.spec.p(xs), dtype=float) + np.zeros_like(xs)
-        rv = np.asarray(self.spec.r(xs), dtype=float) + np.zeros_like(xs)
+        pv = self.spec.p(xs)
+        rv = self.spec.r(xs)
 
         def increments(f):
             # per-interval integrals of the cubic interpolant; computed from
@@ -120,14 +118,11 @@ class KernelEvaluator:
         zetas.append(cumint(etas[-1] * rv))
 
         self._xs = xs
-        self._p_grid = pv
-        self._r_grid = rv
-        self._etas = np.array(etas)          # (J+1, n)
-        self._zetas = np.array(zetas)        # (J+1, n)
-        self._eta_spl = [CubicSpline(xs, e) for e in etas]
-        self._zeta_spl = [CubicSpline(xs, z) for z in zetas]
+        # one spline over the (2, J+1, n) table of eta_j and zeta_j
+        self._terms = make_interp_spline(xs, np.array([etas, zetas]), k=3,
+                                         axis=2)
         # S(x): the majorant with |eta_j| <= S^j / j!
-        self._S = np.abs(self._etas[1])
+        self._S = np.abs(etas[1])
 
     def _series_at(self, lam: complex, x: float) -> tuple[complex, complex, float]:
         """Series value of (w, w1) at one in-table point, plus truncation bound."""
@@ -138,9 +133,10 @@ class KernelEvaluator:
         wint = 0.0 + 0.0j   # int_a^x w r = sum (-lam)^j zeta_j
         coef = 1.0 + 0.0j
         trunc = 0.0
-        for j in range(len(self._eta_spl)):
-            w += coef * self._eta_spl[j](x)
-            wint += coef * self._zeta_spl[j](x)
+        etas, zetas = self._terms(x)
+        for j in range(len(etas)):
+            w += coef * etas[j]
+            wint += coef * zetas[j]
             coef *= -lam
             # |next term| <= (|lam| S)^{j+1} / (j+1)!  (computed in logs)
             log_bound = (j + 1) * math.log(max(lS, 1e-300)) - math.lgamma(j + 2)
@@ -249,18 +245,6 @@ class KappaShiftedOperator:
         self.kappa = float(kappa)
         self.sigma2 = float(sigma2)
 
-    def w_kappa(self, xs) -> np.ndarray:
-        w, _, _ = self.base.eval_grid(self.kappa, xs)
-        return w.real
-
-    def p_mod(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self.w_kappa(xs) ** 2 * np.asarray(self.base.spec.p(xs), dtype=float)
-
-    def r_mod(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self.w_kappa(xs) ** 2 * np.asarray(self.base.spec.r(xs), dtype=float)
-
     def eval_w(self, lam: complex, xs) -> np.ndarray:
         wk, _, _ = self.base.eval_grid(self.kappa, xs)
         ws, _, _ = self.base.eval_grid(self.kappa + lam, xs)
@@ -270,31 +254,3 @@ class KappaShiftedOperator:
         """Spectral atoms of the modified operator: rho<k>(l1,l2] = rho(l1+k, l2+k]."""
         return np.asarray(lambdas, dtype=float) - self.kappa
 
-
-def kappa_shift(evaluator: KernelEvaluator, kappa: float, sigma2: float) -> KappaShiftedOperator:
-    return KappaShiftedOperator(evaluator, kappa, sigma2)
-
-
-# ---------------------------------------------------------------------------
-# positive-definiteness diagnostic
-
-
-def bochner_check(evaluator: KernelEvaluator, sigma: float, x: float,
-                  tau_max: float, n: int) -> dict:
-    """Sample g(tau) = w_{tau^2 + sigma^2}(x) and test the Toeplitz matrix
-    G_jk = g(tau_j - tau_k) for positive semidefiniteness."""
-    from scipy.linalg import eigvalsh, toeplitz
-
-    step = tau_max / max(n - 1, 1)
-    taus = step * np.arange(n)
-    col = np.empty(n)
-    bound_ok = True
-    for i, tau in enumerate(taus):
-        kv = evaluator.eval_w(tau * tau + sigma * sigma, x)
-        col[i] = kv.w.real
-        if abs(kv.w) > 1.0 + 1e-9:
-            bound_ok = False
-    g = toeplitz(col)
-    min_eig = float(eigvalsh(g)[0])
-    return {"min_eigenvalue": min_eig, "bound_ok": bound_ok,
-            "tau_grid": taus, "g_values": col}

@@ -14,7 +14,6 @@ import math
 import urllib.parse
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,7 +26,6 @@ __all__ = [
     "StandardForm",
     "MpCertificate",
     "SupportParams",
-    "parse_coefficient",
     "check_left_boundary",
     "build_standard_form",
     "certify_mp",
@@ -47,10 +45,6 @@ def quad(*args, **kwargs):  # noqa: A001 - deliberate local shadow
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return _real_quad(*args, **kwargs)
-
-
-def parse_coefficient(text: str, var: str = "x") -> CoefficientExpr:
-    return parse_expression(text, var)
 
 
 def probe_points(a: float, b: float, n: int = 1000) -> np.ndarray:
@@ -78,8 +72,8 @@ class OperatorSpec:
 
     def validate(self, n_probe: int = 1000) -> None:
         pts = probe_points(self.a, self.b, n_probe)
-        pv = np.asarray(self.p(pts), dtype=float) + np.zeros_like(pts)
-        rv = np.asarray(self.r(pts), dtype=float) + np.zeros_like(pts)
+        pv = self.p(pts)
+        rv = self.r(pts)
         if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(rv))):
             raise ValueError(f"{self.name}: coefficient not finite on probe grid")
         if np.any(pv < 0) or np.any(rv < 0):
@@ -93,11 +87,6 @@ class OperatorSpec:
             if zero[-1] or np.any(zero[k:]):
                 i = k + int(np.argmax(zero[k:]))
                 raise ValueError(f"{self.name}: vanishing coefficient at x={pts[i]}")
-
-    def pr_nondecreasing(self, n_probe: int = 400) -> bool:
-        pts = probe_points(self.a, self.b, n_probe)
-        vals = np.asarray(self.p(pts), dtype=float) * np.asarray(self.r(pts), dtype=float)
-        return bool(np.all(np.diff(vals) >= -1e-12 * np.maximum(vals[:-1], 1.0)))
 
 
 def _left_cut_sequence(a: float, c: float, k_max: int = 14):
@@ -172,8 +161,6 @@ class StandardForm:
         self.c = c
         self._p1 = spec.p.diff()
         self._r1 = spec.r.diff()
-        self._p2 = self._p1.diff()
-        self._r2 = self._r1.diff()
         self._gamma_cache: dict[float, float] = {c: 0.0}
         self.gamma_a = self._compute_gamma_a()
         self._check_gamma_b_diverges()
@@ -265,33 +252,12 @@ class StandardForm:
         p1, r1 = self._p1(x), self._r1(x)
         return (p1 * r + p * r1) / (4.0 * p * r) * math.sqrt(p / r)
 
-    def _half_log_pr_deriv_prime(self, x):
-        """d/dxi of g, expressed at x (chain rule through gamma)."""
-        p, r = self.spec.p(x), self.spec.r(x)
-        p1, r1 = self._p1(x), self._r1(x)
-        p2, r2 = self._p2(x), self._r2(x)
-        num = p1 * r + p * r1
-        dnum = p2 * r + 2.0 * p1 * r1 + p * r2
-        den = 4.0 * p * r
-        dden = 4.0 * num
-        m = num / den
-        dm = (dnum * den - num * dden) / den ** 2
-        h = math.sqrt(p / r)
-        dh = h * (p1 / p - r1 / r) / 2.0
-        dg_dx = dm * h + m * dh
-        return dg_dx * h  # dx/dxi = sqrt(p/r)
-
     def A(self, xi: float) -> float:
         x = self.gamma_inv(xi)
         return math.sqrt(self.spec.p(x) * self.spec.r(x))
 
     def dA_over_2A(self, xi: float) -> float:
         return self._half_log_pr_deriv(self.gamma_inv(xi))
-
-    def liouville_q(self, xi: float) -> float:
-        x = self.gamma_inv(xi)
-        g = self._half_log_pr_deriv(x)
-        return g * g + self._half_log_pr_deriv_prime(x)
 
     def _estimate_sigma(self):
         a, b, c = self.spec.a, self.spec.b, self.c
@@ -377,8 +343,8 @@ def certify_mp(sf: StandardForm, eta: CoefficientExpr | None = None,
     xs = xs[keep]
     xi = sf.gamma_grid(xs)
     g = np.array([sf._half_log_pr_deriv(x) for x in xs])
-    eta_v = np.asarray(eta(xi), dtype=float) + np.zeros_like(xi)
-    eta_d = np.asarray(eta.derivative(xi), dtype=float) + np.zeros_like(xi)
+    eta_v = eta(xi)
+    eta_d = eta.derivative(xi)
     phi = 2.0 * g - eta_v
     psi = eta_d / 2.0 - eta_v ** 2 / 4.0 + g * eta_v
 

@@ -11,10 +11,10 @@ discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
 from .kernel import KernelEvaluator
@@ -36,6 +36,14 @@ __all__ = [
 # grid functions
 
 
+def _trapz_weights(grid: np.ndarray) -> np.ndarray:
+    w = np.empty_like(grid)
+    w[0] = (grid[1] - grid[0]) / 2
+    w[-1] = (grid[-1] - grid[-2]) / 2
+    w[1:-1] = (grid[2:] - grid[:-2]) / 2
+    return w
+
+
 @dataclass(frozen=True)
 class GridFunction:
     grid: np.ndarray
@@ -50,16 +58,8 @@ class GridFunction:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", np.asarray(self.values))
 
-    @staticmethod
-    def from_samples(grid, values) -> "GridFunction":
-        return GridFunction(np.asarray(grid, dtype=float), np.asarray(values))
-
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.empty_like(self.grid)
-        w[0] = (self.grid[1] - self.grid[0]) / 2
-        w[-1] = (self.grid[-1] - self.grid[-2]) / 2
-        w[1:-1] = (self.grid[2:] - self.grid[:-2]) / 2
-        return w
+        return _trapz_weights(self.grid)
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values.real,
@@ -86,33 +86,17 @@ def bump_function(center: float, width: float, grid) -> GridFunction:
 class TransformTable:
     lambdas: np.ndarray
     values: np.ndarray
-    source_norm: float
-
-
-class _EigenTable:
-    """Node values of the normalized eigenfunctions on one grid."""
-
-    def __init__(self, xs: np.ndarray, W: np.ndarray, cache_splines: bool):
-        self.xs = xs
-        self.W = W
-        self._splines = None
-        if cache_splines:
-            self._splines = [CubicSpline(xs, row) for row in W]
-
-    def at(self, xq: np.ndarray, deriv: int = 0) -> np.ndarray:
-        if self._splines is not None:
-            return np.array([s(xq, nu=deriv) for s in self._splines])
-        out = np.empty((self.W.shape[0], len(xq)))
-        for k, row in enumerate(self.W):
-            out[k] = CubicSpline(self.xs, row)(xq, nu=deriv)
-        return out
 
 
 class SpectralMeasure:
+    """Atoms and masses of the measure, with the normalized eigenfunctions
+    on [a_eff, L] stored as one vector-valued cubic spline per Richardson
+    level."""
+
     kind = "atoms"
 
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
-                 fine: _EigenTable, coarse: _EigenTable | None):
+                 a_eff: float, fine: BSpline, coarse: BSpline):
         self.spec = spec
         self.evaluator = evaluator
         self.lambdas = lambdas
@@ -120,22 +104,19 @@ class SpectralMeasure:
         self.sigma2 = sigma2
         self.L = L
         self.N = N
+        self._a_eff = a_eff
         self._fine = fine
         self._coarse = coarse
         if np.any(masses <= 0):
             raise ValueError("non-positive atom mass: discretization too coarse")
-        self.flagged_atoms = np.where(np.abs(lambdas - sigma2) < 0.05)[0]
 
     def __len__(self):
         return len(self.lambdas)
 
-    def w_values(self, xq, deriv: int = 0) -> np.ndarray:
-        """(K, len(xq)) matrix of eigenfunction values (or derivatives)."""
+    def w_values(self, xq) -> np.ndarray:
+        """(K, len(xq)) matrix of eigenfunction values."""
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        vf = self._fine.at(xq, deriv)
-        if self._coarse is None:
-            return vf
-        return (4.0 * vf - self._coarse.at(xq, deriv)) / 3.0
+        return (4.0 * self._fine(xq) - self._coarse(xq)) / 3.0
 
     def cumulative(self, lam: float, smoothed: bool = True) -> float:
         """rho[0, lam].  The smoothed form interpolates linearly between
@@ -168,8 +149,7 @@ def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     tot = np.zeros_like(mid)
     for xg, wg in zip(_GL_X, _GL_W):
         with np.errstate(all="ignore"):
-            tot += wg * (np.asarray(f(mid + half * xg), dtype=float)
-                         + np.zeros_like(mid))
+            tot += wg * f(mid + half * xg)
     return tot * half
 
 
@@ -251,7 +231,6 @@ def _normalize(evaluator: KernelEvaluator, nodes, us, vals, a_eff, L):
 
 def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
                            lambda_max: float | None = None,
-                           richardson: bool = True,
                            evaluator: KernelEvaluator | None = None,
                            sigma2: float = 0.0) -> SpectralMeasure:
     if N < 16:
@@ -285,11 +264,6 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
         return vals, masses, xs_full, W
 
     vals_f, mass_f, xs_f, W_f = one_level(N)
-    if not richardson:
-        fine = _EigenTable(xs_f, W_f, cache_splines=len(vals_f) <= 1200)
-        return SpectralMeasure(spec, evaluator, vals_f, mass_f, sigma2, L, N,
-                               fine, None)
-
     vals_c, mass_c, xs_c, W_c = one_level(N // 2)
     K = min(len(vals_f), len(vals_c))
     # pair by index; drop pairs too far apart to share the h^2 expansion
@@ -297,10 +271,10 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
     K = int(np.argmin(ok)) if not np.all(ok) else K
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    cache = K <= 1200
-    fine = _EigenTable(xs_f, W_f[:K], cache_splines=cache)
-    coarse = _EigenTable(xs_c, W_c[:K], cache_splines=cache)
-    return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, fine, coarse)
+    fine = make_interp_spline(xs_f, W_f[:K], k=3, axis=1)
+    coarse = make_interp_spline(xs_c, W_c[:K], k=3, axis=1)
+    return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, a_eff,
+                           fine, coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +283,9 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
 
 def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
     """(Fh)(lambda) = int h w_lambda r dx at every atom."""
-    rv = np.asarray(sm.spec.r(h.grid), dtype=float) + np.zeros_like(h.grid)
-    wq = h.trapezoid_weights()
-    weights = h.values * rv * wq
-    W = sm.w_values(h.grid)
-    vals = W @ weights
-    norm2 = float(np.sum(np.abs(h.values) ** 2 * rv * wq).real)
-    return TransformTable(lambdas=sm.lambdas.copy(), values=vals,
-                          source_norm=math.sqrt(max(norm2, 0.0)))
+    weights = h.values * sm.spec.r(h.grid) * h.trapezoid_weights()
+    vals = sm.w_values(h.grid) @ weights
+    return TransformTable(lambdas=sm.lambdas.copy(), values=vals)
 
 
 def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
@@ -331,13 +300,7 @@ def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
 
 
 def heat_kernel(t: float, x: float, y: float, sm: SpectralMeasure) -> float:
-    if t <= 0:
-        raise ValueError("t must be positive")
-    keep = np.exp(-t * sm.lambdas) >= 1e-16
-    lam = sm.lambdas[keep]
-    wx = sm.w_values(np.array([x]))[keep, 0]
-    wy = sm.w_values(np.array([y]))[keep, 0] if y != x else wx
-    return float(np.sum(sm.masses[keep] * np.exp(-t * lam) * wx * wy))
+    return float(heat_kernel_grid(t, x, [y], sm)[0])
 
 
 def heat_kernel_grid(t: float, x: float, ys, sm: SpectralMeasure) -> np.ndarray:

@@ -25,6 +25,13 @@ def test_scalar_and_vector_agree():
                             abs_tol=1e-300)
 
 
+def test_constant_on_array_has_array_shape():
+    out = parse_expression("1")(np.zeros((3, 2)))
+    assert isinstance(out, np.ndarray)
+    assert out.shape == (3, 2) and out.dtype == float
+    assert np.all(out == 1.0)
+
+
 def test_pretty_reparse_round_trip():
     texts = ["x^2", "exp(-2.0/x)", "x^3.0 * exp(-1.0/x)", "1 + x - x^2/4"]
     xs = np.linspace(0.3, 5.0, 23)

@@ -19,6 +19,21 @@ def test_product_density_mass_and_sign(sm_cosine):
     assert pk.values.min() > -1e-6
 
 
+def test_product_density_follows_its_grid(sm_cosine):
+    # two grids with the same endpoints and length but different interior
+    # nodes must each get their own density
+    t, x, y = 0.02, 2.0, 1.0
+    u = np.linspace(0.0, 1.0, 3001)
+    keep = np.exp(-t * sm_cosine.lambdas) >= 1e-16
+    coef = (sm_cosine.masses * np.exp(-t * sm_cosine.lambdas)
+            * sm_cosine.w_values([x])[:, 0] * sm_cosine.w_values([y])[:, 0])
+    for xi in (8.0 * u, 8.0 * u ** 2):
+        pk = product_density(t, x, y, xi, sm_cosine)
+        assert np.array_equal(pk.xi, xi)
+        direct = coef[keep] @ sm_cosine.w_values(xi)[keep]
+        assert np.allclose(pk.values, direct, rtol=1e-12, atol=1e-12)
+
+
 def test_approx_nu_schedule_validation(sm_cosine):
     with pytest.raises(ValueError):
         approx_nu(1.0, 2.0, sm_cosine, t_schedule=(0.1, 0.1))

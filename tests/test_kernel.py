@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slhyper.operator import builtin_operator
-from slhyper.kernel import KernelEvaluator, kappa_shift
+from slhyper.kernel import KappaShiftedOperator, KernelEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_shifted_kernel_initial_data(ev_bessel):
 
 def test_kappa_shift_ratio(ev_cosine):
     # the modified kernel is w_{kappa+lam}/w_kappa for the base operator
-    ks = kappa_shift(ev_cosine, -1.0, 0.0)
+    ks = KappaShiftedOperator(ev_cosine, -1.0, 0.0)
     xs = np.array([0.5, 1.5])
     got = ks.eval_w(2.0, xs)
     w_num, _, _ = ev_cosine.eval_grid(1.0, xs)
