@@ -99,9 +99,7 @@ def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
     weights = np.abs(tbl.values) * sm.masses
     keep = weights >= 1e-14 * max(weights.max(), 1e-300)
     wy = np.zeros((len(sm), len(ys)))
-    for k in np.where(keep)[0]:
-        wk, _ = sm.evaluator.eval_w_shifted(sm.lambdas[k], a_m, ys)
-        wy[k] = wk.real
+    wy[keep] = sm.evaluator.eval_w_shifted(sm.lambdas[keep], a_m, ys)[0].real
     coef = sm.masses * np.where(keep, tbl.values, 0.0)
     vals = (sm.w_values(xs) * coef[:, None]).T @ wy
     return CauchySolution(h, xs, ys, vals, sm, shifted_origin=a_m)

@@ -339,24 +339,28 @@ class CoefficientExpr:
 
     def diff(self) -> "CoefficientExpr":
         """Derivative as a new expression; falls back to central differences
-        when no analytic rule applies (abs)."""
-        try:
-            ast = _diff(self._ast)
-        except _NoRule:
-            out = CoefficientExpr.__new__(CoefficientExpr)
-            out.source = f"d/d{self.var}[{self.source}]"
-            out.var = self.var
-            out._ast = None
-            out._fd_only = True
-            base = self
+        when no analytic rule applies (abs), and for the derivative of such a
+        fallback."""
+        if not self._fd_only:
+            try:
+                ast = _diff(self._ast)
+            except _NoRule:
+                pass
+            else:
+                return CoefficientExpr(_pretty(ast), self.var, _ast=ast)
+        out = CoefficientExpr.__new__(CoefficientExpr)
+        out.source = f"d/d{self.var}[{self.source}]"
+        out.var = self.var
+        out._ast = None
+        out._fd_only = True
+        base = self
 
-            def fd(x):
-                h = np.maximum(1e-6, 1e-6 * np.abs(x))
-                return (base(x + h) - base(x - h)) / (2.0 * h)
+        def fd(x):
+            h = np.maximum(1e-6, 1e-6 * np.abs(x))
+            return (base(x + h) - base(x - h)) / (2.0 * h)
 
-            out._fd = fd
-            return out
-        return CoefficientExpr(_pretty(ast), self.var, _ast=ast)
+        out._fd = fd
+        return out
 
     def derivative(self, x):
         if self._fd_only:

@@ -152,8 +152,7 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
     rw = _r_on(sm, xi_grid) * _trapz_weights(xi_grid)
-    W_probe = np.array([sm.evaluator.eval_grid(l, xi_grid)[0].real
-                        for l in probe_lambdas])
+    W_probe = sm.evaluator.eval_many(probe_lambdas, xi_grid)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
     for i, t in enumerate(ts):

@@ -156,14 +156,11 @@ class ResolventResult:
 
 
 def _transform_samples(f: GridFunction, lams, sm: SpectralMeasure) -> np.ndarray:
-    """(Ff)(lambda) for arbitrary (possibly complex) lambda, one ODE solve
-    per sample point."""
+    """(Ff)(lambda) for arbitrary (possibly complex) lambda, from one
+    batched kernel evaluation."""
     wgt = f.values * sm.spec.r(f.grid) * f.trapezoid_weights()
-    out = np.empty(len(lams), dtype=complex)
-    for i, lam in enumerate(lams):
-        w, _, _ = sm.evaluator.eval_grid(complex(lam), f.grid)
-        out[i] = np.dot(w, wgt)
-    return out
+    W, _, _ = sm.evaluator.eval_many(lams, f.grid)
+    return W @ wgt
 
 
 def _refine_crossing(f: GridFunction, rho: complex, lo: float, hi: float,

@@ -8,8 +8,17 @@ singular, w is computed from the iterated-integral series
     eta_j(x) = int_a^x (s(x) - s(xi)) eta_{j-1}(xi) r(xi) dxi,
 
 with s' = 1/p.  The series terms are lambda-independent, so they are
-tabulated once per operator; evaluation further out continues by
-integrating the first-order system w' = w1/p, w1' = -lambda r w.
+tabulated once per operator, as one vector-valued spline.  Further out,
+evaluation continues by integrating the first-order system
+w' = w1/p, w1' = -lambda r w.
+
+Evaluation is batched over lambda (``KernelEvaluator.eval_many``).  The
+series part is one matrix product of scaled powers (-lambda)^j with the
+table, served up to each lambda's hand-off point, where |lambda| S <= 1.
+The ODE part is one DOP853 solve of the stacked state of every lambda that
+needs it, started at the earliest of their hand-off points, with the
+tolerances tightened so that each lambda is held to its single-lambda
+error criterion.  A single lambda is the batch of one.
 """
 
 from __future__ import annotations
@@ -124,108 +133,162 @@ class KernelEvaluator:
         # S(x): the majorant with |eta_j| <= S^j / j!
         self._S = np.abs(etas[1])
 
-    def _series_at(self, lam: complex, x: float) -> tuple[complex, complex, float]:
-        """Series value of (w, w1) at one in-table point, plus truncation bound."""
-        S = float(np.interp(x, self._xs, self._S))
-        lS = abs(lam) * S
+    def _series(self, lams: np.ndarray, x: np.ndarray, rho: float):
+        """Series (w, w1) for every lambda at in-table points x, with the
+        bound on the first omitted term; each of shape (K, len(x)).
 
-        w = 0.0 + 0.0j
-        wint = 0.0 + 0.0j   # int_a^x w r = sum (-lam)^j zeta_j
-        coef = 1.0 + 0.0j
-        trunc = 0.0
-        etas, zetas = self._terms(x)
-        for j in range(len(etas)):
-            w += coef * etas[j]
-            wint += coef * zetas[j]
-            coef *= -lam
-            # |next term| <= (|lam| S)^{j+1} / (j+1)!  (computed in logs)
-            log_bound = (j + 1) * math.log(max(lS, 1e-300)) - math.lgamma(j + 2)
-            trunc = math.exp(min(log_bound, 700.0))
-            if trunc < 1e-16 * max(abs(w), 1.0):
-                break
-        return w, -lam * wint, trunc
+        rho bounds |lambda| S on every pair the caller keeps.  Since
+        |eta_j| <= S^j / j!, J terms leave at most rho^J / J!, and the sum
+        over terms is one (K x J)(J x n) product.  The terms are scaled by
+        tau^j, tau = max S(x), so that neither (-lambda tau)^j nor
+        eta_j / tau^j leaves the float range.
+        """
+        S = np.interp(x, self._xs, self._S)
+        log_rho = math.log(max(rho, 1e-300))
+        J = next((j for j in range(1, _MAX_TERMS + 1)
+                  if j * log_rho - math.lgamma(j + 1) < math.log(1e-16)),
+                 _MAX_TERMS + 1)
+        tau = float(S.max()) or 1.0
+        powers = np.arange(J)
+        coef = (-lams[:, None] * tau) ** powers
+        eta, zeta = self._terms(x)[:, :J] * tau ** -powers[:, None]
+        w = coef @ eta
+        w1 = -lams[:, None] * (coef @ zeta)
+        lS = np.abs(lams)[:, None] * S
+        log_bound = J * np.log(np.maximum(lS, 1e-300)) - math.lgamma(J + 1)
+        return w, w1, np.exp(np.minimum(log_bound, 700.0))
 
-    def _handoff_index(self, lam: complex) -> int:
-        """Largest table index with S(x)|lambda| <= 1."""
-        mag = max(abs(lam), 1e-30)
+    def _handoff_index(self, lams: np.ndarray) -> np.ndarray:
+        """Largest table index with S(x)|lambda| <= 1, for each lambda."""
+        mag = np.maximum(np.abs(lams), 1e-30)
         idx = np.searchsorted(self._S, 1.0 / mag) - 1
-        return int(min(max(idx, 8), len(self._xs) - 1))
+        return np.clip(idx, 8, len(self._xs) - 1)
 
     # -- public evaluation ---------------------------------------------------
 
-    def eval_grid(self, lam: complex, xs) -> tuple[np.ndarray, np.ndarray, float]:
-        """(w, w1) at a sorted array of points; one ODE solve per lambda."""
+    def eval_many(self, lams, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, w1) for every lambda at a sorted array of points, shapes
+        (K, n) and (K, n), with a per-lambda error estimate of shape (K,).
+
+        Each (lambda, x) pair up to that lambda's hand-off point takes the
+        series value.  The pairs past it come from one stacked ODE solve,
+        started at the earliest hand-off among the lambdas that need it.
+        """
+        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if np.any(np.diff(xs) < 0):
             raise ValueError("evaluation grid must be sorted")
         a, b = self.spec.a, self.spec.b
         if xs.size and (xs[0] < a or xs[-1] >= b):
             raise ValueError(f"point outside domain [{a},{b})")
-        w = np.empty(xs.shape, dtype=complex)
-        w1 = np.empty(xs.shape, dtype=complex)
-        if lam == 0:
-            return np.ones_like(w), np.zeros_like(w1), 0.0
-
-        ih = self._handoff_index(lam)
+        W = np.ones((lams.size, xs.size), dtype=complex)
+        W1 = np.zeros((lams.size, xs.size), dtype=complex)
+        err = np.zeros(lams.size)
+        live = lams != 0
+        if not live.all():
+            # w_0 = 1 and p w_0' = 0 exactly; only the other lambdas need work
+            if live.any():
+                W[live], W1[live], err[live] = self.eval_many(lams[live], xs)
+            return W, W1, err
+        ih = self._handoff_index(lams)
         x_h = self._xs[ih]
-        inside = xs <= x_h
-        err = 0.0
-        for i in np.where(inside)[0]:
-            if xs[i] <= self._xs[0]:
-                w[i], w1[i] = 1.0, 0.0
-                continue
-            w[i], w1[i], tr = self._series_at(lam, xs[i])
-            err = max(err, tr)
 
-        outside = ~inside
-        if np.any(outside):
-            w0, w10, tr = self._series_at(lam, x_h)
-            err = max(err, tr)
-            targets = xs[outside]
-            vals = self._integrate(lam, x_h, (w0, w10), targets)
-            w[outside] = vals[0]
-            w1[outside] = vals[1]
-            err += self.rtol * max(1.0, float(np.max(np.abs(vals[0]))))
-        return w, w1, err
+        beyond = xs > x_h[:, None]
+        rows = np.flatnonzero(beyond.any(axis=1))
+        # points at or before the table start keep w = 1, p w' = 0
+        ser = (xs > self._xs[0]) & ~beyond.all(axis=0)
+        pts = xs[ser]
+        if rows.size:
+            x0 = float(x_h[rows].min())
+            pts = np.append(pts, x0)
+        if pts.size:
+            ws, w1s, bound = self._series(lams, pts,
+                                          float(np.max(np.abs(lams) * self._S[ih])))
+            err = np.max(bound, axis=1, where=pts <= x_h[:, None], initial=0.0)
+            n_ser = int(ser.sum())
+            W[:, ser] = ws[:, :n_ser]
+            W1[:, ser] = w1s[:, :n_ser]
+        if rows.size:
+            cols = np.flatnonzero(xs > x0)
+            w_ode, w1_ode = self._integrate(lams[rows], x0, ws[rows, -1],
+                                            w1s[rows, -1], xs[cols])
+            blk = np.ix_(rows, cols)
+            take = beyond[blk]
+            W[blk] = np.where(take, w_ode, W[blk])
+            W1[blk] = np.where(take, w1_ode, W1[blk])
+            peak = np.max(np.abs(w_ode), axis=1, where=take, initial=1.0)
+            err[rows] += self.rtol * peak
+        return W, W1, err
 
-    def _integrate(self, lam, x0, y0, targets):
+    def eval_grid(self, lam: complex, xs) -> tuple[np.ndarray, np.ndarray, float]:
+        """(w, w1) at a sorted array of points for one lambda."""
+        W, W1, err = self.eval_many([lam], xs)
+        return W[0], W1[0], float(err[0])
+
+    def _integrate(self, lams, x0, w0, w10, xs):
+        """One DOP853 solve of w' = w1/p, w1' = -lambda r w for every
+        lambda from x0.  The state is real, (w, w1), or, when some lambda
+        is complex, the (Re, Im) pairs of (w, w1), which read as a complex
+        array.  Returns w and w1 at xs, each (K, len(xs)); xs may repeat
+        nodes.
+
+        The error norm is an RMS over all m K real components.  Scaling the
+        tolerances by 2 / sqrt(m K) keeps each lambda's own four-component
+        norm, the criterion a lone complex lambda is solved to, within 1.
+        """
         p, r = self.spec.p, self.spec.r
-        lre, lim_ = complex(lam).real, complex(lam).imag
+        K = len(lams)
+        paired = bool(np.any(lams.imag != 0))
+        if paired:
+            y_init = np.concatenate([w0, w10]).astype(complex).view(float)
 
-        def fun(x, y):
-            wr, wi, v1r, v1i = y
-            px = p(x)
-            rx = r(x)
-            # w' = w1/p ; w1' = -lam r w  (split into real/imaginary parts)
-            return [v1r / px, v1i / px,
-                    -rx * (lre * wr - lim_ * wi), -rx * (lre * wi + lim_ * wr)]
+            def fun(x, y):
+                z = y.view(complex)
+                return np.concatenate([z[K:] / p(x), -r(x) * (lams * z[:K])]).view(float)
+        else:
+            lre = lams.real
+            y_init = np.concatenate([w0.real, w10.real])
 
-        y_init = [complex(y0[0]).real, complex(y0[0]).imag,
-                  complex(y0[1]).real, complex(y0[1]).imag]
+            def fun(x, y):
+                return np.concatenate([y[K:] / p(x), -r(x) * (lre * y[:K])])
+
+        scale = 2.0 / math.sqrt(len(y_init))
+        targets, where = np.unique(xs, return_inverse=True)
         sol = solve_ivp(fun, (x0, float(targets[-1])), y_init, t_eval=targets,
-                        method="DOP853", rtol=self.rtol, atol=self.atol,
-                        dense_output=False, max_step=np.inf)
+                        method="DOP853", rtol=self.rtol * scale,
+                        atol=self.atol * scale)
         if not sol.success:
             raise RuntimeError(f"kernel ODE integration failed: {sol.message}")
-        wv = sol.y[0] + 1j * sol.y[1]
-        w1v = sol.y[2] + 1j * sol.y[3]
-        return wv, w1v
+        y = sol.y[:, where]
+        z = y[0::2] + 1j * y[1::2] if paired else y.astype(complex)
+        return z[:K], z[K:]
 
     def eval_w(self, lam: complex, x: float) -> KernelValue:
         w, w1, err = self.eval_grid(lam, [float(x)])
         return KernelValue(lam=complex(lam), x=float(x), w=complex(w[0]),
                            w1=complex(w1[0]), est_error=err)
 
-    def eval_w_shifted(self, lam: complex, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point."""
+    def eval_w_shifted(self, lam, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point.
+
+        lam is one lambda or an array of them; the results have shape
+        np.shape(lam) + (len(xs),), from one stacked solve.
+        """
+        lams = np.asarray(lam, dtype=complex)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if not (self.spec.a < a_m):
             raise ValueError("a_m must lie inside (a,b)")
-        if xs.size and xs[0] <= a_m:
+        if xs.size and xs.min() <= a_m:
             raise ValueError("shifted evaluation needs x > a_m")
-        if lam == 0:
-            return np.ones(xs.shape, dtype=complex), np.zeros(xs.shape, dtype=complex)
-        return self._integrate(complex(lam), a_m, (1.0, 0.0), xs)[:2]
+        flat = lams.reshape(-1)
+        w = np.ones((flat.size, xs.size), dtype=complex)
+        w1 = np.zeros((flat.size, xs.size), dtype=complex)
+        live = flat != 0
+        if live.any():
+            start = np.ones(int(live.sum()), dtype=complex)
+            w[live], w1[live] = self._integrate(flat[live], a_m, start,
+                                                0.0 * start, xs)
+        return w.reshape(lams.shape + xs.shape), w1.reshape(lams.shape + xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +309,8 @@ class KappaShiftedOperator:
         self.sigma2 = float(sigma2)
 
     def eval_w(self, lam: complex, xs) -> np.ndarray:
-        wk, _, _ = self.base.eval_grid(self.kappa, xs)
-        ws, _, _ = self.base.eval_grid(self.kappa + lam, xs)
-        return ws / wk
+        W, _, _ = self.base.eval_many([self.kappa, self.kappa + lam], xs)
+        return W[1] / W[0]
 
     def shift_measure_atoms(self, lambdas: np.ndarray) -> np.ndarray:
         """Spectral atoms of the modified operator: rho<k>(l1,l2] = rho(l1+k, l2+k]."""

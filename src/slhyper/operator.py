@@ -120,9 +120,7 @@ def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
             c = 0.0
 
     def inner(y):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _ = quad(lambda x: 1.0 / spec.p(x), y, c, **_QUAD_OPTS)
+        val, _ = quad(lambda x: 1.0 / spec.p(x), y, c, **_QUAD_OPTS)
         return val
 
     def integrand(y):
@@ -139,9 +137,7 @@ def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
         mid = 0.5 * (cut + prev_cut)
         if not all(math.isfinite(integrand(y)) for y in (cut, mid)):
             break
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            piece, _ = quad(integrand, cut, prev_cut, **_QUAD_OPTS)
+        piece, _ = quad(integrand, cut, prev_cut, **_QUAD_OPTS)
         if not math.isfinite(piece):
             break
         total += piece

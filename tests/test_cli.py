@@ -84,6 +84,17 @@ def test_transform_roundtrip_numbers(tmp_path):
     assert len(rows) > 10
 
 
+def test_triangle_with_repeated_kernel_nodes(tmp_path):
+    # these inputs map two quadrature nodes to the same kernel point
+    out = tmp_path / "tri.json"
+    code = run(["triangle", "--c", "0.370262", "--x", "3.363179",
+                "--y", "1.541461", "--lam", "2.0", "--n", "12",
+                "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert all(np.isfinite(v) for v in doc.values() if isinstance(v, float))
+
+
 def test_bad_usage_exit_2(capsys):
     assert run(["kernel", "--x", "0:3:7"]) == 2      # missing --lambda
     assert run(["no-such-command"]) == 2

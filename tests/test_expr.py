@@ -64,6 +64,13 @@ def test_derivative_fd_fallback():
     assert float(e.derivative(-2.0)) == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_derivative_of_fd_fallback():
+    e = parse_expression("abs(x)").diff().diff()
+    vals = np.array([float(e(x)) for x in (-2.0, 0.5, 3.0)])
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.isfinite(e(np.array([-2.0, 0.5, 3.0]))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(-4, 4, allow_nan=False), b=st.floats(0.1, 4),
        x=st.floats(0.2, 5))

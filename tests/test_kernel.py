@@ -29,6 +29,24 @@ def test_lambda_zero_is_one(ev_cosine, ev_bessel):
         assert np.allclose(w1.real, 0.0, atol=1e-14)
 
 
+def test_lambda_zero_needs_no_ode_solve(ev_cosine, monkeypatch):
+    # w_0 = 1 exactly, alone, in a batch and from a shifted origin; the
+    # points past the series table would otherwise take an ODE solve
+    xs = np.linspace(0.0, 12.0, 25)
+    W, W1, err = ev_cosine.eval_many([0.0, 3.0], xs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called for lambda = 0")
+
+    monkeypatch.setattr("slhyper.kernel.solve_ivp", no_solve)
+    w, w1, e = ev_cosine.eval_grid(0.0, xs)
+    assert np.all(w == 1.0) and np.all(w1 == 0.0) and e == 0.0
+    ws, w1s = ev_cosine.eval_w_shifted(0.0, 0.5, xs[2:])
+    assert np.all(ws == 1.0) and np.all(w1s == 0.0)
+    assert np.all(W[0] == 1.0) and np.all(W1[0] == 0.0) and err[0] == 0.0
+    assert np.allclose(W[1].real, np.cos(math.sqrt(3.0) * xs), atol=1e-9)
+
+
 def test_cosine_oracle_with_flux(ev_cosine):
     xs = np.linspace(0.0, 5.0, 51)
     lam = 3.0
@@ -46,6 +64,69 @@ def test_bessel_flux_is_p_times_derivative(ev_bessel):
     _, w1, _ = ev_bessel.eval_grid(lam, xs)
     dw = np.cos(rt * xs) / xs - np.sin(rt * xs) / (rt * xs ** 2)
     assert np.allclose(w1.real, xs ** 2 * dw, rtol=1e-7, atol=1e-9)
+
+
+def _log_uniform(lo, hi, n, seed):
+    # one draw per stratum, so the batch spans the whole range
+    u = (np.arange(n) + np.random.default_rng(seed).uniform(size=n)) / n
+    return lo * (hi / lo) ** u
+
+
+def _cosine_ref(lams, xs):
+    rt = np.sqrt(np.asarray(lams, dtype=complex))[:, None]
+    return np.cos(rt * xs), -rt * np.sin(rt * xs)
+
+
+def _bessel_half_ref(lams, xs):
+    rt = np.sqrt(np.asarray(lams, dtype=float))[:, None]
+    kx = rt * xs
+    return np.sinc(kx / np.pi), xs * np.cos(kx) - np.sin(kx) / rt
+
+
+def _assert_oracle(w, w1, ref_w, ref_w1):
+    # the tolerances of test_cosine_oracle_with_flux, relative to
+    # max(1, |w|) where the kernel grows
+    assert np.all(np.abs(w - ref_w) <= 1e-9 * np.maximum(1.0, np.abs(ref_w)))
+    assert np.all(np.abs(w1 - ref_w1) <= 1e-8 * np.maximum(1.0, np.abs(ref_w1)))
+
+
+def test_eval_many_real_batch_oracle(ev_cosine, ev_bessel):
+    xs = np.linspace(0.0, 5.0, 51)
+    lams = _log_uniform(1e-2, 1e3, 24, seed=7)
+    for ev, ref in ((ev_cosine, _cosine_ref), (ev_bessel, _bessel_half_ref)):
+        w, w1, err = ev.eval_many(lams, xs)
+        assert w.shape == w1.shape == (len(lams), len(xs))
+        assert err.shape == (len(lams),) and np.all(err >= 0.0)
+        _assert_oracle(w, w1, *ref(lams, xs))
+
+
+def test_eval_many_complex_batch_oracle(ev_cosine):
+    xs = np.linspace(0.0, 5.0, 51)
+    lams = np.array([3 + 2j, 3 - 2j, -0.25 + 1j, 40 + 6j, 0.5, 400 + 20j])
+    w, w1, _ = ev_cosine.eval_many(lams, xs)
+    _assert_oracle(w, w1, *_cosine_ref(lams, xs))
+
+
+def test_batching_keeps_single_lambda_accuracy(ev_cosine):
+    xs = np.linspace(0.0, 5.0, 51)
+    probes = np.array([0.01, 1.0])
+    batch = np.sort(np.concatenate([probes, _log_uniform(1e-2, 1e3, 198, seed=3)]))
+    W, W1, _ = ev_cosine.eval_many(batch, xs)
+    for lam in probes:
+        k = int(np.flatnonzero(batch == lam)[0])
+        w, w1, _ = ev_cosine.eval_grid(lam, xs)
+        ref_w, ref_w1 = _cosine_ref([lam], xs)
+        _assert_oracle(w[None], w1[None], ref_w, ref_w1)
+        _assert_oracle(W[k:k + 1], W1[k:k + 1], ref_w, ref_w1)
+        assert np.max(np.abs(W[k] - w)) <= 1e-9
+        assert np.max(np.abs(W1[k] - w1)) <= 1e-9
+
+
+def test_repeated_grid_nodes(ev_cosine):
+    w, w1, _ = ev_cosine.eval_grid(2.0, [1.0, 3.0, 3.0])
+    rt = math.sqrt(2.0)
+    assert np.allclose(w.real, np.cos(rt * np.array([1.0, 3.0, 3.0])), atol=1e-9)
+    assert w[1] == w[2] and w1[1] == w1[2]
 
 
 def test_negative_lambda_gives_cosh(ev_cosine):

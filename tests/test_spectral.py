@@ -44,6 +44,19 @@ def test_atoms_sorted_positive(sm_cosine):
     assert sm_cosine.lambdas[0] >= sm_cosine.sigma2 - 0.05
 
 
+def test_cosine_atom_masses(sm_cosine):
+    # Dirichlet at L: each normalized cos(sqrt(lam) x) has mass 2/L
+    low = sm_cosine.lambdas <= 400.0
+    assert np.allclose(sm_cosine.masses[low], 2.0 / sm_cosine.L, rtol=1e-4, atol=0.0)
+
+
+def test_bessel_atom_masses(sm_bessel):
+    # alpha = 1/2: w = sin(k x)/(k x) with r = x^2, so the mass is 2 k^2 / L
+    low = sm_bessel.lambdas <= 400.0
+    want = 2.0 * sm_bessel.lambdas[low] / sm_bessel.L
+    assert np.allclose(sm_bessel.masses[low], want, rtol=1e-4, atol=0.0)
+
+
 def test_cumulative_monotone(sm_cosine):
     lams = np.linspace(0.0, 100.0, 300)
     vals = np.array([sm_cosine.cumulative(l) for l in lams])
