@@ -79,8 +79,7 @@ def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
     tbl = forward_transform(h, sm)
-    coef = sm.masses * tbl.values
-    vals = (sm.w_values(xs) * coef[:, None]).T @ sm.w_values(ys)
+    vals = sm.synthesize(tbl.values[:, None] * sm.w_values(xs), ys)
     return CauchySolution(h, xs, ys, vals, sm)
 
 

@@ -25,8 +25,8 @@ from .operator import (load_operator, build_standard_form, certify_mp,
 from .kernel import KernelEvaluator
 from .spectral import (GridFunction, build_spectral_measure, bump_function,
                        forward_transform, heat_kernel_grid, inverse_transform)
-from .hconv import (DEFAULT_T_SCHEDULE, product_density, default_xi_grid,
-                    translate, convolve_functions, classify_support)
+from .hconv import (product_density, default_xi_grid, translate,
+                    convolve_functions, classify_support)
 from .cauchy import solve_cauchy, triangle_identity_residual
 from .inteq import EquationProblem, solve_equation, solve_qt_equation
 
@@ -43,7 +43,6 @@ class RunConfig:
     L: float
     N: int
     lambda_max: float | None
-    t_schedule: tuple
     fmt: str
     out: str | None
     precision: int
@@ -52,7 +51,6 @@ class RunConfig:
         doc = {
             "op": self.op, "L": self.L, "N": self.N,
             "lambda_max": self.lambda_max,
-            "t_schedule": list(self.t_schedule),
             "format": self.fmt, "precision": self.precision,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -80,15 +78,22 @@ def _parse_lambdas(text: str) -> list:
 
 
 def _read_grid_function(path: str) -> GridFunction:
+    """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
+    is a header before the first data row; any later row that is not two
+    numbers is an error."""
     xs, vals = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
                 x, v = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header row
+            except (ValueError, IndexError):
+                if xs:
+                    raise ValueError(f"{path}, line {reader.line_num}: not an "
+                                     f"(x, value) row: {row!r}") from None
+                continue
             xs.append(x)
             vals.append(v)
     if len(xs) < 2:
@@ -165,13 +170,10 @@ def _json_default(v):
 
 
 def _config_from(args) -> RunConfig:
-    # a config file provides defaults that explicit flags already absorbed
-    ts = tuple(float(t) for t in args.t_schedule.split(",")) \
-        if isinstance(args.t_schedule, str) else tuple(args.t_schedule)
     cfg = RunConfig(op=args.op, L=args.L, N=args.N,
-                    lambda_max=args.lambda_max, t_schedule=ts,
-                    fmt=args.format, out=args.out, precision=args.precision)
-    if cfg.L <= 0 or cfg.N <= 0 or any(t <= 0 for t in cfg.t_schedule):
+                    lambda_max=args.lambda_max, fmt=args.format,
+                    out=args.out, precision=args.precision)
+    if cfg.L <= 0 or cfg.N <= 0:
         raise ValueError("numeric parameters must be positive")
     if cfg.lambda_max is not None and cfg.lambda_max <= 0:
         raise ValueError("lambda-max must be positive")
@@ -234,8 +236,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_transform(args) -> int:
     cfg = _config_from(args)
-    sm = _measure(cfg)
     h = _read_grid_function(args.h)
+    sm = _measure(cfg)
     tbl = forward_transform(h, sm)
     rows = [(lam, v.real, v.imag)
             for lam, v in zip(tbl.lambdas, tbl.values)]
@@ -270,8 +272,8 @@ def _cmd_product(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _config_from(args)
-    sm = _measure(cfg)
     h = _read_grid_function(args.h)
+    sm = _measure(cfg)
     sf = build_standard_form(sm.spec)
     cert = certify_mp(sf)
     case = None
@@ -286,9 +288,9 @@ def _cmd_translate(args) -> int:
 
 def _cmd_convolve(args) -> int:
     cfg = _config_from(args)
-    sm = _measure(cfg)
     h = _read_grid_function(args.h)
     g = _read_grid_function(args.g)
+    sm = _measure(cfg)
     out = convolve_functions(h, g, sm, t_reg=args.t_reg)
     rows = list(zip(out.grid, out.values))
     Emitter(cfg).csv(["x", "value"], rows)
@@ -312,9 +314,9 @@ def _cmd_support(args) -> int:
 
 def _cmd_cauchy(args) -> int:
     cfg = _config_from(args)
-    sm = _measure(cfg)
     h = _read_grid_function(args.h)
     xs = _parse_grid(args.grid)
+    sm = _measure(cfg)
     sol = solve_cauchy(h, sm, xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()
@@ -393,13 +395,13 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_solve_inteq(args) -> int:
     cfg = _config_from(args)
-    sm = _measure(cfg)
     psi = _read_grid_function(args.psi)
     if args.f.startswith("heatkernel:"):
-        t_txt, x_txt = args.f[len("heatkernel:"):].split(",")
-        sol = solve_qt_equation(float(t_txt), float(x_txt), psi, sm)
+        t, x = (float(v) for v in args.f[len("heatkernel:"):].split(","))
+        sol = solve_qt_equation(t, x, psi, _measure(cfg))
     else:
         f = _read_grid_function(args.f)
+        sm = _measure(cfg)
         kappa = sm.sigma2 if args.kappa is None else args.kappa
         prob = EquationProblem(f=f, psi=psi, kappa=kappa, rho=args.rho)
         sol = solve_equation(prob, sm)
@@ -498,8 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, default=2048)
         p.add_argument("--lambda-max", dest="lambda_max", type=float,
                        default=None)
-        p.add_argument("--t-schedule", dest="t_schedule",
-                       default=",".join(str(t) for t in DEFAULT_T_SCHEDULE))
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--precision", type=int, default=12)
@@ -594,16 +594,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config_file(args) -> None:
+def _merge_config_file(args, ap: argparse.ArgumentParser) -> None:
+    """Override flags with the entries of the --config JSON file.  Each
+    value is read as if its JSON text followed the flag on the command
+    line: through the flag's type and choices."""
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions
+             if a.option_strings and a.dest != "help"}
     for key, val in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config file: unknown key {key!r}")
-        setattr(args, attr, val)
+        text = val if isinstance(val, str) else json.dumps(val)
+        try:
+            val = (action.type or str)(text)
+        except ValueError:
+            raise ValueError(f"config file: invalid {key!r}: {text}") from None
+        if action.choices and val not in action.choices:
+            raise ValueError(f"config file: invalid {key!r}: {text}")
+        setattr(args, action.dest, val)
 
 
 def main(argv=None) -> int:
@@ -613,7 +627,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _merge_config_file(args)
+        _merge_config_file(args, ap)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"slhyper: error: {exc}", file=sys.stderr)

@@ -368,7 +368,9 @@ class CoefficientExpr:
         return self.diff()(x)
 
     def pretty(self) -> str:
-        return _pretty(self._ast)
+        """Canonical text; a finite-difference fallback has no expression
+        tree and gives its source, d/dx[...]."""
+        return self.source if self._fd_only else _pretty(self._ast)
 
 
 def parse_expression(text: str, var: str = "x") -> CoefficientExpr:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import StandardForm, SupportParams
-from .spectral import (GridFunction, SpectralMeasure, _trapz_weights,
+from .spectral import (GridFunction, SpectralMeasure, _r_weights,
                        forward_transform)
 
 __all__ = [
@@ -56,12 +56,6 @@ class ProductKernel:
         return np.interp(xq, self.xi, self.values, left=0.0, right=0.0)
 
 
-def _r_on(sm: SpectralMeasure, grid: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        rv = sm.spec.r(grid)
-    return np.where(np.isfinite(rv), rv, 0.0)
-
-
 def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
                     n: int = 3001) -> np.ndarray:
     """Grid covering the region where q_t is non-negligible."""
@@ -76,13 +70,10 @@ def product_density(t: float, x: float, y: float, xi_grid,
     if t <= 0:
         raise ValueError("t must be positive")
     xi_grid = np.asarray(xi_grid, dtype=float)
-    damp = np.exp(-t * sm.lambdas)
-    keep = damp >= 1e-16
-    wx = sm.w_values(np.array([x]))[keep, 0]
-    wy = sm.w_values(np.array([y]))[keep, 0] if y != x else wx
-    coef = sm.masses[keep] * damp[keep] * wx * wy
-    vals = coef @ sm.w_values(xi_grid)[keep]
-    mass = float(np.sum(vals * _r_on(sm, xi_grid) * _trapz_weights(xi_grid)))
+    wxy = sm.w_values([x, y])
+    vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1],
+                         xi_grid)
+    mass = float(np.sum(vals * _r_weights(sm.spec, xi_grid)))
     return ProductKernel(t=t, x=x, y=y, xi=xi_grid, values=vals, mass=mass)
 
 
@@ -103,8 +94,7 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
     if lam == 0.0:
         return abs(1.0 - pk.mass)
     w_xi, _, _ = ev.eval_grid(lam, xi_grid)
-    rhs = float(np.sum(w_xi.real * pk.values * _r_on(sm, xi_grid)
-                       * _trapz_weights(xi_grid)))
+    rhs = float(np.sum(w_xi.real * pk.values * _r_weights(sm.spec, xi_grid)))
     wx = ev.eval_w(lam, x).w.real
     wy = ev.eval_w(lam, y).w.real if y != x else wx
     return abs(math.exp(-t * lam) * wx * wy - rhs)
@@ -143,7 +133,7 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
     a = sm.spec.a
     if x == a or y == a:
         atom = y if x == a else x
-        w_atom = sm.w_values(np.array([atom]))[:, 0]
+        w_atom = sm.w_values(atom)[:, 0]
         kidx = [int(np.argmin(np.abs(sm.lambdas - l))) for l in probe_lambdas]
         mom = np.array([[w_atom[k] for k in kidx]])
         return MeasureApprox(density=None, atoms=((atom, 1.0),), t_used=0.0,
@@ -151,7 +141,7 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
                              cauchy_gaps=np.zeros(0), mass=1.0)
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
-    rw = _r_on(sm, xi_grid) * _trapz_weights(xi_grid)
+    rw = _r_weights(sm.spec, xi_grid)
     W_probe = sm.evaluator.eval_many(probe_lambdas, xi_grid)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
@@ -185,11 +175,8 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
         return GridFunction(out_grid, vals)
     if t_reg < 0:
         raise ValueError("t_reg must be nonnegative")
-    tbl = forward_transform(h, sm)
-    wy = sm.w_values(np.array([y]))[:, 0]
-    coef = sm.masses * np.exp(-t_reg * sm.lambdas) * tbl.values * wy
-    vals = coef @ sm.w_values(out_grid)
-    return GridFunction(out_grid, vals)
+    coef = np.exp(-t_reg * sm.lambdas) * forward_transform(h, sm).values
+    return GridFunction(out_grid, sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid))
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -202,8 +189,8 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     out_grid = h.grid if out_grid is None else np.asarray(out_grid, dtype=float)
     th = forward_transform(h, sm)
     tg = forward_transform(g, sm)
-    coef = sm.masses * np.exp(-t_reg * sm.lambdas) * th.values * tg.values
-    vals = coef @ sm.w_values(out_grid)
+    vals = sm.synthesize(np.exp(-t_reg * sm.lambdas) * th.values * tg.values,
+                         out_grid)
     return GridFunction(out_grid, vals)
 
 
@@ -226,7 +213,8 @@ def convolve_measures(mu, nu, sm: SpectralMeasure,
                       t_reg: float = 0.0) -> MeasureConvolution:
     """mu, nu: finite atom lists [(position, weight), ...].  The transform
     product is the exact contract; a q_t density realization is attached
-    when t_reg > 0."""
+    when t_reg > 0.  By linearity that density is sum_ij mu_i nu_j
+    q_t(x_i, y_j, .), the inverse transform of e^{-t lam} mu_hat nu_hat."""
     mu_hat = _measure_hat(mu, sm)
     nu_hat = _measure_hat(nu, sm)
     product = mu_hat * nu_hat
@@ -234,12 +222,8 @@ def convolve_measures(mu, nu, sm: SpectralMeasure,
     if t_reg > 0:
         hi = max(pos for pos, _ in mu) + max(pos for pos, _ in nu)
         grid = default_xi_grid(sm, t_reg, hi / 2, hi / 2)
-        vals = np.zeros_like(grid)
-        for xi_pos, wi in mu:
-            for yj_pos, wj in nu:
-                pk = product_density(t_reg, xi_pos, yj_pos, grid, sm)
-                vals = vals + wi * wj * pk.values
-        density = GridFunction(grid, vals)
+        density = GridFunction(grid, sm.synthesize(
+            np.exp(-t_reg * sm.lambdas) * product, grid))
     return MeasureConvolution(lambdas=sm.lambdas.copy(), mu_hat=mu_hat,
                               nu_hat=nu_hat, product=product, density=density)
 

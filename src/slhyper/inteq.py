@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (GridFunction, SpectralMeasure, TransformTable,
-                       forward_transform, inverse_transform,
+                       _r_weights, forward_transform, inverse_transform,
                        heat_kernel_grid)
 from .hconv import convolve_functions
 
@@ -98,8 +98,7 @@ def l1_kappa_norm(h: GridFunction, kappa: float, sm: SpectralMeasure) -> float:
     if kappa > sm.sigma2 + 1e-12:
         raise ValueError("kappa must not exceed sigma2")
     wk, _, _ = sm.evaluator.eval_grid(complex(kappa), h.grid)
-    contrib = (np.abs(h.values) * np.abs(wk) * sm.spec.r(h.grid)
-               * h.trapezoid_weights())
+    contrib = np.abs(h.values) * np.abs(wk) * _r_weights(sm.spec, h.grid)
     total = float(np.sum(contrib))
     # partial-integral growth test on the trailing half of the grid
     n = len(contrib)
@@ -158,7 +157,7 @@ class ResolventResult:
 def _transform_samples(f: GridFunction, lams, sm: SpectralMeasure) -> np.ndarray:
     """(Ff)(lambda) for arbitrary (possibly complex) lambda, from one
     batched kernel evaluation."""
-    wgt = f.values * sm.spec.r(f.grid) * f.trapezoid_weights()
+    wgt = f.values * _r_weights(sm.spec, f.grid)
     W, _, _ = sm.evaluator.eval_many(lams, f.grid)
     return W @ wgt
 

@@ -284,7 +284,7 @@ class KernelEvaluator:
         w = np.ones((flat.size, xs.size), dtype=complex)
         w1 = np.zeros((flat.size, xs.size), dtype=complex)
         live = flat != 0
-        if live.any():
+        if live.any() and xs.size:
             start = np.ones(int(live.sum()), dtype=complex)
             w[live], w1[live] = self._integrate(flat[live], a_m, start,
                                                 0.0 * start, xs)

@@ -36,12 +36,16 @@ __all__ = [
 # grid functions
 
 
-def _trapz_weights(grid: np.ndarray) -> np.ndarray:
+def _r_weights(spec: OperatorSpec, grid: np.ndarray) -> np.ndarray:
+    """Weights of int f r dx on grid: the trapezoid weights times r, with r
+    taken as 0 where it is not finite (a singular endpoint on the grid)."""
     w = np.empty_like(grid)
     w[0] = (grid[1] - grid[0]) / 2
     w[-1] = (grid[-1] - grid[-2]) / 2
     w[1:-1] = (grid[2:] - grid[:-2]) / 2
-    return w
+    with np.errstate(all="ignore"):
+        rv = spec.r(grid)
+    return np.where(np.isfinite(rv), rv, 0.0) * w
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,6 @@ class GridFunction:
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", np.asarray(self.values))
-
-    def trapezoid_weights(self) -> np.ndarray:
-        return _trapz_weights(self.grid)
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values.real,
@@ -114,9 +115,15 @@ class SpectralMeasure:
         return len(self.lambdas)
 
     def w_values(self, xq) -> np.ndarray:
-        """(K, len(xq)) matrix of eigenfunction values."""
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
+        """(K, len(xq)) matrix of eigenfunction values.  Points below a_eff
+        take the value at a_eff, where every w_k is 1."""
+        xq = np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)), self._a_eff)
         return (4.0 * self._fine(xq) - self._coarse(xq)) / 3.0
+
+    def synthesize(self, coef, grid) -> np.ndarray:
+        """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
+        table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n)."""
+        return (self.masses * np.asarray(coef).T) @ self.w_values(grid)
 
     def cumulative(self, lam: float, smoothed: bool = True) -> float:
         """rho[0, lam].  The smoothed form interpolates linearly between
@@ -279,8 +286,7 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
 
 def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
     """(Fh)(lambda) = int h w_lambda r dx at every atom."""
-    weights = h.values * sm.spec.r(h.grid) * h.trapezoid_weights()
-    vals = sm.w_values(h.grid) @ weights
+    vals = sm.w_values(h.grid) @ (h.values * _r_weights(sm.spec, h.grid))
     return TransformTable(lambdas=sm.lambdas.copy(), values=vals)
 
 
@@ -289,10 +295,7 @@ def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
     if len(tbl.lambdas) != len(sm.lambdas) or not np.allclose(
             tbl.lambdas, sm.lambdas, rtol=1e-12, atol=1e-12):
         raise ValueError("transform table does not match the measure's atoms")
-    out_grid = np.asarray(out_grid, dtype=float)
-    W = sm.w_values(out_grid)
-    vals = (tbl.values * sm.masses) @ W
-    return GridFunction(out_grid, vals)
+    return GridFunction(out_grid, sm.synthesize(tbl.values, out_grid))
 
 
 def heat_kernel(t: float, x: float, y: float, sm: SpectralMeasure) -> float:
@@ -303,9 +306,4 @@ def heat_kernel_grid(t: float, x: float, ys, sm: SpectralMeasure) -> np.ndarray:
     """p(t, x, y) for an array of y at fixed x."""
     if t <= 0:
         raise ValueError("t must be positive")
-    ys = np.asarray(ys, dtype=float)
-    keep = np.exp(-t * sm.lambdas) >= 1e-16
-    wx = sm.w_values(np.array([x]))[keep, 0]
-    Wy = sm.w_values(ys)[keep]
-    coef = sm.masses[keep] * np.exp(-t * sm.lambdas[keep]) * wx
-    return coef @ Wy
+    return sm.synthesize(np.exp(-t * sm.lambdas) * sm.w_values(x)[:, 0], ys)

@@ -131,3 +131,49 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"no_such_option": 1}))
     assert run(["spectrum", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--h", "MISSING"],
+    ["translate", "--h", "MISSING", "--y", "1.0"],
+    ["convolve", "--h", "GOOD", "--g", "MISSING"],
+    ["cauchy", "--h", "MISSING", "--grid", "0:6:7"],
+    ["solve-inteq", "--f", "GOOD", "--psi", "MISSING"],
+    ["solve-inteq", "--f", "MISSING", "--psi", "GOOD"],
+])
+def test_inputs_read_before_measure_build(argv, tmp_path, monkeypatch, capsys):
+    import slhyper.cli as cli
+
+    def no_build(cfg):
+        raise AssertionError("measure built before the inputs were read")
+
+    monkeypatch.setattr(cli, "_measure", no_build)
+    good = str(_write_bump(tmp_path / "good.csv"))
+    missing = str(tmp_path / "missing.csv")
+    argv = [{"GOOD": good, "MISSING": missing}.get(a, a) for a in argv]
+    assert run(argv) == 1
+    assert "missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["2,oops", "2"])
+def test_unreadable_csv_row_is_an_error(bad_row, tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    path.write_text(f"x,value\n0,0\n1,0.5\n{bad_row}\n3,0\n", encoding="utf-8")
+    code = run(["transform", "--h", str(path), "--N", "256",
+                "--lambda-max", "50", "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:")
+    assert "h.csv" in err and "line 4" in err
+    # the header row alone is skipped
+    path.write_text("x,value\n0,0\n1,0.5\n3,0\n", encoding="utf-8")
+    assert run(["transform", "--h", str(path), "--N", "256",
+                "--lambda-max", "50", "--out", str(tmp_path / "t.csv")]) == 0
+
+
+@pytest.mark.parametrize("doc", [{"N": "abc"}, {"L": [1]}, {"format": "xml"}])
+def test_config_file_value_types(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["spectrum", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("slhyper: error:")

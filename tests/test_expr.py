@@ -64,6 +64,10 @@ def test_derivative_fd_fallback():
     assert float(e.derivative(-2.0)) == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_pretty_of_fd_fallback():
+    assert parse_expression("abs(x)").diff().pretty() == "d/dx[abs(x)]"
+
+
 def test_derivative_of_fd_fallback():
     e = parse_expression("abs(x)").diff().diff()
     vals = np.array([float(e(x)) for x in (-2.0, 0.5, 3.0)])

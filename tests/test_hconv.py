@@ -120,6 +120,16 @@ def _sf_cosine():
     return build_standard_form(builtin_operator("cosine"))
 
 
+def test_convolve_measures_density_sums_product_densities(sm_cosine):
+    t = 0.05
+    mu = [(1.0, 0.3), (2.5, 0.7)]
+    nu = [(0.5, 0.6), (1.5, 0.4)]
+    dens = convolve_measures(mu, nu, sm_cosine, t_reg=t).density
+    want = sum(wi * wj * product_density(t, xi, yj, dens.grid, sm_cosine).values
+               for xi, wi in mu for yj, wj in nu)
+    assert np.allclose(dens.values, want, rtol=1e-12, atol=1e-12)
+
+
 def test_classify_support_case_a():
     sf = _sf_cosine()
     par = SupportParams(x0=np.inf, x1=0.0, eta_at_origin=0.0)

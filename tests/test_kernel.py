@@ -168,6 +168,14 @@ def test_shifted_kernel_initial_data(ev_bessel):
     assert w1[0] == pytest.approx(0.0, abs=1e-4)
 
 
+def test_shifted_kernel_empty_grid(ev_cosine):
+    # the same shapes as eval_grid(lam, []): np.shape(lam) + (0,)
+    w, w1 = ev_cosine.eval_w_shifted(2.0, 0.5, [])
+    assert w.shape == w1.shape == (0,)
+    w, w1 = ev_cosine.eval_w_shifted(np.array([1.0, 4.0]), 0.5, [])
+    assert w.shape == w1.shape == (2, 0)
+
+
 def test_kappa_shift_ratio(ev_cosine):
     # the modified kernel is w_{kappa+lam}/w_kappa for the base operator
     ks = KappaShiftedOperator(ev_cosine, -1.0, 0.0)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slhyper.spectral import (GridFunction, bump_function, forward_transform,
-                              heat_kernel, heat_kernel_grid, inverse_transform)
+from slhyper.inteq import l1_kappa_norm
+from slhyper.operator import builtin_operator
+from slhyper.spectral import (GridFunction, _r_weights, bump_function,
+                              forward_transform, heat_kernel, heat_kernel_grid,
+                              inverse_transform)
 
 
 def test_grid_function_rejects_bad_grid():
@@ -24,9 +27,9 @@ def test_grid_function_interp_zero_outside():
 
 
 def test_trapezoid_weights_sum_to_length():
+    # r = 1 on the cosine operator, so its r-weights are the trapezoid weights
     g = np.linspace(0.0, 7.0, 23)
-    h = GridFunction(g, np.zeros_like(g))
-    assert h.trapezoid_weights().sum() == pytest.approx(7.0)
+    assert _r_weights(builtin_operator("cosine"), g).sum() == pytest.approx(7.0)
 
 
 def test_bump_flags_and_support():
@@ -80,6 +83,27 @@ def test_transform_round_trip(sm_cosine):
     back = inverse_transform(tbl, sm_cosine, g)
     err = np.max(np.abs(back.values - h.values)) / np.max(np.abs(h.values))
     assert err < 5e-3
+
+
+def test_whittaker_profile_from_singular_endpoint(sm_whittaker):
+    # r is not finite at x = 0; the bump vanishes below 0.05, so the nodes
+    # there must add nothing
+    g = np.linspace(0.0, 8.0, 801)
+    h = bump_function(3.0, 1.5, g)
+    inner = g >= 0.05
+    h_in = GridFunction(g[inner], h.values[inner])
+    full = forward_transform(h, sm_whittaker).values
+    assert np.all(np.isfinite(full))
+    assert np.allclose(full, forward_transform(h_in, sm_whittaker).values,
+                       rtol=1e-12, atol=1e-12)
+    assert l1_kappa_norm(h, 0.0, sm_whittaker) == pytest.approx(
+        l1_kappa_norm(h_in, 0.0, sm_whittaker), rel=1e-12, abs=1e-12)
+
+
+def test_w_values_below_a_eff_is_one(sm_whittaker):
+    # the Whittaker measure starts at a_eff ~ 0.034, where every w_k is 1
+    W = sm_whittaker.w_values([0.0, 0.01])
+    assert np.allclose(W, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_transform_linearity(sm_cosine):
