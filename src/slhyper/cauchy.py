@@ -11,7 +11,8 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .operator import MpCertificate
-from .spectral import GridFunction, SpectralMeasure, forward_transform
+from .spectral import (GridFunction, SpectralMeasure, _basis_on,
+                       forward_transform)
 
 __all__ = [
     "CauchySolution",
@@ -76,11 +77,11 @@ def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
     if not (h.smooth2 and h.compact_support):
         raise ValueError("initial data must be flagged smooth2 and "
                          "compact_support")
-    xs = np.asarray(xs, dtype=float)
-    ys = xs if ys is None else np.asarray(ys, dtype=float)
-    tbl = forward_transform(h, sm)
-    vals = sm.synthesize(tbl.values[:, None] * sm.w_values(xs), ys)
-    return CauchySolution(h, xs, ys, vals, sm)
+    bh = sm.basis(h.grid)
+    bx = _basis_on(sm, xs, bh)
+    by = bx if ys is None else _basis_on(sm, ys, bx, bh)
+    vals = by.synthesize(bh.forward(h.values)[:, None] * bx.W)
+    return CauchySolution(h, bx.grid, by.grid, vals, sm)
 
 
 def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import StandardForm, SupportParams
-from .spectral import (GridFunction, SpectralMeasure, _r_weights,
-                       forward_transform)
+from .spectral import Basis, GridFunction, SpectralMeasure, _basis_on
 
 __all__ = [
     "ProductKernel",
@@ -69,12 +68,15 @@ def product_density(t: float, x: float, y: float, xi_grid,
                     sm: SpectralMeasure) -> ProductKernel:
     if t <= 0:
         raise ValueError("t must be positive")
-    xi_grid = np.asarray(xi_grid, dtype=float)
+    return _product_density(t, x, y, sm.basis(xi_grid), sm)
+
+
+def _product_density(t: float, x: float, y: float, xi: Basis,
+                     sm: SpectralMeasure) -> ProductKernel:
     wxy = sm.w_values([x, y])
-    vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1],
-                         xi_grid)
-    mass = float(np.sum(vals * _r_weights(sm.spec, xi_grid)))
-    return ProductKernel(t=t, x=x, y=y, xi=xi_grid, values=vals, mass=mass)
+    vals = xi.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1])
+    mass = float(np.sum(vals * xi.rw))
+    return ProductKernel(t=t, x=x, y=y, xi=xi.grid, values=vals, mass=mass)
 
 
 def product_formula_residual(lam: float, t: float, x: float, y: float,
@@ -88,13 +90,13 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
         raise ValueError("t must be positive")
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, t, x, y)
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    pk = product_density(t, x, y, xi_grid, sm)
+    xi = sm.basis(xi_grid)
+    pk = _product_density(t, x, y, xi, sm)
     ev = sm.evaluator
     if lam == 0.0:
         return abs(1.0 - pk.mass)
-    w_xi, _, _ = ev.eval_grid(lam, xi_grid)
-    rhs = float(np.sum(w_xi.real * pk.values * _r_weights(sm.spec, xi_grid)))
+    w_xi, _, _ = ev.eval_grid(lam, xi.grid)
+    rhs = float(np.sum(w_xi.real * pk.values * xi.rw))
     wx = ev.eval_w(lam, x).w.real
     wy = ev.eval_w(lam, y).w.real if y != x else wx
     return abs(math.exp(-t * lam) * wx * wy - rhs)
@@ -141,13 +143,13 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
                              cauchy_gaps=np.zeros(0), mass=1.0)
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
-    rw = _r_weights(sm.spec, xi_grid)
-    W_probe = sm.evaluator.eval_many(probe_lambdas, xi_grid)[0].real
+    xi = sm.basis(xi_grid)
+    W_probe = sm.evaluator.eval_many(probe_lambdas, xi.grid)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
     for i, t in enumerate(ts):
-        pk = product_density(t, x, y, xi_grid, sm)
-        moments[i] = W_probe @ (pk.values * rw)
+        pk = _product_density(t, x, y, xi, sm)
+        moments[i] = W_probe @ (pk.values * xi.rw)
         last = pk
     gaps = np.max(np.abs(np.diff(moments, axis=0)), axis=1)
     density = GridFunction(last.xi, last.values)
@@ -175,8 +177,10 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
         return GridFunction(out_grid, vals)
     if t_reg < 0:
         raise ValueError("t_reg must be nonnegative")
-    coef = np.exp(-t_reg * sm.lambdas) * forward_transform(h, sm).values
-    return GridFunction(out_grid, sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid))
+    bh = sm.basis(h.grid)
+    out = _basis_on(sm, out_grid, bh)
+    coef = np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
+    return GridFunction(out_grid, out.synthesize(coef * sm.w_values(y)[:, 0]))
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -184,14 +188,19 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     """(h * g)(x) = int (T^y h)(x) g(y) r(y) dy; evaluated through the
     transform product, which is the same quadrature reordered and is
     symmetric in (h, g) by construction."""
+    bh = sm.basis(h.grid)
+    bg = _basis_on(sm, g.grid, bh)
+    out = bh if out_grid is None else _basis_on(sm, out_grid, bh, bg)
+    return _convolve(bh.forward(h.values), bg.forward(g.values), sm, t_reg, out)
+
+
+def _convolve(th, tg, sm: SpectralMeasure, t_reg: float,
+              out: Basis) -> GridFunction:
+    """h * g on the grid of out, from the atom transforms th, tg of h, g."""
     if t_reg <= 0:
         raise ValueError("t_reg must be positive")
-    out_grid = h.grid if out_grid is None else np.asarray(out_grid, dtype=float)
-    th = forward_transform(h, sm)
-    tg = forward_transform(g, sm)
-    vals = sm.synthesize(np.exp(-t_reg * sm.lambdas) * th.values * tg.values,
-                         out_grid)
-    return GridFunction(out_grid, vals)
+    return GridFunction(out.grid,
+                        out.synthesize(np.exp(-t_reg * sm.lambdas) * th * tg))
 
 
 @dataclass(frozen=True)

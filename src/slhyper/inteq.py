@@ -12,9 +12,11 @@ equation into the explicit formula h = rho psi + psi * g.
 
 Nonvanishing is checked by sampling: the real ray, the strip boundary
 curve and its conjugate, plus a tail estimate standing in for the point
-at infinity.  This is a practical surrogate for the full strip (the
-transform is holomorphic inside, so boundary behaviour is what matters),
-not a proof.
+at infinity.  On the real ray the transform is exact at the measure's
+atoms only; between atoms the check takes the linear interpolation of the
+atom values, not transform samples.  This is a practical surrogate for
+the full strip (the transform is holomorphic inside, so boundary
+behaviour is what matters), not a proof.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (GridFunction, SpectralMeasure, TransformTable,
-                       _r_weights, forward_transform, inverse_transform,
-                       heat_kernel_grid)
-from .hconv import convolve_functions
+from .spectral import (Basis, GridFunction, SpectralMeasure, TransformTable,
+                       _basis_on, _r_weights, heat_kernel_grid)
+from .hconv import _convolve
 
 __all__ = [
     "SpectralStrip",
@@ -79,9 +80,6 @@ class SpectralStrip:
         """Boundary curve lambda(tau) = (tau + i ImDelta_kappa)^2 + sigma2."""
         tau = np.asarray(tau, dtype=float)
         return (tau + 1j * self.half_width) ** 2 + self.sigma2
-
-    def real_ray(self, lam_max: float, n: int = 512) -> np.ndarray:
-        return np.linspace(self.sigma2, lam_max, n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +180,32 @@ def wiener_levy_check(f: GridFunction, strip: SpectralStrip, rho: complex,
                       sm: SpectralMeasure, n: int = 512) -> StripCheck:
     """Sample rho + (Ff)(lambda) over Pi_kappa and report the minimum modulus.
 
-    Sampling covers the real ray [sigma2, lam_max] (on the measure's atoms
-    plus a uniform refinement, with bisection at any sign crossing), the
-    strip boundary curve and its conjugate (skipped when the strip is
-    degenerate and they coincide with the ray), and a tail estimate for
-    lambda = infinity.  ok is never an error: a failed check carries the
+    Sampling covers the real ray [sigma2, lam_max], the strip boundary
+    curve and its conjugate (skipped when the strip is degenerate and they
+    coincide with the ray), and a tail estimate for lambda = infinity.  On
+    the real ray, Ff is exact only at the measure's atoms; the uniform
+    refinement up to n samples takes the linear interpolation of the atom
+    values, not transform samples, so a dip of |rho + Ff| between two
+    atoms that the atom values do not show is not seen.  When rho and the
+    ray values are real, a sign change between ray samples is bisected with
+    transform samples.  ok is never an error: a failed check carries the
     witness point.
     """
+    return _strip_check(sm.basis(f.grid).forward(f.values), f, strip, rho,
+                        sm, n)
+
+
+def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
+                 sm: SpectralMeasure, n: int = 512) -> StripCheck:
+    """wiener_levy_check from the atom transform ff of f."""
     lam_max = float(sm.lambdas[-1])
-    # real ray: the atom transform is a cheap matrix product, so take the
-    # atoms and fill uniformly up to n samples
+    # real ray: the atoms, filled uniformly up to n samples by linear
+    # interpolation of the atom values
     ray = np.unique(np.concatenate(
         [sm.lambdas, np.linspace(strip.sigma2, lam_max,
                                  max(n - len(sm.lambdas), 2))]))
-    ff_atoms = forward_transform(f, sm)
-    ray_vals = rho + np.interp(ray, sm.lambdas, ff_atoms.values.real) \
-        + 1j * np.interp(ray, sm.lambdas, ff_atoms.values.imag)
+    ray_vals = rho + np.interp(ray, sm.lambdas, ff.real) \
+        + 1j * np.interp(ray, sm.lambdas, ff.imag)
     mods = np.abs(ray_vals)
     k = int(np.argmin(mods))
     min_mod = float(mods[k])
@@ -257,20 +265,27 @@ def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
         raise ValueError(
             f"nonvanishing check failed: |rho + Ff| = {check.min_modulus:.3e} "
             f"at lambda = {check.witness}")
-    ff = forward_transform(f, sm)
-    denom = rho + ff.values
+    bf = sm.basis(f.grid)
+    out = bf if out_grid is None else _basis_on(sm, out_grid, bf)
+    return _resolvent(bf.forward(f.values), rho, sm, out)
+
+
+def _resolvent(ff, rho: complex, sm: SpectralMeasure,
+               out: Basis) -> ResolventResult:
+    """resolvent_kernel from the atom transform ff of f, with g on the grid
+    of out."""
+    denom = rho + ff
     if np.min(np.abs(denom)) <= 1e-8:
         k = int(np.argmin(np.abs(denom)))
         raise ValueError(
             f"rho + Ff vanishes at atom lambda = {sm.lambdas[k]:.6g}")
     fg_vals = 1.0 / denom - rho
     fg = TransformTable(lambdas=sm.lambdas.copy(), values=fg_vals)
-    grid = f.grid if out_grid is None else np.asarray(out_grid, dtype=float)
-    g = inverse_transform(fg, sm, grid)
+    g = GridFunction(out.grid, out.synthesize(fg_vals))
     rt = float(np.max(np.abs((rho + fg_vals) * denom - 1.0)))
-    g_back = forward_transform(g, sm)
+    g_back = out.forward(g.values)
     scale = max(float(np.max(np.abs(fg_vals))), 1e-300)
-    recheck = float(np.max(np.abs(g_back.values - fg_vals))) / scale
+    recheck = float(np.max(np.abs(g_back - fg_vals))) / scale
     return ResolventResult(g=g, fg=fg, round_trip_residual=rt,
                            forward_recheck=recheck)
 
@@ -286,22 +301,22 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
     """
     strip = SpectralStrip(prob.kappa, sm.sigma2)
     l1_kappa_norm(prob.f, prob.kappa, sm)  # rejects divergent kernels early
-    check = wiener_levy_check(prob.f, strip, prob.rho, sm)
+    bf = sm.basis(prob.f.grid)
+    ff = bf.forward(prob.f.values)
+    check = _strip_check(ff, prob.f, strip, prob.rho, sm)
     if not check.ok:
         raise ValueError(
             f"equation not solvable in L1,kappa: |rho + Ff| = "
             f"{check.min_modulus:.3e} at lambda = {check.witness}")
-    res = resolvent_kernel(prob.f, prob.rho, sm, check=check)
-    conv = convolve_functions(prob.psi, res.g, sm, t_reg=t_reg,
-                              out_grid=prob.psi.grid)
+    res = _resolvent(ff, prob.rho, sm, bf)
+    bpsi = _basis_on(sm, prob.psi.grid, bf)
+    fpsi = bpsi.forward(prob.psi.values)
+    conv = _convolve(fpsi, bf.forward(res.g.values), sm, t_reg, bpsi)
     h_vals = prob.rho * prob.psi.values + conv.values
     h = GridFunction(prob.psi.grid, np.real_if_close(h_vals, tol=1e6))
-    fh = forward_transform(h, sm)
-    ff = forward_transform(prob.f, sm)
-    fpsi = forward_transform(prob.psi, sm)
-    scale = max(float(np.max(np.abs(fpsi.values))), 1e-300)
-    resid = float(np.max(np.abs(fh.values * (prob.rho + ff.values)
-                                - fpsi.values))) / scale
+    fh = bpsi.forward(h.values)
+    scale = max(float(np.max(np.abs(fpsi))), 1e-300)
+    resid = float(np.max(np.abs(fh * (prob.rho + ff) - fpsi))) / scale
     diag = {
         "min_modulus": check.min_modulus,
         "witness": check.witness,

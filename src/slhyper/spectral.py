@@ -6,6 +6,13 @@ operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
 carrying mass 1/||w_lambda||^2.  Eigenvalues and masses are Richardson
 extrapolated across a grid halving, which removes the leading h^2
 discretization error.
+
+Every spectral sum on a grid runs through the eigenfunction values on that
+grid.  ``sm.basis(grid)`` evaluates them once, with the grid's weights for
+int f r dx, and offers the forward transform and the synthesis on that
+grid.  A function that uses one grid more than once builds one basis and
+passes it on explicitly; nothing caches a basis beyond the call that built
+it.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .kernel import KernelEvaluator
 from .operator import OperatorSpec
 
 __all__ = [
+    "Basis",
     "GridFunction",
     "SpectralMeasure",
     "TransformTable",
@@ -89,6 +97,39 @@ class TransformTable:
     values: np.ndarray
 
 
+def _synthesis(masses, coef, W) -> np.ndarray:
+    return (masses * np.asarray(coef).T) @ W
+
+
+@dataclass(frozen=True)
+class Basis:
+    """The eigenfunctions of one measure evaluated on one grid, W[k] =
+    w_k(grid), with the grid's weights rw for int f r dx.  Built by
+    SpectralMeasure.basis."""
+
+    grid: np.ndarray
+    W: np.ndarray
+    rw: np.ndarray
+    masses: np.ndarray
+
+    def forward(self, values) -> np.ndarray:
+        """int values w_k r dx at every atom."""
+        return self.W @ (values * self.rw)
+
+    def synthesize(self, coef) -> np.ndarray:
+        """sum_k m_k coef_k w_k on the grid, as SpectralMeasure.synthesize."""
+        return _synthesis(self.masses, coef, self.W)
+
+
+def _basis_on(sm: SpectralMeasure, grid, *known: Basis) -> Basis:
+    """The first known basis whose grid equals grid, else a new one."""
+    grid = np.asarray(grid, dtype=float)
+    for b in known:
+        if np.array_equal(b.grid, grid):
+            return b
+    return sm.basis(grid)
+
+
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
     on [a_eff, L] stored as one vector-valued cubic spline per Richardson
@@ -120,10 +161,17 @@ class SpectralMeasure:
         xq = np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)), self._a_eff)
         return (4.0 * self._fine(xq) - self._coarse(xq)) / 3.0
 
+    def basis(self, grid) -> Basis:
+        """One evaluation of every eigenfunction on grid, for the transforms
+        and syntheses that share it.  grid needs at least two points."""
+        grid = np.asarray(grid, dtype=float)
+        return Basis(grid, self.w_values(grid), _r_weights(self.spec, grid),
+                     self.masses)
+
     def synthesize(self, coef, grid) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
         table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n)."""
-        return (self.masses * np.asarray(coef).T) @ self.w_values(grid)
+        return _synthesis(self.masses, coef, self.w_values(grid))
 
     def cumulative(self, lam: float, smoothed: bool = True) -> float:
         """rho[0, lam].  The smoothed form interpolates linearly between
@@ -286,8 +334,8 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
 
 def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
     """(Fh)(lambda) = int h w_lambda r dx at every atom."""
-    vals = sm.w_values(h.grid) @ (h.values * _r_weights(sm.spec, h.grid))
-    return TransformTable(lambdas=sm.lambdas.copy(), values=vals)
+    return TransformTable(lambdas=sm.lambdas.copy(),
+                          values=sm.basis(h.grid).forward(h.values))
 
 
 def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,

@@ -1,0 +1,168 @@
+"""One eigenfunction basis per grid: every rerouted spectral sum equals, bit
+for bit, its composition of forward_transform, inverse_transform and
+synthesize, and evaluates each of its grids once."""
+
+import numpy as np
+import pytest
+
+from slhyper.cauchy import solve_cauchy
+from slhyper.hconv import approx_nu, convolve_functions, translate
+from slhyper.inteq import (EquationProblem, SpectralStrip, resolvent_kernel,
+                           solve_equation, wiener_levy_check)
+from slhyper.spectral import (GridFunction, TransformTable, _r_weights,
+                              bump_function, forward_transform,
+                              inverse_transform)
+
+GRID = np.linspace(0.0, 12.0, 1201)
+GRID2 = np.linspace(0.0, 11.0, 1001)
+XS = np.linspace(0.0, 6.0, 201)
+
+
+def _ft(h, sm):
+    return forward_transform(h, sm).values
+
+
+def _problem(psi_grid):
+    f = GridFunction(GRID, 0.3 * np.exp(-GRID ** 2))
+    return EquationProblem(f=f, psi=bump_function(3.0, 1.2, psi_grid),
+                           kappa=0.0)
+
+
+@pytest.fixture
+def w_calls(sm_cosine, monkeypatch):
+    """Sizes of the point sets handed to sm_cosine.w_values, in order."""
+    calls = []
+    w_values = sm_cosine.w_values
+
+    def counted(xq):
+        calls.append(np.size(xq))
+        return w_values(xq)
+
+    monkeypatch.setattr(sm_cosine, "w_values", counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the compositions
+
+
+def _reference_resolvent(f, rho, sm, grid):
+    ff = _ft(f, sm)
+    denom = rho + ff
+    fg = 1.0 / denom - rho
+    g = inverse_transform(TransformTable(sm.lambdas, fg), sm, grid).values
+    g_back = _ft(GridFunction(grid, g), sm)
+    recheck = np.max(np.abs(g_back - fg)) / max(np.max(np.abs(fg)), 1e-300)
+    return ff, fg, g, g_back, np.max(np.abs((rho + fg) * denom - 1.0)), recheck
+
+
+@pytest.mark.parametrize("psi_grid", [GRID, GRID2], ids=["one_grid", "two_grids"])
+def test_solve_equation_bit_identical(sm_cosine, psi_grid):
+    sm, prob, t_reg = sm_cosine, _problem(psi_grid), 1e-6
+    rho, psi = prob.rho, prob.psi
+    check = wiener_levy_check(prob.f, SpectralStrip(prob.kappa, sm.sigma2),
+                              rho, sm)
+    ff, _, g, g_back, rt, recheck = _reference_resolvent(prob.f, rho, sm,
+                                                         prob.f.grid)
+    fpsi = _ft(psi, sm)
+    conv = sm.synthesize(np.exp(-t_reg * sm.lambdas) * fpsi * g_back,
+                         psi.grid)
+    h = np.real_if_close(rho * psi.values + conv, tol=1e6)
+    fh = _ft(GridFunction(psi.grid, h), sm)
+    resid = np.max(np.abs(fh * (rho + ff) - fpsi)) / max(np.max(np.abs(fpsi)),
+                                                         1e-300)
+    sol = solve_equation(prob, sm, t_reg=t_reg)
+    assert np.array_equal(sol.h.values, h)
+    assert np.array_equal(sol.g.values, g)
+    assert sol.diagnostics == {
+        "min_modulus": check.min_modulus, "witness": check.witness,
+        "transform_residual": resid, "resolvent_round_trip": rt,
+        "resolvent_recheck": recheck}
+
+
+@pytest.mark.parametrize("out_grid", [None, GRID2])
+def test_resolvent_kernel_bit_identical(sm_cosine, out_grid):
+    f = _problem(GRID).f
+    grid = f.grid if out_grid is None else out_grid
+    _, fg, g, _, rt, recheck = _reference_resolvent(f, 1.0, sm_cosine, grid)
+    res = resolvent_kernel(f, 1.0, sm_cosine, out_grid=out_grid)
+    assert np.array_equal(res.g.values, g)
+    assert np.array_equal(res.fg.values, fg)
+    assert res.round_trip_residual == rt
+    assert res.forward_recheck == recheck
+
+
+@pytest.mark.parametrize("out_grid", [GRID, GRID2])
+def test_convolve_functions_bit_identical(sm_cosine, out_grid):
+    sm = sm_cosine
+    h, g = bump_function(2.5, 1.2, GRID), bump_function(3.5, 2.0, GRID)
+    ref = sm.synthesize(np.exp(-1e-8 * sm.lambdas) * _ft(h, sm) * _ft(g, sm),
+                        out_grid)
+    out = convolve_functions(h, g, sm, t_reg=1e-8, out_grid=out_grid)
+    assert np.array_equal(out.values, ref)
+
+
+@pytest.mark.parametrize("out_grid", [GRID, GRID2])
+def test_translate_bit_identical(sm_cosine, out_grid):
+    sm, y = sm_cosine, 1.3
+    h = bump_function(3.5, 2.0, GRID)
+    coef = np.exp(-1e-6 * sm.lambdas) * _ft(h, sm)
+    ref = sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid)
+    out = translate(h, y, sm, t_reg=1e-6, out_grid=out_grid)
+    assert np.array_equal(out.values, ref)
+
+
+@pytest.mark.parametrize("ys", [None, np.linspace(0.0, 5.0, 151)])
+def test_solve_cauchy_bit_identical(sm_cosine, ys):
+    sm = sm_cosine
+    h = bump_function(2.5, 1.7, GRID)
+    ref = sm.synthesize(_ft(h, sm)[:, None] * sm.w_values(XS),
+                        XS if ys is None else ys)
+    assert np.array_equal(solve_cauchy(h, sm, XS, ys).values, ref)
+
+
+def test_approx_nu_bit_identical(sm_cosine):
+    sm, x, y = sm_cosine, 1.0, 1.5
+    xi = np.linspace(sm._a_eff, 6.0, 3001)
+    nu = approx_nu(x, y, sm, xi_grid=xi)
+    W_probe = sm.evaluator.eval_many(nu.moment_lambdas, xi)[0].real
+    rw = _r_weights(sm.spec, xi)
+    wxy = sm.w_values([x, y])
+    for t, moments in zip((0.1, 0.03, 0.01, 0.003, 0.001), nu.moments):
+        vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1],
+                             xi)
+        assert np.array_equal(moments, W_probe @ (vals * rw))
+    assert np.array_equal(nu.density.values, vals)
+    assert nu.mass == float(np.sum(vals * rw))
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per grid
+
+
+def test_solve_equation_evaluates_its_grid_once(sm_cosine, w_calls):
+    solve_equation(_problem(GRID), sm_cosine)
+    assert w_calls == [len(GRID)]
+
+
+def test_convolve_functions_evaluates_its_grid_once(sm_cosine, w_calls):
+    h, g = bump_function(2.5, 1.2, GRID), bump_function(3.5, 2.0, GRID)
+    convolve_functions(h, g, sm_cosine, t_reg=1e-8, out_grid=GRID)
+    assert w_calls == [len(GRID)]
+
+
+def test_translate_evaluates_its_grid_once(sm_cosine, w_calls):
+    translate(bump_function(3.5, 2.0, GRID), 1.3, sm_cosine, t_reg=1e-6,
+              out_grid=GRID)
+    assert sorted(w_calls) == [1, len(GRID)]
+
+
+def test_solve_cauchy_evaluates_xs_once(sm_cosine, w_calls):
+    solve_cauchy(bump_function(2.5, 1.7, GRID), sm_cosine, XS)
+    assert w_calls == [len(GRID), len(XS)]
+
+
+def test_approx_nu_evaluates_its_xi_grid_once(sm_cosine, w_calls):
+    xi = np.linspace(sm_cosine._a_eff, 6.0, 3001)
+    approx_nu(1.0, 1.5, sm_cosine, xi_grid=xi)
+    assert w_calls.count(len(xi)) == 1
