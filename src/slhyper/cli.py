@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand reads an operator (builtin:<name> or a JSON definition
-file), runs one library operation, and writes deterministic CSV or JSON.
-Outputs open with a reproducibility header carrying the package version
-and a hash of the fully resolved configuration, so identical invocations
-of the same build produce byte-identical files.
+Every subcommand runs one library operation and writes deterministic CSV,
+JSON or text.  The subcommands are one table, COMMANDS, of help text, output
+format, own flags and compute function; one dispatcher parses, merges
+--config, checks, hashes the resolved configuration and emits.  CSV and JSON
+outputs open with the package version and that hash, so identical
+invocations of the same build produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .operator import (load_operator, build_standard_form, certify_mp,
                        support_params, check_left_boundary)
 from .kernel import KernelEvaluator
 from .spectral import (GridFunction, build_spectral_measure, bump_function,
-                       forward_transform, heat_kernel_grid, inverse_transform)
+                       forward_transform, inverse_transform)
 from .hconv import (product_density, default_xi_grid, translate,
                     convolve_functions, classify_support)
 from .cauchy import solve_cauchy, triangle_identity_residual
@@ -34,30 +35,7 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-@dataclass
-class RunConfig:
-    op: str
-    L: float
-    N: int
-    lambda_max: float | None
-    fmt: str
-    out: str | None
-    precision: int
-
-    def canonical(self) -> str:
-        doc = {
-            "op": self.op, "L": self.L, "N": self.N,
-            "lambda_max": self.lambda_max,
-            "format": self.fmt, "precision": self.precision,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @property
-    def sha(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+# inputs and outputs
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -71,10 +49,6 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError("grid needs at least 2 points")
         return np.linspace(start, stop, count)
     return np.array([float(v) for v in text.split(",")], dtype=float)
-
-
-def _parse_lambdas(text: str) -> list:
-    return [complex(v) for v in text.split(",")]
 
 
 def _read_grid_function(path: str) -> GridFunction:
@@ -107,8 +81,6 @@ def _read_grid_function(path: str) -> GridFunction:
 
 
 def _fmt(v, precision: int) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
@@ -118,87 +90,57 @@ def _fmt(v, precision: int) -> str:
 
 
 class Emitter:
-    """Deterministic writer: '.' decimal, header row, stable key order."""
+    """Deterministic writer to a path, or stdout when it is None: '.'
+    decimal, header row, stable key order."""
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.header = (f"# slhyper {__version__} config {cfg.sha}")
+    def __init__(self, sha: str, out: str | None, precision: int | None = None):
+        self.sha, self.out, self.precision = sha, out, precision
+        self.header = f"# slhyper {__version__} config {sha}"
 
-    def _sink(self):
-        if self.cfg.out:
-            return open(self.cfg.out, "w", encoding="utf-8", newline="")
-        return None
+    def text(self, text: str) -> None:
+        if self.out:
+            with open(self.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
 
     def csv(self, columns: list, rows) -> None:
-        sink = self._sink()
-        out = sink if sink is not None else sys.stdout
-        try:
-            out.write(self.header + "\n")
-            out.write(",".join(columns) + "\n")
-            p = self.cfg.precision
-            for row in rows:
-                out.write(",".join(_fmt(v, p) for v in row) + "\n")
-        finally:
-            if sink is not None:
-                sink.close()
+        p = self.precision
+        self.text("".join([self.header + "\n", ",".join(columns) + "\n"] +
+                          [",".join(_fmt(v, p) for v in row) + "\n"
+                           for row in rows]))
 
     def json(self, doc: dict) -> None:
-        payload = {"meta": {"version": __version__, "config": self.cfg.sha}}
-        payload.update(doc)
-        text = json.dumps(payload, indent=2, allow_nan=True,
-                          default=_json_default)
-        sink = self._sink()
-        if sink is not None:
-            with sink:
-                sink.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        payload = {"meta": {"version": __version__, "config": self.sha}, **doc}
+        self.text(json.dumps(payload, indent=2, allow_nan=True,
+                             default=_json_default) + "\n")
 
 
 def _json_default(v):
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
+    if isinstance(v, (np.generic, np.ndarray)):
+        return v.tolist()
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(op=args.op, L=args.L, N=args.N,
-                    lambda_max=args.lambda_max, fmt=args.format,
-                    out=args.out, precision=args.precision)
-    if cfg.L <= 0 or cfg.N <= 0:
-        raise ValueError("numeric parameters must be positive")
-    if cfg.lambda_max is not None and cfg.lambda_max <= 0:
-        raise ValueError("lambda-max must be positive")
-    if not (6 <= cfg.precision <= 17):
-        raise ValueError("precision must lie in [6, 17]")
-    return cfg
-
-
-def _measure(cfg: RunConfig):
-    spec = load_operator(cfg.op)
-    return build_spectral_measure(spec, L=cfg.L, N=cfg.N,
-                                  lambda_max=cfg.lambda_max)
+def _measure(args):
+    return build_spectral_measure(load_operator(args.op), L=args.L, N=args.N,
+                                  lambda_max=args.lambda_max)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# compute functions: each reads its inputs before it builds the measure and
+# returns what its format writes: (columns, rows) for CSV, with solve-inteq
+# adding its diagnostics dict; a dict for JSON; (text, exit code) for text
 
 
-def _cmd_validate(args) -> int:
-    cfg = _config_from(args)
-    spec = load_operator(cfg.op)
+def _validate(args) -> dict:
+    spec = load_operator(args.op)
     boundary = check_left_boundary(spec)
     sf = build_standard_form(spec)
     cert = certify_mp(sf)
-    doc = {
+    return {
         "operator": spec.name,
         "mp_certified": bool(cert.all_ok),
         "sigma": sf.sigma,
@@ -206,127 +148,91 @@ def _cmd_validate(args) -> int:
         "checks": {k: bool(v) for k, v in sorted(cert.checks.items())},
         "left_boundary": {k: boundary[k] for k in sorted(boundary)},
     }
-    Emitter(cfg).json(doc)
-    return 0
 
 
-def _cmd_kernel(args) -> int:
-    cfg = _config_from(args)
-    spec = load_operator(cfg.op)
-    ev = KernelEvaluator(spec)
-    xs = _parse_grid(args.x)
+def _kernel(args):
+    ev = KernelEvaluator(load_operator(args.op))
+    xs = np.sort(_parse_grid(args.x))
     rows = []
-    for lam in _parse_lambdas(getattr(args, "lambda")):
-        w, w1, err = ev.eval_grid(lam, np.sort(xs))
-        for x, wv, w1v in zip(np.sort(xs), w, w1):
-            rows.append((lam.real, lam.imag, x, wv.real, wv.imag,
-                         w1v.real, w1v.imag, err))
-    Emitter(cfg).csv(["lambda_re", "lambda_im", "x", "w_re", "w_im",
-                      "w1_re", "w1_im", "est_error"], rows)
-    return 0
+    for lam in (complex(v) for v in getattr(args, "lambda").split(",")):
+        w, w1, err = ev.eval_grid(lam, xs)
+        rows.extend((lam.real, lam.imag, x, wv.real, wv.imag,
+                     w1v.real, w1v.imag, err) for x, wv, w1v in zip(xs, w, w1))
+    return ["lambda_re", "lambda_im", "x", "w_re", "w_im",
+            "w1_re", "w1_im", "est_error"], rows
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _config_from(args)
-    sm = _measure(cfg)
-    rows = [(k, sm.lambdas[k], sm.masses[k]) for k in range(len(sm.lambdas))]
-    Emitter(cfg).csv(["k", "lambda_k", "mass_k"], rows)
-    return 0
+def _spectrum(args):
+    sm = _measure(args)
+    return ["k", "lambda_k", "mass_k"], [
+        (k, lam, m) for k, (lam, m) in enumerate(zip(sm.lambdas, sm.masses))]
 
 
-def _cmd_transform(args) -> int:
-    cfg = _config_from(args)
+def _transform(args):
     h = _read_grid_function(args.h)
-    sm = _measure(cfg)
-    tbl = forward_transform(h, sm)
-    rows = [(lam, v.real, v.imag)
-            for lam, v in zip(tbl.lambdas, tbl.values)]
-    Emitter(cfg).csv(["lambda", "fh_re", "fh_im"], rows)
-    return 0
+    tbl = forward_transform(h, _measure(args))
+    return ["lambda", "fh_re", "fh_im"], [
+        (lam, v.real, v.imag) for lam, v in zip(tbl.lambdas, tbl.values)]
 
 
-def _cmd_heatkernel(args) -> int:
-    cfg = _config_from(args)
-    sm = _measure(cfg)
-    xg = _parse_grid(args.x_grid)
-    yg = _parse_grid(args.y_grid)
-    rows = []
-    for x in xg:
-        p = heat_kernel_grid(args.t, float(x), yg, sm)
-        rows.extend((args.t, float(x), float(y), float(v))
-                    for y, v in zip(yg, p))
-    Emitter(cfg).csv(["t", "x", "y", "p"], rows)
-    return 0
+def _heatkernel(args):
+    xg, yg = _parse_grid(args.x_grid), _parse_grid(args.y_grid)
+    sm = _measure(args)
+    # p(t, x, y) = sum_k m_k e^{-t lambda_k} w_k(x) w_k(y), every x at once
+    coef = np.exp(-args.t * sm.lambdas)[:, None] * sm.w_values(xg)
+    return ["t", "x", "y", "p"], [
+        (args.t, float(x), float(y), float(v))
+        for x, row in zip(xg, sm.synthesize(coef, yg)) for y, v in zip(yg, row)]
 
 
-def _cmd_product(args) -> int:
-    cfg = _config_from(args)
-    sm = _measure(cfg)
-    xi = default_xi_grid(sm, args.t, args.x, args.y) \
-        if args.xi_grid is None else _parse_grid(args.xi_grid)
+def _product(args):
+    xi = None if args.xi_grid is None else _parse_grid(args.xi_grid)
+    sm = _measure(args)
+    if xi is None:
+        xi = default_xi_grid(sm, args.t, args.x, args.y)
     pk = product_density(args.t, args.x, args.y, xi, sm)
-    rows = [(float(u), float(q), pk.mass) for u, q in zip(pk.xi, pk.values)]
-    Emitter(cfg).csv(["xi", "q", "mass"], rows)
-    return 0
+    return ["xi", "q", "mass"], [
+        (float(u), float(q), pk.mass) for u, q in zip(pk.xi, pk.values)]
 
 
-def _cmd_translate(args) -> int:
-    cfg = _config_from(args)
+def _translate(args):
     h = _read_grid_function(args.h)
-    sm = _measure(cfg)
-    sf = build_standard_form(sm.spec)
-    cert = certify_mp(sf)
+    sm = _measure(args)
     case = None
-    if args.t_reg == 0.0:
+    if args.t_reg == 0.0:   # the two-atom shortcut needs the support case
+        sf = build_standard_form(sm.spec)
         case = classify_support(max(args.y, h.grid[0]), args.y, sf,
-                                support_params(cert)).case
+                                support_params(certify_mp(sf))).case
     out = translate(h, args.y, sm, t_reg=args.t_reg, support_case=case)
-    rows = list(zip(out.grid, out.values))
-    Emitter(cfg).csv(["x", "value"], rows)
-    return 0
+    return ["x", "value"], list(zip(out.grid, out.values))
 
 
-def _cmd_convolve(args) -> int:
-    cfg = _config_from(args)
+def _convolve(args):
     h = _read_grid_function(args.h)
     g = _read_grid_function(args.g)
-    sm = _measure(cfg)
-    out = convolve_functions(h, g, sm, t_reg=args.t_reg)
-    rows = list(zip(out.grid, out.values))
-    Emitter(cfg).csv(["x", "value"], rows)
-    return 0
+    out = convolve_functions(h, g, _measure(args), t_reg=args.t_reg)
+    return ["x", "value"], list(zip(out.grid, out.values))
 
 
-def _cmd_support(args) -> int:
-    cfg = _config_from(args)
-    spec = load_operator(cfg.op)
-    sf = build_standard_form(spec)
-    cert = certify_mp(sf)
-    rep = classify_support(args.x, args.y, sf, support_params(cert))
-    doc = {
+def _support(args) -> dict:
+    sf = build_standard_form(load_operator(args.op))
+    rep = classify_support(args.x, args.y, sf, support_params(certify_mp(sf)))
+    return {
         "case": rep.case,
         "support": [[lo, hi] for lo, hi in rep.intervals],
         "x": args.x, "y": args.y,
     }
-    Emitter(cfg).json(doc)
-    return 0
 
 
-def _cmd_cauchy(args) -> int:
-    cfg = _config_from(args)
+def _cauchy(args):
     h = _read_grid_function(args.h)
     xs = _parse_grid(args.grid)
-    sm = _measure(cfg)
-    sol = solve_cauchy(h, sm, xs)
+    sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()
-    rows = []
-    for i, x in enumerate(sol.xs):
-        for j, y in enumerate(sol.ys):
-            rows.append((float(x), float(y), float(sol.values[i, j]),
-                         float(res[i, j])))
-    Emitter(cfg).csv(["x", "y", "f", "pde_residual"], rows)
-    return 0
+    return ["x", "y", "f", "pde_residual"], [
+        (float(x), float(y), float(sol.values[i, j]), float(res[i, j]))
+        for i, x in enumerate(sol.xs) for j, y in enumerate(sol.ys)]
 
 
 class _EigenPair:
@@ -374,48 +280,36 @@ class _EigenPair:
         return self._wx(xi, 0) * self._wx(zeta, 2)
 
 
-def _cmd_triangle(args) -> int:
-    cfg = _config_from(args)
-    spec = load_operator(cfg.op)
+def _triangle(args) -> dict:
+    spec = load_operator(args.op)
     sf = build_standard_form(spec)
-    cert = certify_mp(sf)
-    ev = KernelEvaluator(spec)
-    v = _EigenPair(ev, sf, args.lam)
-    rep = triangle_identity_residual(v, args.c, args.x, args.y, cert,
-                                     n=args.n)
-    doc = {
+    v = _EigenPair(KernelEvaluator(spec), sf, args.lam)
+    rep = triangle_identity_residual(v, args.c, args.x, args.y,
+                                     certify_mp(sf), n=args.n)
+    return {
         "c": rep.c, "x": rep.x, "y": rep.y, "n": rep.n,
         "H": rep.H, "I0": rep.I0, "I1": rep.I1, "I2": rep.I2,
         "I3": rep.I3, "I4": rep.I4, "lhs": rep.lhs,
         "residual": rep.residual,
     }
-    Emitter(cfg).json(doc)
-    return 0
 
 
-def _cmd_solve_inteq(args) -> int:
-    cfg = _config_from(args)
+def _solve_inteq(args):
     psi = _read_grid_function(args.psi)
     if args.f.startswith("heatkernel:"):
         t, x = (float(v) for v in args.f[len("heatkernel:"):].split(","))
-        sol = solve_qt_equation(t, x, psi, _measure(cfg))
+        sol = solve_qt_equation(t, x, psi, _measure(args))
     else:
         f = _read_grid_function(args.f)
-        sm = _measure(cfg)
+        sm = _measure(args)
         kappa = sm.sigma2 if args.kappa is None else args.kappa
         prob = EquationProblem(f=f, psi=psi, kappa=kappa, rho=args.rho)
         sol = solve_equation(prob, sm)
-    rows = list(zip(sol.h.grid, sol.h.values))
-    em = Emitter(cfg)
-    em.csv(["x", "h"], rows)
-    diag = dict(sorted(sol.diagnostics.items()))
-    diag_cfg = RunConfig(**{**cfg.__dict__, "out": args.diagnostics})
-    Emitter(diag_cfg).json({"diagnostics": diag})
-    return 0
+    return (["x", "h"], list(zip(sol.h.grid, sol.h.values)),
+            dict(sorted(sol.diagnostics.items())))
 
 
-def _cmd_selftest(args) -> int:
-    cfg = _config_from(args)
+def _selftest(args):
     lines = []
 
     def report(name, value, tol):
@@ -474,16 +368,102 @@ def _cmd_selftest(args) -> int:
 
     text = "\n".join([f"slhyper selftest {__version__}"] + lines +
                      [f"result {'PASS' if all_ok else 'FAIL'}"]) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if all_ok else 1
+    return text, 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its dispatcher
+
+
+class Command(NamedTuple):
+    help: str
+    fmt: str                # "csv", "json" or "text": its one output format
+    flags: tuple            # (option, add_argument keywords) of its own flags
+    compute: Callable
+
+
+OP = ("--op", dict(default="builtin:cosine",
+                   help="operator: builtin:<name> or JSON file"))
+MEASURE = (OP,
+           ("--L", dict(type=float, default=16.0)),
+           ("--N", dict(type=int, default=2048)),
+           ("--lambda-max", dict(type=float, default=None)))
+H = ("--h", dict(required=True, help="CSV of (x, value)"))
+T_REG = ("--t-reg", dict(type=float, default=1e-3))
+
+
+def _req(type_=None, help=None) -> dict:
+    return dict(type=type_, required=True, help=help)
+
+
+COMMANDS = {
+    "validate": Command("boundary + maximum-principle checks", "json",
+                        (OP,), _validate),
+    "kernel": Command("kernel values w_lambda(x)", "csv", (
+        OP, ("--lambda", _req(help="comma list, complex ok")),
+        ("--x", _req(help="grid start:stop:count or list"))), _kernel),
+    "spectrum": Command("spectral measure atoms", "csv", MEASURE, _spectrum),
+    "transform": Command("forward transform of a CSV profile", "csv",
+                         (*MEASURE, H), _transform),
+    "heatkernel": Command("p(t, x, y) on a grid", "csv", (
+        *MEASURE, ("--t", _req(float)), ("--x-grid", _req()),
+        ("--y-grid", _req())), _heatkernel),
+    "product": Command("regularized product kernel q_t", "csv", (
+        *MEASURE, ("--t", _req(float)), ("--x", _req(float)),
+        ("--y", _req(float)), ("--xi-grid", dict(default=None))), _product),
+    "translate": Command("generalized translation T^y h", "csv", (
+        *MEASURE, H, ("--y", _req(float)), T_REG), _translate),
+    "convolve": Command("convolution h * g", "csv", (
+        *MEASURE, H, ("--g", _req()), T_REG), _convolve),
+    "support": Command("support of delta_x * delta_y", "json", (
+        OP, ("--x", _req(float)), ("--y", _req(float))), _support),
+    "cauchy": Command("solve the characteristic Cauchy problem", "csv", (
+        *MEASURE, ("--h", _req(help="boundary profile CSV")),
+        ("--grid", _req(help="solution grid spec"))), _cauchy),
+    "triangle": Command("triangle identity residual report", "json", (
+        OP, ("--c", _req(float)), ("--x", _req(float)), ("--y", _req(float)),
+        ("--lam", dict(type=float, default=2.0,
+                       help="frequency of the eigenfunction test solution")),
+        ("--n", dict(type=int, default=100))), _triangle),
+    "solve-inteq": Command("convolution equation of the second kind", "csv", (
+        *MEASURE,
+        ("--f", _req(help="kernel generator: CSV path or heatkernel:t,x")),
+        ("--psi", _req(help="right-hand side CSV")),
+        ("--kappa", dict(type=float, default=None)),
+        ("--rho", dict(type=complex, default=1.0)),
+        ("--diagnostics", dict(default=None,
+                               help="JSON diagnostics path (default stdout)"))),
+        _solve_inteq),
+    "selftest": Command("run the built-in oracle suite", "text", (),
+                        _selftest),
+}
+
+# flag -> (test, message), for every command that has the flag; checked
+# before any input is read
+_CHECKS = {
+    "L": (lambda v: v > 0, "numeric parameters must be positive"),
+    "N": (lambda v: v > 0, "numeric parameters must be positive"),
+    "lambda_max": (lambda v: v is None or v > 0, "lambda-max must be positive"),
+    "t": (lambda v: v > 0, "t must be positive"),
+    "precision": (lambda v: 6 <= v <= 17, "precision must lie in [6, 17]"),
+}
+
+# output paths and the config file name the outputs, not what they hold
+_UNHASHED = ("out", "diagnostics", "config")
+
+
+def _flags(cmd: Command) -> dict:
+    """dest -> (option, add_argument keywords) for every flag of cmd: its
+    own, then those its output format implies."""
+    flags = list(cmd.flags)
+    if cmd.fmt != "text":
+        flags.append(("--format", dict(choices=(cmd.fmt,), default=cmd.fmt)))
+    if cmd.fmt == "csv":
+        flags.append(("--precision", dict(type=int, default=12)))
+    flags += [("--out", dict(default=None, help="output path (default stdout)")),
+              ("--config", dict(default=None,
+                                help="JSON file whose entries override flags"))]
+    return {opt[2:].replace("-", "_"): (opt, kw) for opt, kw in flags}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,143 +472,75 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sturm-Liouville kernels, spectral transforms, and "
                     "hypergroup convolution on a half line")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, op_default=None):
-        p.add_argument("--op", default=op_default or "builtin:cosine",
-                       help="operator: builtin:<name> or JSON file")
-        p.add_argument("--L", type=float, default=16.0)
-        p.add_argument("--N", type=int, default=2048)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                       default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--precision", type=int, default=12)
-        p.add_argument("--config", default=None,
-                       help="JSON file whose entries override flags")
-
-    p = sub.add_parser("validate", help="boundary + maximum-principle checks")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("kernel", help="kernel values w_lambda(x)")
-    common(p)
-    p.add_argument("--lambda", required=True, help="comma list, complex ok")
-    p.add_argument("--x", required=True, help="grid start:stop:count or list")
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("spectrum", help="spectral measure atoms")
-    common(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("transform", help="forward transform of a CSV profile")
-    common(p)
-    p.add_argument("--h", required=True, help="CSV of (x, value)")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("heatkernel", help="p(t, x, y) on a grid")
-    common(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x-grid", dest="x_grid", required=True)
-    p.add_argument("--y-grid", dest="y_grid", required=True)
-    p.set_defaults(func=_cmd_heatkernel)
-
-    p = sub.add_parser("product", help="regularized product kernel q_t")
-    common(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--xi-grid", dest="xi_grid", default=None)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("translate", help="generalized translation T^y h")
-    common(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--t-reg", dest="t_reg", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_translate)
-
-    p = sub.add_parser("convolve", help="convolution h * g")
-    common(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--t-reg", dest="t_reg", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("support", help="support of delta_x * delta_y")
-    common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.set_defaults(func=_cmd_support)
-
-    p = sub.add_parser("cauchy", help="solve the characteristic Cauchy problem")
-    common(p)
-    p.add_argument("--h", required=True, help="boundary profile CSV")
-    p.add_argument("--grid", required=True, help="solution grid spec")
-    p.set_defaults(func=_cmd_cauchy)
-
-    p = sub.add_parser("triangle", help="triangle identity residual report")
-    common(p)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--lam", type=float, default=2.0,
-                   help="frequency of the eigenfunction test solution")
-    p.add_argument("--n", type=int, default=100)
-    p.set_defaults(func=_cmd_triangle)
-
-    p = sub.add_parser("solve-inteq",
-                       help="convolution equation of the second kind")
-    common(p)
-    p.add_argument("--f", required=True,
-                   help="kernel generator: CSV path or heatkernel:t,x")
-    p.add_argument("--psi", required=True, help="right-hand side CSV")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--rho", type=complex, default=1.0)
-    p.add_argument("--diagnostics", default=None,
-                   help="JSON diagnostics path (default stdout)")
-    p.set_defaults(func=_cmd_solve_inteq)
-
-    p = sub.add_parser("selftest", help="run the built-in oracle suite")
-    common(p)
-    p.set_defaults(func=_cmd_selftest)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt, kw in _flags(cmd).values():
+            p.add_argument(opt, **kw)
     return ap
 
 
-def _merge_config_file(args, ap: argparse.ArgumentParser) -> None:
+def _merge_config_file(args, flags: dict) -> None:
     """Override flags with the entries of the --config JSON file.  Each
     value is read as if its JSON text followed the flag on the command
     line: through the flag's type and choices."""
-    if not getattr(args, "config", None):
-        return
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    sub = next(a for a in ap._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions
-             if a.option_strings and a.dest != "help"}
+    if not isinstance(doc, dict):
+        raise ValueError("config file: want a JSON object of flag values")
     for key, val in doc.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in flags:
             raise ValueError(f"config file: unknown key {key!r}")
+        kw = flags[dest][1]
         text = val if isinstance(val, str) else json.dumps(val)
         try:
-            val = (action.type or str)(text)
+            val = (kw.get("type") or str)(text)
         except ValueError:
             raise ValueError(f"config file: invalid {key!r}: {text}") from None
-        if action.choices and val not in action.choices:
+        if val not in kw.get("choices", (val,)):
             raise ValueError(f"config file: invalid {key!r}: {text}")
-        setattr(args, action.dest, val)
+        setattr(args, dest, val)
+
+
+def _run(args) -> int:
+    """Merge --config, check the values, hash the resolved configuration,
+    compute and emit; returns the exit code."""
+    cmd = COMMANDS[args.command]
+    flags = _flags(cmd)
+    if args.config:
+        _merge_config_file(args, flags)
+    vals = {dest: getattr(args, dest) for dest in flags}
+    for dest, (ok, message) in _CHECKS.items():
+        if dest in vals and not ok(vals[dest]):
+            raise ValueError(message)
+    doc = {"command": args.command,
+           **{k: v for k, v in vals.items() if k not in _UNHASHED}}
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                           default=repr)
+    sha = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    em = Emitter(sha, args.out, vals.get("precision"))
+    result = cmd.compute(args)
+    if cmd.fmt == "text":
+        text, code = result
+        em.text(text)
+        return code
+    if cmd.fmt == "json":
+        em.json(result)
+        return 0
+    columns, rows, *diagnostics = result
+    em.csv(columns, rows)
+    for diag in diagnostics:
+        Emitter(sha, args.diagnostics).json({"diagnostics": diag})
+    return 0
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _merge_config_file(args, ap)
-        return args.func(args)
+        return _run(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"slhyper: error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (Basis, GridFunction, SpectralMeasure, TransformTable,
-                       _basis_on, _r_weights, heat_kernel_grid)
+                       _basis_on, _r_weights)
 from .hconv import _convolve
 
 __all__ = [
@@ -299,9 +299,15 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
     point; otherwise the returned diagnostics report the sampled minimum
     modulus and the transform-domain residual of the solved equation.
     """
+    return _solve_equation(prob, sm, t_reg)
+
+
+def _solve_equation(prob: EquationProblem, sm: SpectralMeasure, t_reg: float,
+                    *known: Basis) -> EquationSolution:
+    """solve_equation, reusing any known basis on the grid of f or psi."""
     strip = SpectralStrip(prob.kappa, sm.sigma2)
     l1_kappa_norm(prob.f, prob.kappa, sm)  # rejects divergent kernels early
-    bf = sm.basis(prob.f.grid)
+    bf = _basis_on(sm, prob.f.grid, *known)
     ff = bf.forward(prob.f.values)
     check = _strip_check(ff, prob.f, strip, prob.rho, sm)
     if not check.ok:
@@ -309,7 +315,7 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
             f"equation not solvable in L1,kappa: |rho + Ff| = "
             f"{check.min_modulus:.3e} at lambda = {check.witness}")
     res = _resolvent(ff, prob.rho, sm, bf)
-    bpsi = _basis_on(sm, prob.psi.grid, bf)
+    bpsi = _basis_on(sm, prob.psi.grid, bf, *known)
     fpsi = bpsi.forward(prob.psi.values)
     conv = _convolve(fpsi, bf.forward(res.g.values), sm, t_reg, bpsi)
     h_vals = prob.rho * prob.psi.values + conv.values
@@ -339,6 +345,9 @@ def solve_qt_equation(t: float, x: float, psi: GridFunction,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    f = GridFunction(psi.grid, heat_kernel_grid(t, x, psi.grid, sm))
+    # f = heat_kernel_grid(t, x, psi.grid), on the basis the solver reuses
+    coef = np.exp(-t * sm.lambdas) * sm.w_values(x)[:, 0]
+    b = sm.basis(psi.grid)
+    f = GridFunction(psi.grid, b.synthesize(coef))
     prob = EquationProblem(f=f, psi=psi, kappa=sm.sigma2, rho=1.0)
-    return solve_equation(prob, sm, t_reg=t_reg)
+    return _solve_equation(prob, sm, t_reg, b)

@@ -311,8 +311,3 @@ class KappaShiftedOperator:
     def eval_w(self, lam: complex, xs) -> np.ndarray:
         W, _, _ = self.base.eval_many([self.kappa, self.kappa + lam], xs)
         return W[1] / W[0]
-
-    def shift_measure_atoms(self, lambdas: np.ndarray) -> np.ndarray:
-        """Spectral atoms of the modified operator: rho<k>(l1,l2] = rho(l1+k, l2+k]."""
-        return np.asarray(lambdas, dtype=float) - self.kappa
-

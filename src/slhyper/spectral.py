@@ -135,8 +135,6 @@ class SpectralMeasure:
     on [a_eff, L] stored as one vector-valued cubic spline per Richardson
     level."""
 
-    kind = "atoms"
-
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
                  a_eff: float, fine: BSpline, coarse: BSpline):
         self.spec = spec

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from slhyper.cli import main
+from slhyper.spectral import heat_kernel_grid
+
+# a small measure, cheap to build
+SMALL = ["--N", "512", "--lambda-max", "100"]
 
 
 def run(args):
@@ -98,7 +102,63 @@ def test_triangle_with_repeated_kernel_nodes(tmp_path):
 def test_bad_usage_exit_2(capsys):
     assert run(["kernel", "--x", "0:3:7"]) == 2      # missing --lambda
     assert run(["no-such-command"]) == 2
+    # a flag the command does not read
+    assert run(["validate", "--N", "256"]) == 2
+    assert run(["support", "--x", "3", "--y", "1", "--lambda-max", "50"]) == 2
+    assert run(["selftest", "--op", "builtin:nonsense"]) == 2
     capsys.readouterr()
+
+
+# every command with its required flags, and the one format it does not write
+WRONG_FORMAT = {
+    "validate": ([], "csv"),
+    "kernel": (["--lambda", "4.0", "--x", "0:1:2"], "json"),
+    "spectrum": ([], "json"),
+    "transform": (["--h", "h.csv"], "json"),
+    "heatkernel": (["--t", "1", "--x-grid", "1", "--y-grid", "1"], "json"),
+    "product": (["--t", "1", "--x", "1", "--y", "1"], "json"),
+    "translate": (["--h", "h.csv", "--y", "1"], "json"),
+    "convolve": (["--h", "h.csv", "--g", "h.csv"], "json"),
+    "support": (["--x", "3", "--y", "1"], "csv"),
+    "cauchy": (["--h", "h.csv", "--grid", "0:1:2"], "json"),
+    "triangle": (["--c", "0.5", "--x", "3", "--y", "1.5"], "csv"),
+    "solve-inteq": (["--f", "h.csv", "--psi", "h.csv"], "json"),
+    "selftest": ([], "csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRONG_FORMAT))
+def test_wrong_format_is_usage_error(command, monkeypatch, capsys):
+    import slhyper.cli as cli
+
+    assert sorted(cli.COMMANDS) == sorted(WRONG_FORMAT)
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("ran"))
+    required, wrong = WRONG_FORMAT[command]
+    assert run([command, *required, "--format", wrong]) == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def _config_hash(path):
+    text = path.read_text()
+    if text.startswith("# slhyper "):
+        return text.split()[4]
+    return json.loads(text)["meta"]["config"]
+
+
+def test_config_hash_covers_command_and_flags(tmp_path):
+    runs = {
+        "k4": ["kernel", "--lambda", "4.0", "--x", "0:1:2"],
+        "k4_other_out": ["kernel", "--lambda", "4.0", "--x", "0:1:2"],
+        "k9": ["kernel", "--lambda", "9.0", "--x", "0:1:2"],
+        "support": ["support", "--x", "3", "--y", "1"],
+    }
+    sha = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        sha[name] = _config_hash(out)
+    assert sha["k4"] == sha["k4_other_out"]
+    assert len({sha["k4"], sha["k9"], sha["support"]}) == 3
 
 
 def test_domain_error_exit_1(tmp_path, capsys):
@@ -130,6 +190,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))
     assert run(["spectrum", "--config", str(cfg)]) == 1
+    # a flag that only other commands read
+    cfg.write_text(json.dumps({"N": 256}))
+    assert run(["validate", "--config", str(cfg)]) == 1
     capsys.readouterr()
 
 
@@ -155,6 +218,19 @@ def test_inputs_read_before_measure_build(argv, tmp_path, monkeypatch, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["heatkernel", "--t", "0.5", "--x-grid", "0:1", "--y-grid", "1.0"],
+    ["product", "--t", "0.5", "--x", "1", "--y", "1", "--xi-grid", "0:1"],
+    ["product", "--t", "0", "--x", "1", "--y", "1"],
+])
+def test_arguments_checked_before_measure_build(argv, monkeypatch, capsys):
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("slhyper: error:")
+
+
 @pytest.mark.parametrize("bad_row", ["2,oops", "2"])
 def test_unreadable_csv_row_is_an_error(bad_row, tmp_path, capsys):
     path = tmp_path / "h.csv"
@@ -171,9 +247,60 @@ def test_unreadable_csv_row_is_an_error(bad_row, tmp_path, capsys):
                 "--lambda-max", "50", "--out", str(tmp_path / "t.csv")]) == 0
 
 
-@pytest.mark.parametrize("doc", [{"N": "abc"}, {"L": [1]}, {"format": "xml"}])
+@pytest.mark.parametrize("doc", [{"N": "abc"}, {"L": [1]}, {"format": "xml"},
+                                 {"format": "json"}, [1]])
 def test_config_file_value_types(doc, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    assert run(["spectrum", "--config", str(cfg)]) == 1
+    # flags that would build a valid measure, so only the config fails
+    assert run(["spectrum", *SMALL, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("slhyper: error:")
+
+
+@pytest.fixture
+def w_calls(monkeypatch):
+    """Sizes of the point sets handed to w_values of each measure the CLI
+    builds, in order, and those measures."""
+    import slhyper.cli as cli
+
+    calls, built = [], []
+    measure = cli._measure
+
+    def counted_measure(args):
+        sm = measure(args)
+        w_values = sm.w_values
+
+        def counted(xq):
+            calls.append(np.size(xq))
+            return w_values(xq)
+
+        sm.w_values = counted
+        built.append(sm)
+        return sm
+
+    monkeypatch.setattr(cli, "_measure", counted_measure)
+    return calls, built
+
+
+@pytest.mark.parametrize("y_grid, n_y", [("0:3:13", 13), ("1.0", 1)])
+def test_heatkernel_evaluates_each_grid_once(y_grid, n_y, tmp_path, w_calls):
+    calls, built = w_calls
+    out = tmp_path / "p.csv"
+    assert run(["heatkernel", "--t", "0.5", "--x-grid", "0:3:7",
+                "--y-grid", y_grid, *SMALL, "--precision", "17",
+                "--out", str(out)]) == 0
+    assert calls == [7, n_y]
+    rows = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+    assert len(rows) == 7 * n_y
+    ref = np.concatenate([heat_kernel_grid(0.5, x, rows[:n_y, 2], built[0])
+                          for x in np.linspace(0.0, 3.0, 7)])
+    assert np.allclose(rows[:, 3], ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_solve_qt_equation_evaluates_psi_grid_once(tmp_path, w_calls):
+    calls, _ = w_calls
+    psi = _write_bump(tmp_path / "psi.csv")
+    assert run(["solve-inteq", "--f", "heatkernel:0.25,1.0", "--psi", str(psi),
+                *SMALL, "--out", str(tmp_path / "h.csv"),
+                "--diagnostics", str(tmp_path / "d.json")]) == 0
+    assert calls == [1, 601]

@@ -184,8 +184,6 @@ def test_kappa_shift_ratio(ev_cosine):
     w_num, _, _ = ev_cosine.eval_grid(1.0, xs)
     w_den, _, _ = ev_cosine.eval_grid(-1.0, xs)
     assert np.allclose(got, w_num / w_den, rtol=1e-9)
-    assert np.allclose(ks.shift_measure_atoms(np.array([0.0, 2.0])),
-                       [1.0, 3.0])
 
 
 @settings(max_examples=60, deadline=None)
