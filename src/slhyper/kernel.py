@@ -8,7 +8,10 @@ singular, w is computed from the iterated-integral series
     eta_j(x) = int_a^x (s(x) - s(xi)) eta_{j-1}(xi) r(xi) dxi,
 
 with s' = 1/p.  The series terms are lambda-independent, so they are
-tabulated once per operator, as one vector-valued spline.  Further out,
+tabulated once per operator, as one vector-valued spline.  Each term's
+integrals are those of the not-a-knot cubic spline through the previous
+term on one grid; the spline's slope system depends on the grid alone, so
+one factored matrix serves every term (``_spline_increments``).  Further out,
 evaluation continues by integrating the first-order system
 w' = w1/p, w1' = -lambda r w.
 
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
+from scipy.linalg import get_lapack_funcs
 
 from .operator import OperatorSpec
 
@@ -36,6 +40,70 @@ __all__ = ["KernelValue", "KernelEvaluator", "KappaShiftedOperator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
+
+
+def _spline_increments(xs: np.ndarray):
+    """The map f -> per-interval integrals of the not-a-knot cubic spline
+    through (xs, f), for a grid of at least four points.
+
+    The slopes d solve a tridiagonal system whose matrix depends on xs
+    alone, so it is built and LU-factored once here, and each f costs one
+    pair of triangular solves.  The matrix and right-hand side are those of
+    scipy's CubicSpline.  Each interval integral is the Hermite form
+    h (f_i + f_{i+1}) / 2 + h^2 (d_i - d_{i+1}) / 12, which is local to the
+    interval, so no large antiderivative constant enters the arithmetic.
+    """
+    h = np.diff(xs)
+    # not-a-knot: the third derivative is continuous at xs[1] and xs[-2]
+    d_lo, d_hi = xs[2] - xs[0], xs[-1] - xs[-3]
+    sub = np.append(h[1:], d_hi)
+    main = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
+    sup = np.insert(h[:-1], 0, d_lo)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main,))
+    *lu, info = gttrf(sub, main, sup)
+    if info != 0:
+        raise ValueError("spline slope system is singular")
+
+    def increments(f):
+        slope = np.diff(f) / h
+        rhs = np.empty_like(xs)
+        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        rhs[0] = ((h[0] + 2.0 * d_lo) * h[1] * slope[0]
+                  + h[0] ** 2 * slope[1]) / d_lo
+        rhs[-1] = (h[-1] ** 2 * slope[-2]
+                   + (2.0 * d_hi + h[-1]) * h[-2] * slope[-1]) / d_hi
+        d, _ = gttrs(*lu, rhs)
+        return h * (f[:-1] + f[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
+
+    return increments
+
+
+# rows fitted per make_interp_spline call in _row_spline
+_SPLINE_BLOCK = 32
+
+
+def _row_spline(xs: np.ndarray, Y: np.ndarray) -> BSpline:
+    """Not-a-knot cubic spline through every row of Y over xs, as one
+    vector-valued BSpline along Y's last axis.
+
+    make_interp_spline holds three full-size copies of its right-hand side
+    while it solves: the C-ordered table, LAPACK's Fortran copy and the
+    contiguous result, 30 MB for 200 eigenfunctions on 6144 nodes.  Fitted
+    a block of rows at a time, the coefficients are the same, bit for bit,
+    and the temporaries stay one block's size.  Large temporaries leave
+    holes in the heap that later large arrays may or may not fit, which
+    would make the peak memory of a process that builds several measures
+    depend on its heap layout, not on its work.
+    """
+    rows = Y.reshape(-1, Y.shape[-1])
+    c = None
+    for j in range(0, max(len(rows), 1), _SPLINE_BLOCK):
+        part = make_interp_spline(xs, rows[j:j + _SPLINE_BLOCK], k=3, axis=1)
+        if c is None:
+            c = np.empty((part.c.shape[0], len(rows)))
+        c[:, j:j + _SPLINE_BLOCK] = part.c
+    return BSpline.construct_fast(part.t, c.reshape(c.shape[0], *Y.shape[:-1]),
+                                  3, axis=Y.ndim - 1)
 
 
 @dataclass(frozen=True)
@@ -89,17 +157,7 @@ class KernelEvaluator:
             raise ValueError(f"{self.spec.name}: cannot build series grid near a")
         pv = self.spec.p(xs)
         rv = self.spec.r(xs)
-
-        def increments(f):
-            # per-interval integrals of the cubic interpolant; computed from
-            # the local polynomial pieces so no large antiderivative constant
-            # ever enters the arithmetic
-            spl = CubicSpline(xs, f)
-            h = np.diff(xs)
-            inc = np.zeros_like(h)
-            for m in range(4):
-                inc += spl.c[m] * h ** (4 - m) / (4 - m)
-            return inc
+        increments = _spline_increments(xs)
 
         def cumint(f):
             return np.concatenate([[0.0], np.cumsum(increments(f))])
@@ -116,20 +174,21 @@ class KernelEvaluator:
         ncut = int(np.searchsorted(eta1, 4.0))
         if 64 < ncut < len(xs):
             xs, pv, rv, s = xs[:ncut], pv[:ncut], rv[:ncut], s[:ncut]
+            increments = _spline_increments(xs)
 
-        etas = [np.ones_like(xs)]
-        zetas = []  # zeta_j = int_a^x eta_j r
-        for _ in range(_MAX_TERMS):
-            f = etas[-1] * rv
-            c1 = cumint(f)
-            zetas.append(c1)
-            etas.append(s * c1 - cumint(s * f))
-        zetas.append(cumint(etas[-1] * rv))
+        # the (2, J+1, n) table of eta_j and zeta_j = int_a^x eta_j r
+        table = np.empty((2, _MAX_TERMS + 1, len(xs)))
+        etas, zetas = table
+        etas[0] = 1.0
+        for j in range(_MAX_TERMS):
+            f = etas[j] * rv
+            zetas[j] = cumint(f)
+            etas[j + 1] = s * zetas[j] - cumint(s * f)
+        zetas[-1] = cumint(etas[-1] * rv)
 
         self._xs = xs
-        # one spline over the (2, J+1, n) table of eta_j and zeta_j
-        self._terms = make_interp_spline(xs, np.array([etas, zetas]), k=3,
-                                         axis=2)
+        # one spline over the whole table
+        self._terms = _row_spline(xs, table)
         # S(x): the majorant with |eta_j| <= S^j / j!
         self._S = np.abs(etas[1])
 

@@ -3,9 +3,13 @@ heat kernel.
 
 The measure rho on [sigma^2, oo) is approximated by the eigenvalues of the
 operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
-carrying mass 1/||w_lambda||^2.  Eigenvalues and masses are Richardson
-extrapolated across a grid halving, which removes the leading h^2
-discretization error.
+carrying mass 1/||w_lambda||^2.  The eigenvalues of the finite-volume
+matrix come from bisection, then its eigenvectors from inverse iteration
+per run of close eigenvalues, cut by relative gap: LAPACK's own cluster
+test is an absolute gap, which on these graded matrices would
+reorthogonalize the whole wanted spectrum (``_eigen_solve``).  Eigenvalues
+and masses are Richardson extrapolated across a grid halving, which removes
+the leading h^2 discretization error.
 
 Every spectral sum on a grid runs through the eigenfunction values on that
 grid.  ``sm.basis(grid)`` evaluates them once, with the grid's weights for
@@ -21,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
-from scipy.linalg import eigh_tridiagonal
+from scipy.interpolate import BSpline
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .kernel import KernelEvaluator
+from .kernel import KernelEvaluator, _row_spline
 from .operator import OperatorSpec
 
 __all__ = [
@@ -206,6 +210,51 @@ def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return tot * half
 
 
+# relative eigenvalue gap below which inverse iteration orthogonalizes the
+# eigenvectors together, the cluster bound of MRRR (Dhillon & Parlett, 2004)
+_RUN_GAP = 1e-3
+
+
+def _runs(vals: np.ndarray, iblock: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the eigenvalue runs: consecutive eigenvalues
+    of one block whose relative gap (vals[k+1] - vals[k]) / max(1, |vals[k]|)
+    stays below _RUN_GAP."""
+    gap = np.diff(vals) / np.maximum(1.0, np.abs(vals[:-1]))
+    ends = np.flatnonzero((gap >= _RUN_GAP) | (np.diff(iblock) != 0)) + 1
+    bounds = [0, *ends.tolist(), len(vals)]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
+    """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
+    matrix (diag, off), ascending, with orthonormal eigenvectors as columns:
+    bisection (LAPACK stebz, with the arguments that
+    ``eigh_tridiagonal(select="v")`` passes), then inverse iteration
+    (stein), one call per run of close eigenvalues (``_runs``), so only the
+    vectors of one run are orthogonalized against each other."""
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
+    m, w, iblock, isplit, info = stebz(diag, off, 1, -1e-9, lambda_max,
+                                       0, 0, 0.0, "B")
+    if info != 0:
+        raise LinAlgError(f"bisection failed (stebz info {info})")
+    w, iblock = w[:m], iblock[:m]
+    vecs = np.empty((len(diag), m))
+    # stein reads the block index of each eigenvalue from an array of
+    # the matrix's length
+    blk = np.empty_like(isplit)
+    for lo, hi in _runs(w, iblock):
+        blk[:hi - lo] = iblock[lo:hi]
+        vecs[:, lo:hi], info = stein(diag, off, w[lo:hi], blk, isplit)
+        if info != 0:
+            raise LinAlgError(f"inverse iteration failed (stein info {info})")
+    # block order to ascending order; a single block is ascending already,
+    # and then no copy of the vectors is made
+    order = np.argsort(w)
+    if np.any(order != np.arange(m)):
+        w, vecs = w[order], vecs[:, order]
+    return w, vecs
+
+
 def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
                  grade: float, lambda_max: float):
     """Finite-volume eigenproblem with exact flux coefficients.
@@ -217,6 +266,13 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
     neighbor: they contribute nothing to the spectrum below lambda_max but
     their roundoff (eps times the matrix norm) would pollute the small
     eigenvalues.
+
+    The eigenpairs below lambda_max come from bisection, then inverse
+    iteration per run of close eigenvalues (``_eigenpairs``).  LAPACK's own
+    cluster test is absolute, a gap of 1e-3 ||T||_1, and ||T||_1 reaches
+    1e4 to 1e10 here, so it would reorthogonalize every wanted eigenvector
+    against all the others, an O(N K^2) Gram-Schmidt, though the relative
+    gaps of a Sturm-Liouville spectrum, about 2/k, need none of it.
     """
     nodes = _node_grid(a_eff, L, N, grade)
     faces = np.empty(N + 1)
@@ -244,8 +300,7 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
         diag[0] = beta[0] / wgt[0]
         diag[1:] = (beta[:-1] + beta[1:]) / wgt[1:]
     off = -beta[:-1] / np.sqrt(wgt[:-1] * wgt[1:])
-    vals, vecs = eigh_tridiagonal(diag, off, select="v",
-                                  select_range=(-1e-9, lambda_max))
+    vals, vecs = _eigenpairs(diag, off, lambda_max)
     if len(vals) == 0:
         raise ValueError("no eigenvalues below lambda_max; enlarge L or lambda_max")
     return nodes, wgt, vals, vecs / np.sqrt(wgt)[:, None]
@@ -320,8 +375,8 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
     K = int(np.argmin(ok)) if not np.all(ok) else K
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    fine = make_interp_spline(xs_f, W_f[:K], k=3, axis=1)
-    coarse = make_interp_spline(xs_c, W_c[:K], k=3, axis=1)
+    fine = _row_spline(xs_f, W_f[:K])
+    coarse = _row_spline(xs_c, W_c[:K])
     return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, a_eff,
                            fine, coarse)
 

@@ -304,3 +304,21 @@ def test_solve_qt_equation_evaluates_psi_grid_once(tmp_path, w_calls):
                 *SMALL, "--out", str(tmp_path / "h.csv"),
                 "--diagnostics", str(tmp_path / "d.json")]) == 0
     assert calls == [1, 601]
+
+
+def test_real_rho_writes_the_default_bytes(tmp_path):
+    """--rho 1 and --rho 1+0j are the default rho = 1.0: the same real
+    solve, so the same values and the same config hash."""
+    xs = np.linspace(0.0, 12.0, 601)
+    f = tmp_path / "f.csv"
+    np.savetxt(f, np.c_[xs, 0.3 * np.exp(-xs ** 2)], delimiter=",")
+    psi = _write_bump(tmp_path / "psi.csv")
+    outputs = []
+    for k, rho in enumerate([[], ["--rho", "1"], ["--rho", "1+0j"]]):
+        out, diag = tmp_path / f"h{k}.csv", tmp_path / f"d{k}.json"
+        assert run(["solve-inteq", "--f", str(f), "--psi", str(psi),
+                    "--kappa", "0", *SMALL, "--precision", "17", *rho,
+                    "--out", str(out), "--diagnostics", str(diag)]) == 0
+        outputs.append((out.read_bytes(), diag.read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

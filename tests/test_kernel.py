@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.interpolate import CubicSpline, make_interp_spline
+
 from slhyper.operator import builtin_operator
-from slhyper.kernel import KappaShiftedOperator, KernelEvaluator
+from slhyper.kernel import (KappaShiftedOperator, KernelEvaluator,
+                            _row_spline, _spline_increments)
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +22,44 @@ def ev_cosine():
 @pytest.fixture(scope="module")
 def ev_bessel():
     return KernelEvaluator(builtin_operator("bessel?alpha=0.5"))
+
+
+@pytest.mark.parametrize("name", ["cosine", "bessel?alpha=0.5",
+                                  "whittaker?alpha=0.25&kappa=1.0"])
+def test_spline_increments_match_cubic_spline(name):
+    """One factored slope system per grid gives, on every interval, the
+    integral of scipy's not-a-knot CubicSpline through the same data: on
+    the evaluator's own geometric grid, for f = r, 1/p and s r."""
+    spec = builtin_operator(name)
+    xs = KernelEvaluator(spec)._left_grid()
+    r, inv_p = spec.r(xs), 1.0 / spec.p(xs)
+
+    def reference(f):
+        spl = CubicSpline(xs, f)
+        return np.array([spl.integrate(lo, hi) for lo, hi in zip(xs[:-1], xs[1:])])
+
+    s = -np.concatenate([np.cumsum(reference(inv_p)[::-1])[::-1], [0.0]])
+    increments = _spline_increments(xs)
+    for f in (r, inv_p, s * r):
+        want = reference(f)
+        assert np.all(np.abs(increments(f) - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(0, 300), (1, 300), (70, 300), (2, 61, 300)])
+def test_row_spline_is_one_make_interp_spline(shape):
+    """Fitting the rows a block at a time gives the coefficients, knots and
+    values of one make_interp_spline call over the whole table, bit for
+    bit, whatever the number of rows and leading axes."""
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.uniform(0.0, 5.0, shape[-1]))
+    Y = rng.standard_normal(shape)
+    got = _row_spline(xs, Y)
+    want = make_interp_spline(xs, Y, k=3, axis=Y.ndim - 1)
+    assert got.axis == want.axis and got.k == want.k == 3
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.c, want.c)
+    xq = np.linspace(0.1, 4.9, 37)
+    assert np.array_equal(got(xq), want(xq))
 
 
 def test_lambda_zero_is_one(ev_cosine, ev_bessel):

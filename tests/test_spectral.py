@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
 from slhyper.operator import builtin_operator
-from slhyper.spectral import (GridFunction, _r_weights, bump_function,
+from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
+                              build_spectral_measure, bump_function,
                               forward_transform, heat_kernel, heat_kernel_grid,
                               inverse_transform)
 
@@ -160,3 +162,87 @@ def test_transform_bounded_by_l1_mass(c, wd, sm_wide_cached):
 @pytest.fixture(scope="module")
 def sm_wide_cached(sm_cosine_wide):
     return sm_cosine_wide
+
+
+def _tridiag_residual(diag, off, vals, vecs):
+    """Largest ||T v - lambda v||_2 over the columns, relative to ||T||_1."""
+    tv = diag[:, None] * vecs
+    tv[:-1] += off[:, None] * vecs[1:]
+    tv[1:] += off[:, None] * vecs[:-1]
+    norm1 = np.max(np.abs(diag) + np.r_[np.abs(off), 0] + np.r_[0, np.abs(off)])
+    return np.max(np.linalg.norm(tv - vals * vecs, axis=0)) / norm1
+
+
+@pytest.mark.parametrize("name, L, N", [
+    ("cosine", 16.0, 2048),
+    ("bessel?alpha=0.5", 12.0, 4096),
+    ("whittaker?alpha=0.25&kappa=1.0", 12.0, 4096),
+])
+def test_eigenpairs_of_sturm_liouville_matrices(name, L, N, monkeypatch):
+    """The finite-volume matrices of the three builtin families, at their
+    benchmark sizes: every eigenvalue is a run of its own, so no vector is
+    reorthogonalized, and the vectors are still eigenvectors and
+    orthonormal.  The plain Gram matrix of the vectors _eigenpairs returns
+    is the wgt-weighted Gram matrix of the eigenfunction vectors that
+    _eigen_solve returns."""
+    calls, runs = [], []
+    run_bounds = spectral._runs
+
+    def eigenpairs(diag, off, lambda_max):
+        vals, vecs = _eigenpairs(diag, off, lambda_max)
+        calls.append((diag, off, vals, vecs))
+        return vals, vecs
+
+    def spy_runs(vals, iblock):
+        out = run_bounds(vals, iblock)
+        runs.extend(hi - lo for lo, hi in out)
+        return out
+
+    monkeypatch.setattr(spectral, "_eigenpairs", eigenpairs)
+    monkeypatch.setattr(spectral, "_runs", spy_runs)
+    build_spectral_measure(builtin_operator(name), L, N, lambda_max=1600.0)
+    assert len(calls) == 2  # the fine and the coarse level
+    assert runs and set(runs) == {1}
+    assert len(runs) == sum(len(c[2]) for c in calls)
+    for diag, off, vals, vecs in calls:
+        assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
+        gram = vecs.T @ vecs
+        assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
+
+
+def test_eigenpairs_near_degenerate_pairs_stay_orthonormal():
+    """Two copies of the uniform Laplacian, joined by a coupling too weak to
+    split the eigenvalue pairs but not weak enough for bisection to split
+    the matrix: each pair is one run, and inverse iteration orthogonalizes
+    its two vectors together.  Solved one eigenvalue at a time, both
+    vectors of a pair would come out the same."""
+    n = 60
+    diag = np.full(2 * n, 2.0)
+    off = np.full(2 * n - 1, -1.0)
+    off[n - 1] = 1e-13
+    vals, vecs = _eigenpairs(diag, off, 1.0)
+    lap = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    single = lap[lap <= 1.0]
+    assert np.allclose(vals, np.repeat(single, 2), rtol=0.0, atol=1e-12)
+    assert spectral._runs(vals, np.ones(len(vals), dtype=int)) == [
+        (k, k + 2) for k in range(0, len(vals), 2)]
+    assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
+    gram = vecs.T @ vecs
+    assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
+
+
+def test_eigenpairs_of_a_split_matrix_come_out_ascending():
+    """Where the matrix splits, bisection lists the eigenvalues block by
+    block; here the two blocks' spectra interleave, and _eigenpairs still
+    returns them ascending, each with its own vector."""
+    n = 40
+    diag = np.r_[np.full(n, 2.0), np.full(n, 3.0)]
+    off = np.full(2 * n - 1, -1.0)
+    off[n - 1] = 0.0
+    vals, vecs = _eigenpairs(diag, off, 2.5)
+    lap = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    both = np.sort(np.r_[lap, lap + 1.0])
+    assert np.allclose(vals, both[both <= 2.5], rtol=0.0, atol=1e-12)
+    assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
+    gram = vecs.T @ vecs
+    assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
