@@ -1,11 +1,14 @@
 """Spectral solution of the hyperbolic problem l_x f = l_y f with initial
 data on the boundary, shifted-boundary approximations, the characteristic
-triangle integral identity, and positivity reporting."""
+triangle integral identity, and positivity reporting.  The identity's
+coefficient tables come from one array inverse of gamma, and its volume
+terms from one (n+1) x (n+1) trapezoid block."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -40,9 +43,12 @@ class CauchySolution:
         self.values = values
         self.sm = sm
         self.shifted_origin = shifted_origin
-        kx = min(3, len(xs) - 1)
-        ky = min(3, len(ys) - 1)
-        self._spline = RectBivariateSpline(xs, ys, values, kx=kx, ky=ky)
+
+    @cached_property
+    def _spline(self) -> RectBivariateSpline:
+        kx = min(3, len(self.xs) - 1)
+        ky = min(3, len(self.ys) - 1)
+        return RectBivariateSpline(self.xs, self.ys, self.values, kx=kx, ky=ky)
 
     def __call__(self, x, y):
         return self._spline(x, y, grid=False)
@@ -72,8 +78,15 @@ class CauchySolution:
         return res[2:-2, 2:-2]
 
 
+def _check_grids(*grids) -> None:
+    if any(len(g) < 2 or np.any(np.diff(g) <= 0) for g in grids if g is not None):
+        raise ValueError("solution grid must be strictly increasing, "
+                         "with at least two points")
+
+
 def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
                  ys=None) -> CauchySolution:
+    _check_grids(xs, ys)
     if not (h.smooth2 and h.compact_support):
         raise ValueError("initial data must be flagged smooth2 and "
                          "compact_support")
@@ -90,6 +103,7 @@ def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
     normalized at the shifted origin a_m."""
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
+    _check_grids(xs, ys)
     if not (sm.spec.a < a_m < ys.min()):
         raise ValueError("need a < a_m < min(grid)")
     if not (h.smooth2 and h.compact_support):
@@ -114,6 +128,7 @@ class TriangleIdentityReport:
     c: float
     x: float
     y: float
+    n: int
     H: float
     I0: float
     I1: float
@@ -122,15 +137,14 @@ class TriangleIdentityReport:
     I4: float
     lhs: float
     residual: float
-    n: int
 
 
 def triangle_identity_residual(v, c: float, x: float, y: float,
-                               cert: MpCertificate, n: int = 200,
-                               fd_step: float | None = None,
-                               beta: float | None = None) -> TriangleIdentityReport:
+                               cert: MpCertificate,
+                               n: int = 200) -> TriangleIdentityReport:
     """Residual of the characteristic-triangle identity for a C^2 function
-    v(xi, zeta) given in standard coordinates.
+    v(xi, zeta) given in standard coordinates, which takes broadcasting
+    arrays (a 2-D block for the volume terms), as do its derivatives.
 
     All quadratures are composite trapezoid with n panels, so the residual
     decreases at a predictable rate under refinement.  The volume term I4
@@ -144,25 +158,22 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
         raise ValueError("need gamma(a) < c <= y <= x")
     if not (c <= y <= x):
         raise ValueError("need c <= y <= x")
-    h_fd = fd_step if fd_step is not None else max((x + y - 2 * c), 1.0) / (8 * n)
+    h_fd = max((x + y - 2 * c), 1.0) / (8 * n)
 
     # dense tables for A_B, phi, psi over every argument the terms touch;
-    # B is the cumulative trapezoid of eta/2 anchored at beta
-    if beta is None:
-        beta = c
+    # B is the cumulative trapezoid of eta/2 anchored at c
     lo = c - 4 * h_fd
     if math.isfinite(sf.gamma_a):
         lo = max(lo, (sf.gamma_a + c) / 2)
     hi = max(x + y, x + y - c) + 4 * h_fd
     dense = np.linspace(lo, hi, 8 * n + 1)
-    eta_d = np.array([float(cert.eta(s)) for s in dense])
+    x_d = sf.gamma_inv(dense)
+    eta_d = cert.eta(dense)
     log_b = 0.5 * np.concatenate(
         [[0.0], np.cumsum((eta_d[1:] + eta_d[:-1]) / 2 * np.diff(dense))])
-    log_b -= np.interp(beta, dense, log_b)
-    A_d = np.array([sf.A(s) for s in dense])
-    ab_d = A_d * np.exp(-2.0 * log_b)
-    phi_d = np.array([cert.phi_eta(s) for s in dense])
-    psi_d = np.array([cert.psi_eta(s) for s in dense])
+    log_b -= np.interp(c, dense, log_b)
+    ab_d = np.sqrt(sf.spec.p(x_d) * sf.spec.r(x_d)) * np.exp(-2.0 * log_b)
+    phi_d, psi_d = sf.mp_coefficients(cert.eta, x_d, dense)
 
     def A_B(s):
         return np.interp(s, dense, ab_d)
@@ -214,18 +225,16 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
         A_B(sy) * A_B(x + y - sy) * (phi(sy) - phi(x + y - sy))
         * vv(x + y - sy, sy), sy)) if y > c else 0.0
 
-    def volume(fun):
-        rows = np.empty(n + 1)
-        for i, z in enumerate(sy):
-            xi_g = np.linspace(x - y + z, x + y - z, n + 1)
-            if xi_g[-1] <= xi_g[0]:
-                rows[i] = 0.0
-                continue
-            rows[i] = np.trapezoid(A_B(xi_g) * A_B(z) * fun(xi_g, z), xi_g)
+    # row i of the volume block spans [x - y + z_i, x + y - z_i] at zeta = z_i
+    z = sy[:, None]
+    xi_b = np.linspace(x - y + sy, x + y - sy, n + 1, axis=1)
+
+    def volume(f):
+        rows = np.trapezoid(A_B(xi_b) * A_B(z) * f, xi_b, axis=1)
         return 0.5 * float(np.trapezoid(rows, sy))
 
-    I3 = volume(lambda xi, z: (psi(z) - psi(xi)) * vv(xi, z)) if y > c else 0.0
-    I4 = volume(ell_gap) if y > c else 0.0
+    I3 = volume((psi(z) - psi(xi_b)) * vv(xi_b, z)) if y > c else 0.0
+    I4 = volume(ell_gap(xi_b, z)) if y > c else 0.0
     lhs = float(A_B(x)) * float(A_B(y)) * float(vv(x, y))
     residual = abs(lhs - (H + I0 + I1 + I2 + I3 - I4))
     return TriangleIdentityReport(c=c, x=x, y=y, H=H, I0=I0, I1=I1, I2=I2,

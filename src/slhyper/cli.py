@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -243,62 +244,50 @@ def _cauchy(args):
 
 
 class _EigenPair:
-    """v(xi, zeta) = w(x(xi)) w(x(zeta)) with derivatives via one kernel
-    evaluation per axis; the cheap exact test object for the triangle
-    identity."""
+    """v(xi, zeta) = u(xi) u(zeta), u = w_lam o gamma^{-1}, and its
+    derivatives: the cheap exact test object for the triangle identity.
+    (u, u', u'') comes once per distinct point set from one array gamma_inv
+    and one eval_grid: u' = p w' / A, A = sqrt(p r), and, from the standard
+    form, u'' = -lam u - (A'/A) u'."""
 
     def __init__(self, ev: KernelEvaluator, sf, lam: float):
         self.ev, self.sf, self.lam = ev, sf, lam
+        self._known: dict = {}
 
-    def _wx(self, xi, deriv):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        x = np.array([self.sf.gamma_inv(u) for u in xi])
-        order = np.argsort(x)
-        w, w1, _ = self.ev.eval_grid(self.lam, x[order])
-        w = w.real[np.argsort(order)]
-        w1 = w1.real[np.argsort(order)]
-        if deriv == 0:
-            out = w
-        else:
-            # w1 is the flux p w'; d/dxi = sqrt(p/r) d/dx, so divide by
-            # sqrt(p r)
-            scale = 1.0 / np.sqrt(self.sf.spec.p(x) * self.sf.spec.r(x))
-            if deriv == 1:
-                out = w1 * scale
-            else:
-                h = 1e-4
-                out = (np.atleast_1d(self._wx(xi + h, 1))
-                       - np.atleast_1d(self._wx(xi - h, 1))) / (2 * h)
-        return out if out.size > 1 else float(out[0])
+    def _u(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xi = np.asarray(xi, dtype=float)
+        key = (xi.shape, xi.tobytes())
+        if key not in self._known:
+            pts, where = np.unique(xi, return_inverse=True)
+            x = self.sf.gamma_inv(pts)
+            # roots of nearly equal targets can swap order within brentq's
+            # xtol, and eval_grid needs a sorted grid
+            order = np.argsort(x, kind="stable")
+            x = x[order]
+            w, w1, _ = self.ev.eval_grid(self.lam, x)
+            spec = self.sf.spec
+            u1 = w1.real / np.sqrt(spec.p(x) * spec.r(x))
+            u2 = -self.lam * w.real - 2.0 * self.sf._half_log_pr_deriv(x) * u1
+            idx = np.argsort(order)[where]
+            self._known[key] = tuple(f[idx].reshape(xi.shape)
+                                     for f in (w.real, u1, u2))
+        return self._known[key]
 
-    def __call__(self, xi, zeta):
-        return self._wx(xi, 0) * self._wx(zeta, 0)
+    def _product(i, j):
+        """(xi, zeta) -> u^(i)(xi) u^(j)(zeta)."""
+        return lambda self, xi, zeta: self._u(xi)[i] * self._u(zeta)[j]
 
-    def d_xi(self, xi, zeta):
-        return self._wx(xi, 1) * self._wx(zeta, 0)
-
-    def d_zeta(self, xi, zeta):
-        return self._wx(xi, 0) * self._wx(zeta, 1)
-
-    def dd_xi(self, xi, zeta):
-        return self._wx(xi, 2) * self._wx(zeta, 0)
-
-    def dd_zeta(self, xi, zeta):
-        return self._wx(xi, 0) * self._wx(zeta, 2)
+    __call__, d_xi, d_zeta = _product(0, 0), _product(1, 0), _product(0, 1)
+    dd_xi, dd_zeta = _product(2, 0), _product(0, 2)
+    del _product
 
 
 def _triangle(args) -> dict:
     spec = load_operator(args.op)
     sf = build_standard_form(spec)
     v = _EigenPair(KernelEvaluator(spec), sf, args.lam)
-    rep = triangle_identity_residual(v, args.c, args.x, args.y,
-                                     certify_mp(sf), n=args.n)
-    return {
-        "c": rep.c, "x": rep.x, "y": rep.y, "n": rep.n,
-        "H": rep.H, "I0": rep.I0, "I1": rep.I1, "I2": rep.I2,
-        "I3": rep.I3, "I4": rep.I4, "lhs": rep.lhs,
-        "residual": rep.residual,
-    }
+    return dataclasses.asdict(triangle_identity_residual(
+        v, args.c, args.x, args.y, certify_mp(sf), n=args.n))
 
 
 def _solve_inteq(args):

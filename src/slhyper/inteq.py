@@ -44,6 +44,9 @@ __all__ = [
     "solve_qt_equation",
 ]
 
+# bisection steps that locate a sign change of Re(rho + Ff) on the real ray
+_BISECT_STEPS = 48
+
 
 # ---------------------------------------------------------------------------
 # the strip Pi_kappa
@@ -161,10 +164,10 @@ def _transform_samples(f: GridFunction, lams, sm: SpectralMeasure) -> np.ndarray
 
 
 def _refine_crossing(f: GridFunction, rho: complex, lo: float, hi: float,
-                     v_lo: float, v_hi: float, sm: SpectralMeasure,
-                     iters: int = 48) -> tuple[float, float]:
+                     v_lo: float, v_hi: float,
+                     sm: SpectralMeasure) -> tuple[float, float]:
     """Bisect a sign change of Re(rho + Ff) on the real ray."""
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         v_mid = float((rho + _transform_samples(f, [mid], sm)[0]).real)
         if v_mid == 0.0:
@@ -224,7 +227,7 @@ def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
             if abs(v_c) < min_mod:
                 min_mod = abs(v_c)
                 witness = complex(lam_c)
-            total += 48
+            total += _BISECT_STEPS
     if strip.half_width > 1e-14:
         tau = np.linspace(0.0, math.sqrt(max(lam_max - strip.sigma2, 0.0)), n)
         bd = strip.boundary(tau)

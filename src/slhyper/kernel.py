@@ -40,6 +40,9 @@ __all__ = ["KernelValue", "KernelEvaluator", "KappaShiftedOperator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
+# DOP853 tolerances of the kernel ODE
+_RTOL = 1e-11
+_ATOL = 1e-13
 
 
 def _spline_increments(xs: np.ndarray):
@@ -118,10 +121,8 @@ class KernelValue:
 class KernelEvaluator:
     """Kernel evaluation bound to one operator, with its series table."""
 
-    def __init__(self, spec: OperatorSpec, rtol: float = 1e-11, atol: float = 1e-13):
+    def __init__(self, spec: OperatorSpec):
         self.spec = spec
-        self.rtol = rtol
-        self.atol = atol
         self._build_series_table()
 
     # -- series table -------------------------------------------------------
@@ -129,8 +130,6 @@ class KernelEvaluator:
     def _left_grid(self) -> np.ndarray:
         a, b = self.spec.a, self.spec.b
         span = 10.0 if math.isinf(b) else (b - a) * 0.9
-        if math.isinf(a):
-            return a  # handled separately
         offs = np.geomspace(span * 1e-14, span, _SERIES_POINTS)
         xs = a + offs
         # clip points where the coefficients are not representable
@@ -276,7 +275,7 @@ class KernelEvaluator:
             W[blk] = np.where(take, w_ode, W[blk])
             W1[blk] = np.where(take, w1_ode, W1[blk])
             peak = np.max(np.abs(w_ode), axis=1, where=take, initial=1.0)
-            err[rows] += self.rtol * peak
+            err[rows] += _RTOL * peak
         return W, W1, err
 
     def eval_grid(self, lam: complex, xs) -> tuple[np.ndarray, np.ndarray, float]:
@@ -314,8 +313,8 @@ class KernelEvaluator:
         scale = 2.0 / math.sqrt(len(y_init))
         targets, where = np.unique(xs, return_inverse=True)
         sol = solve_ivp(fun, (x0, float(targets[-1])), y_init, t_eval=targets,
-                        method="DOP853", rtol=self.rtol * scale,
-                        atol=self.atol * scale)
+                        method="DOP853", rtol=_RTOL * scale,
+                        atol=_ATOL * scale)
         if not sol.success:
             raise RuntimeError(f"kernel ODE integration failed: {sol.message}")
         y = sol.y[:, where]

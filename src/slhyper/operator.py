@@ -4,7 +4,9 @@ monotonicity certificate used by the convolution machinery.
 An operator is the differential expression ``-(1/r)(p u')'`` on an open
 interval ``(a, b)``.  The standard form re-parametrises it through the
 monotone map ``gamma(x) = int_c^x sqrt(r/p)`` into ``-(1/A)(A u')'`` with
-``A = sqrt(p r) o gamma^{-1}``.
+``A = sqrt(p r) o gamma^{-1}``.  ``gamma`` and ``gamma_inv`` take arrays
+and chain their quadratures from point to point; assumption MP's
+``phi_eta`` and ``psi_eta`` are written once, in ``mp_coefficients``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-11)
+_VALIDATE_PROBES = 1000
+_MP_PROBES = 512
 
 _real_quad = quad
 
@@ -47,14 +51,14 @@ def quad(*args, **kwargs):  # noqa: A001 - deliberate local shadow
         return _real_quad(*args, **kwargs)
 
 
-def probe_points(a: float, b: float, n: int = 1000) -> np.ndarray:
+def probe_points(a: float, b: float) -> np.ndarray:
     """Log-spaced probe of (a,b), clustered at the left endpoint."""
     if math.isinf(a):
         lo = -1e4 if math.isinf(b) else b - 1e4
         hi = 1e4 if math.isinf(b) else b - 1e-8 * max(1.0, abs(b))
-        return np.linspace(lo, hi, n)
+        return np.linspace(lo, hi, _VALIDATE_PROBES)
     span = 1e4 if math.isinf(b) else (b - a) * (1 - 1e-12)
-    offs = np.geomspace(span * 1e-12, span, n)
+    offs = np.geomspace(span * 1e-12, span, _VALIDATE_PROBES)
     return a + offs
 
 
@@ -70,8 +74,8 @@ class OperatorSpec:
     r: CoefficientExpr
     eta: CoefficientExpr | None = None
 
-    def validate(self, n_probe: int = 1000) -> None:
-        pts = probe_points(self.a, self.b, n_probe)
+    def validate(self) -> None:
+        pts = probe_points(self.a, self.b)
         pv = self.p(pts)
         rv = self.r(pts)
         if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(rv))):
@@ -157,7 +161,6 @@ class StandardForm:
         self.c = c
         self._p1 = spec.p.diff()
         self._r1 = spec.r.diff()
-        self._gamma_cache: dict[float, float] = {c: 0.0}
         self.gamma_a = self._compute_gamma_a()
         self._check_gamma_b_diverges()
         self.sigma, self.sigma_trace = self._estimate_sigma()
@@ -167,62 +170,75 @@ class StandardForm:
     def _sqrt_rp(self, x):
         return math.sqrt(self.spec.r(x) / self.spec.p(x))
 
-    def gamma(self, x: float) -> float:
-        x = float(x)
-        if x in self._gamma_cache:
-            return self._gamma_cache[x]
-        # integrate from the nearest cached anchor
-        anchor = min(self._gamma_cache, key=lambda t: abs(t - x))
-        val, _ = quad(self._sqrt_rp, anchor, x, **_QUAD_OPTS)
-        out = self._gamma_cache[anchor] + val
-        if len(self._gamma_cache) < 4096:
-            self._gamma_cache[x] = out
-        return out
-
-    def gamma_grid(self, xs: np.ndarray) -> np.ndarray:
-        """gamma at a sorted grid, by quadrature over the increments."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty_like(xs)
+    def gamma(self, x):
+        """int_c^x sqrt(r/p) for a number, one quadrature from c, or for an
+        array, by quadrature over the increments of its sorted points."""
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        out = np.empty_like(flat)
         prev_x, prev_g = self.c, 0.0
-        order = np.argsort(xs)
-        for i in order:
-            val, _ = quad(self._sqrt_rp, prev_x, xs[i], **_QUAD_OPTS)
-            out[i] = prev_g + val
-            prev_x, prev_g = xs[i], out[i]
-        return out
+        for i in np.argsort(flat):
+            out[i] = prev_g + quad(self._sqrt_rp, prev_x, flat[i], **_QUAD_OPTS)[0]
+            prev_x, prev_g = flat[i], out[i]
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-    def gamma_inv(self, xi: float) -> float:
-        xi = float(xi)
+    def gamma_inv(self, xi):
+        """x with gamma(x) = xi, for a number or an array.  The sorted
+        targets are solved outward from gamma(c) = 0, each bracketed and
+        integrated from the previous root; roots of nearly equal targets
+        may come out of order within brentq's xtol."""
+        xi = np.asarray(xi, dtype=float)
+        flat = xi.ravel()
+        out = np.empty_like(flat)
+        order = np.argsort(flat, kind="stable")
+        split = int(np.searchsorted(flat[order], 0.0))
+        for run in (order[split:], order[:split][::-1]):
+            x, g = self.c, 0.0
+            for i in run:
+                x, g = self._root_from(x, g, flat[i])
+                out[i] = x
+        return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
+
+    def _root_from(self, x0: float, g0: float, t: float) -> tuple[float, float]:
+        """(x, gamma(x)) with gamma(x) = t, from x0 where gamma(x0) = g0: the
+        bracket grows outward by the Newton step, doubled until it holds
+        the root, and toward a finite end by a quarter of what is left."""
         a, b = self.spec.a, self.spec.b
-        lo, hi = self.c, self.c
-        step = 1.0
-        while self.gamma(hi) < xi:
-            lo = hi
-            hi = min(hi + step, b - 1e-15 * max(1.0, abs(b))) if not math.isinf(b) else hi + step
-            step *= 2.0
+        sign = 1.0 if t >= g0 else -1.0
+
+        def excess(x):
+            return g0 + quad(self._sqrt_rp, x0, x, **_QUAD_OPTS)[0] - t
+
+        slope = self._sqrt_rp(x0)
+        step = abs(t - g0) / slope if 0.0 < slope < math.inf else 1.0
+        near = far = x0
+        f_far = g0 - t
+        while sign * f_far < 0.0:
             if step > 1e12:
                 raise ValueError("gamma_inv: target beyond reachable range")
-        while self.gamma(lo) > xi:
-            hi = lo
-            if math.isinf(a):
-                lo = lo - step
+            near = far
+            if sign > 0:
+                far = far + step if math.isinf(b) else \
+                    min(far + step, b - 1e-15 * max(1.0, abs(b)))
             else:
-                lo = a + (lo - a) / 4.0
+                far = far - step if math.isinf(a) else \
+                    max(far - step, a + (far - a) / 4.0)
+            f_far = excess(far)
             step *= 2.0
-            if not math.isinf(a) and lo - a < 1e-300:
-                raise ValueError("gamma_inv: target below gamma(a)")
-        if lo == hi:
-            return lo
-        return brentq(lambda x: self.gamma(x) - xi, lo, hi, xtol=1e-12, rtol=8.9e-16)
+        if f_far == 0.0:
+            return far, t
+        x = brentq(excess, near, far, xtol=1e-12, rtol=8.9e-16)
+        return x, t + excess(x)
+
+    def _pieces(self, cuts) -> list[float]:
+        """|int sqrt(r/p)| from c to the first cut and between consecutive
+        cuts, each integrated over increasing x."""
+        edges = [self.c, *cuts]
+        return [quad(self._sqrt_rp, min(u, v), max(u, v), **_QUAD_OPTS)[0]
+                for u, v in zip(edges, edges[1:])]
 
     def _compute_gamma_a(self) -> float:
-        incs = []
-        prev = self.c
-        for cut in _left_cut_sequence(self.spec.a, self.c):
-            piece, _ = quad(self._sqrt_rp, cut, prev, **_QUAD_OPTS)
-            incs.append(piece)
-            prev = cut
-        return -_tail_limit(incs)
+        return -_tail_limit(self._pieces(_left_cut_sequence(self.spec.a, self.c)))
 
     def _check_gamma_b_diverges(self) -> None:
         b = self.spec.b
@@ -230,12 +246,7 @@ class StandardForm:
             cuts = [self.c + 4.0 ** k for k in range(1, 12)]
         else:
             cuts = [b - (b - self.c) * 4.0 ** (-k) for k in range(1, 12)]
-        incs = []
-        prev = self.c
-        for cut in cuts:
-            piece, _ = quad(self._sqrt_rp, prev, cut, **_QUAD_OPTS)
-            incs.append(piece)
-            prev = cut
+        incs = self._pieces(cuts)
         if incs[-1] < 1e-6 * (1.0 + sum(incs[:-1])):
             raise ValueError(
                 f"{self.spec.name}: gamma stays bounded near b (gamma(b) must diverge)")
@@ -246,14 +257,17 @@ class StandardForm:
         """g(x) = A'/(2A) at xi=gamma(x), i.e. (pr)'/(4pr) * sqrt(p/r)."""
         p, r = self.spec.p(x), self.spec.r(x)
         p1, r1 = self._p1(x), self._r1(x)
-        return (p1 * r + p * r1) / (4.0 * p * r) * math.sqrt(p / r)
+        return (p1 * r + p * r1) / (4.0 * p * r) * np.sqrt(p / r)
 
-    def A(self, xi: float) -> float:
-        x = self.gamma_inv(xi)
-        return math.sqrt(self.spec.p(x) * self.spec.r(x))
-
-    def dA_over_2A(self, xi: float) -> float:
-        return self._half_log_pr_deriv(self.gamma_inv(xi))
+    def mp_coefficients(self, eta: CoefficientExpr, x, xi):
+        """(phi_eta, psi_eta) of assumption MP at the points x, whose
+        standard coordinates are xi = gamma(x):
+        phi = 2g - eta and psi = eta'/2 - eta^2/4 + g eta, g = A'/(2A)."""
+        g = self._half_log_pr_deriv(x)
+        eta_v = eta(xi)
+        phi = 2.0 * g - eta_v
+        psi = eta.derivative(xi) / 2.0 - eta_v ** 2 / 4.0 + g * eta_v
+        return phi, psi
 
     def _estimate_sigma(self):
         a, b, c = self.spec.a, self.spec.b, self.c
@@ -304,47 +318,33 @@ class MpCertificate:
     def all_ok(self) -> bool:
         return all(self.checks.values())
 
-    def phi_eta(self, xi: float) -> float:
-        return 2.0 * self.sf.dA_over_2A(xi) - self.eta(xi)
 
-    def psi_eta(self, xi: float) -> float:
-        deta = self.eta.derivative(xi)
-        ev = self.eta(xi)
-        return deta / 2.0 - ev * ev / 4.0 + self.sf.dA_over_2A(xi) * ev
-
-
-def _mp_probe_xs(sf: StandardForm, n: int) -> np.ndarray:
+def _mp_probe_xs(sf: StandardForm) -> np.ndarray:
     a, b, c = sf.spec.a, sf.spec.b, sf.c
     x_far = c + 1e6 if math.isinf(b) else b - (b - c) * 1e-6
     if math.isinf(a):
         lo = np.array([c - 4.0 ** k for k in range(20, 0, -1)])
-        hi = np.geomspace(1e-4, x_far - c, n - len(lo)) + c
+        hi = np.geomspace(1e-4, x_far - c, _MP_PROBES - len(lo)) + c
         return np.concatenate([lo, hi])
-    offs = np.geomspace((c - a) * 1e-8, x_far - a, n)
+    offs = np.geomspace((c - a) * 1e-8, x_far - a, _MP_PROBES)
     return a + offs
 
 
-def certify_mp(sf: StandardForm, eta: CoefficientExpr | None = None,
-               n_probe: int = 512) -> MpCertificate:
+def certify_mp(sf: StandardForm, eta: CoefficientExpr | None = None) -> MpCertificate:
     if eta is None:
         eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0", "x")
-    xs = _mp_probe_xs(sf, max(n_probe, 512))
+    xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        keep = np.array([
-            sf.spec.p(x) > 0 and sf.spec.r(x) > 0
-            and math.isfinite(sf.spec.r(x) / sf.spec.p(x))
-            and math.isfinite(sf._half_log_pr_deriv(x)) for x in xs])
+    with np.errstate(all="ignore"):
+        pv, rv = sf.spec.p(xs), sf.spec.r(xs)
+        keep = (pv > 0) & (rv > 0) & np.isfinite(rv / pv) \
+            & np.isfinite(sf._half_log_pr_deriv(xs))
     xs = xs[keep]
-    xi = sf.gamma_grid(xs)
-    g = np.array([sf._half_log_pr_deriv(x) for x in xs])
-    eta_v = eta(xi)
-    eta_d = eta.derivative(xi)
-    phi = 2.0 * g - eta_v
-    psi = eta_d / 2.0 - eta_v ** 2 / 4.0 + g * eta_v
+    xi = sf.gamma(xs)
+    phi, psi = sf.mp_coefficients(eta, xs, xi)
 
     slack = 1e-9
+    eta_v = eta(xi)
     checks = {
         "eta_nonnegative": bool(np.all(eta_v >= -slack)),
         "phi_decreasing": bool(np.all(np.diff(phi) <= slack)),

@@ -175,13 +175,11 @@ class SpectralMeasure:
         table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n)."""
         return _synthesis(self.masses, coef, self.w_values(grid))
 
-    def cumulative(self, lam: float, smoothed: bool = True) -> float:
-        """rho[0, lam].  The smoothed form interpolates linearly between
-        atom midpoints, which is the natural reading of the staircase as an
+    def cumulative(self, lam: float) -> float:
+        """rho[0, lam], smoothed: it interpolates linearly between atom
+        midpoints, which is the natural reading of the staircase as an
         approximation of an absolutely continuous measure."""
         lams, ms = self.lambdas, self.masses
-        if not smoothed:
-            return float(np.sum(ms[lams <= lam]))
         csum = np.concatenate([[0.0], np.cumsum(ms)])
         # midpoints between consecutive atoms; each atom's mass is treated
         # as spread over its cell

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from slhyper.cli import main
+from slhyper.cli import _EigenPair, main
+from slhyper.kernel import KernelEvaluator
+from slhyper.operator import builtin_operator, build_standard_form
 from slhyper.spectral import heat_kernel_grid
 
 # a small measure, cheap to build
@@ -97,6 +99,65 @@ def test_triangle_with_repeated_kernel_nodes(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert all(np.isfinite(v) for v in doc.values() if isinstance(v, float))
+
+
+def _counted_eigen_pair(op, lam):
+    """_EigenPair on a builtin operator, with the sizes of its eval_grid
+    calls."""
+    spec = builtin_operator(op)
+    ev = KernelEvaluator(spec)
+    calls = []
+    eval_grid = ev.eval_grid
+
+    def counted(lam, xs):
+        calls.append(len(xs))
+        return eval_grid(lam, xs)
+
+    ev.eval_grid = counted
+    return _EigenPair(ev, build_standard_form(spec), lam), calls
+
+
+def test_eigen_pair_cosine_closed_form():
+    # c = 1 and gamma(x) = x - 1, so u(xi) = cos(sqrt(lam) (xi + 1))
+    lam = 2.0
+    rt = np.sqrt(lam)
+    v, calls = _counted_eigen_pair("cosine", lam)
+    xi = np.linspace(-0.5, 3.0, 35).reshape(5, 7)
+    zeta = np.linspace(-0.8, 1.5, 5)[:, None]
+
+    def u(s):
+        return (np.cos(rt * (s + 1.0)), -rt * np.sin(rt * (s + 1.0)),
+                -lam * np.cos(rt * (s + 1.0)))
+
+    (ux, ux1, ux2), (uz, uz1, uz2) = u(xi), u(zeta)
+    for got, want in ((v(xi, zeta), ux * uz), (v.d_xi(xi, zeta), ux1 * uz),
+                      (v.d_zeta(xi, zeta), ux * uz1),
+                      (v.dd_xi(xi, zeta), ux2 * uz),
+                      (v.dd_zeta(xi, zeta), ux * uz2)):
+        assert got.shape == (5, 7)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+    # one evaluation per distinct point set, kept for every later call
+    assert calls == [35, 5]
+
+
+def test_eigen_pair_nearly_equal_targets():
+    # the volume block of the triangle c=0.5, x=3, y=1.5 at n=40 holds
+    # targets an ulp apart; on Whittaker some of their roots come out of
+    # gamma_inv out of order, and eval_grid takes only a sorted grid
+    v, calls = _counted_eigen_pair("whittaker?alpha=0.25&kappa=1.0", 2.0)
+    z = np.linspace(0.5, 1.5, 41)
+    xi = np.linspace(1.5 + z, 4.5 - z, 41, axis=1)
+    vals = v.dd_xi(xi, z[:, None])
+    assert np.all(np.isfinite(vals))
+    assert calls == [len(np.unique(xi)), len(z)]
+
+
+@pytest.mark.parametrize("grid", ["3,1,2,4,5,6", "3"])
+def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys):
+    h = _write_bump(tmp_path / "h.csv")
+    assert run(["cauchy", "--h", str(h), "--grid", grid, *SMALL,
+                "--out", str(tmp_path / "c.csv")]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 def test_bad_usage_exit_2(capsys):

@@ -63,6 +63,38 @@ def test_gamma_inverse_round_trip(x):
     assert sf.gamma_inv(sf.gamma(x)) == pytest.approx(x, rel=1e-9, abs=1e-10)
 
 
+@pytest.fixture(scope="module")
+def sf_bessel15():
+    return build_standard_form(builtin_operator("bessel?alpha=1.5"))
+
+
+# unsorted, repeated, on both sides of gamma(c) = 0; gamma(a) = -1 for Bessel
+# and -inf for Whittaker
+_TARGETS = {"sf_bessel15": [2.5, -0.9, 0.0, 17.0, 2.5, -0.25, 0.3, 6.0],
+            "sf_whittaker": [2.5, -4.5, 0.0, 11.0, 2.5, -0.25, 0.3, -2.0]}
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_gamma_inv_array_matches_scalar(name, request):
+    sf = request.getfixturevalue(name)
+    xi = np.array(_TARGETS[name])
+    got = sf.gamma_inv(xi.reshape(2, 4))
+    assert got.shape == (2, 4)
+    want = [sf.gamma_inv(t) for t in xi]
+    # each root is within brentq's xtol + rtol |x| of the true one
+    assert np.allclose(got.ravel(), want, rtol=2e-15, atol=2e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_gamma_of_gamma_inv_array(name, request):
+    sf = request.getfixturevalue(name)
+    xi = np.array(_TARGETS[name])
+    x = sf.gamma_inv(xi)
+    # one quadrature from c per point, and chained over the sorted array
+    assert np.allclose([sf.gamma(v) for v in x], xi, rtol=0.0, atol=1e-10)
+    assert np.allclose(sf.gamma(x), xi, rtol=0.0, atol=1e-10)
+
+
 def test_sigma_estimates(sf_cosine, sf_bessel, sf_whittaker):
     assert sf_cosine.sigma == pytest.approx(0.0, abs=1e-9)
     assert sf_bessel.sigma == pytest.approx(0.0, abs=1e-6)
@@ -92,9 +124,10 @@ def test_support_params_reject_degenerate(sf_whittaker):
 def test_phi_eta_bessel(sf_bessel):
     cert = certify_mp(sf_bessel)
     # gamma(x) = x - 1, A = x^2: phi = A'/A = 2/(xi + 1)
-    for xi in (0.0, 0.5, 2.0):
-        assert cert.phi_eta(xi) == pytest.approx(2.0 / (xi + 1.0), rel=1e-8)
-        assert cert.psi_eta(xi) == pytest.approx(0.0, abs=1e-9)
+    xi = np.array([0.0, 0.5, 2.0])
+    phi, psi = sf_bessel.mp_coefficients(cert.eta, sf_bessel.gamma_inv(xi), xi)
+    assert phi == pytest.approx(2.0 / (xi + 1.0), rel=1e-8)
+    assert psi == pytest.approx(np.zeros(3), abs=1e-9)
 
 
 def test_load_operator_json(tmp_path):
