@@ -29,7 +29,7 @@ from .spectral import (GridFunction, build_spectral_measure, bump_function,
                        forward_transform, inverse_transform)
 from .hconv import (product_density, default_xi_grid, translate,
                     convolve_functions, classify_support)
-from .cauchy import solve_cauchy, triangle_identity_residual
+from .cauchy import _check_grids, solve_cauchy, triangle_identity_residual
 from .inteq import EquationProblem, solve_equation, solve_qt_equation
 
 __all__ = ["main"]
@@ -235,6 +235,7 @@ def _support(args) -> dict:
 def _cauchy(args):
     h = _read_grid_function(args.h)
     xs = _parse_grid(args.grid)
+    _check_grids(xs)
     sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()

@@ -26,13 +26,16 @@ error criterion.  A single lambda is the batch of one.
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline, make_interp_spline
+from scipy.interpolate import BSpline
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse import csr_array
 
 from .operator import OperatorSpec
 
@@ -81,32 +84,133 @@ def _spline_increments(xs: np.ndarray):
     return increments
 
 
-# rows fitted per make_interp_spline call in _row_spline
+# rows fitted per solve in _row_spline
 _SPLINE_BLOCK = 32
 
 
-def _row_spline(xs: np.ndarray, Y: np.ndarray) -> BSpline:
-    """Not-a-knot cubic spline through every row of Y over xs, as one
-    vector-valued BSpline along Y's last axis.
+def _not_a_knot(xs: np.ndarray) -> np.ndarray:
+    """Knots of the not-a-knot cubic spline through xs, the ones
+    make_interp_spline chooses: both ends four times, then xs[2:-2]."""
+    return np.concatenate([np.repeat(xs[0], 4), xs[2:-2], np.repeat(xs[-1], 4)])
 
-    make_interp_spline holds three full-size copies of its right-hand side
-    while it solves: the C-ordered table, LAPACK's Fortran copy and the
-    contiguous result, 30 MB for 200 eigenfunctions on 6144 nodes.  Fitted
-    a block of rows at a time, the coefficients are the same, bit for bit,
-    and the temporaries stay one block's size.  Large temporaries leave
-    holes in the heap that later large arrays may or may not fit, which
-    would make the peak memory of a process that builds several measures
-    depend on its heap layout, not on its work.
+
+def _refinement(t: np.ndarray, tau: np.ndarray) -> csr_array:
+    """The matrix that maps the coefficients of a cubic spline on the knots t
+    to those of the same spline on tau, which holds every knot of t at
+    least as often (the Oslo algorithm; Lyche & Morken, Spline Methods,
+    ch. 4).
+
+    Row i has four nonzeros, at the B-splines mu-3..mu of t whose support
+    holds the knot interval t[mu] <= tau[i] < t[mu+1].  They are the
+    product R_1(tau[i+1]) R_2(tau[i+2]) R_3(tau[i+3]) of the matrices of
+    the de Boor-Cox recurrence, each stage taken at its own knot of tau.
     """
-    rows = Y.reshape(-1, Y.shape[-1])
-    c = None
-    for j in range(0, max(len(rows), 1), _SPLINE_BLOCK):
-        part = make_interp_spline(xs, rows[j:j + _SPLINE_BLOCK], k=3, axis=1)
-        if c is None:
-            c = np.empty((part.c.shape[0], len(rows)))
-        c[:, j:j + _SPLINE_BLOCK] = part.c
-    return BSpline.construct_fast(part.t, c.reshape(c.shape[0], *Y.shape[:-1]),
-                                  3, axis=Y.ndim - 1)
+    m = len(tau) - 4
+    mu = np.clip(np.searchsorted(t, tau[:m], side="right") - 1, 3, len(t) - 5)
+    b = np.ones((m, 1))
+    for d in range(1, 4):
+        x = tau[d:m + d]
+        nb = np.zeros((m, d + 1))
+        for j in range(d):
+            # column j of b is the B-spline l = mu - d + 1 + j of degree d-1
+            lo, hi = t[mu - d + 1 + j], t[mu + 1 + j]
+            share = b[:, j] / (hi - lo)
+            nb[:, j] += share * (hi - x)
+            nb[:, j + 1] += share * (x - lo)
+        b = nb
+    cols = mu[:, None] - 3 + np.arange(4)
+    return csr_array((b.ravel(), cols.ravel(), np.arange(0, 4 * m + 1, 4)),
+                     shape=(m, len(t) - 4))
+
+
+def _interpolation(xs: np.ndarray, t: np.ndarray):
+    """The map from a block of rows of values at xs, shape (b, len(xs)), to
+    the coefficients, shape (len(xs), b), of the cubic splines on the knots
+    t through them.
+
+    The collocation matrix depends on xs and t alone, so it is LU-factored
+    once here (LAPACK gbtrf), where make_interp_spline factors it again on
+    every call (gbsv, which is gbtrf then gbtrs).  Each block costs one
+    Fortran-ordered copy, solved in place, and the coefficients are
+    make_interp_spline's, bit for bit.
+    """
+    col = BSpline.design_matrix(xs, t, 3).tocoo()
+    # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
+    ab = np.zeros((10, len(xs)), order="F")
+    ab[6 + col.row - col.col, col.col] = col.data
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, 3, 3, overwrite_ab=True)
+    if info != 0:
+        raise ValueError("spline collocation system is singular")
+
+    def solve(rows):
+        rhs = np.array(rows.T, order="F")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("spline values must be finite")
+        c, info = gbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
+        return c
+
+    return solve
+
+
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of zeros in an anonymous memory map of its own, outside
+    the malloc heap.
+
+    glibc maps each large malloc block on its own and, when one is freed,
+    raises the size from which it maps later blocks to that block's size
+    (up to 32 MB).  The merged eigenfunction table is the largest array of
+    a measure build, 15 MB at N=6144.  Freed through malloc, it would send
+    every array of the next build below that size to the heap, where the
+    holes they leave raised the peak memory of three builds in one process
+    by 4 MB.
+    """
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float,
+                         count=n).reshape(shape)
+
+
+def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> BSpline:
+    """The sum over levels (xs, Y, weight) of weight times the not-a-knot
+    cubic spline through every row of Y over xs, as one vector-valued
+    BSpline along Y's last axis.  The levels share their end points and
+    the shape of Y's leading axes.
+
+    The sum lives on the union of the levels' knots.  Each level's
+    coefficients are refined onto it exactly (``_refinement``), so the one
+    spline is the same function as the weighted sum of the level splines,
+    to rounding.  A lone level is not refined: with weight 1 its
+    coefficients equal make_interp_spline's.
+
+    The rows are fitted a block at a time, and every level's block is
+    refined and summed straight into the one preallocated coefficient
+    array, so the temporaries stay one block's size: a copy for the solve
+    and its refinement.  Large temporaries leave holes in the heap that
+    later large arrays may or may not fit, which would make the peak memory
+    of a process that builds several measures depend on its heap layout,
+    not on its work.
+    """
+    knots = [_not_a_knot(xs) for xs, _, _ in levels]
+    if len(levels) == 1:
+        tau, maps = knots[0], [None]
+    else:
+        inner = functools.reduce(np.union1d, [t[4:-4] for t in knots])
+        tau = np.concatenate([knots[0][:4], inner, knots[0][-4:]])
+        maps = [_refinement(t, tau) for t in knots]
+    lead = levels[0][1].shape[:-1]
+    n_rows = math.prod(lead)
+    tables = [Y.reshape(n_rows, Y.shape[-1]) for _, Y, _ in levels]
+    fits = [_interpolation(xs, t) for (xs, _, _), t in zip(levels, knots)]
+    c = _mapped_zeros((len(tau) - 4, n_rows))
+    for j in range(0, n_rows, _SPLINE_BLOCK):
+        for (_, _, weight), rows, fit, refine in zip(levels, tables, fits, maps):
+            part = fit(rows[j:j + _SPLINE_BLOCK])
+            if refine is not None:
+                part = refine @ part
+            part *= weight
+            c[:, j:j + _SPLINE_BLOCK] += part
+    return BSpline.construct_fast(tau, c.reshape(len(tau) - 4, *lead), 3,
+                                  axis=len(lead))
 
 
 @dataclass(frozen=True)
@@ -187,7 +291,7 @@ class KernelEvaluator:
 
         self._xs = xs
         # one spline over the whole table
-        self._terms = _row_spline(xs, table)
+        self._terms = _row_spline((xs, table, 1.0))
         # S(x): the majorant with |eta_j| <= S^j / j!
         self._S = np.abs(etas[1])
 

@@ -202,7 +202,12 @@ class StandardForm:
     def _root_from(self, x0: float, g0: float, t: float) -> tuple[float, float]:
         """(x, gamma(x)) with gamma(x) = t, from x0 where gamma(x0) = g0: the
         bracket grows outward by the Newton step, doubled until it holds
-        the root, and toward a finite end by a quarter of what is left."""
+        the root, and toward a finite end by a quarter of what is left.
+        Where the integral is not finite, as where p and r both underflow,
+        the far end is bisected back toward the near one.  Later far ends
+        halve the way to the nearest such point; a target that twice the
+        slope at the near end would not reach before it counts as out of
+        range."""
         a, b = self.spec.a, self.spec.b
         sign = 1.0 if t >= g0 else -1.0
 
@@ -212,6 +217,7 @@ class StandardForm:
         slope = self._sqrt_rp(x0)
         step = abs(t - g0) / slope if 0.0 < slope < math.inf else 1.0
         near = far = x0
+        edge = None
         f_far = g0 - t
         while sign * f_far < 0.0:
             if step > 1e12:
@@ -223,7 +229,18 @@ class StandardForm:
             else:
                 far = far - step if math.isinf(a) else \
                     max(far - step, a + (far - a) / 4.0)
+            if edge is not None and sign * (far - edge) >= 0.0:
+                # f_far is still the excess at near
+                far = 0.5 * (near + edge)
+                if far in (near, edge) or \
+                        abs(f_far) > 2.0 * self._sqrt_rp(near) * abs(edge - near):
+                    raise ValueError("gamma_inv: target beyond reachable range")
             f_far = excess(far)
+            while not math.isfinite(f_far):
+                edge, far = far, 0.5 * (near + far)
+                if far in (near, edge):
+                    raise ValueError("gamma_inv: target beyond reachable range")
+                f_far = excess(far)
             step *= 2.0
         if f_far == 0.0:
             return far, t

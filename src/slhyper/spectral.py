@@ -9,7 +9,11 @@ per run of close eigenvalues, cut by relative gap: LAPACK's own cluster
 test is an absolute gap, which on these graded matrices would
 reorthogonalize the whole wanted spectrum (``_eigen_solve``).  Eigenvalues
 and masses are Richardson extrapolated across a grid halving, which removes
-the leading h^2 discretization error.
+the leading h^2 discretization error.  So are the eigenfunctions: the
+measure keeps one vector-valued cubic spline, the exact combination
+(4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
+of their knots by knot insertion (``kernel._row_spline``), so every
+evaluation is one spline call.
 
 Every spectral sum on a grid runs through the eigenfunction values on that
 grid.  ``sm.basis(grid)`` evaluates them once, with the grid's weights for
@@ -136,11 +140,12 @@ def _basis_on(sm: SpectralMeasure, grid, *known: Basis) -> Basis:
 
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
-    on [a_eff, L] stored as one vector-valued cubic spline per Richardson
-    level."""
+    on [a_eff, L] stored as one vector-valued cubic spline: the Richardson
+    combination (4 S_fine - S_coarse) / 3 of the two levels' splines,
+    written exactly on the union of their knots."""
 
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
-                 a_eff: float, fine: BSpline, coarse: BSpline):
+                 a_eff: float, w: BSpline):
         self.spec = spec
         self.evaluator = evaluator
         self.lambdas = lambdas
@@ -149,8 +154,7 @@ class SpectralMeasure:
         self.L = L
         self.N = N
         self._a_eff = a_eff
-        self._fine = fine
-        self._coarse = coarse
+        self._w = w
         if np.any(masses <= 0):
             raise ValueError("non-positive atom mass: discretization too coarse")
 
@@ -160,8 +164,8 @@ class SpectralMeasure:
     def w_values(self, xq) -> np.ndarray:
         """(K, len(xq)) matrix of eigenfunction values.  Points below a_eff
         take the value at a_eff, where every w_k is 1."""
-        xq = np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)), self._a_eff)
-        return (4.0 * self._fine(xq) - self._coarse(xq)) / 3.0
+        return self._w(np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)),
+                                  self._a_eff))
 
     def basis(self, grid) -> Basis:
         """One evaluation of every eigenfunction on grid, for the transforms
@@ -301,12 +305,17 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
     vals, vecs = _eigenpairs(diag, off, lambda_max)
     if len(vals) == 0:
         raise ValueError("no eigenvalues below lambda_max; enlarge L or lambda_max")
-    return nodes, wgt, vals, vecs / np.sqrt(wgt)[:, None]
+    # the eigenfunction vectors fill rows 1..n of the node-value table;
+    # _normalize fills its rows for the two interval ends
+    table = np.empty((len(nodes) + 2, len(vals)))
+    np.divide(vecs, np.sqrt(wgt)[:, None], out=table[1:-1])
+    return nodes, wgt, vals, table
 
 
-def _normalize(evaluator: KernelEvaluator, nodes, us, vals):
-    """Scale eigenvectors to the kernel normalization w(a)=1; returns the
-    (K, N+2) node-value table including both interval endpoints.
+def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
+    """Scale the eigenfunction vectors, rows 1..N of table, to the kernel
+    normalization w(a)=1, in place, and fill the rows of both interval
+    ends; returns the masses and table, the (N+2, K) node values.
 
     Each atom is fitted on a window of leading nodes: up to 80 where the
     series converges fast (S lambda <= 0.5), or, with fewer than 3 such
@@ -314,6 +323,7 @@ def _normalize(evaluator: KernelEvaluator, nodes, us, vals):
     the nodes, and one batched kernel evaluation serves all atoms.
     """
     N = len(nodes)
+    us = table[1:-1]
     table_xs = evaluator._xs
     in_table = (nodes >= table_xs[0]) & (nodes <= table_xs[-1])
     S_nodes = np.where(in_table, np.interp(nodes, table_xs, evaluator._S), np.inf)
@@ -324,25 +334,23 @@ def _normalize(evaluator: KernelEvaluator, nodes, us, vals):
     ser, _, _ = evaluator.eval_many(vals, nodes[:M])
     u_win = np.where(np.arange(M) < n_win[:, None], us[:M].T, 0.0)
     c = np.sum(u_win * ser.real, axis=1) / np.sum(u_win * u_win, axis=1)
-    W = np.zeros((len(vals), N + 2))
-    # left endpoint: w_lambda -> 1 at a by construction
-    W[:, 0] = 1.0
-    np.multiply(us.T, c[:, None], out=W[:, 1:-1])
-    return 1.0 / (c * c), W
+    us *= c
+    # left endpoint: w_lambda -> 1 at a by construction; Dirichlet at L
+    table[0] = 1.0
+    table[-1] = 0.0
+    return 1.0 / (c * c), table
 
 
-def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
-                           lambda_max: float | None = None,
-                           evaluator: KernelEvaluator | None = None,
-                           sigma2: float = 0.0) -> SpectralMeasure:
-    if N < 16:
-        raise ValueError("N must be at least 16")
-    if not (spec.a < L < spec.b):
-        raise ValueError("L must satisfy a < L < b")
-    if evaluator is None:
-        evaluator = KernelEvaluator(spec)
-    if lambda_max is None:
-        lambda_max = (math.pi * N / (2.0 * L)) ** 2 / 4.0
+def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
+            evaluator: KernelEvaluator):
+    """The two Richardson levels of a measure, on N and N // 2 nodes.
+
+    Returns a_eff, the extrapolated eigenvalues and masses, and the levels
+    as (xs, W, weight) for ``_row_spline``: the node values W of the kept
+    eigenfunctions on each level's nodes xs (both interval ends included),
+    a (K, len(xs)) view of the level's node-major table, weighted 4/3 and
+    -1/3.
+    """
     # left edge of the computational interval: the operator domain unless
     # the coefficients underflow near a (steep exponential singularities)
     a_eff = max(spec.a, evaluator._xs[0]) if math.isfinite(spec.a) else evaluator._xs[0]
@@ -360,8 +368,9 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
         grade = 1.0 if regular else 2.0
 
     def one_level(n):
-        nodes, wgt, vals, us = _eigen_solve(spec, a_eff, L, n, grade, lambda_max)
-        masses, W = _normalize(evaluator, nodes, us, vals)
+        nodes, wgt, vals, table = _eigen_solve(spec, a_eff, L, n, grade,
+                                               lambda_max)
+        masses, W = _normalize(evaluator, nodes, table, vals)
         xs_full = np.concatenate([[a_eff], nodes, [L]])
         return vals, masses, xs_full, W
 
@@ -373,10 +382,25 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
     K = int(np.argmin(ok)) if not np.all(ok) else K
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    fine = _row_spline(xs_f, W_f[:K])
-    coarse = _row_spline(xs_c, W_c[:K])
+    return a_eff, lam, mass, [(xs_f, W_f[:, :K].T, 4.0 / 3.0),
+                              (xs_c, W_c[:, :K].T, -1.0 / 3.0)]
+
+
+def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
+                           lambda_max: float | None = None,
+                           evaluator: KernelEvaluator | None = None,
+                           sigma2: float = 0.0) -> SpectralMeasure:
+    if N < 16:
+        raise ValueError("N must be at least 16")
+    if not (spec.a < L < spec.b):
+        raise ValueError("L must satisfy a < L < b")
+    if evaluator is None:
+        evaluator = KernelEvaluator(spec)
+    if lambda_max is None:
+        lambda_max = (math.pi * N / (2.0 * L)) ** 2 / 4.0
+    a_eff, lam, mass, levels = _levels(spec, L, N, lambda_max, evaluator)
     return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, a_eff,
-                           fine, coarse)
+                           _row_spline(*levels))
 
 
 # ---------------------------------------------------------------------------

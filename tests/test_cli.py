@@ -153,7 +153,12 @@ def test_eigen_pair_nearly_equal_targets():
 
 
 @pytest.mark.parametrize("grid", ["3,1,2,4,5,6", "3"])
-def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys):
+def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys, monkeypatch):
+    # the grid is checked before the measure is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("measure built before the grid was checked")
+
+    monkeypatch.setattr("slhyper.cli.build_spectral_measure", no_build)
     h = _write_bump(tmp_path / "h.csv")
     assert run(["cauchy", "--h", str(h), "--grid", grid, *SMALL,
                 "--out", str(tmp_path / "c.csv")]) == 1

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from slhyper.operator import builtin_operator
 from slhyper.kernel import (KappaShiftedOperator, KernelEvaluator,
-                            _row_spline, _spline_increments)
+                            _refinement, _row_spline, _spline_increments)
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +53,34 @@ def test_row_spline_is_one_make_interp_spline(shape):
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(0.0, 5.0, shape[-1]))
     Y = rng.standard_normal(shape)
-    got = _row_spline(xs, Y)
+    got = _row_spline((xs, Y, 1.0))
     want = make_interp_spline(xs, Y, k=3, axis=Y.ndim - 1)
     assert got.axis == want.axis and got.k == want.k == 3
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.c, want.c)
     xq = np.linspace(0.1, 4.9, 37)
     assert np.array_equal(got(xq), want(xq))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 70])
+def test_refinement_is_the_same_spline(rows):
+    """A cubic spline refined onto a superset of its knots, one knot of it
+    doubled, is the same function: its values agree at 10^4 points to
+    1e-13 of their size."""
+    rng = np.random.default_rng(rows)
+    inner = np.sort(rng.uniform(0.0, 5.0, 40))
+    t = np.concatenate([np.zeros(4), inner, np.full(4, 5.0)])
+    more = np.sort(np.concatenate([inner, inner[7:8],
+                                   rng.uniform(0.0, 5.0, 90)]))
+    tau = np.concatenate([np.zeros(4), more, np.full(4, 5.0)])
+    c = rng.standard_normal((len(t) - 4, rows))
+    A = _refinement(t, tau)
+    assert A.shape == (len(tau) - 4, len(t) - 4)
+    assert np.all(np.diff(A.indptr) == 4)
+    xq = np.linspace(0.0, 5.0, 10_000)
+    want = BSpline(t, c, 3)(xq)
+    got = BSpline(tau, A @ c, 3)(xq)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lambda_zero_is_one(ev_cosine, ev_bessel):

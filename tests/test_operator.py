@@ -95,6 +95,16 @@ def test_gamma_of_gamma_inv_array(name, request):
     assert np.allclose(sf.gamma(x), xi, rtol=0.0, atol=1e-10)
 
 
+def test_gamma_inv_whittaker_near_underflow(sf_whittaker):
+    # gamma = log x here; below x ~ 1/745 exp(-1/x) underflows in both p and
+    # r, so the bracket toward 0 must step back from where the integral is
+    # not finite
+    assert sf_whittaker.gamma_inv(-6.0) == pytest.approx(math.exp(-6.0),
+                                                         rel=0.0, abs=1e-10)
+    with pytest.raises(ValueError, match="beyond reachable range"):
+        sf_whittaker.gamma_inv(-8.0)
+
+
 def test_sigma_estimates(sf_cosine, sf_bessel, sf_whittaker):
     assert sf_cosine.sigma == pytest.approx(0.0, abs=1e-9)
     assert sf_bessel.sigma == pytest.approx(0.0, abs=1e-6)

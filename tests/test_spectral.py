@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
+from slhyper.kernel import _row_spline
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
                               build_spectral_measure, bump_function,
@@ -106,6 +107,23 @@ def test_w_values_below_a_eff_is_one(sm_whittaker):
     # the Whittaker measure starts at a_eff ~ 0.034, where every w_k is 1
     W = sm_whittaker.w_values([0.0, 0.01])
     assert np.allclose(W, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
+def test_w_values_is_the_richardson_combination(name, request):
+    """The measure's one eigenfunction spline, on the merged knots, is the
+    combination (4 S_fine - S_coarse) / 3 of the two levels' own splines on
+    [a_eff, L]; eigenvalues and masses are those of the levels, bit for
+    bit.  Every fixture measure is built with lambda_max 1600."""
+    sm = request.getfixturevalue(name)
+    a_eff, lam, mass, levels = spectral._levels(sm.spec, sm.L, sm.N, 1600.0,
+                                                sm.evaluator)
+    assert np.array_equal(lam, sm.lambdas)
+    assert np.array_equal(mass, sm.masses)
+    fine, coarse = (_row_spline((xs, W, 1.0)) for xs, W, _ in levels)
+    x = np.linspace(a_eff, sm.L, 4001)
+    want = (4.0 * fine(x) - coarse(x)) / 3.0
+    assert np.max(np.abs(sm.w_values(x) - want)) <= 1e-14
 
 
 def test_transform_linearity(sm_cosine):
