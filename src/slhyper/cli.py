@@ -447,6 +447,31 @@ _CHECKS = {
     "precision": (lambda v: 6 <= v <= 17, "precision must lie in [6, 17]"),
 }
 
+# dest -> reader of the numbers in the text of a flag that holds a list;
+# these numbers and every float or complex flag must be finite
+_NUMBER_LISTS = {
+    "lambda": lambda text: [complex(v) for v in text.split(",")],
+    "x": _parse_grid, "x_grid": _parse_grid, "y_grid": _parse_grid,
+    "xi_grid": _parse_grid, "grid": _parse_grid,
+}
+
+
+def _check_finite(flags: dict, vals: dict) -> None:
+    """Raise unless every number a flag gives is finite."""
+    for dest, (opt, kw) in flags.items():
+        v = vals[dest]
+        if v is None:
+            continue
+        if kw.get("type") in (float, _real_or_complex):
+            numbers = [v]
+        elif dest in _NUMBER_LISTS:
+            numbers = _NUMBER_LISTS[dest](v)
+        else:
+            continue
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError(f"{opt} must be finite")
+
+
 # output paths and the config file name the outputs, not what they hold
 _UNHASHED = ("out", "diagnostics", "config")
 
@@ -509,6 +534,7 @@ def _run(args) -> int:
     if args.config:
         _merge_config_file(args, flags)
     vals = {dest: getattr(args, dest) for dest in flags}
+    _check_finite(flags, vals)
     for dest, (ok, message) in _CHECKS.items():
         if dest in vals and not ok(vals[dest]):
             raise ValueError(message)

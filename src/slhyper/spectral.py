@@ -19,8 +19,11 @@ Every spectral sum on a grid runs through the eigenfunction values on that
 grid.  ``sm.basis(grid)`` evaluates them once, with the grid's weights for
 int f r dx, and offers the forward transform and the synthesis on that
 grid.  A function that uses one grid more than once builds one basis and
-passes it on explicitly; nothing caches a basis beyond the call that built
-it.
+passes it on explicitly.  Across calls, the measure memoizes the
+eigenfunction values of ``basis`` and ``synthesize``, keyed by grid content:
+at most two grids, their values read-only, the one with fewer lookups
+evicted first, and none whose values would outgrow the spline's coefficient
+table.  ``w_values`` itself is never memoized.
 """
 
 from __future__ import annotations
@@ -129,6 +132,20 @@ class Basis:
         return _synthesis(self.masses, coef, self.W)
 
 
+@dataclass(eq=False)
+class _Kept:
+    """One memoized basis: a copy of its grid, the read-only eigenfunction
+    values on it, and the number of lookups it has answered."""
+
+    grid: np.ndarray
+    W: np.ndarray
+    hits: int = 0
+
+
+# bases a measure keeps: one grid that keeps coming back, and one more
+_KEPT_MAX = 2
+
+
 def _basis_on(sm: SpectralMeasure, grid, *known: Basis) -> Basis:
     """The first known basis whose grid equals grid, else a new one."""
     grid = np.asarray(grid, dtype=float)
@@ -142,7 +159,14 @@ class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
     on [a_eff, L] stored as one vector-valued cubic spline: the Richardson
     combination (4 S_fine - S_coarse) / 3 of the two levels' splines,
-    written exactly on the union of their knots."""
+    written exactly on the union of their knots.
+
+    basis and synthesize memoize the eigenfunction values they evaluate,
+    keyed by grid content (a stored copy of the grid, compared with
+    np.array_equal): at most two grids, each with its values read-only.
+    On a miss with both kept, the one with fewer lookups goes, the older on
+    a tie, so a grid that keeps coming back outlives one-off grids.  Values
+    larger than the spline's coefficient table are not kept."""
 
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
                  a_eff: float, w: BSpline):
@@ -155,6 +179,7 @@ class SpectralMeasure:
         self.N = N
         self._a_eff = a_eff
         self._w = w
+        self._kept: list[_Kept] = []
         if np.any(masses <= 0):
             raise ValueError("non-positive atom mass: discretization too coarse")
 
@@ -167,17 +192,39 @@ class SpectralMeasure:
         return self._w(np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)),
                                   self._a_eff))
 
+    def _values_on(self, grid: np.ndarray) -> np.ndarray:
+        """w_values(grid), from the memo when it keeps an equal grid.  A
+        miss evaluates grid and keeps the values, read-only, unless they
+        outgrow the spline's coefficient table."""
+        for kept in self._kept:
+            if np.array_equal(kept.grid, grid):
+                kept.hits += 1
+                return kept.W
+        W = self.w_values(grid)
+        if W.size <= self._w.c.size:
+            W.flags.writeable = False
+            if len(self._kept) == _KEPT_MAX:
+                # min keeps the first of equals: the older entry
+                self._kept.remove(min(self._kept, key=lambda k: k.hits))
+            self._kept.append(_Kept(grid.copy(), W))
+        return W
+
     def basis(self, grid) -> Basis:
-        """One evaluation of every eigenfunction on grid, for the transforms
-        and syntheses that share it.  grid needs at least two points."""
+        """Every eigenfunction on grid, for the transforms and syntheses
+        that share it; grid needs at least two points.  The values come
+        from the measure's memo of two grids, keyed by content, and are
+        read-only when kept there (see SpectralMeasure)."""
         grid = np.asarray(grid, dtype=float)
-        return Basis(grid, self.w_values(grid), _r_weights(self.spec, grid),
+        return Basis(grid, self._values_on(grid), _r_weights(self.spec, grid),
                      self.masses)
 
     def synthesize(self, coef, grid) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
-        table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n)."""
-        return _synthesis(self.masses, coef, self.w_values(grid))
+        table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n).
+        The eigenfunction values on grid come from the memo that basis
+        uses."""
+        return _synthesis(self.masses, coef,
+                          self._values_on(np.asarray(grid, dtype=float)))
 
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom
@@ -397,7 +444,9 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
     if evaluator is None:
         evaluator = KernelEvaluator(spec)
     if lambda_max is None:
-        lambda_max = (math.pi * N / (2.0 * L)) ** 2 / 4.0
+        # sqrt(lambda_max) times the coarse level's mean spacing L / (N/2)
+        # is 0.6: about ten nodes per wavelength of the highest atom
+        lambda_max = (0.6 * N / (2.0 * L)) ** 2
     a_eff, lam, mass, levels = _levels(spec, L, N, lambda_max, evaluator)
     return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, a_eff,
                            _row_spline(*levels))

@@ -1,6 +1,7 @@
 """One eigenfunction basis per grid: every rerouted spectral sum equals, bit
 for bit, its composition of forward_transform, inverse_transform and
-synthesize, and evaluates each of its grids once."""
+synthesize, and evaluates each of its grids once; the measure's memo of
+two bases serves equal grids across calls."""
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ def _problem(psi_grid):
 
 @pytest.fixture
 def w_calls(sm_cosine, monkeypatch):
-    """Sizes of the point sets handed to sm_cosine.w_values, in order."""
+    """Sizes of the point sets handed to sm_cosine.w_values, in order,
+    starting from an empty memo of bases."""
+    monkeypatch.setattr(sm_cosine, "_kept", [])
     calls = []
     w_values = sm_cosine.w_values
 
@@ -166,3 +169,59 @@ def test_approx_nu_evaluates_its_xi_grid_once(sm_cosine, w_calls):
     xi = np.linspace(sm_cosine._a_eff, 6.0, 3001)
     approx_nu(1.0, 1.5, sm_cosine, xi_grid=xi)
     assert w_calls.count(len(xi)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the memo of bases across calls
+
+
+def test_equal_grid_is_not_evaluated_again(sm_cosine, w_calls):
+    sm = sm_cosine
+    coef = np.exp(-0.1 * sm.lambdas)
+    W = sm.basis(GRID).W
+    again = sm.basis(GRID.copy())
+    out = sm.synthesize(coef, list(GRID))
+    assert w_calls == [len(GRID)]
+    fresh = sm.w_values(GRID)
+    assert np.array_equal(again.W, fresh) and np.array_equal(W, fresh)
+    assert np.array_equal(out, (sm.masses * coef) @ fresh)
+
+
+def test_grid_changed_in_place_is_evaluated_again(sm_cosine, w_calls):
+    grid = GRID.copy()
+    sm_cosine.basis(grid)
+    grid[600] += 1e-3
+    W = sm_cosine.basis(grid).W
+    assert w_calls == [len(GRID), len(GRID)]
+    assert np.array_equal(W, sm_cosine.w_values(grid))
+
+
+def test_kept_values_are_read_only(sm_cosine, w_calls):
+    W = sm_cosine.basis(GRID).W
+    with pytest.raises(ValueError):
+        W[0, 0] = 2.0
+    assert sm_cosine.w_values(GRID).flags.writeable
+
+
+def test_reused_grid_outlives_one_off_grids(sm_cosine, w_calls):
+    # the order of the benchmark's spectral sums: a transform and its
+    # inverse on one grid, product kernels on grids of their own, then the
+    # first grid again
+    sm = sm_cosine
+    tbl = forward_transform(bump_function(3.0, 1.5, GRID), sm)
+    inverse_transform(tbl, sm, GRID)
+    for top in (5.0, 6.0, 7.0):
+        sm.basis(np.linspace(sm._a_eff, top, 3001))
+    translate(bump_function(3.5, 2.0, GRID), 1.3, sm, t_reg=1e-6,
+              out_grid=GRID)
+    assert w_calls == [len(GRID), 3001, 3001, 3001, 1]
+
+
+def test_oversize_values_are_not_kept(sm_cosine, w_calls):
+    sm = sm_cosine
+    sm.basis(GRID)
+    big = np.linspace(sm._a_eff, 12.0, sm._w.c.shape[0] + 1)
+    assert sm.basis(big).W.size > sm._w.c.size
+    sm.basis(big)
+    sm.basis(GRID)
+    assert w_calls == [len(GRID), len(big), len(big)]

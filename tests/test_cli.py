@@ -2,6 +2,7 @@
 config file handling."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from slhyper.cli import _EigenPair, main
 from slhyper.kernel import KernelEvaluator
 from slhyper.operator import builtin_operator, build_standard_form
-from slhyper.spectral import heat_kernel_grid
+from slhyper.spectral import SpectralMeasure, heat_kernel_grid
 
 # a small measure, cheap to build
 SMALL = ["--N", "512", "--lambda-max", "100"]
@@ -295,6 +296,57 @@ def test_arguments_checked_before_measure_build(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("slhyper: error:")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--x", ["product", "--t", "0.5", "--x", "nan", "--y", "1"]),
+    ("--x", ["support", "--x", "nan", "--y", "1"]),
+    ("--y", ["translate", "--h", "h.csv", "--y", "inf"]),
+    ("--x-grid", ["heatkernel", "--t", "0.5", "--x-grid", "0:nan:7",
+                  "--y-grid", "1.0"]),
+    ("--lambda-max", ["spectrum", "--lambda-max", "inf"]),
+    ("--lambda", ["kernel", "--lambda", "nan", "--x", "0:1:2"]),
+    ("--lambda", ["kernel", "--lambda", "4.0,inf", "--x", "0:1:2"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_numbers_rejected_first(flag, argv, monkeypatch, capsys):
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    monkeypatch.setattr(cli, "KernelEvaluator", lambda spec: pytest.fail("ran"))
+    assert run(argv) == 1
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+
+
+# the README commands that build a measure, as written but for --lambda-max
+README_MEASURES = [
+    ["spectrum"],
+    ["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12", "--N", "2048"],
+    ["transform", "--h", "PROFILE"],
+    ["heatkernel", "--t", "0.25", "--x-grid", "0:8:81", "--y-grid", "1.0"],
+    ["product", "--t", "0.01", "--x", "2.0", "--y", "1.0"],
+    ["translate", "--h", "PROFILE", "--y", "1.5", "--t-reg", "1e-4"],
+    ["convolve", "--h", "PROFILE", "--g", "PROFILE"],
+    ["cauchy", "--h", "PROFILE", "--grid", "0:10:101"],
+    ["solve-inteq", "--f", "heatkernel:0.25,1.0", "--psi", "PROFILE"],
+]
+
+
+@pytest.mark.parametrize("argv", README_MEASURES, ids=lambda argv: argv[0])
+def test_readme_commands_at_the_default_lambda_max(argv, tmp_path):
+    profile = str(_write_bump(tmp_path / "profile.csv"))
+    out = tmp_path / "out.csv"
+    argv = [profile if a == "PROFILE" else a for a in argv]
+    assert run([*argv, "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+    # cauchy leaves its pde_residual column NaN on a border two points wide
+    values = rows[:, :3] if argv[0] == "cauchy" else rows
+    assert len(rows) > 0 and np.all(np.isfinite(values))
+    if argv == ["spectrum"]:
+        # criterion 04's oracle, rho[0, lam] = 2 sqrt(lam) / pi
+        atoms = SimpleNamespace(lambdas=rows[:, 1], masses=rows[:, 2])
+        for lam in (1.0, 4.0, 16.0):
+            got = SpectralMeasure.cumulative(atoms, lam)
+            assert abs(got - 2.0 * np.sqrt(lam) / np.pi) <= 0.02
 
 
 @pytest.mark.parametrize("bad_row", ["2,oops", "2"])
