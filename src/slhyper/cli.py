@@ -291,11 +291,27 @@ def _triangle(args) -> dict:
         v, args.c, args.x, args.y, certify_mp(sf), n=args.n))
 
 
+def _heat_slice(text: str) -> tuple[float, float] | None:
+    """(t, x) of a --f heatkernel:t,x kernel: two finite numbers, t > 0;
+    None for a CSV path."""
+    if not text.startswith("heatkernel:"):
+        return None
+    try:
+        t, x = (float(v) for v in text[len("heatkernel:"):].split(","))
+    except ValueError:
+        raise ValueError("--f heatkernel:t,x needs two numbers t,x") from None
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise ValueError("--f heatkernel:t,x must be finite")
+    if t <= 0:
+        raise ValueError("--f heatkernel:t,x needs t > 0")
+    return t, x
+
+
 def _solve_inteq(args):
+    heat = _heat_slice(args.f)
     psi = _read_grid_function(args.psi)
-    if args.f.startswith("heatkernel:"):
-        t, x = (float(v) for v in args.f[len("heatkernel:"):].split(","))
-        sol = solve_qt_equation(t, x, psi, _measure(args))
+    if heat:
+        sol = solve_qt_equation(*heat, psi, _measure(args))
     else:
         f = _read_grid_function(args.f)
         sm = _measure(args)

@@ -4,10 +4,11 @@ heat kernel.
 The measure rho on [sigma^2, oo) is approximated by the eigenvalues of the
 operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
 carrying mass 1/||w_lambda||^2.  The eigenvalues of the finite-volume
-matrix come from bisection, then its eigenvectors from inverse iteration
-per run of close eigenvalues, cut by relative gap: LAPACK's own cluster
-test is an absolute gap, which on these graded matrices would
-reorthogonalize the whole wanted spectrum (``_eigen_solve``).  Eigenvalues
+matrix are located by a short bisection, then its eigenvectors come from
+inverse iteration per run of close eigenvalues, cut by relative gap:
+LAPACK's own cluster test is an absolute gap, which on these graded
+matrices would reorthogonalize the whole wanted spectrum (``_eigen_solve``).
+Each eigenvalue is the Rayleigh quotient of its vector.  Eigenvalues
 and masses are Richardson extrapolated across a grid halving, which removes
 the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
@@ -274,16 +275,59 @@ def _runs(vals: np.ndarray, iblock: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+# rows per block of the Rayleigh quotient's sum; its two (rows, K) temporaries
+# stay small beside the eigenvector table (256 rows raised the peak RSS)
+_RQ_ROWS = 64
+
+
+def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
+                        vecs: np.ndarray) -> np.ndarray:
+    """v^T T v for every column v of vecs, T the symmetric tridiagonal
+    matrix (diag, off), written as a sum of squares,
+
+        sum_i g_i v_i^2 + sum_i |off_i| (v_i + sign(off_i) v_{i+1})^2,
+        g_i = diag_i - |off_{i-1}| - |off_i|,
+
+    so that the terms of size ||T|| v_i^2 do not cancel in floating point:
+    on a Sturm-Liouville matrix g is a small potential and the second sum
+    the discrete energy, both nearly free of cancellation.  The sum over
+    diag v^2 + 2 off v v' loses eps ||T|| to it, 7e-9 relative on the
+    Whittaker matrix at N=4096.  Summed in blocks of rows, so no
+    temporary the size of vecs is made.
+    """
+    a = np.abs(off)
+    g = diag.copy()
+    g[:-1] -= a
+    g[1:] -= a
+    sgn = np.sign(off)[:, None]
+    lam = np.einsum("i,ik,ik->k", g, vecs, vecs)
+    for lo in range(0, len(off), _RQ_ROWS):
+        hi = min(lo + _RQ_ROWS, len(off))
+        dv = vecs[lo:hi] + sgn[lo:hi] * vecs[lo + 1:hi + 1]
+        lam += np.einsum("i,ik,ik->k", a[lo:hi], dv, dv)
+    return lam
+
+
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
-    matrix (diag, off), ascending, with orthonormal eigenvectors as columns:
-    bisection (LAPACK stebz, with the arguments that
-    ``eigh_tridiagonal(select="v")`` passes), then inverse iteration
-    (stein), one call per run of close eigenvalues (``_runs``), so only the
-    vectors of one run are orthogonalized against each other."""
+    matrix (diag, off), ascending, with orthonormal eigenvectors as columns.
+
+    Bisection (LAPACK stebz, with the arguments that
+    ``eigh_tridiagonal(select="v")`` passes) only locates each eigenvalue to
+    an absolute 1e-8 max(1, lambda_max), which is close enough for inverse
+    iteration (stein) to converge in its usual few steps; stein runs once
+    per run of close eigenvalues (``_runs``), so only the vectors of one run
+    are orthogonalized against each other.  Each eigenvalue is then the
+    Rayleigh quotient of its unit vector (``_rayleigh_quotients``), whose
+    error is the square of the vector's residual over the gap (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 4): far below the bisection
+    tolerance, and below the ulp ||T|| that a full bisection reaches, which
+    on the graded matrices is 1e-6 of the lowest eigenvalues.
+    """
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
     m, w, iblock, isplit, info = stebz(diag, off, 1, -1e-9, lambda_max,
-                                       0, 0, 0.0, "B")
+                                       0, 0, 1e-8 * max(1.0, lambda_max),
+                                       "B")
     if info != 0:
         raise LinAlgError(f"bisection failed (stebz info {info})")
     w, iblock = w[:m], iblock[:m]
@@ -296,12 +340,13 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
         vecs[:, lo:hi], info = stein(diag, off, w[lo:hi], blk, isplit)
         if info != 0:
             raise LinAlgError(f"inverse iteration failed (stein info {info})")
+    lam = _rayleigh_quotients(diag, off, vecs)
     # block order to ascending order; a single block is ascending already,
     # and then no copy of the vectors is made
-    order = np.argsort(w)
+    order = np.argsort(lam)
     if np.any(order != np.arange(m)):
-        w, vecs = w[order], vecs[:, order]
-    return w, vecs
+        lam, vecs = lam[order], vecs[:, order]
+    return lam, vecs
 
 
 def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
@@ -316,12 +361,16 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
     their roundoff (eps times the matrix norm) would pollute the small
     eigenvalues.
 
-    The eigenpairs below lambda_max come from bisection, then inverse
-    iteration per run of close eigenvalues (``_eigenpairs``).  LAPACK's own
+    The eigenpairs below lambda_max come from a bisection to 1e-8
+    max(1, lambda_max), inverse iteration per run of close eigenvalues and
+    the Rayleigh quotient of each vector (``_eigenpairs``).  LAPACK's own
     cluster test is absolute, a gap of 1e-3 ||T||_1, and ||T||_1 reaches
     1e4 to 1e10 here, so it would reorthogonalize every wanted eigenvector
     against all the others, an O(N K^2) Gram-Schmidt, though the relative
-    gaps of a Sturm-Liouville spectrum, about 2/k, need none of it.
+    gaps of a Sturm-Liouville spectrum, about 2/k, need none of it.  For
+    the same reason a bisection to ulp ||T|| would leave the lowest
+    eigenvalues 1e-6 off on the graded matrices, and the Rayleigh quotient
+    does not.
     """
     nodes = _node_grid(a_eff, L, N, grade)
     faces = np.empty(N + 1)
@@ -367,7 +416,10 @@ def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     Each atom is fitted on a window of leading nodes: up to 80 where the
     series converges fast (S lambda <= 0.5), or, with fewer than 3 such
     nodes, the first 20.  S grows with x, so every window is a prefix of
-    the nodes, and one batched kernel evaluation serves all atoms.
+    the nodes.  The series atoms take the series alone, summed to its
+    bound at S lambda = 0.5, and each is read only on its own window; the
+    fallback atoms take one batched kernel evaluation on their 20 nodes,
+    so no ODE runs past a window.
     """
     N = len(nodes)
     us = table[1:-1]
@@ -376,11 +428,21 @@ def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     S_nodes = np.where(in_table, np.interp(nodes, table_xs, evaluator._S), np.inf)
     n_win = np.minimum(np.searchsorted(S_nodes, 0.5 / np.maximum(vals, 1e-30),
                                        side="right"), 80)
-    n_win[n_win < 3] = min(20, N)
+    fallback = n_win < 3
+    n_fb = min(20, N)
+    n_win[fallback] = n_fb
     M = int(n_win.max())
-    ser, _, _ = evaluator.eval_many(vals, nodes[:M])
+    w_win = np.zeros((len(vals), M))
+    if not fallback.all():
+        # past its own window an atom's series values are not summed
+        M_ser = int(n_win[~fallback].max())
+        w_win[~fallback, :M_ser] = evaluator._series(vals[~fallback],
+                                                     nodes[:M_ser], 0.5)[0]
+    if fallback.any():
+        w_win[fallback, :n_fb] = evaluator.eval_many(vals[fallback],
+                                                     nodes[:n_fb])[0].real
     u_win = np.where(np.arange(M) < n_win[:, None], us[:M].T, 0.0)
-    c = np.sum(u_win * ser.real, axis=1) / np.sum(u_win * u_win, axis=1)
+    c = np.sum(u_win * w_win, axis=1) / np.sum(u_win * u_win, axis=1)
     us *= c
     # left endpoint: w_lambda -> 1 at a by construction; Dirichlet at L
     table[0] = 1.0

@@ -317,6 +317,22 @@ def test_non_finite_numbers_rejected_first(flag, argv, monkeypatch, capsys):
     assert f"error: {flag} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["heatkernel:nan,1.0", "heatkernel:0.25,inf",
+                               "heatkernel:0.25", "heatkernel:0.25,1.0,2",
+                               "heatkernel:0,1.0"])
+def test_heatkernel_f_checked_first(f, tmp_path, monkeypatch, capsys):
+    """--f heatkernel:t,x takes two finite numbers with t > 0, checked
+    before --psi is read (here it is missing) or the measure is built."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    assert run(["solve-inteq", "--f", f,
+                "--psi", str(tmp_path / "missing.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error: --f heatkernel:t,x")
+    assert "missing.csv" not in err
+
+
 # the README commands that build a measure, as written but for --lambda-max
 README_MEASURES = [
     ["spectrum"],

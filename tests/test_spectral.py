@@ -4,10 +4,11 @@ the heat kernel."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
-from slhyper.kernel import _row_spline
+from slhyper.kernel import KernelEvaluator, _row_spline
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
                               build_spectral_measure, bump_function,
@@ -61,6 +62,14 @@ def test_bessel_atom_masses(sm_bessel):
     low = sm_bessel.lambdas <= 400.0
     want = 2.0 * sm_bessel.lambdas[low] / sm_bessel.L
     assert np.allclose(sm_bessel.masses[low], want, rtol=1e-4, atol=0.0)
+
+
+def test_bessel_eigenvalues_closed_form(sm_bessel):
+    # alpha = 1/2: w = sin(k x)/(k x) vanishes at L for k = n pi / L
+    n = np.arange(1, len(sm_bessel) + 1)
+    want = (n * np.pi / sm_bessel.L) ** 2
+    assert np.max(np.abs(sm_bessel.lambdas - want) / want) <= 2e-6
+    assert abs(sm_bessel.lambdas[0] - want[0]) <= 1e-8
 
 
 def test_cumulative_monotone(sm_cosine):
@@ -264,3 +273,76 @@ def test_eigenpairs_of_a_split_matrix_come_out_ascending():
     assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
     gram = vecs.T @ vecs
     assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
+
+
+# (operator, L, N, lambda_max): the three families of the measure-build
+# benchmark, and the sm_cosine_dense fixture, whose lambda_max gives the
+# loosest bisection tolerance
+SL_MATRICES = [
+    ("cosine", 16.0, 2048, 1600.0),
+    ("bessel?alpha=0.5", 12.0, 4096, 1600.0),
+    ("whittaker?alpha=0.25&kappa=1.0", 12.0, 4096, 1600.0),
+    ("cosine", 20.0, 4096, 1.0e4),
+]
+
+
+@pytest.mark.parametrize("name, L, N, lambda_max", SL_MATRICES)
+def test_eigenpairs_match_mrrr(name, L, N, lambda_max, monkeypatch):
+    """On the fine and the coarse matrix of each build, the eigenvalues
+    agree with MRRR (LAPACK stemr) within 1e-9 max(1, |lambda|).  A full
+    bisection misses this on the graded Bessel matrices by 1e-6, its
+    tolerance ulp ||T|| with ||T|| about 1e10."""
+    mats = []
+    eigenpairs = spectral._eigenpairs
+
+    def spy(diag, off, lam_max):
+        vals, vecs = eigenpairs(diag, off, lam_max)
+        mats.append((diag, off, lam_max, vals))
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_eigenpairs", spy)
+    build_spectral_measure(builtin_operator(name), L, N, lambda_max=lambda_max)
+    assert len(mats) == 2
+    for diag, off, lam_max, vals in mats:
+        ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                               select_range=(-1e-9, lam_max),
+                               lapack_driver="stemr")
+        assert len(vals) == len(ref)
+        assert np.all(np.abs(vals - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("name, L, N, n_ode", [
+    ("cosine", 16.0, 2048, 1),
+    ("whittaker?alpha=0.25&kappa=1.0", 12.0, 4096, 0),
+])
+def test_normalization_integrates_only_fallback_windows(name, L, N, n_ode,
+                                                        monkeypatch):
+    """The normalization reads each atom on its own window of leading
+    nodes.  Where the series covers at least 3 of them, no ODE runs: on
+    Whittaker at all, and on cosine's fine level.  On cosine's coarse
+    level (N=1024) the atoms above about lambda 455 have fewer than 3 such
+    nodes; their one stacked solve stops at the last node of their window,
+    the 20th."""
+    events = []
+    eigen_solve = spectral._eigen_solve
+    integrate = KernelEvaluator._integrate
+
+    def spy_solve(*args):
+        out = eigen_solve(*args)
+        events.append(("level", out[0]))
+        return out
+
+    def spy_integrate(self, lams, x0, w0, w10, xs):
+        events.append(("ode", np.max(xs)))
+        return integrate(self, lams, x0, w0, w10, xs)
+
+    monkeypatch.setattr(spectral, "_eigen_solve", spy_solve)
+    monkeypatch.setattr(KernelEvaluator, "_integrate", spy_integrate)
+    build_spectral_measure(builtin_operator(name), L, N, lambda_max=1600.0)
+    assert [kind for kind, _ in events].count("ode") == n_ode
+    nodes = None
+    for kind, value in events:
+        if kind == "level":
+            nodes = value
+        else:
+            assert value <= nodes[19]
