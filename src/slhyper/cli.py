@@ -261,8 +261,8 @@ class _EigenPair:
         if key not in self._known:
             pts, where = np.unique(xi, return_inverse=True)
             x = self.sf.gamma_inv(pts)
-            # roots of nearly equal targets can swap order within brentq's
-            # xtol, and eval_grid needs a sorted grid
+            # roots of nearly equal targets can swap order by an ulp, and
+            # eval_grid needs a sorted grid
             order = np.argsort(x, kind="stable")
             x = x[order]
             w, w1, _ = self.ev.eval_grid(self.lam, x)

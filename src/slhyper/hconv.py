@@ -92,14 +92,14 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
         xi_grid = default_xi_grid(sm, t, x, y)
     xi = sm.basis(xi_grid)
     pk = _product_density(t, x, y, xi, sm)
-    ev = sm.evaluator
     if lam == 0.0:
         return abs(1.0 - pk.mass)
-    w_xi, _, _ = ev.eval_grid(lam, xi.grid)
-    rhs = float(np.sum(w_xi.real * pk.values * xi.rw))
-    wx = ev.eval_w(lam, x).w.real
-    wy = ev.eval_w(lam, y).w.real if y != x else wx
-    return abs(math.exp(-t * lam) * wx * wy - rhs)
+    # one solve for the xi grid and both points
+    pts, where = np.unique(np.concatenate([xi.grid, [x, y]]),
+                           return_inverse=True)
+    w = sm.evaluator.eval_grid(lam, pts)[0].real[where]
+    rhs = float(np.sum(w[:-2] * pk.values * xi.rw))
+    return abs(math.exp(-t * lam) * w[-2] * w[-1] - rhs)
 
 
 # ---------------------------------------------------------------------------

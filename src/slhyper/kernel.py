@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -39,7 +38,7 @@ from scipy.sparse import csr_array
 
 from .operator import OperatorSpec
 
-__all__ = ["KernelValue", "KernelEvaluator", "KappaShiftedOperator"]
+__all__ = ["KernelEvaluator", "KappaShiftedOperator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
@@ -211,15 +210,6 @@ def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> BSpline:
             c[:, j:j + _SPLINE_BLOCK] += part
     return BSpline.construct_fast(tau, c.reshape(len(tau) - 4, *lead), 3,
                                   axis=len(lead))
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    lam: complex
-    x: float
-    w: complex
-    w1: complex
-    est_error: float
 
 
 class KernelEvaluator:
@@ -424,11 +414,6 @@ class KernelEvaluator:
         y = sol.y[:, where]
         z = y[0::2] + 1j * y[1::2] if paired else y.astype(complex)
         return z[:K], z[K:]
-
-    def eval_w(self, lam: complex, x: float) -> KernelValue:
-        w, w1, err = self.eval_grid(lam, [float(x)])
-        return KernelValue(lam=complex(lam), x=float(x), w=complex(w[0]),
-                           w1=complex(w1[0]), est_error=err)
 
     def eval_w_shifted(self, lam, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
         """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point.

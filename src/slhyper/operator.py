@@ -4,9 +4,11 @@ monotonicity certificate used by the convolution machinery.
 An operator is the differential expression ``-(1/r)(p u')'`` on an open
 interval ``(a, b)``.  The standard form re-parametrises it through the
 monotone map ``gamma(x) = int_c^x sqrt(r/p)`` into ``-(1/A)(A u')'`` with
-``A = sqrt(p r) o gamma^{-1}``.  ``gamma`` and ``gamma_inv`` take arrays
-and chain their quadratures from point to point; assumption MP's
-``phi_eta`` and ``psi_eta`` are written once, in ``mp_coefficients``.
+``A = sqrt(p r) o gamma^{-1}``.  ``gamma`` is tabulated once, on cells
+that shrink geometrically toward both ends; ``gamma``, ``gamma_inv`` (both
+on arrays), ``gamma(a)`` and the divergence check of ``gamma(b)`` read that
+table.  Assumption MP's ``phi_eta`` and ``psi_eta`` are written once, in
+``mp_coefficients``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .expr import CoefficientExpr, parse_expression
 
@@ -39,6 +40,14 @@ __all__ = [
 _QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-11)
 _VALIDATE_PROBES = 1000
 _MP_PROBES = 512
+# the gamma table: nodes per halving of the distance to an end, and
+# halvings per side (to |x - c| = 2^60 at an infinite end)
+_NODES_PER_HALVING = 8
+_HALVINGS = 60
+# below this a coefficient is a subnormal float whose spacing, 2^-1074, is
+# more than 1e-13 of it, so sqrt(r/p) has lost digits
+_COEF_FLOOR = 2.0 ** -1074 / 1e-13
+_NEWTON_STEPS = 4
 
 _real_quad = quad
 
@@ -49,6 +58,20 @@ def quad(*args, **kwargs):  # noqa: A001 - deliberate local shadow
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return _real_quad(*args, **kwargs)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integral of f over each segment [lo_i, hi_i]."""
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    tot = np.zeros_like(mid)
+    for xg, wg in zip(_GL_X, _GL_W):
+        with np.errstate(all="ignore"):
+            tot += wg * f(mid + half * xg)
+    return tot * half
 
 
 def probe_points(a: float, b: float) -> np.ndarray:
@@ -153,6 +176,25 @@ def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
             "refinement_trace": trace}
 
 
+def _outward_nodes(c: float, end: float) -> np.ndarray:
+    """c, then _NODES_PER_HALVING nodes per halving of the distance to a
+    finite end; toward an infinite end |x - c| = 2^(k/8) - 1, up to 2^60."""
+    k = np.arange(_HALVINGS * _NODES_PER_HALVING + 1) / _NODES_PER_HALVING
+    if math.isinf(end):
+        return c + math.copysign(1.0, end) * (2.0 ** k - 1.0)
+    x = end + (c - end) * 2.0 ** -k
+    x[0] = c
+    return x
+
+
+def _quarterings(inc: np.ndarray, n_full: int, k_max: int) -> list[float]:
+    """|int sqrt(r/p)| over each of the first k_max full quarterings of the
+    distance from c to an end, from the first n_full cell integrals."""
+    per = 2 * _NODES_PER_HALVING
+    k = min(n_full // per, k_max)
+    return np.abs(inc[:k * per]).reshape(k, per).sum(axis=1).tolist()
+
+
 class StandardForm:
     """gamma, A, sigma and the Liouville potential of an operator."""
 
@@ -161,112 +203,80 @@ class StandardForm:
         self.c = c
         self._p1 = spec.p.diff()
         self._r1 = spec.r.diff()
-        self.gamma_a = self._compute_gamma_a()
-        self._check_gamma_b_diverges()
+        x_a, inc_a, full_a = self._side(spec.a)
+        x_b, inc_b, full_b = self._side(spec.b)
+        x = np.concatenate([x_a[:0:-1], x_b])
+        g = np.concatenate([np.cumsum(inc_a)[::-1], [0.0], np.cumsum(inc_b)])
+        # cells whose integral is below the spacing of gamma add no node
+        self._g, keep = np.unique(g, return_index=True)
+        self._x = x[keep]
+        left = _quarterings(inc_a, full_a, 14)
+        self.gamma_a = -_tail_limit(left) if len(left) >= 3 else -math.inf
+        right = _quarterings(inc_b, full_b, 11)
+        if right and right[-1] < 1e-6 * (1.0 + sum(right[:-1])):
+            raise ValueError(
+                f"{spec.name}: gamma stays bounded near b (gamma(b) must diverge)")
         self.sigma, self.sigma_trace = self._estimate_sigma()
 
     # -- gamma ------------------------------------------------------------
 
     def _sqrt_rp(self, x):
-        return math.sqrt(self.spec.r(x) / self.spec.p(x))
+        """sqrt(r/p) where p and r keep their digits, nan elsewhere."""
+        with np.errstate(all="ignore"):
+            p, r = self.spec.p(x), self.spec.r(x)
+            s = np.sqrt(r / p)
+        return np.where((np.minimum(p, r) >= _COEF_FLOOR) & (s > 0.0)
+                        & (s < math.inf), s, math.nan)
+
+    def _side(self, end: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """Nodes from c toward end, the signed integral of sqrt(r/p) over
+        each cell between them, and the number of full cells.  The cells
+        stop before the first one where p or r loses its digits; one last
+        partial cell reaches the edge of that run, found by bisection."""
+        x = _outward_nodes(self.c, end)
+        inc = _seg_integral(self._sqrt_rp, x[:-1], x[1:])
+        bad = ~np.isfinite(inc + self._sqrt_rp(x[1:]))
+        if not bad.any():
+            return x, inc, len(inc)
+        n = int(np.argmax(bad))
+        near, far = x[n], x[n + 1]
+        while (mid := 0.5 * (near + far)) not in (near, far):
+            if np.isfinite(self._sqrt_rp(mid)):
+                near = mid
+            else:
+                far = mid
+        edge = _seg_integral(self._sqrt_rp, x[n], near)
+        if np.isfinite(edge):
+            return np.append(x[:n + 1], near), np.append(inc[:n], edge), n
+        return x[:n + 1], inc[:n], n
 
     def gamma(self, x):
-        """int_c^x sqrt(r/p) for a number, one quadrature from c, or for an
-        array, by quadrature over the increments of its sorted points."""
+        """int_c^x sqrt(r/p), for a number or an array: the table value at
+        the node below x, or at the end node off the table, plus one
+        Gauss-Legendre integral from that node; nan where p or r has lost
+        its digits."""
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        prev_x, prev_g = self.c, 0.0
-        for i in np.argsort(flat):
-            out[i] = prev_g + quad(self._sqrt_rp, prev_x, flat[i], **_QUAD_OPTS)[0]
-            prev_x, prev_g = flat[i], out[i]
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        i = np.clip(np.searchsorted(self._x, x, side="right") - 1,
+                    0, len(self._x) - 1)
+        out = self._g[i] + _seg_integral(self._sqrt_rp, self._x[i], x)
+        return float(out) if out.ndim == 0 else out
 
     def gamma_inv(self, xi):
-        """x with gamma(x) = xi, for a number or an array.  The sorted
-        targets are solved outward from gamma(c) = 0, each bracketed and
-        integrated from the previous root; roots of nearly equal targets
-        may come out of order within brentq's xtol."""
+        """x with gamma(x) = xi, for a number or an array: linear
+        interpolation within the target's table cell, then Newton steps
+        with slope sqrt(r/p), each clipped to that cell.  Targets off the
+        table raise ValueError."""
         xi = np.asarray(xi, dtype=float)
-        flat = xi.ravel()
-        out = np.empty_like(flat)
-        order = np.argsort(flat, kind="stable")
-        split = int(np.searchsorted(flat[order], 0.0))
-        for run in (order[split:], order[:split][::-1]):
-            x, g = self.c, 0.0
-            for i in run:
-                x, g = self._root_from(x, g, flat[i])
-                out[i] = x
-        return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
-
-    def _root_from(self, x0: float, g0: float, t: float) -> tuple[float, float]:
-        """(x, gamma(x)) with gamma(x) = t, from x0 where gamma(x0) = g0: the
-        bracket grows outward by the Newton step, doubled until it holds
-        the root, and toward a finite end by a quarter of what is left.
-        Where the integral is not finite, as where p and r both underflow,
-        the far end is bisected back toward the near one.  Later far ends
-        halve the way to the nearest such point; a target that twice the
-        slope at the near end would not reach before it counts as out of
-        range."""
-        a, b = self.spec.a, self.spec.b
-        sign = 1.0 if t >= g0 else -1.0
-
-        def excess(x):
-            return g0 + quad(self._sqrt_rp, x0, x, **_QUAD_OPTS)[0] - t
-
-        slope = self._sqrt_rp(x0)
-        step = abs(t - g0) / slope if 0.0 < slope < math.inf else 1.0
-        near = far = x0
-        edge = None
-        f_far = g0 - t
-        while sign * f_far < 0.0:
-            if step > 1e12:
-                raise ValueError("gamma_inv: target beyond reachable range")
-            near = far
-            if sign > 0:
-                far = far + step if math.isinf(b) else \
-                    min(far + step, b - 1e-15 * max(1.0, abs(b)))
-            else:
-                far = far - step if math.isinf(a) else \
-                    max(far - step, a + (far - a) / 4.0)
-            if edge is not None and sign * (far - edge) >= 0.0:
-                # f_far is still the excess at near
-                far = 0.5 * (near + edge)
-                if far in (near, edge) or \
-                        abs(f_far) > 2.0 * self._sqrt_rp(near) * abs(edge - near):
-                    raise ValueError("gamma_inv: target beyond reachable range")
-            f_far = excess(far)
-            while not math.isfinite(f_far):
-                edge, far = far, 0.5 * (near + far)
-                if far in (near, edge):
-                    raise ValueError("gamma_inv: target beyond reachable range")
-                f_far = excess(far)
-            step *= 2.0
-        if f_far == 0.0:
-            return far, t
-        x = brentq(excess, near, far, xtol=1e-12, rtol=8.9e-16)
-        return x, t + excess(x)
-
-    def _pieces(self, cuts) -> list[float]:
-        """|int sqrt(r/p)| from c to the first cut and between consecutive
-        cuts, each integrated over increasing x."""
-        edges = [self.c, *cuts]
-        return [quad(self._sqrt_rp, min(u, v), max(u, v), **_QUAD_OPTS)[0]
-                for u, v in zip(edges, edges[1:])]
-
-    def _compute_gamma_a(self) -> float:
-        return -_tail_limit(self._pieces(_left_cut_sequence(self.spec.a, self.c)))
-
-    def _check_gamma_b_diverges(self) -> None:
-        b = self.spec.b
-        if math.isinf(b):
-            cuts = [self.c + 4.0 ** k for k in range(1, 12)]
-        else:
-            cuts = [b - (b - self.c) * 4.0 ** (-k) for k in range(1, 12)]
-        incs = self._pieces(cuts)
-        if incs[-1] < 1e-6 * (1.0 + sum(incs[:-1])):
-            raise ValueError(
-                f"{self.spec.name}: gamma stays bounded near b (gamma(b) must diverge)")
+        g, nodes = self._g, self._x
+        if not np.all((xi >= g[0]) & (xi <= g[-1])):
+            raise ValueError("gamma_inv: target beyond reachable range")
+        i = np.clip(np.searchsorted(g, xi, side="right") - 1, 0, len(g) - 2)
+        lo, hi = nodes[i], nodes[i + 1]
+        x = lo + (xi - g[i]) / (g[i + 1] - g[i]) * (hi - lo)
+        for _ in range(_NEWTON_STEPS):
+            excess = g[i] + _seg_integral(self._sqrt_rp, lo, x) - xi
+            x = np.clip(x - excess / self._sqrt_rp(x), lo, hi)
+        return float(x) if x.ndim == 0 else x
 
     # -- A and derived quantities ------------------------------------------
 
@@ -352,12 +362,10 @@ def certify_mp(sf: StandardForm, eta: CoefficientExpr | None = None) -> MpCertif
         eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0", "x")
     xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
-    with np.errstate(all="ignore"):
-        pv, rv = sf.spec.p(xs), sf.spec.r(xs)
-        keep = (pv > 0) & (rv > 0) & np.isfinite(rv / pv) \
-            & np.isfinite(sf._half_log_pr_deriv(xs))
-    xs = xs[keep]
     xi = sf.gamma(xs)
+    with np.errstate(all="ignore"):
+        keep = np.isfinite(xi) & np.isfinite(sf._half_log_pr_deriv(xs))
+    xs, xi = xs[keep], xi[keep]
     phi, psi = sf.mp_coefficients(eta, xs, xi)
 
     slack = 1e-9

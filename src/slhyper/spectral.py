@@ -37,7 +37,7 @@ from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .kernel import KernelEvaluator, _row_spline
-from .operator import OperatorSpec
+from .operator import OperatorSpec, _seg_integral
 
 __all__ = [
     "Basis",
@@ -244,20 +244,6 @@ class SpectralMeasure:
 def _node_grid(a_eff: float, L: float, N: int, grade: float) -> np.ndarray:
     u = np.arange(1, N + 1) / (N + 1)
     return a_eff + (L - a_eff) * u ** grade
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral of f over each segment [lo_i, hi_i]."""
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    tot = np.zeros_like(mid)
-    for xg, wg in zip(_GL_X, _GL_W):
-        with np.errstate(all="ignore"):
-            tot += wg * f(mid + half * xg)
-    return tot * half
 
 
 # relative eigenvalue gap below which inverse iteration orthogonalizes the

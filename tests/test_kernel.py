@@ -197,13 +197,6 @@ def test_negative_lambda_gives_cosh(ev_cosine):
     assert np.allclose(w.real, np.cosh(xs), rtol=1e-9)
 
 
-def test_eval_w_matches_eval_grid(ev_bessel):
-    val = ev_bessel.eval_w(5.0, 1.3)
-    w, _, _ = ev_bessel.eval_grid(5.0, np.array([1.3]))
-    assert val.w == pytest.approx(complex(w[0]), rel=1e-10)
-    assert val.est_error >= 0.0
-
-
 def test_point_outside_domain_rejected(ev_cosine):
     with pytest.raises(ValueError):
         ev_cosine.eval_grid(1.0, np.array([-0.5]))
@@ -252,7 +245,9 @@ def test_kappa_shift_ratio(ev_cosine):
 @given(lam=st.floats(0.0, 80.0), x=st.floats(0.0, 10.0))
 def test_boundedness_property(lam, x):
     ev = _shared_bessel()
-    assert abs(ev.eval_w(lam, x).w) <= 1.0 + 1e-9
+    w, _, err = ev.eval_grid(lam, [x])
+    assert abs(w[0]) <= 1.0 + 1e-9
+    assert err >= 0.0
 
 
 _BESSEL_CACHE = []

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slhyper.operator import (builtin_operator, build_standard_form,
-                              certify_mp, check_left_boundary, load_operator,
+from slhyper.expr import parse_expression
+from slhyper.operator import (OperatorSpec, builtin_operator,
+                              build_standard_form, certify_mp,
+                              check_left_boundary, load_operator,
                               support_params)
 
 
@@ -81,7 +83,7 @@ def test_gamma_inv_array_matches_scalar(name, request):
     got = sf.gamma_inv(xi.reshape(2, 4))
     assert got.shape == (2, 4)
     want = [sf.gamma_inv(t) for t in xi]
-    # each root is within brentq's xtol + rtol |x| of the true one
+    # the array's roots are the scalar ones, up to the Newton steps' rounding
     assert np.allclose(got.ravel(), want, rtol=2e-15, atol=2e-12)
 
 
@@ -90,19 +92,60 @@ def test_gamma_of_gamma_inv_array(name, request):
     sf = request.getfixturevalue(name)
     xi = np.array(_TARGETS[name])
     x = sf.gamma_inv(xi)
-    # one quadrature from c per point, and chained over the sorted array
+    # gamma of one point and of the whole array read the same table
     assert np.allclose([sf.gamma(v) for v in x], xi, rtol=0.0, atol=1e-10)
     assert np.allclose(sf.gamma(x), xi, rtol=0.0, atol=1e-10)
 
 
 def test_gamma_inv_whittaker_near_underflow(sf_whittaker):
     # gamma = log x here; below x ~ 1/745 exp(-1/x) underflows in both p and
-    # r, so the bracket toward 0 must step back from where the integral is
-    # not finite
+    # r, so the table toward 0 stops where they lose their digits
     assert sf_whittaker.gamma_inv(-6.0) == pytest.approx(math.exp(-6.0),
                                                          rel=0.0, abs=1e-10)
     with pytest.raises(ValueError, match="beyond reachable range"):
         sf_whittaker.gamma_inv(-8.0)
+
+
+@pytest.mark.parametrize("t", [-6.5, -6.55, -6.59, -6.6, -6.6001])
+def test_gamma_inv_whittaker_at_underflow_edge(sf_whittaker, t):
+    # p is subnormal from t ~ -6.55 and loses digits further down: a target
+    # there is either reached to full accuracy or out of range
+    try:
+        x = sf_whittaker.gamma_inv(t)
+    except ValueError as exc:
+        assert t < -6.55 and "beyond reachable range" in str(exc)
+    else:
+        assert x == pytest.approx(math.exp(t), rel=1e-12, abs=0.0)
+
+
+def _spec(a, b, p, r):
+    return OperatorSpec("closed-form", a, b, parse_expression(p),
+                        parse_expression(r))
+
+
+# (operator, c, gamma_a, sigma, points, gamma in closed form); for the unit
+# interval A = sqrt(p r) = 1/(1-x), so A'/(2A) = 1/2 at every xi
+_CLOSED_FORMS = {
+    "line": (_spec(-math.inf, math.inf, "1", "1"), 0.0, -math.inf, 0.0,
+             np.array([-1e6, -3.0, -1e-9, 0.0, 0.7, 40.0, 1e6]),
+             lambda x: x),
+    "unit": (_spec(0.0, 1.0, "1", "(1-x)^-2"), 0.5, -math.log(2.0), 0.5,
+             np.array([1e-9, 1e-3, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-6]),
+             lambda x: np.log(0.5 / (1.0 - x))),
+    "whittaker": (builtin_operator("whittaker?alpha=0.25&kappa=1.0"), 1.0,
+                  -math.inf, 0.25, np.geomspace(2e-3, 1e6, 37), np.log),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_gamma_closed_forms(name):
+    spec, c, gamma_a, sigma, xs, exact = _CLOSED_FORMS[name]
+    sf = build_standard_form(spec)
+    assert sf.c == c
+    assert sf.gamma_a == pytest.approx(gamma_a, abs=1e-10)
+    assert sf.sigma == pytest.approx(sigma, abs=1e-6)
+    assert np.allclose(sf.gamma(xs), exact(xs), rtol=1e-10, atol=1e-10)
+    assert np.allclose(sf.gamma_inv(sf.gamma(xs)), xs, rtol=1e-10, atol=1e-10)
 
 
 def test_sigma_estimates(sf_cosine, sf_bessel, sf_whittaker):
