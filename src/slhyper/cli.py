@@ -27,7 +27,7 @@ from .operator import (load_operator, build_standard_form, certify_mp,
 from .kernel import KernelEvaluator
 from .spectral import (GridFunction, build_spectral_measure, bump_function,
                        forward_transform, inverse_transform)
-from .hconv import (product_density, default_xi_grid, translate,
+from .hconv import (_xi_points, product_density, default_xi_grid, translate,
                     convolve_functions, classify_support)
 from .cauchy import _check_grids, solve_cauchy, triangle_identity_residual
 from .inteq import EquationProblem, solve_equation, solve_qt_equation
@@ -194,7 +194,7 @@ def _heatkernel(args):
 
 
 def _product(args):
-    xi = None if args.xi_grid is None else _parse_grid(args.xi_grid)
+    xi = None if args.xi_grid is None else _xi_points(_parse_grid(args.xi_grid))
     sm = _measure(args)
     if xi is None:
         xi = default_xi_grid(sm, args.t, args.x, args.y)

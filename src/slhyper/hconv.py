@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import StandardForm, SupportParams
-from .spectral import Basis, GridFunction, SpectralMeasure, _basis_on
+from .spectral import (Basis, GridFunction, SpectralMeasure, _basis_on,
+                       _r_weights)
 
 __all__ = [
     "ProductKernel",
@@ -64,19 +65,39 @@ def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
     return np.linspace(lo, hi, n)
 
 
+def _xi_points(xi_grid) -> np.ndarray:
+    """xi_grid as a float array, which must be finite, strictly increasing
+    and at least two points long."""
+    xi = np.asarray(xi_grid, dtype=float)
+    if (xi.ndim != 1 or len(xi) < 2 or not np.all(np.isfinite(xi))
+            or np.any(np.diff(xi) <= 0)):
+        raise ValueError("xi grid must be finite and strictly increasing, "
+                         "with at least two points")
+    return xi
+
+
 def product_density(t: float, x: float, y: float, xi_grid,
                     sm: SpectralMeasure) -> ProductKernel:
+    """q_t(x, y, .) on xi_grid, with its mass int q_t r dxi by the grid's
+    trapezoid weights.  The sum over atoms is one sm.synthesize.  On grids
+    of thousands of points, such as default_xi_grid's, it contracts the
+    spline's coefficients first, and then the eigenfunctions are evaluated
+    at x and y only, not on the grid.  The grid must be finite, strictly
+    increasing and at least two points long, or ValueError is raised."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return _product_density(t, x, y, sm.basis(xi_grid), sm)
+    xi = _xi_points(xi_grid)
+    return _product_density(t, x, y, xi, _r_weights(sm.spec, xi), sm)
 
 
-def _product_density(t: float, x: float, y: float, xi: Basis,
-                     sm: SpectralMeasure) -> ProductKernel:
+def _product_density(t: float, x: float, y: float, xi: np.ndarray,
+                     rw: np.ndarray, sm: SpectralMeasure) -> ProductKernel:
+    """q_t(x, y, .) on the checked grid xi, whose weights of int f r dx
+    are rw."""
     wxy = sm.w_values([x, y])
-    vals = xi.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1])
-    mass = float(np.sum(vals * xi.rw))
-    return ProductKernel(t=t, x=x, y=y, xi=xi.grid, values=vals, mass=mass)
+    vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1], xi)
+    mass = float(np.sum(vals * rw))
+    return ProductKernel(t=t, x=x, y=y, xi=xi, values=vals, mass=mass)
 
 
 def product_formula_residual(lam: float, t: float, x: float, y: float,
@@ -90,15 +111,15 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
         raise ValueError("t must be positive")
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, t, x, y)
-    xi = sm.basis(xi_grid)
-    pk = _product_density(t, x, y, xi, sm)
+    xi = _xi_points(xi_grid)
+    rw = _r_weights(sm.spec, xi)
+    pk = _product_density(t, x, y, xi, rw, sm)
     if lam == 0.0:
         return abs(1.0 - pk.mass)
     # one solve for the xi grid and both points
-    pts, where = np.unique(np.concatenate([xi.grid, [x, y]]),
-                           return_inverse=True)
+    pts, where = np.unique(np.concatenate([xi, [x, y]]), return_inverse=True)
     w = sm.evaluator.eval_grid(lam, pts)[0].real[where]
-    rhs = float(np.sum(w[:-2] * pk.values * xi.rw))
+    rhs = float(np.sum(w[:-2] * pk.values * rw))
     return abs(math.exp(-t * lam) * w[-2] * w[-1] - rhs)
 
 
@@ -143,13 +164,14 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
                              cauchy_gaps=np.zeros(0), mass=1.0)
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
-    xi = sm.basis(xi_grid)
-    W_probe = sm.evaluator.eval_many(probe_lambdas, xi.grid)[0].real
+    xi = _xi_points(xi_grid)
+    rw = _r_weights(sm.spec, xi)
+    W_probe = sm.evaluator.eval_many(probe_lambdas, xi)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
     for i, t in enumerate(ts):
-        pk = _product_density(t, x, y, xi, sm)
-        moments[i] = W_probe @ (pk.values * xi.rw)
+        pk = _product_density(t, x, y, xi, rw, sm)
+        moments[i] = W_probe @ (pk.values * rw)
         last = pk
     gaps = np.max(np.abs(np.diff(moments, axis=0)), axis=1)
     density = GridFunction(last.xi, last.values)

@@ -16,11 +16,9 @@ from __future__ import annotations
 import json
 import math
 import urllib.parse
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .expr import CoefficientExpr, parse_expression
 
@@ -37,7 +35,6 @@ __all__ = [
     "builtin_operator",
 ]
 
-_QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-11)
 _VALIDATE_PROBES = 1000
 _MP_PROBES = 512
 # the gamma table: nodes per halving of the distance to an end, and
@@ -48,17 +45,11 @@ _HALVINGS = 60
 # more than 1e-13 of it, so sqrt(r/p) has lost digits
 _COEF_FLOOR = 2.0 ** -1074 / 1e-13
 _NEWTON_STEPS = 4
-
-_real_quad = quad
-
-
-def quad(*args, **kwargs):  # noqa: A001 - deliberate local shadow
-    """scipy.integrate.quad with roundoff chatter silenced; accuracy is
-    audited by the refinement traces, not by per-call warnings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _real_quad(*args, **kwargs)
-
+# check_left_boundary: cells per piece between two cuts, and the relative
+# tolerance and the most halvings of each step of its inner integral
+_PIECE_CELLS = 16
+_ADAPT_RTOL = 1e-13
+_ADAPT_DEPTH = 30
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
@@ -139,38 +130,63 @@ def _tail_limit(increments: list[float]) -> float:
     return math.inf
 
 
+def _adaptive_integral(f, lo: np.ndarray, hi: np.ndarray,
+                       depth: int = _ADAPT_DEPTH) -> np.ndarray:
+    """Integral of f over each segment [lo_i, hi_i]: the 8-point
+    Gauss-Legendre sums over its two halves, each segment halved again
+    while they differ from the sum over the whole by more than
+    _ADAPT_RTOL of their value, at most depth times.  Segments whose
+    halves are not finite are not refined."""
+    whole = _seg_integral(f, lo, hi)
+    mid = (lo + hi) / 2
+    halves = _seg_integral(f, lo, mid) + _seg_integral(f, mid, hi)
+    with np.errstate(invalid="ignore"):
+        bad = np.isfinite(halves) & ~(np.abs(halves - whole)
+                                      <= _ADAPT_RTOL * np.abs(halves))
+    if depth and bad.any():
+        halves[bad] = (_adaptive_integral(f, lo[bad], mid[bad], depth - 1)
+                       + _adaptive_integral(f, mid[bad], hi[bad], depth - 1))
+    return halves
+
+
 def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
-    """Convergence check of the nested integral int_a^c int_y^c dx/p r(y) dy."""
+    """Convergence check of the nested integral int_a^c int_y^c dx/p r(y) dy.
+
+    The outer integral is summed piece by piece between the cuts of
+    ``_left_cut_sequence``, each piece split into _PIECE_CELLS equal cells
+    with the 8-point Gauss-Legendre rule.  The inner integral at all those
+    nodes is one cumulative table of int dx/p from c toward a, each step
+    between neighbouring nodes integrated by ``_adaptive_integral``, so an
+    exponentially singular 1/p keeps its accuracy.  Refinement stops at the
+    first piece that is not finite, where the coefficients have left the
+    float range, and the value is the tail limit of the pieces
+    (``_tail_limit``)."""
     if c is None:
         c = spec.a + 1.0 if math.isinf(spec.b) else 0.5 * (spec.a + spec.b)
         if math.isinf(spec.a):
             c = 0.0
-
-    def inner(y):
-        val, _ = quad(lambda x: 1.0 / spec.p(x), y, c, **_QUAD_OPTS)
-        return val
-
-    def integrand(y):
-        rv = spec.r(y)
-        return 0.0 if rv == 0.0 else rv * inner(y)
-
+    cuts = np.array([c, *_left_cut_sequence(spec.a, c)])
+    frac = np.arange(_PIECE_CELLS) / _PIECE_CELLS
+    edges = np.append((cuts[:-1, None] + np.diff(cuts)[:, None] * frac).ravel(),
+                      cuts[-1])
+    # the nodes run from c toward a: edges descend, so half < 0
+    half = (edges[1:] - edges[:-1]) / 2
+    ys = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_X).ravel()
+    steps = _adaptive_integral(lambda x: 1.0 / spec.p(x), ys,
+                               np.concatenate([[c], ys[:-1]]))
+    with np.errstate(all="ignore"):
+        rv = spec.r(ys)
+        f = np.where(rv == 0.0, 0.0, rv * np.cumsum(steps))
+    cells = -half * (f.reshape(-1, len(_GL_W)) @ _GL_W)
     trace = []
     incs = []
-    prev_cut = c
     total = 0.0
-    for cut in _left_cut_sequence(spec.a, c):
-        # stop refining once the integrand leaves the representable float
-        # range (steep exponential coefficients); the tail is extrapolated
-        mid = 0.5 * (cut + prev_cut)
-        if not all(math.isfinite(integrand(y)) for y in (cut, mid)):
-            break
-        piece, _ = quad(integrand, cut, prev_cut, **_QUAD_OPTS)
+    for piece in cells.reshape(-1, _PIECE_CELLS).sum(axis=1).tolist():
         if not math.isfinite(piece):
             break
         total += piece
         incs.append(piece)
         trace.append(total)
-        prev_cut = cut
     value = _tail_limit(incs) if len(incs) >= 3 else math.inf
     return {"finite": math.isfinite(value), "value": value,
             "refinement_trace": trace}

@@ -16,15 +16,24 @@ measure keeps one vector-valued cubic spline, the exact combination
 of their knots by knot insertion (``kernel._row_spline``), so every
 evaluation is one spline call.
 
-Every spectral sum on a grid runs through the eigenfunction values on that
-grid.  ``sm.basis(grid)`` evaluates them once, with the grid's weights for
-int f r dx, and offers the forward transform and the synthesis on that
-grid.  A function that uses one grid more than once builds one basis and
-passes it on explicitly.  Across calls, the measure memoizes the
-eigenfunction values of ``basis`` and ``synthesize``, keyed by grid content:
-at most two grids, their values read-only, the one with fewer lookups
-evicted first, and none whose values would outgrow the spline's coefficient
-table.  ``w_values`` itself is never memoized.
+Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
+is linear in its coefficients (de Boor, A Practical Guide to Splines), so
+sum_k m_k coef_k w_k is itself a spline, and synthesize takes the cheaper
+order of B(grid) C (masses * coef), C the coefficient table, decided by
+the shapes alone: contract first (the rows of C that reach the grid times
+the weighted coef, then one spline evaluation), as for the product
+kernels on thousands of points; or evaluate every eigenfunction on the
+grid first, as for short grids and for many right-hand sides at once.
+``sm.basis(grid)`` evaluates the eigenfunctions on a grid once, with the
+grid's weights for int f r dx, and offers the forward transform and the
+synthesis on that grid.  A function that uses one grid more than once
+builds one basis and passes it on explicitly.  Across calls, the measure
+memoizes the eigenfunction values of ``basis`` and of the evaluate-first
+order of ``synthesize``, keyed by grid content: at most two grids, their
+values read-only, the one with fewer lookups evicted first, and none whose
+values would outgrow the spline's coefficient table.  The contract-first
+order neither reads nor fills the memo, and ``w_values`` itself is never
+memoized.
 """
 
 from __future__ import annotations
@@ -129,7 +138,8 @@ class Basis:
         return self.W @ (values * self.rw)
 
     def synthesize(self, coef) -> np.ndarray:
-        """sum_k m_k coef_k w_k on the grid, as SpectralMeasure.synthesize."""
+        """sum_k m_k coef_k w_k on the grid from the values W, the
+        evaluate-first order of SpectralMeasure.synthesize."""
         return _synthesis(self.masses, coef, self.W)
 
 
@@ -162,12 +172,19 @@ class SpectralMeasure:
     combination (4 S_fine - S_coarse) / 3 of the two levels' splines,
     written exactly on the union of their knots.
 
-    basis and synthesize memoize the eigenfunction values they evaluate,
-    keyed by grid content (a stored copy of the grid, compared with
-    np.array_equal): at most two grids, each with its values read-only.
-    On a miss with both kept, the one with fewer lookups goes, the older on
-    a tie, so a grid that keeps coming back outlives one-off grids.  Values
-    larger than the spline's coefficient table are not kept."""
+    synthesize contracts the coefficient table with the weighted
+    coefficients first when that takes fewer multiply-adds than evaluating
+    every eigenfunction on the grid first; the choice depends on the shapes
+    alone (see synthesize).
+
+    basis and the evaluate-first order of synthesize memoize the
+    eigenfunction values they evaluate, keyed by grid content (a stored
+    copy of the grid, compared with np.array_equal): at most two grids,
+    each with its values read-only.  On a miss with both kept, the one with
+    fewer lookups goes, the older on a tie, so a grid that keeps coming
+    back outlives one-off grids.  Values larger than the spline's
+    coefficient table are not kept.  The contract-first order keeps
+    nothing."""
 
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
                  a_eff: float, w: BSpline):
@@ -222,10 +239,45 @@ class SpectralMeasure:
     def synthesize(self, coef, grid) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
         table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n).
-        The eigenfunction values on grid come from the memo that basis
-        uses."""
-        return _synthesis(self.masses, coef,
-                          self._values_on(np.asarray(grid, dtype=float)))
+
+        The sum is B(grid) C (masses * coef), with B the B-splines on grid
+        and C the spline's coefficient table, and it takes the cheaper
+        order by multiply-adds, a choice made from the shapes alone:
+        contracting first costs rows K m + 4 n m, where rows counts the
+        rows of C whose B-splines reach the grid's span; evaluating first
+        costs n K (4 + m).  Only the evaluate-first order reads and fills
+        the memo that basis uses; contracting first keeps nothing."""
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        coef = np.asarray(coef)
+        m = 1 if coef.ndim == 1 else coef.shape[1]
+        n, K = grid.size, len(self.lambdas)
+        if n:
+            lo, hi = self._rows(grid)
+            if (hi - lo) * K * m + 4 * n * m < n * K * (4 + m):
+                return self._contracted(coef, grid, lo, hi)
+        return _synthesis(self.masses, coef, self._values_on(grid))
+
+    def _rows(self, grid: np.ndarray) -> tuple[int, int]:
+        """The rows [lo, hi) of the coefficient table whose B-splines are
+        nonzero somewhere on the span of grid, clamped below at a_eff.  The
+        knot intervals are found as the spline evaluation finds them, so a
+        point past L takes the polynomial of the last interval, as in
+        w_values."""
+        t = self._w.t
+        span = (max(np.fmin.reduce(grid), self._a_eff),
+                max(np.fmax.reduce(grid), self._a_eff))
+        first, last = (min(max(int(i) - 1, 3), len(t) - 5)
+                       for i in np.searchsorted(t, span, side="right"))
+        return first - 3, last + 1
+
+    def _contracted(self, coef, grid, lo: int, hi: int) -> np.ndarray:
+        """sum_k m_k coef_k w_k(grid) as one spline: the rows [lo, hi) of
+        the coefficient table times masses * coef, on the knots of those
+        rows, evaluated on the grid clamped at a_eff."""
+        weighted = (self.masses * coef.T).T
+        spline = BSpline.construct_fast(self._w.t[lo:hi + 4],
+                                        self._w.c[lo:hi] @ weighted, 3)
+        return spline(np.maximum(grid, self._a_eff)).T
 
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom

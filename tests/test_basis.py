@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from slhyper.cauchy import solve_cauchy
-from slhyper.hconv import approx_nu, convolve_functions, translate
+from slhyper.hconv import (DEFAULT_T_SCHEDULE, approx_nu, convolve_functions,
+                           default_xi_grid, product_density, translate)
 from slhyper.inteq import (EquationProblem, SpectralStrip, resolvent_kernel,
                            solve_equation, wiener_levy_check)
 from slhyper.spectral import (GridFunction, TransformTable, _r_weights,
@@ -165,10 +166,18 @@ def test_solve_cauchy_evaluates_xs_once(sm_cosine, w_calls):
     assert w_calls == [len(GRID), len(XS)]
 
 
-def test_approx_nu_evaluates_its_xi_grid_once(sm_cosine, w_calls):
+def test_product_density_evaluates_only_x_and_y(sm_cosine, w_calls):
+    xi = default_xi_grid(sm_cosine, 0.3, 2.0, 1.5)
+    product_density(0.3, 2.0, 1.5, xi, sm_cosine)
+    assert w_calls == [2]
+
+
+def test_approx_nu_never_evaluates_its_xi_grid(sm_cosine, w_calls):
+    # one synthesis per t, each contracting the coefficients first: the
+    # eigenfunctions are evaluated at (x, y) only
     xi = np.linspace(sm_cosine._a_eff, 6.0, 3001)
     approx_nu(1.0, 1.5, sm_cosine, xi_grid=xi)
-    assert w_calls.count(len(xi)) == 1
+    assert w_calls == [2] * len(DEFAULT_T_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------

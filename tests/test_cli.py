@@ -333,6 +333,20 @@ def test_heatkernel_f_checked_first(f, tmp_path, monkeypatch, capsys):
     assert "missing.csv" not in err
 
 
+@pytest.mark.parametrize("xi", ["3.0", "5:0:11", "0,2,1,3"])
+def test_product_xi_grid_checked_first(xi, monkeypatch, capsys):
+    """--xi-grid must be strictly increasing with at least two points,
+    checked before the measure is built."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    assert run(["product", "--t", "0.5", "--x", "1", "--y", "1",
+                "--xi-grid", xi, *SMALL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error: xi grid")
+    assert "Traceback" not in err
+
+
 # the README commands that build a measure, as written but for --lambda-max
 README_MEASURES = [
     ["spectrum"],

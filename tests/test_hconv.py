@@ -34,6 +34,14 @@ def test_product_density_follows_its_grid(sm_cosine):
         assert np.allclose(pk.values, direct, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("xi", [[3.0], np.linspace(5.0, 0.0, 11),
+                                [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
+                                [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
+def test_product_density_rejects_bad_grids(sm_cosine, xi):
+    with pytest.raises(ValueError, match="xi grid"):
+        product_density(0.5, 1.0, 1.0, xi, sm_cosine)
+
+
 def test_approx_nu_schedule_validation(sm_cosine):
     with pytest.raises(ValueError):
         approx_nu(1.0, 2.0, sm_cosine, t_schedule=(0.1, 0.1))

@@ -51,6 +51,29 @@ def test_left_boundary_cosine():
     assert rep["value"] == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [-0.25, 0.5, 1.5])
+def test_left_boundary_bessel_closed_form(alpha):
+    # p = r = x^(2 alpha + 1) and c = 1: the nested integral is 1/(4(alpha+1))
+    rep = check_left_boundary(builtin_operator(f"bessel?alpha={alpha}"))
+    assert rep["finite"] and len(rep["refinement_trace"]) == 14
+    assert rep["value"] == pytest.approx(1.0 / (4.0 * (alpha + 1.0)),
+                                         rel=0.0, abs=1e-10)
+
+
+def test_left_boundary_whittaker_stops_at_the_float_range():
+    # 1/p overflows below x ~ 1/700, inside the fifth piece: four pieces
+    # and their tail
+    rep = check_left_boundary(builtin_operator("whittaker?alpha=0.25&kappa=1.0"))
+    assert rep["finite"] and len(rep["refinement_trace"]) == 4
+    assert rep["value"] == pytest.approx(0.6618621606211247, rel=1e-9)
+
+
+def test_left_boundary_log_divergence():
+    # p = x^3, r = x: r(y) int_y^1 dx/p = (1/y - y)/2 is not integrable at 0
+    rep = check_left_boundary(_spec(0.0, math.inf, "x^3", "x"))
+    assert not rep["finite"]
+
+
 def test_gamma_identity_for_cosine(sf_cosine):
     # p = r = 1 makes gamma a unit-speed shift
     for x in (0.25, 1.0, 3.7):

@@ -135,6 +135,45 @@ def test_w_values_is_the_richardson_combination(name, request):
     assert np.max(np.abs(sm.w_values(x) - want)) <= 1e-14
 
 
+def _synthesis_grids(sm):
+    """Grids that start below a_eff, end at L, cover a narrow sub-span or
+    are non-uniform, and a short one, which synthesize evaluates first."""
+    u = np.linspace(0.0, 1.0, 2001)
+    return (np.linspace(0.0, 0.25 * sm.L, 13),
+            np.linspace(0.0, 0.5 * sm.L, 1501),
+            np.linspace(sm._a_eff, sm.L, 3001),
+            np.linspace(0.4 * sm.L, 0.41 * sm.L, 301),
+            sm._a_eff + (sm.L - sm._a_eff) * u ** 3)
+
+
+@pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_synthesis_orders_agree(name, m, request):
+    """Contracting the spline's coefficients first and evaluating the
+    eigenfunctions first are the same sum, to rounding."""
+    sm = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    coef = rng.standard_normal(len(sm) if m == 1 else (len(sm), m))
+    for grid in _synthesis_grids(sm):
+        first = sm._contracted(coef, grid, *sm._rows(grid))
+        later = (sm.masses * coef.T) @ sm.w_values(grid)
+        assert first.shape == later.shape
+        scale = np.max(np.abs(later))
+        assert np.max(np.abs(first - later)) <= 1e-14 * scale
+
+
+def test_synthesis_order_ignores_the_memo(sm_cosine, monkeypatch):
+    """The order is a function of the shapes alone: a grid whose values the
+    memo keeps gives the same bits as before they were kept."""
+    sm = sm_cosine
+    monkeypatch.setattr(sm, "_kept", [])
+    coef = np.exp(-0.1 * sm.lambdas)
+    for grid in _synthesis_grids(sm):
+        cold = sm.synthesize(coef, grid)
+        sm.basis(grid)
+        assert np.array_equal(sm.synthesize(coef, grid), cold)
+
+
 def test_transform_linearity(sm_cosine):
     g = np.linspace(0.0, 12.0, 801)
     h1 = bump_function(4.0, 1.5, g)
