@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .operator import MpCertificate
-from .spectral import (GridFunction, SpectralMeasure, _basis_on,
+from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
                        forward_transform)
 
 __all__ = [
@@ -78,32 +78,24 @@ class CauchySolution:
         return res[2:-2, 2:-2]
 
 
-def _check_grids(*grids) -> None:
-    if any(len(g) < 2 or np.any(np.diff(g) <= 0) for g in grids if g is not None):
-        raise ValueError("solution grid must be strictly increasing, "
-                         "with at least two points")
-
-
 def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
                  ys=None) -> CauchySolution:
-    _check_grids(xs, ys)
+    xs = _checked_grid(xs, "solution grid")
+    ys = xs if ys is None else _checked_grid(ys, "solution grid")
     if not (h.smooth2 and h.compact_support):
         raise ValueError("initial data must be flagged smooth2 and "
                          "compact_support")
-    bh = sm.basis(h.grid)
-    bx = _basis_on(sm, xs, bh)
-    by = bx if ys is None else _basis_on(sm, ys, bx, bh)
-    vals = by.synthesize(bh.forward(h.values)[:, None] * bx.W)
-    return CauchySolution(h, bx.grid, by.grid, vals, sm)
+    fh = sm.basis(h.grid).forward(h.values)
+    vals = sm.synthesize(fh[:, None] * sm.basis(xs).W, ys)
+    return CauchySolution(h, xs, ys, vals, sm)
 
 
 def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
                          xs, ys=None) -> CauchySolution:
     """Same spectral sum with the y-kernel replaced by the solution
     normalized at the shifted origin a_m."""
-    xs = np.asarray(xs, dtype=float)
-    ys = xs if ys is None else np.asarray(ys, dtype=float)
-    _check_grids(xs, ys)
+    xs = _checked_grid(xs, "solution grid")
+    ys = xs if ys is None else _checked_grid(ys, "solution grid")
     if not (sm.spec.a < a_m < ys.min()):
         raise ValueError("need a < a_m < min(grid)")
     if not (h.smooth2 and h.compact_support):

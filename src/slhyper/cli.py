@@ -25,11 +25,12 @@ from . import __version__
 from .operator import (load_operator, build_standard_form, certify_mp,
                        support_params, check_left_boundary)
 from .kernel import KernelEvaluator
-from .spectral import (GridFunction, build_spectral_measure, bump_function,
-                       forward_transform, inverse_transform)
-from .hconv import (_xi_points, product_density, default_xi_grid, translate,
+from .spectral import (GridFunction, _checked_grid, build_spectral_measure,
+                       bump_function, forward_transform, heat_kernel_grid,
+                       inverse_transform)
+from .hconv import (product_density, default_xi_grid, translate,
                     convolve_functions, classify_support)
-from .cauchy import _check_grids, solve_cauchy, triangle_identity_residual
+from .cauchy import solve_cauchy, triangle_identity_residual
 from .inteq import EquationProblem, solve_equation, solve_qt_equation
 
 __all__ = ["main"]
@@ -59,10 +60,19 @@ def _real_or_complex(text: str) -> float | complex:
     return z.real if z.imag == 0 else z
 
 
-def _read_grid_function(path: str) -> GridFunction:
-    """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
-    is a header before the first data row; any later row that is not two
-    numbers is an error."""
+def _up_to_L(points, L: float, what: str):
+    """points, unless one lies past L, where the measure's eigenfunctions
+    end."""
+    if np.any(np.asarray(points) > L):
+        raise ValueError(f"{what}: points past L = {L:g}, where the "
+                         "eigenfunctions end")
+    return points
+
+
+def _read_grid_function(path: str, L: float) -> GridFunction:
+    """(x, value) rows of a CSV file, none past L.  Blank and '#' lines are
+    skipped, as is a header before the first data row; any later row that
+    is not two numbers is an error."""
     xs, vals = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -80,7 +90,7 @@ def _read_grid_function(path: str) -> GridFunction:
             vals.append(v)
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two (x, value) rows")
-    xs = np.asarray(xs)
+    xs = _up_to_L(np.asarray(xs), L, path)
     vals = np.asarray(vals)
     # profiles read from CSV are taken at face value: compactly supported
     # when they vanish at both ends, and assumed twice differentiable
@@ -161,13 +171,13 @@ def _validate(args) -> dict:
 def _kernel(args):
     ev = KernelEvaluator(load_operator(args.op))
     xs = np.sort(_parse_grid(args.x))
-    rows = []
-    for lam in (complex(v) for v in getattr(args, "lambda").split(",")):
-        w, w1, err = ev.eval_grid(lam, xs)
-        rows.extend((lam.real, lam.imag, x, wv.real, wv.imag,
-                     w1v.real, w1v.imag, err) for x, wv, w1v in zip(xs, w, w1))
+    lams = [complex(v) for v in getattr(args, "lambda").split(",")]
+    W, W1, errs = ev.eval_many(lams, xs)
     return ["lambda_re", "lambda_im", "x", "w_re", "w_im",
-            "w1_re", "w1_im", "est_error"], rows
+            "w1_re", "w1_im", "est_error"], [
+        (lam.real, lam.imag, x, wv.real, wv.imag, w1v.real, w1v.imag, err)
+        for lam, w, w1, err in zip(lams, W, W1, errs)
+        for x, wv, w1v in zip(xs, w, w1)]
 
 
 def _spectrum(args):
@@ -177,24 +187,24 @@ def _spectrum(args):
 
 
 def _transform(args):
-    h = _read_grid_function(args.h)
+    h = _read_grid_function(args.h, args.L)
     tbl = forward_transform(h, _measure(args))
     return ["lambda", "fh_re", "fh_im"], [
         (lam, v.real, v.imag) for lam, v in zip(tbl.lambdas, tbl.values)]
 
 
 def _heatkernel(args):
-    xg, yg = _parse_grid(args.x_grid), _parse_grid(args.y_grid)
-    sm = _measure(args)
-    # p(t, x, y) = sum_k m_k e^{-t lambda_k} w_k(x) w_k(y), every x at once
-    coef = np.exp(-args.t * sm.lambdas)[:, None] * sm.w_values(xg)
+    xg = _up_to_L(_parse_grid(args.x_grid), args.L, "--x-grid")
+    yg = _up_to_L(_parse_grid(args.y_grid), args.L, "--y-grid")
+    p = heat_kernel_grid(args.t, xg, yg, _measure(args))
     return ["t", "x", "y", "p"], [
         (args.t, float(x), float(y), float(v))
-        for x, row in zip(xg, sm.synthesize(coef, yg)) for y, v in zip(yg, row)]
+        for x, row in zip(xg, p) for y, v in zip(yg, row)]
 
 
 def _product(args):
-    xi = None if args.xi_grid is None else _xi_points(_parse_grid(args.xi_grid))
+    xi = None if args.xi_grid is None else _up_to_L(
+        _checked_grid(_parse_grid(args.xi_grid), "xi grid"), args.L, "--xi-grid")
     sm = _measure(args)
     if xi is None:
         xi = default_xi_grid(sm, args.t, args.x, args.y)
@@ -204,7 +214,7 @@ def _product(args):
 
 
 def _translate(args):
-    h = _read_grid_function(args.h)
+    h = _read_grid_function(args.h, args.L)
     sm = _measure(args)
     case = None
     if args.t_reg == 0.0:   # the two-atom shortcut needs the support case
@@ -216,8 +226,8 @@ def _translate(args):
 
 
 def _convolve(args):
-    h = _read_grid_function(args.h)
-    g = _read_grid_function(args.g)
+    h = _read_grid_function(args.h, args.L)
+    g = _read_grid_function(args.g, args.L)
     out = convolve_functions(h, g, _measure(args), t_reg=args.t_reg)
     return ["x", "value"], list(zip(out.grid, out.values))
 
@@ -233,9 +243,9 @@ def _support(args) -> dict:
 
 
 def _cauchy(args):
-    h = _read_grid_function(args.h)
-    xs = _parse_grid(args.grid)
-    _check_grids(xs)
+    h = _read_grid_function(args.h, args.L)
+    xs = _up_to_L(_checked_grid(_parse_grid(args.grid), "solution grid"),
+                  args.L, "--grid")
     sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()
@@ -309,11 +319,11 @@ def _heat_slice(text: str) -> tuple[float, float] | None:
 
 def _solve_inteq(args):
     heat = _heat_slice(args.f)
-    psi = _read_grid_function(args.psi)
+    psi = _read_grid_function(args.psi, args.L)
     if heat:
         sol = solve_qt_equation(*heat, psi, _measure(args))
     else:
-        f = _read_grid_function(args.f)
+        f = _read_grid_function(args.f, args.L)
         sm = _measure(args)
         kappa = sm.sigma2 if args.kappa is None else args.kappa
         prob = EquationProblem(f=f, psi=psi, kappa=kappa, rho=args.rho)

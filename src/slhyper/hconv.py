@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import StandardForm, SupportParams
-from .spectral import (Basis, GridFunction, SpectralMeasure, _basis_on,
+from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
                        _r_weights)
 
 __all__ = [
@@ -65,17 +65,6 @@ def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
     return np.linspace(lo, hi, n)
 
 
-def _xi_points(xi_grid) -> np.ndarray:
-    """xi_grid as a float array, which must be finite, strictly increasing
-    and at least two points long."""
-    xi = np.asarray(xi_grid, dtype=float)
-    if (xi.ndim != 1 or len(xi) < 2 or not np.all(np.isfinite(xi))
-            or np.any(np.diff(xi) <= 0)):
-        raise ValueError("xi grid must be finite and strictly increasing, "
-                         "with at least two points")
-    return xi
-
-
 def product_density(t: float, x: float, y: float, xi_grid,
                     sm: SpectralMeasure) -> ProductKernel:
     """q_t(x, y, .) on xi_grid, with its mass int q_t r dxi by the grid's
@@ -86,17 +75,10 @@ def product_density(t: float, x: float, y: float, xi_grid,
     increasing and at least two points long, or ValueError is raised."""
     if t <= 0:
         raise ValueError("t must be positive")
-    xi = _xi_points(xi_grid)
-    return _product_density(t, x, y, xi, _r_weights(sm.spec, xi), sm)
-
-
-def _product_density(t: float, x: float, y: float, xi: np.ndarray,
-                     rw: np.ndarray, sm: SpectralMeasure) -> ProductKernel:
-    """q_t(x, y, .) on the checked grid xi, whose weights of int f r dx
-    are rw."""
+    xi = _checked_grid(xi_grid, "xi grid")
     wxy = sm.w_values([x, y])
     vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1], xi)
-    mass = float(np.sum(vals * rw))
+    mass = float(np.sum(vals * _r_weights(sm.spec, xi)))
     return ProductKernel(t=t, x=x, y=y, xi=xi, values=vals, mass=mass)
 
 
@@ -111,15 +93,13 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
         raise ValueError("t must be positive")
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, t, x, y)
-    xi = _xi_points(xi_grid)
-    rw = _r_weights(sm.spec, xi)
-    pk = _product_density(t, x, y, xi, rw, sm)
+    pk = product_density(t, x, y, xi_grid, sm)
     if lam == 0.0:
         return abs(1.0 - pk.mass)
     # one solve for the xi grid and both points
-    pts, where = np.unique(np.concatenate([xi, [x, y]]), return_inverse=True)
+    pts, where = np.unique(np.concatenate([pk.xi, [x, y]]), return_inverse=True)
     w = sm.evaluator.eval_grid(lam, pts)[0].real[where]
-    rhs = float(np.sum(w[:-2] * pk.values * rw))
+    rhs = float(np.sum(w[:-2] * pk.values * _r_weights(sm.spec, pk.xi)))
     return abs(math.exp(-t * lam) * w[-2] * w[-1] - rhs)
 
 
@@ -164,13 +144,13 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
                              cauchy_gaps=np.zeros(0), mass=1.0)
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
-    xi = _xi_points(xi_grid)
+    xi = _checked_grid(xi_grid, "xi grid")
     rw = _r_weights(sm.spec, xi)
     W_probe = sm.evaluator.eval_many(probe_lambdas, xi)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
     for i, t in enumerate(ts):
-        pk = _product_density(t, x, y, xi, rw, sm)
+        pk = product_density(t, x, y, xi, sm)
         moments[i] = W_probe @ (pk.values * rw)
         last = pk
     gaps = np.max(np.abs(np.diff(moments, axis=0)), axis=1)
@@ -199,10 +179,9 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
         return GridFunction(out_grid, vals)
     if t_reg < 0:
         raise ValueError("t_reg must be nonnegative")
-    bh = sm.basis(h.grid)
-    out = _basis_on(sm, out_grid, bh)
-    coef = np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
-    return GridFunction(out_grid, out.synthesize(coef * sm.w_values(y)[:, 0]))
+    coef = np.exp(-t_reg * sm.lambdas) * sm.basis(h.grid).forward(h.values)
+    return GridFunction(out_grid,
+                        sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid))
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -210,19 +189,18 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     """(h * g)(x) = int (T^y h)(x) g(y) r(y) dy; evaluated through the
     transform product, which is the same quadrature reordered and is
     symmetric in (h, g) by construction."""
-    bh = sm.basis(h.grid)
-    bg = _basis_on(sm, g.grid, bh)
-    out = bh if out_grid is None else _basis_on(sm, out_grid, bh, bg)
-    return _convolve(bh.forward(h.values), bg.forward(g.values), sm, t_reg, out)
+    return _convolve(sm.basis(h.grid).forward(h.values),
+                     sm.basis(g.grid).forward(g.values), sm, t_reg,
+                     h.grid if out_grid is None else out_grid)
 
 
 def _convolve(th, tg, sm: SpectralMeasure, t_reg: float,
-              out: Basis) -> GridFunction:
-    """h * g on the grid of out, from the atom transforms th, tg of h, g."""
+              grid) -> GridFunction:
+    """h * g on grid, from the atom transforms th, tg of h, g."""
     if t_reg <= 0:
         raise ValueError("t_reg must be positive")
-    return GridFunction(out.grid,
-                        out.synthesize(np.exp(-t_reg * sm.lambdas) * th * tg))
+    return GridFunction(grid, sm.synthesize(
+        np.exp(-t_reg * sm.lambdas) * th * tg, grid))
 
 
 @dataclass(frozen=True)

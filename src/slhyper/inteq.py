@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (Basis, GridFunction, SpectralMeasure, TransformTable,
-                       _basis_on, _r_weights)
+from .spectral import (GridFunction, SpectralMeasure, TransformTable,
+                       _r_weights, heat_kernel_grid)
 from .hconv import _convolve
 
 __all__ = [
@@ -268,15 +268,13 @@ def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
         raise ValueError(
             f"nonvanishing check failed: |rho + Ff| = {check.min_modulus:.3e} "
             f"at lambda = {check.witness}")
-    bf = sm.basis(f.grid)
-    out = bf if out_grid is None else _basis_on(sm, out_grid, bf)
-    return _resolvent(bf.forward(f.values), rho, sm, out)
+    return _resolvent(sm.basis(f.grid).forward(f.values), rho, sm,
+                      f.grid if out_grid is None else out_grid)
 
 
 def _resolvent(ff, rho: complex, sm: SpectralMeasure,
-               out: Basis) -> ResolventResult:
-    """resolvent_kernel from the atom transform ff of f, with g on the grid
-    of out."""
+               grid) -> ResolventResult:
+    """resolvent_kernel from the atom transform ff of f, with g on grid."""
     denom = rho + ff
     if np.min(np.abs(denom)) <= 1e-8:
         k = int(np.argmin(np.abs(denom)))
@@ -284,9 +282,9 @@ def _resolvent(ff, rho: complex, sm: SpectralMeasure,
             f"rho + Ff vanishes at atom lambda = {sm.lambdas[k]:.6g}")
     fg_vals = 1.0 / denom - rho
     fg = TransformTable(lambdas=sm.lambdas.copy(), values=fg_vals)
-    g = GridFunction(out.grid, out.synthesize(fg_vals))
+    g = GridFunction(grid, sm.synthesize(fg_vals, grid))
     rt = float(np.max(np.abs((rho + fg_vals) * denom - 1.0)))
-    g_back = out.forward(g.values)
+    g_back = sm.basis(g.grid).forward(g.values)
     scale = max(float(np.max(np.abs(fg_vals))), 1e-300)
     recheck = float(np.max(np.abs(g_back - fg_vals))) / scale
     return ResolventResult(g=g, fg=fg, round_trip_residual=rt,
@@ -302,25 +300,19 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
     point; otherwise the returned diagnostics report the sampled minimum
     modulus and the transform-domain residual of the solved equation.
     """
-    return _solve_equation(prob, sm, t_reg)
-
-
-def _solve_equation(prob: EquationProblem, sm: SpectralMeasure, t_reg: float,
-                    *known: Basis) -> EquationSolution:
-    """solve_equation, reusing any known basis on the grid of f or psi."""
     strip = SpectralStrip(prob.kappa, sm.sigma2)
     l1_kappa_norm(prob.f, prob.kappa, sm)  # rejects divergent kernels early
-    bf = _basis_on(sm, prob.f.grid, *known)
+    bf = sm.basis(prob.f.grid)
     ff = bf.forward(prob.f.values)
     check = _strip_check(ff, prob.f, strip, prob.rho, sm)
     if not check.ok:
         raise ValueError(
             f"equation not solvable in L1,kappa: |rho + Ff| = "
             f"{check.min_modulus:.3e} at lambda = {check.witness}")
-    res = _resolvent(ff, prob.rho, sm, bf)
-    bpsi = _basis_on(sm, prob.psi.grid, bf, *known)
+    res = _resolvent(ff, prob.rho, sm, prob.f.grid)
+    bpsi = sm.basis(prob.psi.grid)
     fpsi = bpsi.forward(prob.psi.values)
-    conv = _convolve(fpsi, bf.forward(res.g.values), sm, t_reg, bpsi)
+    conv = _convolve(fpsi, bf.forward(res.g.values), sm, t_reg, prob.psi.grid)
     h_vals = prob.rho * prob.psi.values + conv.values
     h = GridFunction(prob.psi.grid, np.real_if_close(h_vals, tol=1e6))
     fh = bpsi.forward(h.values)
@@ -346,11 +338,6 @@ def solve_qt_equation(t: float, x: float, psi: GridFunction,
     w_lambda(x) never vanishes for t > 0, so the equation is always
     solvable.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    # f = heat_kernel_grid(t, x, psi.grid), on the basis the solver reuses
-    coef = np.exp(-t * sm.lambdas) * sm.w_values(x)[:, 0]
-    b = sm.basis(psi.grid)
-    f = GridFunction(psi.grid, b.synthesize(coef))
+    f = GridFunction(psi.grid, heat_kernel_grid(t, x, psi.grid, sm))
     prob = EquationProblem(f=f, psi=psi, kappa=sm.sigma2, rho=1.0)
-    return _solve_equation(prob, sm, t_reg, b)
+    return solve_equation(prob, sm, t_reg)

@@ -24,16 +24,18 @@ the shapes alone: contract first (the rows of C that reach the grid times
 the weighted coef, then one spline evaluation), as for the product
 kernels on thousands of points; or evaluate every eigenfunction on the
 grid first, as for short grids and for many right-hand sides at once.
-``sm.basis(grid)`` evaluates the eigenfunctions on a grid once, with the
-grid's weights for int f r dx, and offers the forward transform and the
-synthesis on that grid.  A function that uses one grid more than once
-builds one basis and passes it on explicitly.  Across calls, the measure
-memoizes the eigenfunction values of ``basis`` and of the evaluate-first
-order of ``synthesize``, keyed by grid content: at most two grids, their
-values read-only, the one with fewer lookups evicted first, and none whose
-values would outgrow the spline's coefficient table.  The contract-first
-order neither reads nor fills the memo, and ``w_values`` itself is never
-memoized.
+``sm.basis(grid)`` is the one way the transforms and syntheses get the
+eigenfunction values on a grid, with the grid's weights for int f r dx
+and the forward transform on it; the evaluate-first order of synthesize
+reads its values too.  The measure
+memoizes bases, keyed by grid content: at most two, their grid, values
+and weights read-only, the one with fewer lookups evicted first, and none
+whose values would outgrow the spline's coefficient table.  So a function
+that uses one grid several times asks for its basis each time and
+evaluates it once.  The contract-first order neither reads nor fills the
+memo, and ``w_values`` itself is never memoized.  The eigenfunctions are
+known on [a_eff, L] only: a point below a_eff takes the value 1 of every
+w_k at a_eff, and a point past L is an error.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ __all__ = [
     "build_spectral_measure",
     "forward_transform",
     "inverse_transform",
-    "heat_kernel",
+    "heat_kernel_grid",
     "bump_function",
 ]
 
@@ -67,14 +69,27 @@ __all__ = [
 
 def _r_weights(spec: OperatorSpec, grid: np.ndarray) -> np.ndarray:
     """Weights of int f r dx on grid: the trapezoid weights times r, with r
-    taken as 0 where it is not finite (a singular endpoint on the grid)."""
-    w = np.empty_like(grid)
-    w[0] = (grid[1] - grid[0]) / 2
-    w[-1] = (grid[-1] - grid[-2]) / 2
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2
+    taken as 0 where it is not finite (a singular endpoint on the grid).  A
+    grid of one point has weight 0."""
+    w = np.zeros_like(grid)
+    if len(grid) > 1:
+        w[0] = (grid[1] - grid[0]) / 2
+        w[-1] = (grid[-1] - grid[-2]) / 2
+        w[1:-1] = (grid[2:] - grid[:-2]) / 2
     with np.errstate(all="ignore"):
         rv = spec.r(grid)
     return np.where(np.isfinite(rv), rv, 0.0) * w
+
+
+def _checked_grid(grid, name: str = "grid") -> np.ndarray:
+    """grid as a float array, which must be finite, strictly increasing and
+    at least two points long, or ValueError names it."""
+    g = np.asarray(grid, dtype=float)
+    if (g.ndim != 1 or len(g) < 2 or not np.all(np.isfinite(g))
+            or np.any(np.diff(g) <= 0)):
+        raise ValueError(f"{name} must be finite and strictly increasing, "
+                         "with at least two points")
+    return g
 
 
 @dataclass(frozen=True)
@@ -85,10 +100,7 @@ class GridFunction:
     smooth2: bool = False
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", _checked_grid(self.grid))
         object.__setattr__(self, "values", np.asarray(self.values))
 
     def __call__(self, x):
@@ -118,52 +130,25 @@ class TransformTable:
     values: np.ndarray
 
 
-def _synthesis(masses, coef, W) -> np.ndarray:
-    return (masses * np.asarray(coef).T) @ W
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Basis:
     """The eigenfunctions of one measure evaluated on one grid, W[k] =
-    w_k(grid), with the grid's weights rw for int f r dx.  Built by
-    SpectralMeasure.basis."""
+    w_k(grid), with the grid's weights rw for int f r dx and the number of
+    lookups the measure's memo has answered with it.  Built by
+    SpectralMeasure.basis, which keeps its own copy of the grid."""
 
     grid: np.ndarray
     W: np.ndarray
     rw: np.ndarray
-    masses: np.ndarray
+    hits: int = 0
 
     def forward(self, values) -> np.ndarray:
         """int values w_k r dx at every atom."""
         return self.W @ (values * self.rw)
 
-    def synthesize(self, coef) -> np.ndarray:
-        """sum_k m_k coef_k w_k on the grid from the values W, the
-        evaluate-first order of SpectralMeasure.synthesize."""
-        return _synthesis(self.masses, coef, self.W)
-
-
-@dataclass(eq=False)
-class _Kept:
-    """One memoized basis: a copy of its grid, the read-only eigenfunction
-    values on it, and the number of lookups it has answered."""
-
-    grid: np.ndarray
-    W: np.ndarray
-    hits: int = 0
-
 
 # bases a measure keeps: one grid that keeps coming back, and one more
 _KEPT_MAX = 2
-
-
-def _basis_on(sm: SpectralMeasure, grid, *known: Basis) -> Basis:
-    """The first known basis whose grid equals grid, else a new one."""
-    grid = np.asarray(grid, dtype=float)
-    for b in known:
-        if np.array_equal(b.grid, grid):
-            return b
-    return sm.basis(grid)
 
 
 class SpectralMeasure:
@@ -177,14 +162,13 @@ class SpectralMeasure:
     every eigenfunction on the grid first; the choice depends on the shapes
     alone (see synthesize).
 
-    basis and the evaluate-first order of synthesize memoize the
-    eigenfunction values they evaluate, keyed by grid content (a stored
+    basis memoizes the bases it builds, keyed by grid content (a stored
     copy of the grid, compared with np.array_equal): at most two grids,
-    each with its values read-only.  On a miss with both kept, the one with
-    fewer lookups goes, the older on a tie, so a grid that keeps coming
-    back outlives one-off grids.  Values larger than the spline's
-    coefficient table are not kept.  The contract-first order keeps
-    nothing."""
+    each with its grid, values and weights read-only.  On a miss with both
+    kept, the one with fewer lookups goes, the older on a tie, so a grid
+    that keeps coming back outlives one-off grids.  Values larger than the
+    spline's coefficient table are not kept.  The contract-first order of
+    synthesize keeps nothing."""
 
     def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
                  a_eff: float, w: BSpline):
@@ -197,44 +181,47 @@ class SpectralMeasure:
         self.N = N
         self._a_eff = a_eff
         self._w = w
-        self._kept: list[_Kept] = []
+        self._kept: list[Basis] = []
         if np.any(masses <= 0):
             raise ValueError("non-positive atom mass: discretization too coarse")
 
     def __len__(self):
         return len(self.lambdas)
 
+    def _clamped(self, xq: np.ndarray) -> np.ndarray:
+        """xq clamped below at a_eff, where every w_k is 1; a point past L,
+        where the truncated measure ends, raises ValueError."""
+        if np.fmax.reduce(xq, initial=-math.inf) > self.L:
+            raise ValueError(f"points past L = {self.L:g}, where the "
+                             "eigenfunctions end")
+        return np.maximum(xq, self._a_eff)
+
     def w_values(self, xq) -> np.ndarray:
         """(K, len(xq)) matrix of eigenfunction values.  Points below a_eff
-        take the value at a_eff, where every w_k is 1."""
-        return self._w(np.maximum(np.atleast_1d(np.asarray(xq, dtype=float)),
-                                  self._a_eff))
+        take the value at a_eff, where every w_k is 1; points past L raise
+        ValueError."""
+        return self._w(self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
-    def _values_on(self, grid: np.ndarray) -> np.ndarray:
-        """w_values(grid), from the memo when it keeps an equal grid.  A
-        miss evaluates grid and keeps the values, read-only, unless they
-        outgrow the spline's coefficient table."""
+    def basis(self, grid) -> Basis:
+        """Every eigenfunction on grid, with the grid's weights: what every
+        transform and evaluate-first synthesis reads.  An equal grid kept in
+        the measure's memo of two returns its basis, read-only; a miss
+        evaluates grid and keeps the basis unless its values outgrow the
+        spline's coefficient table (see SpectralMeasure)."""
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
         for kept in self._kept:
             if np.array_equal(kept.grid, grid):
                 kept.hits += 1
-                return kept.W
-        W = self.w_values(grid)
-        if W.size <= self._w.c.size:
-            W.flags.writeable = False
+                return kept
+        b = Basis(grid.copy(), self.w_values(grid), _r_weights(self.spec, grid))
+        if b.W.size <= self._w.c.size:
+            for a in (b.grid, b.W, b.rw):
+                a.flags.writeable = False
             if len(self._kept) == _KEPT_MAX:
                 # min keeps the first of equals: the older entry
                 self._kept.remove(min(self._kept, key=lambda k: k.hits))
-            self._kept.append(_Kept(grid.copy(), W))
-        return W
-
-    def basis(self, grid) -> Basis:
-        """Every eigenfunction on grid, for the transforms and syntheses
-        that share it; grid needs at least two points.  The values come
-        from the measure's memo of two grids, keyed by content, and are
-        read-only when kept there (see SpectralMeasure)."""
-        grid = np.asarray(grid, dtype=float)
-        return Basis(grid, self._values_on(grid), _r_weights(self.spec, grid),
-                     self.masses)
+            self._kept.append(b)
+        return b
 
     def synthesize(self, coef, grid) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
@@ -245,8 +232,8 @@ class SpectralMeasure:
         order by multiply-adds, a choice made from the shapes alone:
         contracting first costs rows K m + 4 n m, where rows counts the
         rows of C whose B-splines reach the grid's span; evaluating first
-        costs n K (4 + m).  Only the evaluate-first order reads and fills
-        the memo that basis uses; contracting first keeps nothing."""
+        costs n K (4 + m) and reads the values of basis(grid), memo
+        included.  Contracting first keeps nothing."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         coef = np.asarray(coef)
         m = 1 if coef.ndim == 1 else coef.shape[1]
@@ -255,14 +242,12 @@ class SpectralMeasure:
             lo, hi = self._rows(grid)
             if (hi - lo) * K * m + 4 * n * m < n * K * (4 + m):
                 return self._contracted(coef, grid, lo, hi)
-        return _synthesis(self.masses, coef, self._values_on(grid))
+        return (self.masses * coef.T) @ self.basis(grid).W
 
     def _rows(self, grid: np.ndarray) -> tuple[int, int]:
         """The rows [lo, hi) of the coefficient table whose B-splines are
         nonzero somewhere on the span of grid, clamped below at a_eff.  The
-        knot intervals are found as the spline evaluation finds them, so a
-        point past L takes the polynomial of the last interval, as in
-        w_values."""
+        knot intervals are found as the spline evaluation finds them."""
         t = self._w.t
         span = (max(np.fmin.reduce(grid), self._a_eff),
                 max(np.fmax.reduce(grid), self._a_eff))
@@ -273,11 +258,11 @@ class SpectralMeasure:
     def _contracted(self, coef, grid, lo: int, hi: int) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid) as one spline: the rows [lo, hi) of
         the coefficient table times masses * coef, on the knots of those
-        rows, evaluated on the grid clamped at a_eff."""
+        rows, evaluated on the grid clamped as in w_values."""
         weighted = (self.masses * coef.T).T
         spline = BSpline.construct_fast(self._w.t[lo:hi + 4],
                                         self._w.c[lo:hi] @ weighted, 3)
-        return spline(np.maximum(grid, self._a_eff)).T
+        return spline(self._clamped(grid)).T
 
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom
@@ -570,12 +555,11 @@ def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
     return GridFunction(out_grid, sm.synthesize(tbl.values, out_grid))
 
 
-def heat_kernel(t: float, x: float, y: float, sm: SpectralMeasure) -> float:
-    return float(heat_kernel_grid(t, x, [y], sm)[0])
-
-
-def heat_kernel_grid(t: float, x: float, ys, sm: SpectralMeasure) -> np.ndarray:
-    """p(t, x, y) for an array of y at fixed x."""
+def heat_kernel_grid(t: float, x, ys, sm: SpectralMeasure) -> np.ndarray:
+    """p(t, x, y) = sum_k m_k e^{-t lambda_k} w_k(x) w_k(y) on the grid ys,
+    one sm.synthesize: shape (len(ys),) for one number x, and (len(x),
+    len(ys)) for an array of x."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return sm.synthesize(np.exp(-t * sm.lambdas) * sm.w_values(x)[:, 0], ys)
+    coef = np.exp(-t * sm.lambdas)[:, None] * sm.w_values(x)
+    return sm.synthesize(coef if np.ndim(x) else coef[:, 0], ys)

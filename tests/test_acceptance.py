@@ -21,7 +21,8 @@ from slhyper.hconv import (approx_nu, classify_support, convolve_functions,
 from slhyper.cauchy import (solve_cauchy, solve_cauchy_shifted,
                             positivity_report, triangle_identity_residual)
 from slhyper.inteq import (EquationProblem, SpectralStrip, _transform_samples,
-                           l1_kappa_norm, solve_equation, wiener_levy_check)
+                           l1_kappa_norm, solve_equation, solve_qt_equation,
+                           wiener_levy_check)
 from slhyper.cli import main as cli_main
 
 
@@ -325,6 +326,7 @@ def test_criterion_11_triangle_identity():
 
 def test_criterion_12_wiener_levy(sm_cosine, sm_bessel):
     recov = resid = 0.0
+    same_qt = True
     for sm, x_hi in ((sm_cosine, 12.0), (sm_bessel, 10.0)):
         g = np.linspace(0.0, x_hi, 2001)
         h0 = bump_function(3.0, 1.2, g)
@@ -332,6 +334,11 @@ def test_criterion_12_wiener_levy(sm_cosine, sm_bessel):
         conv = convolve_functions(h0, f, sm, t_reg=1e-6, out_grid=g)
         psi = GridFunction(g, h0.values + conv.values)
         sol = solve_equation(EquationProblem(f=f, psi=psi, kappa=sm.sigma2), sm)
+        # the q_t equation is this equation, its kernel the same heat slice
+        qt = solve_qt_equation(0.25, 1.0, psi, sm)
+        same_qt &= (np.array_equal(qt.h.values, sol.h.values)
+                    and np.array_equal(qt.g.values, sol.g.values)
+                    and qt.diagnostics == sol.diagnostics)
         rv = np.asarray(sm.spec.r(g), dtype=float) + np.zeros_like(g)
         rel = (float(np.trapezoid(np.abs(sol.h.values - h0.values) * rv, g))
                / float(np.trapezoid(np.abs(h0.values) * rv, g)))
@@ -345,10 +352,11 @@ def test_criterion_12_wiener_levy(sm_cosine, sm_bessel):
     chk = wiener_levy_check(bad, SpectralStrip(0.0, 0.0), 1.0, sm_cosine)
     wit = abs(1.0 + _transform_samples(bad, [chk.witness], sm_cosine)[0]) \
         if np.isfinite(chk.witness.real) else np.inf
-    ok = recov <= 1e-3 and resid <= 1e-4 and (not chk.ok) and wit <= 1e-6
+    ok = (recov <= 1e-3 and resid <= 1e-4 and (not chk.ok) and wit <= 1e-6
+          and same_qt)
     _line(12, "wiener-levy solver", ok,
           f"recovery {recov:.3e}, transform resid {resid:.3e}, "
-          f"witness |1+Ff| {wit:.3e}")
+          f"witness |1+Ff| {wit:.3e}, q_t equation bit-identical {same_qt}")
 
 
 # -- 13: algebra properties ---------------------------------------------------

@@ -38,6 +38,16 @@ def test_flat_case_dalembert_oracle(sol_cosine):
         assert sol_cosine(x, y) == pytest.approx(want, abs=2e-4)
 
 
+@pytest.mark.parametrize("xs", [[3.0], np.linspace(5.0, 0.0, 11),
+                                [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
+                                [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
+def test_solve_cauchy_rejects_bad_grids(sm_cosine, xs):
+    h = bump_function(4.0, 1.5, np.linspace(0.0, 16.0, 401))
+    for args in ((xs,), (np.linspace(0.0, 5.0, 11), xs)):
+        with pytest.raises(ValueError, match="solution grid"):
+            solve_cauchy(h, sm_cosine, *args)
+
+
 def test_requires_flags(sm_cosine):
     g = np.linspace(0.0, 16.0, 401)
     plain = GridFunction(g, np.exp(-g))

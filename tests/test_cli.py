@@ -43,14 +43,14 @@ def test_validate_json_fields(tmp_path):
 
 def test_kernel_csv_oracle(tmp_path):
     out = tmp_path / "k.csv"
-    code = run(["kernel", "--lambda", "4.0", "--x", "0:3:7",
+    code = run(["kernel", "--lambda", "4.0,9.0", "--x", "0:3:7",
                 "--out", str(out), "--precision", "15"])
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    body = [r.split(",") for r in rows[1:]]
-    xs = np.array([float(r[2]) for r in body])
-    ws = np.array([float(r[3]) for r in body])
-    assert np.allclose(ws, np.cos(2.0 * xs), atol=1e-9)
+    body = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    lams, xs, ws = body[:, 0], body[:, 2], body[:, 3]
+    assert np.array_equal(lams, np.repeat([4.0, 9.0], 7))
+    assert np.allclose(ws, np.cos(np.sqrt(lams) * xs), rtol=0, atol=1e-9)
 
 
 def test_output_header_has_config_hash(tmp_path):
@@ -331,6 +331,27 @@ def test_heatkernel_f_checked_first(f, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("slhyper: error: --f heatkernel:t,x")
     assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["heatkernel", "--t", "0.5", "--x-grid", "1.0", "--y-grid", "14,16,17"],
+    ["heatkernel", "--t", "0.5", "--x-grid", "0:20:5", "--y-grid", "1.0"],
+    ["product", "--t", "0.5", "--x", "1", "--y", "1", "--xi-grid", "0:17:5"],
+    ["cauchy", "--h", "PROFILE", "--grid", "0:17:5"],
+    ["transform", "--h", "WIDE"],
+    ["solve-inteq", "--f", "heatkernel:0.25,1.0", "--psi", "WIDE"],
+])
+def test_points_past_L_rejected_first(argv, tmp_path, monkeypatch, capsys):
+    """Grids and profiles end at --L, where the measure's eigenfunctions
+    end; a point past it is bad input, found before the measure is built."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    files = {"PROFILE": _write_bump(tmp_path / "h.csv"),
+             "WIDE": _write_bump(tmp_path / "wide.csv", top=20.0)}
+    assert run([str(files.get(a, a)) for a in argv] + SMALL) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:") and "past L = 16" in err
 
 
 @pytest.mark.parametrize("xi", ["3.0", "5:0:11", "0,2,1,3"])

@@ -12,7 +12,7 @@ from slhyper.kernel import KernelEvaluator, _row_spline
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
                               build_spectral_measure, bump_function,
-                              forward_transform, heat_kernel, heat_kernel_grid,
+                              forward_transform, heat_kernel_grid,
                               inverse_transform)
 
 
@@ -21,6 +21,8 @@ def test_grid_function_rejects_bad_grid():
         GridFunction(np.array([0.0, 1.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         GridFunction(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError):
+        GridFunction(np.array([0.0, np.nan, 2.0]), np.zeros(3))
 
 
 def test_grid_function_interp_zero_outside():
@@ -135,6 +137,20 @@ def test_w_values_is_the_richardson_combination(name, request):
     assert np.max(np.abs(sm.w_values(x) - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
+def test_eigenfunctions_end_at_L(name, request):
+    """Every w_k vanishes at L, the Dirichlet end, and is not extrapolated
+    past it: w_values and both orders of synthesize raise."""
+    sm = request.getfixturevalue(name)
+    assert np.max(np.abs(sm.w_values([sm.L]))) <= 1e-12
+    coef = np.exp(-0.1 * sm.lambdas)
+    for call in (lambda: sm.w_values([sm.L + 1.0]),
+                 lambda: sm.synthesize(coef, [sm.L + 1.0]),
+                 lambda: sm.synthesize(coef, np.linspace(0.0, sm.L + 1.0, 5001))):
+        with pytest.raises(ValueError, match=f"past L = {sm.L:g}"):
+            call()
+
+
 def _synthesis_grids(sm):
     """Grids that start below a_eff, end at L, cover a narrow sub-span or
     are non-uniform, and a short one, which synthesize evaluates first."""
@@ -188,15 +204,15 @@ def test_transform_linearity(sm_cosine):
 
 def test_heat_kernel_requires_positive_time(sm_cosine):
     with pytest.raises(ValueError):
-        heat_kernel(0.0, 1.0, 1.0, sm_cosine)
+        heat_kernel_grid(0.0, 1.0, [1.0], sm_cosine)
     with pytest.raises(ValueError):
-        heat_kernel(-0.5, 1.0, 1.0, sm_cosine)
+        heat_kernel_grid(-0.5, 1.0, [1.0], sm_cosine)
 
 
 def test_heat_kernel_symmetry_and_mass(sm_cosine):
     t = 0.3
-    assert heat_kernel(t, 1.0, 2.0, sm_cosine) == pytest.approx(
-        heat_kernel(t, 2.0, 1.0, sm_cosine), rel=1e-10)
+    assert heat_kernel_grid(t, 1.0, [2.0], sm_cosine)[0] == pytest.approx(
+        heat_kernel_grid(t, 2.0, [1.0], sm_cosine)[0], rel=1e-10)
     # q_t(x, .) r integrates to ~1 well inside the truncated interval
     ys = np.linspace(0.0, 14.0, 1401)
     q = heat_kernel_grid(t, 2.0, ys, sm_cosine)
@@ -207,7 +223,7 @@ def test_heat_kernel_symmetry_and_mass(sm_cosine):
 def test_heat_kernel_gaussian_oracle(sm_cosine):
     # flat case: q_t(x,y) = sum of image Gaussians; one term dominates
     t, x, y = 0.2, 1.0, 1.5
-    got = heat_kernel(t, x, y, sm_cosine)
+    got = heat_kernel_grid(t, x, [y], sm_cosine)[0]
     want = 0.0
     for s in (-1.0, 1.0):
         want += np.exp(-(x - s * y) ** 2 / (4 * t)) / np.sqrt(4 * np.pi * t)
