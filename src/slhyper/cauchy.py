@@ -35,14 +35,12 @@ class CauchySolution:
     """f(x, y) on a rectangle, with the initial profile on the lower edge."""
 
     def __init__(self, h: GridFunction, xs: np.ndarray, ys: np.ndarray,
-                 values: np.ndarray, sm: SpectralMeasure,
-                 shifted_origin: float | None = None):
+                 values: np.ndarray, sm: SpectralMeasure):
         self.h = h
         self.xs = xs
         self.ys = ys
         self.values = values
         self.sm = sm
-        self.shifted_origin = shifted_origin
 
     @cached_property
     def _spline(self) -> RectBivariateSpline:
@@ -108,7 +106,7 @@ def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
     wy[keep] = sm.evaluator.eval_w_shifted(sm.lambdas[keep], a_m, ys)[0].real
     coef = sm.masses * np.where(keep, tbl.values, 0.0)
     vals = (sm.w_values(xs) * coef[:, None]).T @ wy
-    return CauchySolution(h, xs, ys, vals, sm, shifted_origin=a_m)
+    return CauchySolution(h, xs, ys, vals, sm)
 
 
 # ---------------------------------------------------------------------------

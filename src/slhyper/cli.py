@@ -60,19 +60,10 @@ def _real_or_complex(text: str) -> float | complex:
     return z.real if z.imag == 0 else z
 
 
-def _up_to_L(points, L: float, what: str):
-    """points, unless one lies past L, where the measure's eigenfunctions
-    end."""
-    if np.any(np.asarray(points) > L):
-        raise ValueError(f"{what}: points past L = {L:g}, where the "
-                         "eigenfunctions end")
-    return points
-
-
-def _read_grid_function(path: str, L: float) -> GridFunction:
-    """(x, value) rows of a CSV file, none past L.  Blank and '#' lines are
-    skipped, as is a header before the first data row; any later row that
-    is not two numbers is an error."""
+def _read_grid_function(path: str) -> GridFunction:
+    """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
+    is a header before the first data row; any later row that is not two
+    numbers is an error."""
     xs, vals = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -90,7 +81,6 @@ def _read_grid_function(path: str, L: float) -> GridFunction:
             vals.append(v)
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two (x, value) rows")
-    xs = _up_to_L(np.asarray(xs), L, path)
     vals = np.asarray(vals)
     # profiles read from CSV are taken at face value: compactly supported
     # when they vanish at both ends, and assumed twice differentiable
@@ -142,6 +132,20 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+def _in_domain(args, *named) -> None:
+    """Before the build: raise unless every point of the (what, points)
+    pairs lies in [a, L], from the operator's left end to where the
+    measure's eigenfunctions end."""
+    a, L = load_operator(args.op).a, args.L
+    for what, points in named:
+        if np.any(np.less(points, a)):
+            raise ValueError(f"{what}: points below a = {a:g}, the "
+                             "operator's left end")
+        if np.any(np.greater(points, L)):
+            raise ValueError(f"{what}: points past L = {L:g}, where the "
+                             "eigenfunctions end")
+
+
 def _measure(args):
     return build_spectral_measure(load_operator(args.op), L=args.L, N=args.N,
                                   lambda_max=args.lambda_max)
@@ -187,15 +191,16 @@ def _spectrum(args):
 
 
 def _transform(args):
-    h = _read_grid_function(args.h, args.L)
+    h = _read_grid_function(args.h)
+    _in_domain(args, (args.h, h.grid))
     tbl = forward_transform(h, _measure(args))
     return ["lambda", "fh_re", "fh_im"], [
         (lam, v.real, v.imag) for lam, v in zip(tbl.lambdas, tbl.values)]
 
 
 def _heatkernel(args):
-    xg = _up_to_L(_parse_grid(args.x_grid), args.L, "--x-grid")
-    yg = _up_to_L(_parse_grid(args.y_grid), args.L, "--y-grid")
+    xg, yg = _parse_grid(args.x_grid), _parse_grid(args.y_grid)
+    _in_domain(args, ("--x-grid", xg), ("--y-grid", yg))
     p = heat_kernel_grid(args.t, xg, yg, _measure(args))
     return ["t", "x", "y", "p"], [
         (args.t, float(x), float(y), float(v))
@@ -203,8 +208,10 @@ def _heatkernel(args):
 
 
 def _product(args):
-    xi = None if args.xi_grid is None else _up_to_L(
-        _checked_grid(_parse_grid(args.xi_grid), "xi grid"), args.L, "--xi-grid")
+    xi = None if args.xi_grid is None else _checked_grid(
+        _parse_grid(args.xi_grid), "xi grid")
+    _in_domain(args, ("--x", args.x), ("--y", args.y),
+               ("--xi-grid", () if xi is None else xi))
     sm = _measure(args)
     if xi is None:
         xi = default_xi_grid(sm, args.t, args.x, args.y)
@@ -214,20 +221,16 @@ def _product(args):
 
 
 def _translate(args):
-    h = _read_grid_function(args.h, args.L)
-    sm = _measure(args)
-    case = None
-    if args.t_reg == 0.0:   # the two-atom shortcut needs the support case
-        sf = build_standard_form(sm.spec)
-        case = classify_support(max(args.y, h.grid[0]), args.y, sf,
-                                support_params(certify_mp(sf))).case
-    out = translate(h, args.y, sm, t_reg=args.t_reg, support_case=case)
+    h = _read_grid_function(args.h)
+    _in_domain(args, (args.h, h.grid), ("--y", args.y))
+    out = translate(h, args.y, _measure(args), t_reg=args.t_reg)
     return ["x", "value"], list(zip(out.grid, out.values))
 
 
 def _convolve(args):
-    h = _read_grid_function(args.h, args.L)
-    g = _read_grid_function(args.g, args.L)
+    h = _read_grid_function(args.h)
+    g = _read_grid_function(args.g)
+    _in_domain(args, (args.h, h.grid), (args.g, g.grid))
     out = convolve_functions(h, g, _measure(args), t_reg=args.t_reg)
     return ["x", "value"], list(zip(out.grid, out.values))
 
@@ -243,9 +246,9 @@ def _support(args) -> dict:
 
 
 def _cauchy(args):
-    h = _read_grid_function(args.h, args.L)
-    xs = _up_to_L(_checked_grid(_parse_grid(args.grid), "solution grid"),
-                  args.L, "--grid")
+    h = _read_grid_function(args.h)
+    xs = _checked_grid(_parse_grid(args.grid), "solution grid")
+    _in_domain(args, (args.h, h.grid), ("--grid", xs))
     sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()
@@ -319,12 +322,14 @@ def _heat_slice(text: str) -> tuple[float, float] | None:
 
 def _solve_inteq(args):
     heat = _heat_slice(args.f)
-    psi = _read_grid_function(args.psi, args.L)
+    psi = _read_grid_function(args.psi)
+    f = None if heat else _read_grid_function(args.f)
+    _in_domain(args, (args.psi, psi.grid),
+               (args.f, heat[1] if heat else f.grid))
+    sm = _measure(args)
     if heat:
-        sol = solve_qt_equation(*heat, psi, _measure(args))
+        sol = solve_qt_equation(*heat, psi, sm)
     else:
-        f = _read_grid_function(args.f, args.L)
-        sm = _measure(args)
         kappa = sm.sigma2 if args.kappa is None else args.kappa
         prob = EquationProblem(f=f, psi=psi, kappa=kappa, rho=args.rho)
         sol = solve_equation(prob, sm)
@@ -345,19 +350,16 @@ def _selftest(args):
     spec = load_operator("builtin:cosine")
     ev = KernelEvaluator(spec)
     xs = np.linspace(0.0, 5.0, 41)
-    err = 0.0
-    for lam in (0.0, 1.0, 4.0, 10.0):
-        w, _, _ = ev.eval_grid(lam, xs)
-        err = max(err, float(np.max(np.abs(w.real - np.cos(xs * math.sqrt(lam))))))
+    lams = np.array([0.0, 1.0, 4.0, 10.0])
+    k = np.sqrt(lams)[:, None]
+    w = ev.eval_many(lams, xs)[0].real
+    err = float(np.max(np.abs(w - np.cos(k * xs))))
     all_ok &= report("kernel-cosine", err, 1e-8)
 
     spec_b = load_operator("builtin:bessel?alpha=0.5")
     ev_b = KernelEvaluator(spec_b)
-    err = 0.0
-    for lam in (1.0, 4.0, 10.0):
-        w, _, _ = ev_b.eval_grid(lam, xs)
-        ref = np.sinc(xs * math.sqrt(lam) / math.pi)
-        err = max(err, float(np.max(np.abs(w.real - ref))))
+    w = ev_b.eval_many(lams[1:], xs)[0].real
+    err = float(np.max(np.abs(w - np.sinc(k[1:] * xs / math.pi))))
     all_ok &= report("kernel-bessel", err, 1e-7)
 
     # 50 random (lambda, x) pairs, sorted by x: pair i is entry (i, i) of
@@ -470,6 +472,7 @@ _CHECKS = {
     "N": (lambda v: v > 0, "numeric parameters must be positive"),
     "lambda_max": (lambda v: v is None or v > 0, "lambda-max must be positive"),
     "t": (lambda v: v > 0, "t must be positive"),
+    "t_reg": (lambda v: v > 0, "t-reg must be positive"),
     "precision": (lambda v: 6 <= v <= 17, "precision must lie in [6, 17]"),
 }
 

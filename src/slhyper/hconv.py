@@ -111,35 +111,30 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
 class MeasureApprox:
     density: GridFunction | None
     atoms: tuple | None
-    t_used: float
     moment_lambdas: np.ndarray
     moments: np.ndarray          # (len(schedule), len(probe lambdas))
     cauchy_gaps: np.ndarray
     mass: float
 
 
-def _probe_lambdas(sm: SpectralMeasure) -> np.ndarray:
+def _probe_atoms(sm: SpectralMeasure) -> list[int]:
+    """Indices of the atoms whose moments approx_nu follows."""
     targets = (0.05, 0.1, 0.2, 0.4)
-    idx = sorted({int(np.argmin(np.abs(sm.lambdas - g))) for g in targets})
-    return sm.lambdas[idx]
+    return sorted({int(np.argmin(np.abs(sm.lambdas - g))) for g in targets})
 
 
 def approx_nu(x: float, y: float, sm: SpectralMeasure,
-              t_schedule=DEFAULT_T_SCHEDULE, probe_lambdas=None,
-              xi_grid=None) -> MeasureApprox:
+              t_schedule=DEFAULT_T_SCHEDULE, xi_grid=None) -> MeasureApprox:
     ts = [float(t) for t in t_schedule]
     if any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_schedule must be positive and strictly decreasing")
-    if probe_lambdas is None:
-        probe_lambdas = _probe_lambdas(sm)
-    probe_lambdas = np.asarray(probe_lambdas, dtype=float)
+    idx = _probe_atoms(sm)
+    probe_lambdas = sm.lambdas[idx]
     a = sm.spec.a
     if x == a or y == a:
         atom = y if x == a else x
-        w_atom = sm.w_values(atom)[:, 0]
-        kidx = [int(np.argmin(np.abs(sm.lambdas - l))) for l in probe_lambdas]
-        mom = np.array([[w_atom[k] for k in kidx]])
-        return MeasureApprox(density=None, atoms=((atom, 1.0),), t_used=0.0,
+        mom = sm.w_values(atom)[idx, 0][None]
+        return MeasureApprox(density=None, atoms=((atom, 1.0),),
                              moment_lambdas=probe_lambdas, moments=mom,
                              cauchy_gaps=np.zeros(0), mass=1.0)
     if xi_grid is None:
@@ -155,7 +150,7 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
         last = pk
     gaps = np.max(np.abs(np.diff(moments, axis=0)), axis=1)
     density = GridFunction(last.xi, last.values)
-    return MeasureApprox(density=density, atoms=None, t_used=ts[-1],
+    return MeasureApprox(density=density, atoms=None,
                          moment_lambdas=probe_lambdas, moments=moments,
                          cauchy_gaps=gaps, mass=last.mass)
 
@@ -165,23 +160,17 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
 
 
 def translate(h: GridFunction, y: float, sm: SpectralMeasure,
-              t_reg: float, support_case: str | None = None,
-              out_grid=None) -> GridFunction:
-    """(T^y h)(x) = int h d(delta_x * delta_y), regularized through q_t."""
+              t_reg: float, out_grid=None) -> GridFunction:
+    """(T^y h)(x) = int h d(delta_x * delta_y), regularized through q_t:
+    the convolution h * delta_y of the heat-smoothed profile, with transform
+    e^{-t_reg lam} (Fh)(lam) w_lam(y), for t_reg > 0.  T^a h is h itself."""
+    if t_reg <= 0:
+        raise ValueError("t_reg must be positive")
     out_grid = h.grid if out_grid is None else np.asarray(out_grid, dtype=float)
     if y == sm.spec.a:
         return GridFunction(out_grid, h(out_grid))
-    if t_reg == 0.0:
-        if support_case != "a":
-            raise ValueError("t_reg=0 needs the two-atom support shortcut "
-                             "(support case 'a')")
-        vals = 0.5 * (h(np.abs(out_grid - y)) + h(out_grid + y))
-        return GridFunction(out_grid, vals)
-    if t_reg < 0:
-        raise ValueError("t_reg must be nonnegative")
-    coef = np.exp(-t_reg * sm.lambdas) * sm.basis(h.grid).forward(h.values)
-    return GridFunction(out_grid,
-                        sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid))
+    return _convolve(sm.basis(h.grid).forward(h.values), sm.w_values(y)[:, 0],
+                     sm, t_reg, out_grid)
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -245,8 +234,6 @@ def convolve_measures(mu, nu, sm: SpectralMeasure,
 class SupportReport:
     case: str
     intervals: tuple        # ((lo, hi), ...) in the operator's coordinate
-    s_intervals: tuple      # same in shifted standard coordinates, or ()
-    params: SupportParams | None
     gamma_mapped: bool
 
 
@@ -309,7 +296,7 @@ def classify_support(x: float, y: float, sf: StandardForm,
     if not math.isfinite(sf.gamma_a):
         return SupportReport(case="degenerate_full",
                              intervals=((sf.spec.a, sf.spec.b),),
-                             s_intervals=(), params=params, gamma_mapped=False)
+                             gamma_mapped=False)
     if params is None:
         raise ValueError("support parameters required for a finite gamma(a)")
     u = sf.gamma(x) - sf.gamma_a
@@ -325,5 +312,4 @@ def classify_support(x: float, y: float, sf: StandardForm,
         return sf.gamma_inv(sf.gamma_a + sv)
 
     ints = tuple((back(lo), back(hi)) for lo, hi in s_ints)
-    return SupportReport(case=case, intervals=ints, s_intervals=s_ints,
-                         params=params, gamma_mapped=True)
+    return SupportReport(case=case, intervals=ints, gamma_mapped=True)

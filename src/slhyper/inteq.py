@@ -76,8 +76,8 @@ class SpectralStrip:
         """Delta_lambda = sqrt(lambda - sigma2), principal branch."""
         return cmath.sqrt(complex(lam) - self.sigma2)
 
-    def contains(self, lam: complex, tol: float = 1e-12) -> bool:
-        return abs(self.delta(lam).imag) <= self.half_width + tol
+    def contains(self, lam: complex) -> bool:
+        return abs(self.delta(lam).imag) <= self.half_width + 1e-12
 
     def boundary(self, tau) -> np.ndarray:
         """Boundary curve lambda(tau) = (tau + i ImDelta_kappa)^2 + sigma2."""
@@ -256,7 +256,6 @@ def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
 
 
 def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
-                     check: StripCheck | None = None,
                      out_grid=None) -> ResolventResult:
     """Kernel g with 1/(rho + Ff) = rho + Fg on the measure's atoms.
 
@@ -264,10 +263,6 @@ def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
     out_grid (default: the grid of f).  forward_recheck reports how well the
     quadrature transform of the realized g reproduces the defining table.
     """
-    if check is not None and not check.ok:
-        raise ValueError(
-            f"nonvanishing check failed: |rho + Ff| = {check.min_modulus:.3e} "
-            f"at lambda = {check.witness}")
     return _resolvent(sm.basis(f.grid).forward(f.values), rho, sm,
                       f.grid if out_grid is None else out_grid)
 
@@ -329,8 +324,7 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
 
 
 def solve_qt_equation(t: float, x: float, psi: GridFunction,
-                      sm: SpectralMeasure,
-                      t_reg: float = 1e-6) -> EquationSolution:
+                      sm: SpectralMeasure) -> EquationSolution:
     """h(y) + int h(xi) q_t(x, y, xi) r(xi) dxi = psi(y).
 
     The kernel is generated by the heat slice f = p(t, x, .): translating
@@ -340,4 +334,4 @@ def solve_qt_equation(t: float, x: float, psi: GridFunction,
     """
     f = GridFunction(psi.grid, heat_kernel_grid(t, x, psi.grid, sm))
     prob = EquationProblem(f=f, psi=psi, kappa=sm.sigma2, rho=1.0)
-    return solve_equation(prob, sm, t_reg)
+    return solve_equation(prob, sm)

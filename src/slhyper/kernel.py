@@ -38,7 +38,7 @@ from scipy.sparse import csr_array
 
 from .operator import OperatorSpec
 
-__all__ = ["KernelEvaluator", "KappaShiftedOperator"]
+__all__ = ["KernelEvaluator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
@@ -437,24 +437,3 @@ class KernelEvaluator:
                                                 0.0 * start, xs)
         return w.reshape(lams.shape + xs.shape), w1.reshape(lams.shape + xs.shape)
 
-
-# ---------------------------------------------------------------------------
-# kappa modification
-
-
-class KappaShiftedOperator:
-    """The modified operator with p<k> = w_k^2 p, r<k> = w_k^2 r.
-
-    Its kernel functions satisfy w<k>_lam = w_{k+lam} / w_k.
-    """
-
-    def __init__(self, base: KernelEvaluator, kappa: float, sigma2: float):
-        if kappa > sigma2 + 1e-12:
-            raise ValueError(f"kappa={kappa} exceeds sigma^2={sigma2}")
-        self.base = base
-        self.kappa = float(kappa)
-        self.sigma2 = float(sigma2)
-
-    def eval_w(self, lam: complex, xs) -> np.ndarray:
-        W, _, _ = self.base.eval_many([self.kappa, self.kappa + lam], xs)
-        return W[1] / W[0]

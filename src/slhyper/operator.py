@@ -50,6 +50,8 @@ _NEWTON_STEPS = 4
 _PIECE_CELLS = 16
 _ADAPT_RTOL = 1e-13
 _ADAPT_DEPTH = 30
+# support_params: psi equal to psi(0), and phi zero, to within this
+_SUPPORT_ATOL = 1e-10
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
@@ -149,8 +151,17 @@ def _adaptive_integral(f, lo: np.ndarray, hi: np.ndarray,
     return halves
 
 
-def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
-    """Convergence check of the nested integral int_a^c int_y^c dx/p r(y) dy.
+def _interior_point(spec: OperatorSpec) -> float:
+    """The default anchor c of the standard form and the left-boundary
+    check: a + 1, (a + b) / 2, b - 1 or 0, as a and b are finite or not."""
+    if math.isinf(spec.a):
+        return 0.0 if math.isinf(spec.b) else spec.b - 1.0
+    return spec.a + 1.0 if math.isinf(spec.b) else 0.5 * (spec.a + spec.b)
+
+
+def check_left_boundary(spec: OperatorSpec) -> dict:
+    """Convergence check of the nested integral int_a^c int_y^c dx/p r(y) dy,
+    with c the standard form's default anchor (``_interior_point``).
 
     The outer integral is summed piece by piece between the cuts of
     ``_left_cut_sequence``, each piece split into _PIECE_CELLS equal cells
@@ -161,10 +172,7 @@ def check_left_boundary(spec: OperatorSpec, c: float | None = None) -> dict:
     first piece that is not finite, where the coefficients have left the
     float range, and the value is the tail limit of the pieces
     (``_tail_limit``)."""
-    if c is None:
-        c = spec.a + 1.0 if math.isinf(spec.b) else 0.5 * (spec.a + spec.b)
-        if math.isinf(spec.a):
-            c = 0.0
+    c = _interior_point(spec)
     cuts = np.array([c, *_left_cut_sequence(spec.a, c)])
     frac = np.arange(_PIECE_CELLS) / _PIECE_CELLS
     edges = np.append((cuts[:-1, None] + np.diff(cuts)[:, None] * frac).ravel(),
@@ -333,11 +341,7 @@ class StandardForm:
 
 
 def build_standard_form(spec: OperatorSpec, c: float | None = None) -> StandardForm:
-    if c is None:
-        if math.isinf(spec.a):
-            c = 0.0 if math.isinf(spec.b) else spec.b - 1.0
-        else:
-            c = spec.a + 1.0 if math.isinf(spec.b) else 0.5 * (spec.a + spec.b)
+    c = _interior_point(spec) if c is None else c
     if not (spec.a < c < spec.b):
         raise ValueError("c must be strictly interior")
     return StandardForm(spec, c)
@@ -373,9 +377,9 @@ def _mp_probe_xs(sf: StandardForm) -> np.ndarray:
     return a + offs
 
 
-def certify_mp(sf: StandardForm, eta: CoefficientExpr | None = None) -> MpCertificate:
-    if eta is None:
-        eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0", "x")
+def certify_mp(sf: StandardForm) -> MpCertificate:
+    """Assumption MP with the operator's eta, or 0 when it has none."""
+    eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0", "x")
     xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
     xi = sf.gamma(xs)
@@ -404,7 +408,7 @@ class SupportParams:
     eta_at_origin: float
 
 
-def support_params(cert: MpCertificate, atol: float = 1e-10) -> SupportParams:
+def support_params(cert: MpCertificate) -> SupportParams:
     if not cert.all_ok:
         raise ValueError("MP not certified")
     if not math.isfinite(cert.sf.gamma_a):
@@ -412,13 +416,13 @@ def support_params(cert: MpCertificate, atol: float = 1e-10) -> SupportParams:
                          "the operator is degenerate (full support)")
     s = cert.grid_s
     psi0 = cert.psi_values[0]
-    same = np.abs(cert.psi_values - psi0) <= atol
+    same = np.abs(cert.psi_values - psi0) <= _SUPPORT_ATOL
     if np.all(same):
         x0 = math.inf
     else:
         first_diff = int(np.argmin(same))
         x0 = float(s[first_diff - 1]) if first_diff > 0 else 0.0
-    small_phi = np.abs(cert.phi_values) <= atol
+    small_phi = np.abs(cert.phi_values) <= _SUPPORT_ATOL
     if small_phi[0]:
         x1 = 0.0
     elif not np.any(small_phi):

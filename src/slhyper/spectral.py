@@ -34,21 +34,22 @@ whose values would outgrow the spline's coefficient table.  So a function
 that uses one grid several times asks for its basis each time and
 evaluates it once.  The contract-first order neither reads nor fills the
 memo, and ``w_values`` itself is never memoized.  The eigenfunctions are
-known on [a_eff, L] only: a point below a_eff takes the value 1 of every
-w_k at a_eff, and a point past L is an error.
+known on [a_eff, L] only: a point in [a, a_eff) takes the value 1 of every
+w_k at a_eff, and a point below a or past L is an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .kernel import KernelEvaluator, _row_spline
-from .operator import OperatorSpec, _seg_integral
+from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
     "Basis",
@@ -168,15 +169,15 @@ class SpectralMeasure:
     kept, the one with fewer lookups goes, the older on a tie, so a grid
     that keeps coming back outlives one-off grids.  Values larger than the
     spline's coefficient table are not kept.  The contract-first order of
-    synthesize keeps nothing."""
+    synthesize keeps nothing.  sigma2 comes from the operator's standard
+    form when first read, so a build does no standard-form work."""
 
-    def __init__(self, spec, evaluator, lambdas, masses, sigma2, L, N,
+    def __init__(self, spec, evaluator, lambdas, masses, L, N,
                  a_eff: float, w: BSpline):
         self.spec = spec
         self.evaluator = evaluator
         self.lambdas = lambdas
         self.masses = masses
-        self.sigma2 = sigma2
         self.L = L
         self.N = N
         self._a_eff = a_eff
@@ -188,18 +189,26 @@ class SpectralMeasure:
     def __len__(self):
         return len(self.lambdas)
 
+    @cached_property
+    def sigma2(self) -> float:
+        """sigma^2 of the operator's standard form: the spectrum's bottom."""
+        return float(build_standard_form(self.spec).sigma ** 2)
+
     def _clamped(self, xq: np.ndarray) -> np.ndarray:
-        """xq clamped below at a_eff, where every w_k is 1; a point past L,
-        where the truncated measure ends, raises ValueError."""
+        """xq clamped below at a_eff, where every w_k is 1; a point below a,
+        or past L where the truncated measure ends, raises ValueError."""
+        if np.fmin.reduce(xq, initial=math.inf) < self.spec.a:
+            raise ValueError(f"points below a = {self.spec.a:g}, the "
+                             "operator's left end")
         if np.fmax.reduce(xq, initial=-math.inf) > self.L:
             raise ValueError(f"points past L = {self.L:g}, where the "
                              "eigenfunctions end")
         return np.maximum(xq, self._a_eff)
 
     def w_values(self, xq) -> np.ndarray:
-        """(K, len(xq)) matrix of eigenfunction values.  Points below a_eff
-        take the value at a_eff, where every w_k is 1; points past L raise
-        ValueError."""
+        """(K, len(xq)) matrix of eigenfunction values.  Points in [a,
+        a_eff) take the value at a_eff, where every w_k is 1; points below
+        a or past L raise ValueError."""
         return self._w(self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
     def basis(self, grid) -> Basis:
@@ -520,8 +529,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
 
 def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
                            lambda_max: float | None = None,
-                           evaluator: KernelEvaluator | None = None,
-                           sigma2: float = 0.0) -> SpectralMeasure:
+                           evaluator: KernelEvaluator | None = None
+                           ) -> SpectralMeasure:
     if N < 16:
         raise ValueError("N must be at least 16")
     if not (spec.a < L < spec.b):
@@ -533,7 +542,7 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
         # is 0.6: about ten nodes per wavelength of the highest atom
         lambda_max = (0.6 * N / (2.0 * L)) ** 2
     a_eff, lam, mass, levels = _levels(spec, L, N, lambda_max, evaluator)
-    return SpectralMeasure(spec, evaluator, lam, mass, sigma2, L, N, a_eff,
+    return SpectralMeasure(spec, evaluator, lam, mass, L, N, a_eff,
                            _row_spline(*levels))
 
 

@@ -340,6 +340,9 @@ def test_heatkernel_f_checked_first(f, tmp_path, monkeypatch, capsys):
     ["cauchy", "--h", "PROFILE", "--grid", "0:17:5"],
     ["transform", "--h", "WIDE"],
     ["solve-inteq", "--f", "heatkernel:0.25,1.0", "--psi", "WIDE"],
+    ["product", "--t", "0.5", "--x", "17", "--y", "1"],
+    ["translate", "--h", "PROFILE", "--y", "17"],
+    ["solve-inteq", "--f", "heatkernel:0.25,17", "--psi", "PROFILE"],
 ])
 def test_points_past_L_rejected_first(argv, tmp_path, monkeypatch, capsys):
     """Grids and profiles end at --L, where the measure's eigenfunctions
@@ -352,6 +355,37 @@ def test_points_past_L_rejected_first(argv, tmp_path, monkeypatch, capsys):
     assert run([str(files.get(a, a)) for a in argv] + SMALL) == 1
     err = capsys.readouterr().err
     assert err.startswith("slhyper: error:") and "past L = 16" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["product", "--t", "0.5", "--x", "-3", "--y", "1", "--xi-grid", "0:4:5"],
+     "--x: points below a = 0"),
+    (["translate", "--h", "PROFILE", "--y", "-1"], "--y: points below a = 0"),
+    (["heatkernel", "--t", "0.5", "--x-grid=-1:2:4", "--y-grid", "1.0"],
+     "--x-grid: points below a = 0"),
+    (["cauchy", "--h", "PROFILE", "--grid=-1:5:7"],
+     "--grid: points below a = 0"),
+    (["transform", "--h", "NEGATIVE"], "neg.csv: points below a = 0"),
+    (["solve-inteq", "--f", "heatkernel:0.25,-1", "--psi", "PROFILE"],
+     "heatkernel:0.25,-1: points below a = 0"),
+    (["translate", "--h", "PROFILE", "--y", "1", "--t-reg", "0"],
+     "t-reg must be positive"),
+    (["convolve", "--h", "PROFILE", "--g", "PROFILE", "--t-reg", "0"],
+     "t-reg must be positive"),
+])
+def test_points_below_a_and_zero_t_reg_rejected_first(argv, message, tmp_path,
+                                                      monkeypatch, capsys):
+    """A point below the operator's left end a, where no measure lives, and
+    a --t-reg that is not positive are bad input, found before the build."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    neg = tmp_path / "neg.csv"
+    neg.write_text("-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+    files = {"PROFILE": _write_bump(tmp_path / "h.csv"), "NEGATIVE": neg}
+    assert run([str(files.get(a, a)) for a in argv] + SMALL) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:") and message in err
 
 
 @pytest.mark.parametrize("xi", ["3.0", "5:0:11", "0,2,1,3"])

@@ -79,15 +79,19 @@ def test_translate_at_origin_is_identity(sm_cosine):
 
 
 def test_translate_atomic_shortcut_matches_spectral(sm_cosine):
+    # for the flat operator delta_x * delta_y has two atoms, at |x - y| and
+    # x + y, so T^y h = (h(|x - y|) + h(x + y)) / 2; translate itself takes
+    # only t_reg > 0
     g = np.linspace(0.0, 14.0, 1401)
     h = bump_function(5.0, 2.0, g)
     y = 1.5
-    exact = translate(h, y, sm_cosine, t_reg=0.0, support_case="a")
+    exact = 0.5 * (h(np.abs(g - y)) + h(g + y))
     spect = translate(h, y, sm_cosine, t_reg=1e-6)
-    err = np.max(np.abs(exact.values - spect.values.real))
+    err = np.max(np.abs(exact - spect.values.real))
     assert err < 2e-3
-    with pytest.raises(ValueError):
-        translate(h, y, sm_cosine, t_reg=0.0)
+    for t_reg in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="t_reg must be positive"):
+            translate(h, y, sm_cosine, t_reg=t_reg)
 
 
 def test_translate_diagonalizes(sm_cosine):

@@ -130,6 +130,17 @@ def test_solve_equation_zero_f_returns_psi(sm_cosine):
     assert np.max(np.abs(sol.h.values - psi.values)) < 1e-8
 
 
+def test_solve_equation_in_a_strip_of_whittaker(sm_whittaker):
+    # Whittaker's spectrum starts at sigma^2 = 1/16, so kappa = 0.05 poses
+    # the equation on a strip of half width sqrt(1/16 - 0.05)
+    g = np.linspace(0.0, 8.0, 401)
+    f, psi = bump_function(3.0, 1.0, g), bump_function(4.0, 1.5, g)
+    sol = solve_equation(EquationProblem(f=f, psi=psi, kappa=0.05),
+                         sm_whittaker)
+    assert sol.diagnostics["min_modulus"] > 1e-8
+    assert sol.diagnostics["transform_residual"] < 1e-3
+
+
 def test_solve_equation_transform_residual(sm_cosine):
     f, g = _bump(sm_cosine, center=3.0, width=1.2)
     psi = bump_function(5.0, 2.0, g)

@@ -1,5 +1,4 @@
-"""Kernel evaluation: closed-form oracles, shifted origins, and the
-frequency-shift modification."""
+"""Kernel evaluation: closed-form oracles and shifted origins."""
 
 import math
 
@@ -10,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from slhyper.operator import builtin_operator
-from slhyper.kernel import (KappaShiftedOperator, KernelEvaluator,
-                            _refinement, _row_spline, _spline_increments)
+from slhyper.kernel import (KernelEvaluator, _refinement, _row_spline,
+                            _spline_increments)
 
 
 @pytest.fixture(scope="module")
@@ -229,16 +228,6 @@ def test_shifted_kernel_empty_grid(ev_cosine):
     assert w.shape == w1.shape == (0,)
     w, w1 = ev_cosine.eval_w_shifted(np.array([1.0, 4.0]), 0.5, [])
     assert w.shape == w1.shape == (2, 0)
-
-
-def test_kappa_shift_ratio(ev_cosine):
-    # the modified kernel is w_{kappa+lam}/w_kappa for the base operator
-    ks = KappaShiftedOperator(ev_cosine, -1.0, 0.0)
-    xs = np.array([0.5, 1.5])
-    got = ks.eval_w(2.0, xs)
-    w_num, _, _ = ev_cosine.eval_grid(1.0, xs)
-    w_den, _, _ = ev_cosine.eval_grid(-1.0, xs)
-    assert np.allclose(got, w_num / w_den, rtol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,6 +68,18 @@ def test_left_boundary_whittaker_stops_at_the_float_range():
     assert rep["value"] == pytest.approx(0.6618621606211247, rel=1e-9)
 
 
+def test_left_boundary_anchor_inside_a_left_infinite_interval():
+    # on (-oo, -1) the anchor is c = b - 1 = -2, as in the standard form;
+    # with p = 1 the integral is int_-oo^c r(y) (c - y) dy
+    # = e^-1 (Gamma(5/2, 1) - Gamma(3/2, 1))
+    from scipy.special import gamma, gammaincc
+    rep = check_left_boundary(_spec(-math.inf, -1.0, "1", "exp(x)*sqrt(-1-x)"))
+    want = math.exp(-1.0) * (gamma(2.5) * gammaincc(2.5, 1.0)
+                             - gamma(1.5) * gammaincc(1.5, 1.0))
+    assert rep["finite"]
+    assert rep["value"] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_left_boundary_log_divergence():
     # p = x^3, r = x: r(y) int_y^1 dx/p = (1/y - y)/2 is not integrable at 0
     rep = check_left_boundary(_spec(0.0, math.inf, "x^3", "x"))

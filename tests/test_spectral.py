@@ -53,6 +53,13 @@ def test_atoms_sorted_positive(sm_cosine):
     assert sm_cosine.lambdas[0] >= sm_cosine.sigma2 - 0.05
 
 
+def test_sigma2_is_the_operators(sm_cosine, sm_whittaker):
+    # sigma^2 of the standard form: 0 for the flat operator, and
+    # ((1 - 2 alpha) / 2)^2 = 1/16 for Whittaker at alpha = 1/4
+    assert sm_cosine.sigma2 == 0.0
+    assert sm_whittaker.sigma2 == pytest.approx(1.0 / 16.0, rel=0.0, abs=1e-6)
+
+
 def test_cosine_atom_masses(sm_cosine):
     # Dirichlet at L: each normalized cos(sqrt(lam) x) has mass 2/L
     low = sm_cosine.lambdas <= 400.0
@@ -118,6 +125,13 @@ def test_w_values_below_a_eff_is_one(sm_whittaker):
     # the Whittaker measure starts at a_eff ~ 0.034, where every w_k is 1
     W = sm_whittaker.w_values([0.0, 0.01])
     assert np.allclose(W, 1.0, rtol=0.0, atol=1e-12)
+    # below a = 0 there is no operator: an error, not the value at a
+    with pytest.raises(ValueError, match="below a = 0"):
+        sm_whittaker.w_values([-0.01, 0.5])
+    for n in (3, 3000):         # both synthesis orders
+        with pytest.raises(ValueError, match="below a = 0"):
+            sm_whittaker.synthesize(np.ones(len(sm_whittaker)),
+                                    np.linspace(-0.01, 1.0, n))
 
 
 @pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
