@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .operator import MpCertificate
 from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
@@ -43,7 +42,10 @@ class CauchySolution:
         self.sm = sm
 
     @cached_property
-    def _spline(self) -> RectBivariateSpline:
+    def _spline(self):
+        """The interpolating tensor spline of the values; imported here, as
+        only __call__ reads it."""
+        from scipy.interpolate import RectBivariateSpline
         kx = min(3, len(self.xs) - 1)
         ky = min(3, len(self.ys) - 1)
         return RectBivariateSpline(self.xs, self.ys, self.values, kx=kx, ky=ky)

@@ -6,6 +6,11 @@ format, own flags and compute function; one dispatcher parses, merges
 --config, checks, hashes the resolved configuration and emits.  CSV and JSON
 outputs open with the package version and that hash, so identical
 invocations of the same build produce byte-identical files.
+
+Each command runs in a process of its own, so the module imports only numpy
+and the operator layer, which every command reads; each compute function
+imports the layers it runs.  ``validate`` and ``support`` load no scipy,
+and scipy.integrate loads at the first kernel ODE solve.
 """
 
 from __future__ import annotations
@@ -17,21 +22,17 @@ import hashlib
 import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .operator import (load_operator, build_standard_form, certify_mp,
-                       support_params, check_left_boundary)
-from .kernel import KernelEvaluator
-from .spectral import (GridFunction, _checked_grid, build_spectral_measure,
-                       bump_function, forward_transform, heat_kernel_grid,
-                       inverse_transform)
-from .hconv import (product_density, default_xi_grid, translate,
-                    convolve_functions, classify_support)
-from .cauchy import solve_cauchy, triangle_identity_residual
-from .inteq import EquationProblem, solve_equation, solve_qt_equation
+                       support_params, check_left_boundary, classify_support)
+
+if TYPE_CHECKING:
+    from .kernel import KernelEvaluator
+    from .spectral import GridFunction
 
 __all__ = ["main"]
 
@@ -64,6 +65,8 @@ def _read_grid_function(path: str) -> GridFunction:
     """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
     is a header before the first data row; any later row that is not two
     numbers is an error."""
+    from .spectral import GridFunction
+
     xs, vals = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -147,6 +150,8 @@ def _in_domain(args, *named) -> None:
 
 
 def _measure(args):
+    from .spectral import build_spectral_measure
+
     return build_spectral_measure(load_operator(args.op), L=args.L, N=args.N,
                                   lambda_max=args.lambda_max)
 
@@ -173,6 +178,8 @@ def _validate(args) -> dict:
 
 
 def _kernel(args):
+    from .kernel import KernelEvaluator
+
     ev = KernelEvaluator(load_operator(args.op))
     xs = np.sort(_parse_grid(args.x))
     lams = [complex(v) for v in getattr(args, "lambda").split(",")]
@@ -191,6 +198,8 @@ def _spectrum(args):
 
 
 def _transform(args):
+    from .spectral import forward_transform
+
     h = _read_grid_function(args.h)
     _in_domain(args, (args.h, h.grid))
     tbl = forward_transform(h, _measure(args))
@@ -199,6 +208,8 @@ def _transform(args):
 
 
 def _heatkernel(args):
+    from .spectral import heat_kernel_grid
+
     xg, yg = _parse_grid(args.x_grid), _parse_grid(args.y_grid)
     _in_domain(args, ("--x-grid", xg), ("--y-grid", yg))
     p = heat_kernel_grid(args.t, xg, yg, _measure(args))
@@ -208,6 +219,9 @@ def _heatkernel(args):
 
 
 def _product(args):
+    from .spectral import _checked_grid
+    from .hconv import default_xi_grid, product_density
+
     xi = None if args.xi_grid is None else _checked_grid(
         _parse_grid(args.xi_grid), "xi grid")
     _in_domain(args, ("--x", args.x), ("--y", args.y),
@@ -221,6 +235,8 @@ def _product(args):
 
 
 def _translate(args):
+    from .hconv import translate
+
     h = _read_grid_function(args.h)
     _in_domain(args, (args.h, h.grid), ("--y", args.y))
     out = translate(h, args.y, _measure(args), t_reg=args.t_reg)
@@ -228,6 +244,8 @@ def _translate(args):
 
 
 def _convolve(args):
+    from .hconv import convolve_functions
+
     h = _read_grid_function(args.h)
     g = _read_grid_function(args.g)
     _in_domain(args, (args.h, h.grid), (args.g, g.grid))
@@ -246,6 +264,9 @@ def _support(args) -> dict:
 
 
 def _cauchy(args):
+    from .spectral import _checked_grid
+    from .cauchy import solve_cauchy
+
     h = _read_grid_function(args.h)
     xs = _checked_grid(_parse_grid(args.grid), "solution grid")
     _in_domain(args, (args.h, h.grid), ("--grid", xs))
@@ -297,6 +318,9 @@ class _EigenPair:
 
 
 def _triangle(args) -> dict:
+    from .kernel import KernelEvaluator
+    from .cauchy import triangle_identity_residual
+
     spec = load_operator(args.op)
     sf = build_standard_form(spec)
     v = _EigenPair(KernelEvaluator(spec), sf, args.lam)
@@ -321,6 +345,8 @@ def _heat_slice(text: str) -> tuple[float, float] | None:
 
 
 def _solve_inteq(args):
+    from .inteq import EquationProblem, solve_equation, solve_qt_equation
+
     heat = _heat_slice(args.f)
     psi = _read_grid_function(args.psi)
     f = None if heat else _read_grid_function(args.f)
@@ -338,6 +364,10 @@ def _solve_inteq(args):
 
 
 def _selftest(args):
+    from .kernel import KernelEvaluator
+    from .spectral import (build_spectral_measure, bump_function,
+                           forward_transform, inverse_transform)
+
     lines = []
 
     def report(name, value, tol):

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import StandardForm, SupportParams
 from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
                        _r_weights)
 
 __all__ = [
     "ProductKernel",
     "MeasureApprox",
-    "SupportReport",
     "MeasureConvolution",
     "product_density",
     "product_formula_residual",
@@ -32,7 +30,6 @@ __all__ = [
     "translate",
     "convolve_functions",
     "convolve_measures",
-    "classify_support",
     "DEFAULT_T_SCHEDULE",
 ]
 
@@ -224,92 +221,3 @@ def convolve_measures(mu, nu, sm: SpectralMeasure,
             np.exp(-t_reg * sm.lambdas) * product, grid))
     return MeasureConvolution(lambdas=sm.lambdas.copy(), mu_hat=mu_hat,
                               nu_hat=nu_hat, product=product, density=density)
-
-
-# ---------------------------------------------------------------------------
-# support of delta_x * delta_y
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    case: str
-    intervals: tuple        # ((lo, hi), ...) in the operator's coordinate
-    gamma_mapped: bool
-
-
-def _merge(intervals):
-    out = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1] + 1e-14:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def _case_of(par: SupportParams) -> str:
-    eta0_zero = abs(par.eta_at_origin) <= 1e-12
-    if math.isinf(par.x0) and math.isinf(par.x1):
-        return "extrapolated_e"
-    if not eta0_zero:
-        return "e"
-    if math.isinf(par.x0) and par.x1 == 0.0:
-        return "a"
-    if par.x1 == 0.0 and 0.0 < par.x0 < math.inf:
-        return "b"
-    if math.isinf(par.x0) and 0.0 < par.x1 < math.inf:
-        return "c"
-    if 0.0 < 3.0 * par.x1 < par.x0 < math.inf:
-        return "d"
-    return "e"
-
-
-def _support_in_s(case: str, u: float, v: float, par: SupportParams):
-    d, s = abs(u - v), u + v
-    x0, x1 = par.x0, par.x1
-    if case in ("e", "extrapolated_e"):
-        return ((d, s),)
-    if case == "a":
-        return ((d, d), (s, s))
-    if case == "b":
-        if s <= x0:
-            return ((d, d), (s, s))
-        if max(u, v) < x0:
-            return _merge([(d, d), (2 * x0 - s, s)])
-        return ((d, s),)
-    # cases c and d share the two-interval shape away from the thresholds
-    if case == "c":
-        if min(u, v) <= 2 * x1:
-            return ((d, s),)
-        return _merge([(d, 2 * x1 + d), (s - 2 * x1, s)])
-    if case == "d":
-        if min(u, v) <= 2 * x1 or max(u, v) >= x0 - x1:
-            return ((d, s),)
-        return _merge([(d, 2 * x1 + d), (s - 2 * x1, s)])
-    raise ValueError(f"unknown case {case!r}")
-
-
-def classify_support(x: float, y: float, sf: StandardForm,
-                     params: SupportParams | None) -> SupportReport:
-    """Support of delta_x * delta_y per the structure parameters
-    (x0, x1, eta(0)) of the standard form."""
-    if not math.isfinite(sf.gamma_a):
-        return SupportReport(case="degenerate_full",
-                             intervals=((sf.spec.a, sf.spec.b),),
-                             gamma_mapped=False)
-    if params is None:
-        raise ValueError("support parameters required for a finite gamma(a)")
-    u = sf.gamma(x) - sf.gamma_a
-    v = sf.gamma(y) - sf.gamma_a
-    if u < 0 or v < 0:
-        raise ValueError("x, y must lie in (a, b)")
-    case = _case_of(params)
-    s_ints = _support_in_s(case, u, v, params)
-
-    def back(sv):
-        if sv <= 0.0:
-            return sf.spec.a
-        return sf.gamma_inv(sf.gamma_a + sv)
-
-    ints = tuple((back(lo), back(hi)) for lo, hi in s_ints)
-    return SupportReport(case=case, intervals=ints, gamma_mapped=True)

@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_array
 
@@ -45,6 +44,13 @@ _MAX_TERMS = 60
 # DOP853 tolerances of the kernel ODE
 _RTOL = 1e-11
 _ATOL = 1e-13
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first call: a process
+    that solves no kernel ODE never loads scipy.integrate."""
+    from scipy.integrate import solve_ivp as solve
+    return solve(*args, **kwargs)
 
 
 def _spline_increments(xs: np.ndarray):
@@ -93,6 +99,37 @@ def _not_a_knot(xs: np.ndarray) -> np.ndarray:
     return np.concatenate([np.repeat(xs[0], 4), xs[2:-2], np.repeat(xs[-1], 4)])
 
 
+def _interval(t: np.ndarray, x) -> np.ndarray:
+    """Index mu of the knot interval t[mu] <= x < t[mu+1] of each point,
+    clipped to [3, len(t) - 5]: a point past either end knot takes the
+    end interval, whose polynomial piece extends the spline there.  The
+    count of the knots t[4:-4] at or below x is that index less 3."""
+    return np.searchsorted(t[4:-4], x, side="right") + 3
+
+
+def _bspline_rows(t: np.ndarray, mu: np.ndarray, stages) -> csr_array:
+    """Row i: the cubic B-splines mu[i]-3..mu[i] on the knots t, nonzero on
+    the knot interval t[mu[i]] <= x < t[mu[i]+1], from the de Boor-Cox
+    recurrence (Lyche & Morken, Spline Methods, ch. 2-4) with its degree-d
+    stage taken at the points stages[d - 1].  The operations and their
+    order are those of scipy's BSpline, so the values agree bit for bit."""
+    m = len(mu)
+    knots = t[mu + np.arange(-2, 4)[:, None]]      # row k: t[mu - 2 + k]
+    b = [1.0]
+    for d, x in enumerate(stages, start=1):
+        nb = [0.0] * (d + 1)
+        for j in range(d):
+            # b[j] is the B-spline mu - d + 1 + j of degree d-1, on [lo, hi)
+            lo, hi = knots[3 - d + j], knots[3 + j]
+            share = b[j] / (hi - lo)
+            nb[j] += share * (hi - x)
+            nb[j + 1] = share * (x - lo)
+        b = nb
+    return csr_array((np.column_stack(b).ravel(),
+                      (mu[:, None] + np.arange(-3, 1)).ravel(),
+                      np.arange(0, 4 * m + 1, 4)), shape=(m, len(t) - 4))
+
+
 def _refinement(t: np.ndarray, tau: np.ndarray) -> csr_array:
     """The matrix that maps the coefficients of a cubic spline on the knots t
     to those of the same spline on tau, which holds every knot of t at
@@ -105,21 +142,32 @@ def _refinement(t: np.ndarray, tau: np.ndarray) -> csr_array:
     the de Boor-Cox recurrence, each stage taken at its own knot of tau.
     """
     m = len(tau) - 4
-    mu = np.clip(np.searchsorted(t, tau[:m], side="right") - 1, 3, len(t) - 5)
-    b = np.ones((m, 1))
-    for d in range(1, 4):
-        x = tau[d:m + d]
-        nb = np.zeros((m, d + 1))
-        for j in range(d):
-            # column j of b is the B-spline l = mu - d + 1 + j of degree d-1
-            lo, hi = t[mu - d + 1 + j], t[mu + 1 + j]
-            share = b[:, j] / (hi - lo)
-            nb[:, j] += share * (hi - x)
-            nb[:, j + 1] += share * (x - lo)
-        b = nb
-    cols = mu[:, None] - 3 + np.arange(4)
-    return csr_array((b.ravel(), cols.ravel(), np.arange(0, 4 * m + 1, 4)),
-                     shape=(m, len(t) - 4))
+    return _bspline_rows(t, _interval(t, tau[:m]),
+                         [tau[d:m + d] for d in (1, 2, 3)])
+
+
+def _design(t: np.ndarray, x: np.ndarray) -> csr_array:
+    """The collocation matrix of the cubic B-splines on the knots t at the
+    points x, shape (len(x), len(t) - 4), four nonzeros a row: design(t, x)
+    @ c is the spline with coefficients c at x, extrapolated past the end
+    knots by the end pieces."""
+    return _bspline_rows(t, _interval(t, x), (x, x, x))
+
+
+@dataclass(frozen=True, eq=False)
+class RowSpline:
+    """A vector-valued cubic spline: knots t and coefficients c of shape
+    (len(t) - 4, *lead), one spline for each entry of lead."""
+
+    t: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, x) -> np.ndarray:
+        """Values at the 1-D points x, shape lead + (len(x),): the one
+        collocation matrix of x (``_design``) times the coefficients."""
+        x = np.asarray(x, dtype=float)
+        v = _design(self.t, x) @ self.c.reshape(len(self.c), -1)
+        return np.moveaxis(v.reshape(len(x), *self.c.shape[1:]), 0, -1)
 
 
 def _interpolation(xs: np.ndarray, t: np.ndarray):
@@ -133,7 +181,7 @@ def _interpolation(xs: np.ndarray, t: np.ndarray):
     Fortran-ordered copy, solved in place, and the coefficients are
     make_interp_spline's, bit for bit.
     """
-    col = BSpline.design_matrix(xs, t, 3).tocoo()
+    col = _design(t, xs).tocoo()
     # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
     ab = np.zeros((10, len(xs)), order="F")
     ab[6 + col.row - col.col, col.col] = col.data
@@ -169,10 +217,10 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
                          count=n).reshape(shape)
 
 
-def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> BSpline:
+def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> RowSpline:
     """The sum over levels (xs, Y, weight) of weight times the not-a-knot
-    cubic spline through every row of Y over xs, as one vector-valued
-    BSpline along Y's last axis.  The levels share their end points and
+    cubic spline through every row of Y over xs, as one RowSpline whose
+    values run along Y's last axis.  The levels share their end points and
     the shape of Y's leading axes.
 
     The sum lives on the union of the levels' knots.  Each level's
@@ -208,8 +256,7 @@ def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> BSpline:
                 part = refine @ part
             part *= weight
             c[:, j:j + _SPLINE_BLOCK] += part
-    return BSpline.construct_fast(tau, c.reshape(len(tau) - 4, *lead), 3,
-                                  axis=len(lead))
+    return RowSpline(tau, c.reshape(len(tau) - 4, *lead))
 
 
 class KernelEvaluator:

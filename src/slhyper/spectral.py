@@ -14,7 +14,12 @@ the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
 (4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
 of their knots by knot insertion (``kernel._row_spline``), so every
-evaluation is one spline call.
+evaluation is one spline call.  The spline is built in numpy, but its
+values come from scipy's compiled BSpline, imported at the first
+evaluation (``_bspline``): on the few-point and single-column evaluations
+that spectral sums make, numpy's recurrence costs 2-4 times as much per
+call, while a process that builds a measure and evaluates no eigenfunction
+never loads scipy.interpolate.
 
 Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
 is linear in its coefficients (de Boor, A Practical Guide to Splines), so
@@ -45,10 +50,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .kernel import KernelEvaluator, _row_spline
+from .kernel import KernelEvaluator, RowSpline, _interval, _row_spline
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
@@ -152,6 +156,13 @@ class Basis:
 _KEPT_MAX = 2
 
 
+def _bspline(t: np.ndarray, c: np.ndarray):
+    """scipy's BSpline on the knots t with the coefficients c, whose values
+    at points x take shape c.shape[1:] + (len(x),), as RowSpline's do."""
+    from scipy.interpolate import BSpline
+    return BSpline.construct_fast(t, c, 3, axis=c.ndim - 1)
+
+
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
     on [a_eff, L] stored as one vector-valued cubic spline: the Richardson
@@ -173,7 +184,7 @@ class SpectralMeasure:
     form when first read, so a build does no standard-form work."""
 
     def __init__(self, spec, evaluator, lambdas, masses, L, N,
-                 a_eff: float, w: BSpline):
+                 a_eff: float, w: RowSpline):
         self.spec = spec
         self.evaluator = evaluator
         self.lambdas = lambdas
@@ -205,11 +216,16 @@ class SpectralMeasure:
                              "eigenfunctions end")
         return np.maximum(xq, self._a_eff)
 
+    @cached_property
+    def _eigenfunctions(self):
+        return _bspline(self._w.t, self._w.c)
+
     def w_values(self, xq) -> np.ndarray:
         """(K, len(xq)) matrix of eigenfunction values.  Points in [a,
         a_eff) take the value at a_eff, where every w_k is 1; points below
         a or past L raise ValueError."""
-        return self._w(self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
+        return self._eigenfunctions(
+            self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
     def basis(self, grid) -> Basis:
         """Every eigenfunction on grid, with the grid's weights: what every
@@ -257,11 +273,9 @@ class SpectralMeasure:
         """The rows [lo, hi) of the coefficient table whose B-splines are
         nonzero somewhere on the span of grid, clamped below at a_eff.  The
         knot intervals are found as the spline evaluation finds them."""
-        t = self._w.t
         span = (max(np.fmin.reduce(grid), self._a_eff),
                 max(np.fmax.reduce(grid), self._a_eff))
-        first, last = (min(max(int(i) - 1, 3), len(t) - 5)
-                       for i in np.searchsorted(t, span, side="right"))
+        first, last = _interval(self._w.t, span).tolist()
         return first - 3, last + 1
 
     def _contracted(self, coef, grid, lo: int, hi: int) -> np.ndarray:
@@ -269,9 +283,8 @@ class SpectralMeasure:
         the coefficient table times masses * coef, on the knots of those
         rows, evaluated on the grid clamped as in w_values."""
         weighted = (self.masses * coef.T).T
-        spline = BSpline.construct_fast(self._w.t[lo:hi + 4],
-                                        self._w.c[lo:hi] @ weighted, 3)
-        return spline(self._clamped(grid)).T
+        spline = _bspline(self._w.t[lo:hi + 4], self._w.c[lo:hi] @ weighted)
+        return spline(self._clamped(grid))
 
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from slhyper.operator import (builtin_operator, build_standard_form,
-                              certify_mp, support_params)
+                              certify_mp, classify_support, support_params)
 from slhyper.kernel import KernelEvaluator
 from slhyper.spectral import (GridFunction, build_spectral_measure,
                               bump_function, forward_transform,
                               heat_kernel_grid)
-from slhyper.hconv import (approx_nu, classify_support, convolve_functions,
+from slhyper.hconv import (approx_nu, convolve_functions,
                            convolve_measures, default_xi_grid,
                            product_density, product_formula_residual)
 from slhyper.cauchy import (solve_cauchy, solve_cauchy_shifted,

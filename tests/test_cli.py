@@ -2,11 +2,16 @@
 config file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import slhyper
 from slhyper.cli import _EigenPair, main
 from slhyper.kernel import KernelEvaluator
 from slhyper.operator import builtin_operator, build_standard_form
@@ -159,7 +164,7 @@ def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("measure built before the grid was checked")
 
-    monkeypatch.setattr("slhyper.cli.build_spectral_measure", no_build)
+    monkeypatch.setattr("slhyper.spectral.build_spectral_measure", no_build)
     h = _write_bump(tmp_path / "h.csv")
     assert run(["cauchy", "--h", str(h), "--grid", grid, *SMALL,
                 "--out", str(tmp_path / "c.csv")]) == 1
@@ -312,7 +317,8 @@ def test_non_finite_numbers_rejected_first(flag, argv, monkeypatch, capsys):
     import slhyper.cli as cli
 
     monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
-    monkeypatch.setattr(cli, "KernelEvaluator", lambda spec: pytest.fail("ran"))
+    monkeypatch.setattr("slhyper.kernel.KernelEvaluator",
+                        lambda spec: pytest.fail("ran"))
     assert run(argv) == 1
     assert f"error: {flag} must be finite" in capsys.readouterr().err
 
@@ -525,3 +531,62 @@ def test_real_rho_writes_the_default_bytes(tmp_path):
         outputs.append((out.read_bytes(), diag.read_bytes()))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+# runs main(argv) in a fresh interpreter and prints its scipy modules
+_FOOTPRINT = """
+import json, sys
+from slhyper.cli import main
+argv = json.loads(sys.argv[1])
+if argv and main(argv) != 0:
+    sys.exit("command failed")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_modules(argv, out):
+    """The scipy modules a fresh process holds after running the command
+    argv (importing slhyper.cli alone when argv is empty)."""
+    src = str(Path(slhyper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = [*argv, "--out", str(out)] if argv else []
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["validate", "--op", "builtin:bessel?alpha=0.5"],
+    ["support", "--x", "3.0", "--y", "1.0"],
+], ids=lambda v: " ".join(v[:1]) or "import")
+def test_operator_commands_load_no_scipy(argv, tmp_path):
+    """Importing the CLI, validate and support load numpy and the operator
+    layer, and no scipy module."""
+    assert _scipy_modules(argv, tmp_path / "out") == []
+
+
+MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12",
+      *MEASURE_1024], ("integrate", "interpolate")),
+    (["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
+      *MEASURE_1024], ("integrate",)),
+    (["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
+     ("integrate",)),
+    (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"], ("interpolate",)),
+], ids=["spectrum", "heatkernel", "product", "kernel"])
+def test_commands_load_only_the_scipy_they_run(argv, absent, tmp_path):
+    """scipy.integrate loads at the first kernel ODE solve, so the measure
+    commands that solve none never load it; scipy.interpolate loads at the
+    first eigenfunction evaluation, so a measure build (spectrum) and a
+    kernel evaluation, whose series table is a numpy spline, never load
+    it."""
+    mods = _scipy_modules(argv, tmp_path / "out")
+    assert "scipy.linalg" in mods
+    assert not [m for m in mods if m.split(".")[:2] in
+                [["scipy", name] for name in absent]]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from slhyper.operator import SupportParams, build_standard_form, builtin_operator
+from slhyper.operator import (SupportParams, build_standard_form,
+                              builtin_operator, classify_support)
 from slhyper.spectral import GridFunction, bump_function, forward_transform
-from slhyper.hconv import (approx_nu, classify_support, convolve_functions,
-                           convolve_measures, product_density, translate)
+from slhyper.hconv import (approx_nu, convolve_functions, convolve_measures,
+                           product_density, translate)
 
 
 def test_product_density_mass_and_sign(sm_cosine):

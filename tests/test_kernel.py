@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from slhyper.operator import builtin_operator
-from slhyper.kernel import (KernelEvaluator, _refinement, _row_spline,
-                            _spline_increments)
+from slhyper.kernel import (KernelEvaluator, RowSpline, _design,
+                            _refinement, _row_spline, _spline_increments)
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +54,52 @@ def test_row_spline_is_one_make_interp_spline(shape):
     Y = rng.standard_normal(shape)
     got = _row_spline((xs, Y, 1.0))
     want = make_interp_spline(xs, Y, k=3, axis=Y.ndim - 1)
-    assert got.axis == want.axis and got.k == want.k == 3
+    assert isinstance(got, RowSpline) and want.k == 3
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.c, want.c)
     xq = np.linspace(0.1, 4.9, 37)
+    # values run along the last axis, as make_interp_spline's along axis -1
+    assert got(xq).shape == want(xq).shape == shape[:-1] + (37,)
     assert np.array_equal(got(xq), want(xq))
+
+
+def _spline_case(lead, seed=5):
+    """make_interp_spline through random rows of shape lead + (80,), and
+    points: interior, every knot, both end knots and past them."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 5.0, 80))
+    spl = make_interp_spline(xs, rng.standard_normal(lead + (80,)), k=3,
+                             axis=len(lead))
+    ends = [xs[0], xs[-1], xs[0] - 0.5, xs[-1] + 0.5, xs[0] - 1e-9,
+            xs[-1] + 1e-9]
+    xq = np.concatenate([rng.uniform(xs[0], xs[-1], 300), spl.t, ends])
+    return spl, xq
+
+
+def test_design_is_bspline_design_matrix():
+    """The numpy collocation matrix is scipy's BSpline.design_matrix, bit
+    for bit, sparsity pattern included, on every point of the base
+    interval, knots and both ends included."""
+    spl, xq = _spline_case(())
+    xq = xq[(xq >= spl.t[3]) & (xq <= spl.t[-4])]
+    got, want = _design(spl.t, xq), BSpline.design_matrix(xq, spl.t, 3)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+@pytest.mark.parametrize("lead", [(), (2, 61)])
+def test_row_spline_values_are_bspline_values(lead):
+    """RowSpline values equal BSpline.__call__'s bit for bit, for 1-D and
+    (2, 61)-shaped coefficients, inside, at the knots and past both end
+    knots, where both extrapolate from the end pieces."""
+    spl, xq = _spline_case(lead)
+    got, want = RowSpline(spl.t, spl.c)(xq), spl(xq)
+    assert got.shape == want.shape == lead + (len(xq),)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 70])
