@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,8 @@ __all__ = [
 
 
 class CauchySolution:
-    """f(x, y) on a rectangle, with the initial profile on the lower edge."""
+    """f(x, y) at the nodes of the grid xs x ys, values[i, j] at
+    (xs[i], ys[j]), with the initial profile on the lower edge."""
 
     def __init__(self, h: GridFunction, xs: np.ndarray, ys: np.ndarray,
                  values: np.ndarray, sm: SpectralMeasure):
@@ -40,18 +40,6 @@ class CauchySolution:
         self.ys = ys
         self.values = values
         self.sm = sm
-
-    @cached_property
-    def _spline(self):
-        """The interpolating tensor spline of the values; imported here, as
-        only __call__ reads it."""
-        from scipy.interpolate import RectBivariateSpline
-        kx = min(3, len(self.xs) - 1)
-        ky = min(3, len(self.ys) - 1)
-        return RectBivariateSpline(self.xs, self.ys, self.values, kx=kx, ky=ky)
-
-    def __call__(self, x, y):
-        return self._spline(x, y, grid=False)
 
     def pde_residual(self) -> np.ndarray:
         """l_x f - l_y f on the interior nodes, by centered differences.

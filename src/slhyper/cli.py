@@ -3,7 +3,8 @@
 Every subcommand runs one library operation and writes deterministic CSV,
 JSON or text.  The subcommands are one table, COMMANDS, of help text, output
 format, own flags and compute function; one dispatcher parses, merges
---config, checks, hashes the resolved configuration and emits.  CSV and JSON
+--config, checks, hashes the resolved configuration, loads the operator
+once for the compute function (``args.spec``) and emits.  CSV and JSON
 outputs open with the package version and that hash, so identical
 invocations of the same build produce byte-identical files.
 
@@ -139,7 +140,7 @@ def _in_domain(args, *named) -> None:
     """Before the build: raise unless every point of the (what, points)
     pairs lies in [a, L], from the operator's left end to where the
     measure's eigenfunctions end."""
-    a, L = load_operator(args.op).a, args.L
+    a, L = args.spec.a, args.L
     for what, points in named:
         if np.any(np.less(points, a)):
             raise ValueError(f"{what}: points below a = {a:g}, the "
@@ -152,7 +153,7 @@ def _in_domain(args, *named) -> None:
 def _measure(args):
     from .spectral import build_spectral_measure
 
-    return build_spectral_measure(load_operator(args.op), L=args.L, N=args.N,
+    return build_spectral_measure(args.spec, L=args.L, N=args.N,
                                   lambda_max=args.lambda_max)
 
 
@@ -163,7 +164,7 @@ def _measure(args):
 
 
 def _validate(args) -> dict:
-    spec = load_operator(args.op)
+    spec = args.spec
     boundary = check_left_boundary(spec)
     sf = build_standard_form(spec)
     cert = certify_mp(sf)
@@ -180,7 +181,7 @@ def _validate(args) -> dict:
 def _kernel(args):
     from .kernel import KernelEvaluator
 
-    ev = KernelEvaluator(load_operator(args.op))
+    ev = KernelEvaluator(args.spec)
     xs = np.sort(_parse_grid(args.x))
     lams = [complex(v) for v in getattr(args, "lambda").split(",")]
     W, W1, errs = ev.eval_many(lams, xs)
@@ -254,7 +255,7 @@ def _convolve(args):
 
 
 def _support(args) -> dict:
-    sf = build_standard_form(load_operator(args.op))
+    sf = build_standard_form(args.spec)
     rep = classify_support(args.x, args.y, sf, support_params(certify_mp(sf)))
     return {
         "case": rep.case,
@@ -321,9 +322,8 @@ def _triangle(args) -> dict:
     from .kernel import KernelEvaluator
     from .cauchy import triangle_identity_residual
 
-    spec = load_operator(args.op)
-    sf = build_standard_form(spec)
-    v = _EigenPair(KernelEvaluator(spec), sf, args.lam)
+    sf = build_standard_form(args.spec)
+    v = _EigenPair(KernelEvaluator(args.spec), sf, args.lam)
     return dataclasses.asdict(triangle_identity_residual(
         v, args.c, args.x, args.y, certify_mp(sf), n=args.n))
 
@@ -587,7 +587,7 @@ def _merge_config_file(args, flags: dict) -> None:
 
 def _run(args) -> int:
     """Merge --config, check the values, hash the resolved configuration,
-    compute and emit; returns the exit code."""
+    load the operator, compute and emit; returns the exit code."""
     cmd = COMMANDS[args.command]
     flags = _flags(cmd)
     if args.config:
@@ -603,6 +603,8 @@ def _run(args) -> int:
                            default=repr)
     sha = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     em = Emitter(sha, args.out, vals.get("precision"))
+    # every command but selftest reads the operator: it is loaded once here
+    args.spec = load_operator(args.op) if "op" in vals else None
     result = cmd.compute(args)
     if cmd.fmt == "text":
         text, code = result

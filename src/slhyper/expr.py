@@ -8,9 +8,10 @@ Grammar (standard precedence, ``^`` binds tightest and associates right):
     power   := atom ("^" factor)?
     atom    := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
-Recognised identifiers: the free variable, the constants ``pi`` and ``e``,
-and the functions exp, log, sqrt, sin, cos, sinh, cosh, tanh, abs and
-pow(x, y).
+Recognised identifiers: the variable ``x``, the constants ``pi`` and ``e``,
+and the functions exp, log, sqrt, sin, cos, sinh, cosh, tanh, abs, sign and
+pow(x, y).  Every function has a symbolic derivative: abs(u)' is
+sign(u) u', and sign(u)' is 0.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ _FUNCTIONS = {
     "cosh": np.cosh,
     "tanh": np.tanh,
     "abs": np.abs,
+    "sign": np.sign,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -88,9 +90,8 @@ class _Call:
 
 
 class _Parser:
-    def __init__(self, text: str, var: str):
+    def __init__(self, text: str):
         self.text = text
-        self.var = var
         self.pos = 0
 
     def _skip_ws(self):
@@ -179,7 +180,7 @@ class _Parser:
                 if len(args) != 1:
                     raise ExprError(f"{name} takes one argument", start)
                 return _Call(name, tuple(args))
-            if name == self.var:
+            if name == "x":
                 return _Var(name)
             if name in _CONSTANTS:
                 return _Const(name)
@@ -247,10 +248,6 @@ def _is_const(node) -> bool:
     return all(_is_const(a) for a in node.args)
 
 
-class _NoRule(Exception):
-    pass
-
-
 def _diff(node):
     if isinstance(node, (_Num, _Const)):
         return _Num(0.0)
@@ -277,6 +274,8 @@ def _diff(node):
         return _Bin("*", _Bin("^", u, v), inner)
     fn = node.fn
     (u,) = node.args
+    if fn == "sign":
+        return _Num(0.0)
     du = _diff(u)
     if fn == "exp":
         outer = _Call("exp", (u,))
@@ -294,8 +293,8 @@ def _diff(node):
         outer = _Call("sinh", (u,))
     elif fn == "tanh":
         outer = _Bin("-", _Num(1.0), _Bin("^", _Call("tanh", (u,)), _Num(2.0)))
-    else:
-        raise _NoRule(fn)
+    else:  # abs
+        outer = _Call("sign", (u,))
     return _Bin("*", outer, du)
 
 
@@ -316,19 +315,16 @@ def _pretty(node) -> str:
 
 
 class CoefficientExpr:
-    """A parsed scalar function of one variable, vectorised over numpy arrays."""
+    """A parsed scalar function of x, vectorised over numpy arrays."""
 
-    def __init__(self, text: str, var: str = "x", _ast=None):
+    def __init__(self, text: str, _ast=None):
         self.source = text
-        self.var = var
-        self._ast = _ast if _ast is not None else _Parser(text, var).parse()
-        self._fd_only = False
+        self._ast = _ast if _ast is not None else _Parser(text).parse()
+        self._d = None
 
     def __call__(self, x):
         """Value at a scalar, or a float array of the input's shape at an
         array (constant expressions included)."""
-        if self._fd_only:
-            return self._fd(x)
         if np.ndim(x) == 0:
             return _eval(self._ast, x)
         x = np.asarray(x, dtype=float)
@@ -338,40 +334,19 @@ class CoefficientExpr:
         return f"CoefficientExpr({self.source!r})"
 
     def diff(self) -> "CoefficientExpr":
-        """Derivative as a new expression; falls back to central differences
-        when no analytic rule applies (abs), and for the derivative of such a
-        fallback."""
-        if not self._fd_only:
-            try:
-                ast = _diff(self._ast)
-            except _NoRule:
-                pass
-            else:
-                return CoefficientExpr(_pretty(ast), self.var, _ast=ast)
-        out = CoefficientExpr.__new__(CoefficientExpr)
-        out.source = f"d/d{self.var}[{self.source}]"
-        out.var = self.var
-        out._ast = None
-        out._fd_only = True
-        base = self
-
-        def fd(x):
-            h = np.maximum(1e-6, 1e-6 * np.abs(x))
-            return (base(x + h) - base(x - h)) / (2.0 * h)
-
-        out._fd = fd
-        return out
+        """Derivative as a new expression, derived at the first call."""
+        if self._d is None:
+            ast = _diff(self._ast)
+            self._d = CoefficientExpr(_pretty(ast), _ast=ast)
+        return self._d
 
     def derivative(self, x):
-        if self._fd_only:
-            return self._fd(x)
         return self.diff()(x)
 
     def pretty(self) -> str:
-        """Canonical text; a finite-difference fallback has no expression
-        tree and gives its source, d/dx[...]."""
-        return self.source if self._fd_only else _pretty(self._ast)
+        """Canonical text of the expression tree, fully parenthesized."""
+        return _pretty(self._ast)
 
 
-def parse_expression(text: str, var: str = "x") -> CoefficientExpr:
-    return CoefficientExpr(text, var)
+def parse_expression(text: str) -> CoefficientExpr:
+    return CoefficientExpr(text)

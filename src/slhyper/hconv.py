@@ -49,9 +49,6 @@ class ProductKernel:
     values: np.ndarray
     mass: float
 
-    def __call__(self, xq):
-        return np.interp(xq, self.xi, self.values, left=0.0, right=0.0)
-
 
 def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
                     n: int = 3001) -> np.ndarray:

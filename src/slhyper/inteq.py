@@ -46,6 +46,8 @@ __all__ = [
 
 # bisection steps that locate a sign change of Re(rho + Ff) on the real ray
 _BISECT_STEPS = 48
+# heat regularization time of the convolution psi * g in solve_equation
+_T_REG = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +288,10 @@ def _resolvent(ff, rho: complex, sm: SpectralMeasure,
                            forward_recheck=recheck)
 
 
-def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
-                   t_reg: float = 1e-6) -> EquationSolution:
+def solve_equation(prob: EquationProblem, sm: SpectralMeasure) -> EquationSolution:
     """Solve rho h + h * f = psi through the resolvent formula
-    h = rho psi + psi * g.
+    h = rho psi + psi * g, with psi * g heat-regularized for the time
+    _T_REG.
 
     Raises when the nonvanishing condition fails, carrying the witness
     point; otherwise the returned diagnostics report the sampled minimum
@@ -307,7 +309,8 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure,
     res = _resolvent(ff, prob.rho, sm, prob.f.grid)
     bpsi = sm.basis(prob.psi.grid)
     fpsi = bpsi.forward(prob.psi.values)
-    conv = _convolve(fpsi, bf.forward(res.g.values), sm, t_reg, prob.psi.grid)
+    conv = _convolve(fpsi, bf.forward(res.g.values), sm, _T_REG,
+                     prob.psi.grid)
     h_vals = prob.rho * prob.psi.values + conv.values
     h = GridFunction(prob.psi.grid, np.real_if_close(h_vals, tol=1e6))
     fh = bpsi.forward(h.values)

@@ -120,11 +120,12 @@ def _left_cut_sequence(a: float, c: float, k_max: int = 14):
 
 
 def _tail_limit(increments: list[float]) -> float:
-    """Extrapolated limit of a series of refinement increments, or +inf.
+    """Extrapolated limit of a sequence given by its increments, or +inf.
 
-    The cut sequence shrinks geometrically, so for a convergent integral the
-    increments decay at least geometrically; the tail is summed from the
-    observed ratio.  Non-decaying increments signal divergence.
+    The sequences here sample at points that approach an end geometrically
+    (the cuts of an integral, the probes of sigma), so the increments of a
+    convergent one decay at least geometrically; the tail is summed from
+    the observed ratio.  Non-decaying increments signal divergence.
     """
     total = sum(increments)
     last, prev = abs(increments[-1]), abs(increments[-2])
@@ -156,8 +157,8 @@ def _adaptive_integral(f, lo: np.ndarray, hi: np.ndarray,
 
 
 def _interior_point(spec: OperatorSpec) -> float:
-    """The default anchor c of the standard form and the left-boundary
-    check: a + 1, (a + b) / 2, b - 1 or 0, as a and b are finite or not."""
+    """The anchor c of the standard form and the left-boundary check:
+    a + 1, (a + b) / 2, b - 1 or 0, as a and b are finite or not."""
     if math.isinf(spec.a):
         return 0.0 if math.isinf(spec.b) else spec.b - 1.0
     return spec.a + 1.0 if math.isinf(spec.b) else 0.5 * (spec.a + spec.b)
@@ -165,7 +166,7 @@ def _interior_point(spec: OperatorSpec) -> float:
 
 def check_left_boundary(spec: OperatorSpec) -> dict:
     """Convergence check of the nested integral int_a^c int_y^c dx/p r(y) dy,
-    with c the standard form's default anchor (``_interior_point``).
+    with c the standard form's anchor (``_interior_point``).
 
     The outer integral is summed piece by piece between the cuts of
     ``_left_cut_sequence``, each piece split into _PIECE_CELLS equal cells
@@ -226,9 +227,9 @@ def _quarterings(inc: np.ndarray, n_full: int, k_max: int) -> list[float]:
 class StandardForm:
     """gamma, A, sigma and the Liouville potential of an operator."""
 
-    def __init__(self, spec: OperatorSpec, c: float):
+    def __init__(self, spec: OperatorSpec):
         self.spec = spec
-        self.c = c
+        self.c = _interior_point(spec)
         self._p1 = spec.p.diff()
         self._r1 = spec.r.diff()
         x_a, inc_a, full_a = self._side(spec.a)
@@ -244,7 +245,7 @@ class StandardForm:
         if right and right[-1] < 1e-6 * (1.0 + sum(right[:-1])):
             raise ValueError(
                 f"{spec.name}: gamma stays bounded near b (gamma(b) must diverge)")
-        self.sigma, self.sigma_trace = self._estimate_sigma()
+        self.sigma = self._estimate_sigma()
 
     # -- gamma ------------------------------------------------------------
 
@@ -324,31 +325,28 @@ class StandardForm:
         psi = eta.derivative(xi) / 2.0 - eta_v ** 2 / 4.0 + g * eta_v
         return phi, psi
 
-    def _estimate_sigma(self):
-        a, b, c = self.spec.a, self.spec.b, self.c
+    def _estimate_sigma(self) -> float:
+        """sigma = lim A'/(2A) at b: the tail limit (``_tail_limit``) of
+        A'/(2A) at c + 4^k toward an infinite b, or b - (b - c) 4^-k
+        toward a finite one, the values that are not finite dropped."""
+        b, c = self.spec.b, self.c
         if math.isinf(b):
-            xs = [c + 4.0 ** k for k in range(0, 26)]
+            xs = c + 4.0 ** np.arange(0, 26)
         else:
-            xs = [b - (b - c) * 4.0 ** (-k) for k in range(1, 26)]
-        trace = []
-        for x in xs:
-            trace.append(self._half_log_pr_deriv(x))
-            if len(trace) >= 3 and abs(trace[-1] - trace[-2]) <= 1e-6 \
-                    and abs(trace[-1] - trace[-3]) <= 1e-6:
-                sigma = trace[-1]
-                if sigma < 0 and sigma > -1e-9:
-                    sigma = 0.0
-                if sigma < 0:
-                    raise ValueError(f"sigma estimate negative: {sigma}; trace={trace}")
-                return sigma, trace
-        raise ValueError(f"sigma estimate did not stabilize; trace={trace}")
+            xs = b - (b - c) * 4.0 ** -np.arange(1, 26)
+        with np.errstate(all="ignore"):
+            g = self._half_log_pr_deriv(xs)
+        g = g[np.isfinite(g)]
+        sigma = _tail_limit(np.diff(g, prepend=0.0).tolist()) \
+            if len(g) >= 3 else math.inf
+        if not -1e-9 <= sigma < math.inf:
+            raise ValueError(f"sigma estimate {sigma} from A'/2A = {g}")
+        return max(sigma, 0.0)
 
 
-def build_standard_form(spec: OperatorSpec, c: float | None = None) -> StandardForm:
-    c = _interior_point(spec) if c is None else c
-    if not (spec.a < c < spec.b):
-        raise ValueError("c must be strictly interior")
-    return StandardForm(spec, c)
+def build_standard_form(spec: OperatorSpec) -> StandardForm:
+    """The standard form anchored at ``_interior_point(spec)``."""
+    return StandardForm(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +381,7 @@ def _mp_probe_xs(sf: StandardForm) -> np.ndarray:
 
 def certify_mp(sf: StandardForm) -> MpCertificate:
     """Assumption MP with the operator's eta, or 0 when it has none."""
-    eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0", "x")
+    eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0")
     xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
     xi = sf.gamma(xs)

@@ -75,7 +75,7 @@ def test_solve_equation_bit_identical(sm_cosine, psi_grid):
     fh = _ft(GridFunction(psi.grid, h), sm)
     resid = np.max(np.abs(fh * (rho + ff) - fpsi)) / max(np.max(np.abs(fpsi)),
                                                          1e-300)
-    sol = solve_equation(prob, sm, t_reg=t_reg)
+    sol = solve_equation(prob, sm)
     assert np.array_equal(sol.h.values, h)
     assert np.array_equal(sol.g.values, g)
     assert sol.diagnostics == {

@@ -1,6 +1,7 @@
-"""The kernel and the truncated spectral measure of the Bessel-Kingman
-operator p = r = x^(2 alpha + 1) against their closed forms
-(bessel_kingman.py), for alpha other than the sinc case 1/2."""
+"""The kernel, the truncated spectral measure, the heat kernel and the
+product density q_t of the Bessel-Kingman operator p = r = x^(2 alpha + 1)
+against their closed forms (bessel_kingman.py), for alpha other than the
+sinc case 1/2."""
 
 import math
 
@@ -9,8 +10,9 @@ import pytest
 
 import bessel_kingman as bk
 from slhyper.kernel import KernelEvaluator
+from slhyper.hconv import product_density
 from slhyper.operator import builtin_operator
-from slhyper.spectral import build_spectral_measure
+from slhyper.spectral import build_spectral_measure, heat_kernel_grid
 
 # the series table starts where 1/p first drops below 1e15, and the head
 # int_a^{x0} of every eta_j is dropped there: at lambda = 1000 and x = 0.05
@@ -30,6 +32,26 @@ def test_oracle_at_alpha_half():
     k = np.arange(1, 51) * math.pi / 16.0
     assert np.allclose(lam, k * k, rtol=1e-13, atol=0.0)
     assert np.allclose(mass, 2.0 * k * k / 16.0, rtol=1e-12, atol=0.0)
+    # the heat kernel is the method of images
+    ys, t = np.linspace(0.0, 4.0, 401), 0.05
+    images = (np.exp(-(1.0 - ys) ** 2 / (4 * t))
+              - np.exp(-(1.0 + ys) ** 2 / (4 * t))) \
+        / (2.0 * np.where(ys > 0, ys, 1.0) * math.sqrt(math.pi * t))
+    images[0] = math.exp(-1.0 / (4 * t)) / (2 * t * math.sqrt(4 * t)
+                                            * math.gamma(1.5))
+    assert np.max(np.abs(bk.heat_kernel(0.5, t, 1.0, ys) - images)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_product_kernel_oracle(alpha):
+    """K(2, 1.5, .) has mass 1 and reproduces w_lambda(2) w_lambda(1.5) at
+    k = 1.3: measured within 6e-11 and 1.2e-10 (alpha -0.25), 3e-15
+    otherwise."""
+    z, w = bk.product_nodes(alpha, 2.0, 1.5)
+    assert abs(np.sum(w) - 1.0) <= 1e-10
+    lam = [1.3 ** 2]
+    want = bk.kernel(alpha, lam, [2.0])[0, 0] * bk.kernel(alpha, lam, [1.5])[0, 0]
+    assert abs(w @ bk.kernel(alpha, lam, z)[0] - want) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", [
@@ -50,16 +72,56 @@ def test_kernel_matches_closed_form(alpha):
     assert np.max(rel) <= 1e-9
 
 
-# measured maximum relative errors of eigenvalue and mass on L=16, N=4096,
-# lambda_max 1600; each bound is twice the measured figure
+@pytest.fixture(scope="module")
+def measure():
+    """The measure of bessel?alpha=... on L=16, N=4096, lambda_max 1600,
+    built once per alpha."""
+    built = {}
+
+    def get(alpha):
+        if alpha not in built:
+            built[alpha] = build_spectral_measure(
+                builtin_operator(f"bessel?alpha={alpha}"),
+                L=16.0, N=4096, lambda_max=1600.0)
+        return built[alpha]
+
+    return get
+
+
+# measured maximum relative errors of eigenvalue and mass; each bound is
+# twice the measured figure
 @pytest.mark.parametrize("alpha, eig_measured, mass_measured", [
     (-0.25, 9.4e-6, 2.8e-4),
     (0.0, 8.4e-6, 8.2e-4),
     (1.5, 1.2e-6, 2.0e-4),
 ])
-def test_spectrum_matches_closed_form(alpha, eig_measured, mass_measured):
-    sm = build_spectral_measure(builtin_operator(f"bessel?alpha={alpha}"),
-                                L=16.0, N=4096, lambda_max=1600.0)
+def test_spectrum_matches_closed_form(alpha, eig_measured, mass_measured,
+                                      measure):
+    sm = measure(alpha)
     lam, mass = bk.spectrum(alpha, 16.0, len(sm))
     assert np.max(np.abs(sm.lambdas - lam) / lam) <= 2.0 * eig_measured
     assert np.max(np.abs(sm.masses - mass) / mass) <= 2.0 * mass_measured
+
+
+# measured maximum absolute error of p_t(1, .) at t = 0.05 on 401 points of
+# [0, 4], where it peaks at 1.28-1.42; each bound is twice the figure
+@pytest.mark.parametrize("alpha, measured", [
+    (-0.25, 6.7e-7), (0.0, 1.7e-6), (1.5, 3.4e-7)])
+def test_heat_kernel_matches_closed_form(alpha, measured, measure):
+    ys = np.linspace(0.0, 4.0, 401)
+    got = heat_kernel_grid(0.05, 1.0, ys, measure(alpha))
+    assert np.max(np.abs(got - bk.heat_kernel(alpha, 0.05, 1.0, ys))) \
+        <= 2.0 * measured
+
+
+# measured maximum absolute error of q_t(2, 1.5, .) on 3001 points of
+# [0, 6]; each bound is twice the figure
+@pytest.mark.parametrize("alpha, t, measured", [
+    (-0.25, 0.1, 4.6e-7), (-0.25, 0.01, 2.8e-6),
+    (0.0, 0.1, 6.0e-7), (0.0, 0.01, 4.1e-6),
+    (1.5, 0.1, 1.8e-9), (1.5, 0.01, 3.7e-7)])
+def test_product_density_matches_closed_form(alpha, t, measured, measure):
+    xi = np.linspace(0.0, 6.0, 3001)
+    got = product_density(t, 2.0, 1.5, xi, measure(alpha)).values
+    want = bk.product_density(alpha, t, 2.0, 1.5, xi)
+    assert np.max(np.abs(got - want)) <= 2.0 * measured

@@ -290,6 +290,27 @@ def test_inputs_read_before_measure_build(argv, tmp_path, monkeypatch, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_measure_command_loads_the_operator_once(tmp_path, monkeypatch):
+    # heatkernel checks its grids against a before it builds the measure;
+    # both read the one operator loaded from the JSON file
+    import slhyper.cli as cli
+
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"a": 0.0, "b": "inf", "p": "x^2", "r": "x^2"}))
+    loads = []
+    load = cli.load_operator
+
+    def counted(source):
+        loads.append(source)
+        return load(source)
+
+    monkeypatch.setattr(cli, "load_operator", counted)
+    assert run(["heatkernel", "--op", str(op), "--t", "0.25", "--x-grid",
+                "0:2:3", "--y-grid", "1.0", "--L", "12", "--N", "256",
+                "--lambda-max", "50", "--out", str(tmp_path / "p.csv")]) == 0
+    assert loads == [str(op)]
+
+
 @pytest.mark.parametrize("argv", [
     ["heatkernel", "--t", "0.5", "--x-grid", "0:1", "--y-grid", "1.0"],
     ["product", "--t", "0.5", "--x", "1", "--y", "1", "--xi-grid", "0:1"],

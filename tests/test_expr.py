@@ -58,21 +58,26 @@ def test_derivative_of_polynomial():
     assert np.allclose(e.derivative(xs), 3.0 * xs ** 2 - 2.0, rtol=1e-12)
 
 
-def test_derivative_fd_fallback():
+def test_diff_is_derived_once():
+    e = parse_expression("x^3 - 2*x")
+    assert e.diff() is e.diff()
+
+
+def test_derivative_of_abs():
+    # abs(x)' = sign(x), and sign(x)' = 0
     e = parse_expression("abs(x)")
-    assert float(e.derivative(2.0)) == pytest.approx(1.0, abs=1e-6)
-    assert float(e.derivative(-2.0)) == pytest.approx(-1.0, abs=1e-6)
+    assert float(e.derivative(2.0)) == 1.0
+    assert float(e.derivative(-2.0)) == -1.0
+    xs = np.array([-2.0, 0.5, 3.0])
+    assert np.array_equal(e.diff().derivative(xs), np.zeros(3))
+    assert [float(e.diff().diff()(x)) for x in xs] == [0.0, 0.0, 0.0]
 
 
-def test_pretty_of_fd_fallback():
-    assert parse_expression("abs(x)").diff().pretty() == "d/dx[abs(x)]"
-
-
-def test_derivative_of_fd_fallback():
-    e = parse_expression("abs(x)").diff().diff()
-    vals = np.array([float(e(x)) for x in (-2.0, 0.5, 3.0)])
-    assert np.all(np.isfinite(vals))
-    assert np.all(np.isfinite(e(np.array([-2.0, 0.5, 3.0]))))
+def test_pretty_of_abs_derivative_reparses():
+    d = parse_expression("abs(x)").diff()
+    xs = np.array([-2.0, -0.5, 0.0, 3.0])
+    assert np.array_equal(parse_expression(d.pretty())(xs), d(xs))
+    assert np.array_equal(d(xs), [-1.0, -1.0, 0.0, 1.0])
 
 
 @settings(max_examples=60, deadline=None)

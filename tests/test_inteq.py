@@ -147,3 +147,27 @@ def test_solve_equation_transform_residual(sm_cosine):
     sol = solve_equation(EquationProblem(f=f, psi=psi, kappa=0.0), sm_cosine)
     assert sol.diagnostics["min_modulus"] > 1e-8
     assert sol.diagnostics["transform_residual"] < 1e-3
+
+
+def test_kappa_zero_on_bessel_is_the_ray(sm_bessel, monkeypatch):
+    # sigma = 0 for Bessel, so kappa = 0 is kappa = sigma2: the strip is
+    # the real ray, and the check samples Ff at real lambda only
+    import slhyper.inteq as inteq
+
+    g = np.linspace(0.0, 12.0, 401)
+    f, psi = bump_function(3.0, 1.0, g), bump_function(5.0, 2.0, g)
+    assert SpectralStrip(0.0, sm_bessel.sigma2).half_width <= 1e-14
+    samples = []
+    transform_samples = inteq._transform_samples
+
+    def spy(f, lams, sm):
+        samples.extend(np.asarray(lams))
+        return transform_samples(f, lams, sm)
+
+    monkeypatch.setattr(inteq, "_transform_samples", spy)
+    sol = solve_equation(EquationProblem(f=f, psi=psi, kappa=0.0), sm_bessel)
+    assert np.all(np.imag(samples) == 0.0)
+    ref = solve_equation(EquationProblem(f=f, psi=psi,
+                                         kappa=sm_bessel.sigma2), sm_bessel)
+    assert sol.diagnostics == ref.diagnostics
+    assert np.array_equal(sol.h.values, ref.h.values)

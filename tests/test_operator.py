@@ -228,6 +228,42 @@ def test_load_operator_json(tmp_path):
     assert np.allclose(spec.p(xs), ref.p(xs))
 
 
-def test_standard_form_rejects_exterior_anchor():
-    with pytest.raises(ValueError):
-        build_standard_form(builtin_operator("cosine"), c=-1.0)
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.5])
+def test_bessel_sigma_is_zero(alpha):
+    # A'/(2A) = (2 alpha + 1) / (2x) at c + 4^k: its tail limit is 0 to
+    # rounding (2e-16 to 2e-15)
+    sf = build_standard_form(builtin_operator(f"bessel?alpha={alpha}"))
+    assert 0.0 <= sf.sigma <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, kappa", [(0.25, 1.0), (-1.0, 2.0)])
+def test_whittaker_sigma_is_the_limit(alpha, kappa):
+    # A'/(2A) = (1 - 2 alpha) / 2 + kappa / (2x), so sigma = 1/2 - alpha
+    sf = build_standard_form(
+        builtin_operator(f"whittaker?alpha={alpha}&kappa={kappa}"))
+    assert abs(sf.sigma - (0.5 - alpha)) <= 1e-12
+
+
+def test_sigma_drops_probes_past_the_float_range():
+    # A = e^x, so A'/(2A) = 1/2; from the probe c + 4^5 = 1025 on, p and r
+    # overflow and A'/(2A) is nan there
+    spec = OperatorSpec("exp", 0.0, math.inf, parse_expression("exp(x)"),
+                        parse_expression("exp(x)"))
+    with np.errstate(over="ignore"):
+        sf = build_standard_form(spec)
+    assert abs(sf.sigma - 0.5) <= 1e-12
+
+
+def test_operator_with_a_kink_at_the_first_sigma_probe(tmp_path):
+    # c = 1, so the first sigma probe c + 4^0 = 2 sits on the kink of p,
+    # where p' = sign(0) = 0
+    doc = {"name": "kink", "a": 0.0, "b": "inf", "p": "abs(x - 2) + 1",
+           "r": "pow(x, 2) + exp(-x)", "eta": "0"}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    spec = load_operator(str(path))
+    assert float(spec.p.derivative(2.0)) == 0.0
+    sf = build_standard_form(spec)
+    assert 0.0 <= sf.sigma <= 1e-14
+    assert check_left_boundary(spec)["finite"]
