@@ -64,10 +64,15 @@ def test_diff_is_derived_once():
 
 
 def test_derivative_of_abs():
-    # abs(x)' = sign(x), and sign(x)' = 0
+    # abs(x)' = sign(x)
     e = parse_expression("abs(x)")
     assert float(e.derivative(2.0)) == 1.0
     assert float(e.derivative(-2.0)) == -1.0
+
+
+def test_second_derivative_of_abs():
+    # sign(x)' = 0
+    e = parse_expression("abs(x)")
     xs = np.array([-2.0, 0.5, 3.0])
     assert np.array_equal(e.diff().derivative(xs), np.zeros(3))
     assert [float(e.diff().diff()(x)) for x in xs] == [0.0, 0.0, 0.0]
