@@ -10,9 +10,10 @@ import pytest
 
 import bessel_kingman as bk
 from slhyper.kernel import KernelEvaluator
-from slhyper.hconv import product_density
+from slhyper.hconv import approx_nu, product_density, translate
 from slhyper.operator import builtin_operator
-from slhyper.spectral import build_spectral_measure, heat_kernel_grid
+from slhyper.spectral import (build_spectral_measure, bump_function,
+                              heat_kernel_grid)
 
 # the series table starts where 1/p first drops below 1e15, and the head
 # int_a^{x0} of every eta_j is dropped there: at lambda = 1000 and x = 0.05
@@ -125,3 +126,39 @@ def test_product_density_matches_closed_form(alpha, t, measured, measure):
     got = product_density(t, 2.0, 1.5, xi, measure(alpha)).values
     want = bk.product_density(alpha, t, 2.0, 1.5, xi)
     assert np.max(np.abs(got - want)) <= 2.0 * measured
+
+
+# measured maximum absolute error of approx_nu's moments at x = 2, y = 1.5
+# over t in (0.1, 0.01), against e^{-t lambda} w_lambda(2) w_lambda(1.5)
+# at the measure's own probe atoms; each bound is twice the figure
+@pytest.mark.parametrize("alpha, measured", [
+    (-0.25, 3.8e-6), (0.0, 1.5e-7), (1.5, 2.4e-9)])
+def test_approx_nu_moments_match_closed_form(alpha, measured, measure):
+    ap = approx_nu(2.0, 1.5, measure(alpha), t_schedule=(0.1, 0.01))
+    lam = ap.moment_lambdas
+    w = bk.kernel(alpha, lam, [2.0, 1.5])
+    want = np.exp(-np.array([0.1, 0.01])[:, None] * lam) * w[:, 0] * w[:, 1]
+    assert np.max(np.abs(ap.moments - want)) <= 2.0 * measured
+
+
+def _bump(z, center=4.0, width=1.5):
+    u = (z - center) / width
+    return np.where(np.abs(u) < 1.0,
+                    np.exp(-1.0 / np.maximum(1e-300, 1.0 - u * u)), 0.0)
+
+
+# measured maximum absolute error of T^y h at y = 1.5 (t_reg 1e-6) on 30
+# points of [0.2, 6], h a bump of height e^-1 centred at 4 on 601 points of
+# [0, 12], against int h(z) K(x, y, z) z^(2 alpha + 1) dz by
+# product_nodes; each bound is twice the figure
+@pytest.mark.parametrize("alpha, measured", [
+    (-0.25, 2.2e-5), (0.0, 6.6e-6), (1.5, 4.9e-7)])
+def test_translate_matches_closed_form(alpha, measured, measure):
+    h = bump_function(4.0, 1.5, np.linspace(0.0, 12.0, 601))
+    xs = np.linspace(0.2, 6.0, 30)
+    got = translate(h, 1.5, measure(alpha), t_reg=1e-6, out_grid=xs).values
+    want = []
+    for x in xs:
+        z, w = bk.product_nodes(alpha, x, 1.5)
+        want.append(w @ _bump(z))
+    assert np.max(np.abs(got - np.array(want))) <= 2.0 * measured

@@ -611,3 +611,17 @@ def test_commands_load_only_the_scipy_they_run(argv, absent, tmp_path):
     assert "scipy.linalg" in mods
     assert not [m for m in mods if m.split(".")[:2] in
                 [["scipy", name] for name in absent]]
+
+
+@pytest.mark.parametrize("p", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 5000 + "x",
+    "^".join(["x"] * 3000),
+    "^".join(["x"] * 300),
+], ids=["parens-3000", "minus-5000", "power-3000", "power-300"])
+def test_deep_coefficient_is_an_error_not_a_traceback(p, tmp_path, capsys):
+    op = tmp_path / "deep.json"
+    op.write_text(json.dumps({"a": 0.0, "b": "inf", "p": p, "r": "1"}))
+    assert run(["validate", "--op", str(op), "--out", str(tmp_path / "v.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error: expression") and "Traceback" not in err

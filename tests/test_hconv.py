@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slhyper.operator import (SupportParams, build_standard_form,
+from slhyper.operator import (SupportParams, _merge, build_standard_form,
                               builtin_operator, classify_support)
 from slhyper.spectral import GridFunction, bump_function, forward_transform
 from slhyper.hconv import (approx_nu, convolve_functions, convolve_measures,
@@ -163,6 +163,33 @@ def test_classify_support_case_c_interval():
     hi = max(hi for _, hi in rep.intervals)
     assert lo == pytest.approx(2.0, abs=1e-9)
     assert hi == pytest.approx(4.0, abs=1e-9)
+
+
+# on the cosine standard form gamma(x) - gamma(a) = x, so the support is
+# the one in the standard coordinate s
+@pytest.mark.parametrize("par, x, y, case, want", [
+    ((5.0, 0.0, 0.0), 2.0, 1.0, "b", ((1.0, 1.0), (3.0, 3.0))),
+    ((5.0, 0.0, 0.0), 2.0, 2.0, "b", ((0.0, 0.0), (4.0, 4.0))),
+    ((5.0, 0.0, 0.0), 3.0, 2.5, "b", ((0.5, 0.5), (4.5, 5.5))),
+    ((5.0, 0.0, 0.0), 6.0, 1.0, "b", ((5.0, 7.0),)),
+    ((np.inf, 1.0, 0.0), 4.0, 3.0, "c", ((1.0, 3.0), (5.0, 7.0))),
+    ((np.inf, 1.0, 0.0), 4.0, 1.5, "c", ((2.5, 5.5),)),
+    ((10.0, 1.0, 0.0), 4.0, 3.0, "d", ((1.0, 3.0), (5.0, 7.0))),
+    ((10.0, 1.0, 0.0), 9.5, 3.0, "d", ((6.5, 12.5),)),
+    ((10.0, 1.0, 0.0), 4.0, 1.5, "d", ((2.5, 5.5),)),
+    ((2.0, 1.0, 0.0), 4.0, 3.0, "e", ((1.0, 7.0),)),
+    ((np.inf, 0.0, 0.5), 4.0, 3.0, "e", ((1.0, 7.0),)),
+])
+def test_classify_support_cases(par, x, y, case, want):
+    rep = classify_support(x, y, _sf_cosine(), SupportParams(*par))
+    assert rep.case == case and rep.gamma_mapped
+    assert np.allclose(rep.intervals, want, rtol=0.0, atol=1e-12)
+
+
+def test_merge_joins_overlapping_and_touching_intervals():
+    assert _merge([(3.0, 4.0), (1.0, 2.5), (2.5, 3.5)]) == ((1.0, 4.0),)
+    assert _merge([(0.0, 1.0), (1.0 + 5e-15, 2.0)]) == ((0.0, 2.0),)
+    assert _merge([(2.0, 3.0), (0.0, 1.0)]) == ((0.0, 1.0), (2.0, 3.0))
 
 
 def test_classify_support_degenerate():

@@ -3,6 +3,7 @@ certificate."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,3 +268,27 @@ def test_operator_with_a_kink_at_the_first_sigma_probe(tmp_path):
     sf = build_standard_form(spec)
     assert 0.0 <= sf.sigma <= 1e-14
     assert check_left_boundary(spec)["finite"]
+
+
+@pytest.mark.parametrize("coeff", ["sinh(x)^2", "exp(x)", "cosh(x)"])
+def test_validate_accepts_overflow_toward_b(coeff):
+    # the probes run to 1e4, past the float range of each coefficient
+    spec = OperatorSpec("overflow", 0.0, math.inf, parse_expression(coeff),
+                        parse_expression(coeff))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec.validate()
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("sqrt(x - 1)", "not finite"),
+    ("x - 1", "negative"),
+    ("1 + sign(x - 1) * sign(x - 2)", "vanishing"),
+    ("exp(1000 - x)", "not finite"),
+])
+def test_validate_rejects(coeff, message):
+    # nan, a negative value, a zero on (1, 2), +inf followed by finite values
+    spec = OperatorSpec("bad", 0.0, math.inf, parse_expression(coeff),
+                        parse_expression("1"))
+    with pytest.raises(ValueError, match=message):
+        spec.validate()
