@@ -11,7 +11,8 @@ invocations of the same build produce byte-identical files.
 Each command runs in a process of its own, so the module imports only numpy
 and the operator layer, which every command reads; each compute function
 imports the layers it runs.  ``validate`` and ``support`` load no scipy,
-and scipy.integrate loads at the first kernel ODE solve.
+and no command loads scipy.integrate: the kernel ODE is solved in numpy
+(``slhyper.ode``).
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ def _real_or_complex(text: str) -> float | complex:
 
 def _read_grid_function(path: str) -> GridFunction:
     """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
-    is a header before the first data row; any later row that is not two
-    numbers is an error."""
+    is one header row before the first data row; any other row that is not
+    two numbers is an error."""
     from .spectral import GridFunction
 
     xs, vals = [], []
+    header = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -77,9 +79,10 @@ def _read_grid_function(path: str) -> GridFunction:
             try:
                 x, v = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                if xs:
+                if xs or header:
                     raise ValueError(f"{path}, line {reader.line_num}: not an "
                                      f"(x, value) row: {row!r}") from None
+                header = True
                 continue
             xs.append(x)
             vals.append(v)

@@ -18,10 +18,10 @@ w' = w1/p, w1' = -lambda r w.
 Evaluation is batched over lambda (``KernelEvaluator.eval_many``).  The
 series part is one matrix product of scaled powers (-lambda)^j with the
 table, served up to each lambda's hand-off point, where |lambda| S <= 1.
-The ODE part is one DOP853 solve of the stacked state of every lambda that
-needs it, started at the earliest of their hand-off points, with the
-tolerances tightened so that each lambda is held to its single-lambda
-error criterion.  A single lambda is the batch of one.
+The ODE part is one DOP853 solve (``slhyper.ode``, numpy) of the stacked
+state of every lambda that needs it, started at the earliest of their
+hand-off points, with the tolerances tightened so that each lambda is held
+to its single-lambda error criterion.  A single lambda is the batch of one.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_array
 
+from .ode import solve_ivp
 from .operator import OperatorSpec
 
 __all__ = ["KernelEvaluator"]
@@ -44,13 +45,6 @@ _MAX_TERMS = 60
 # DOP853 tolerances of the kernel ODE
 _RTOL = 1e-11
 _ATOL = 1e-13
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at the first call: a process
-    that solves no kernel ODE never loads scipy.integrate."""
-    from scipy.integrate import solve_ivp as solve
-    return solve(*args, **kwargs)
 
 
 def _spline_increments(xs: np.ndarray):
@@ -453,12 +447,8 @@ class KernelEvaluator:
 
         scale = 2.0 / math.sqrt(len(y_init))
         targets, where = np.unique(xs, return_inverse=True)
-        sol = solve_ivp(fun, (x0, float(targets[-1])), y_init, t_eval=targets,
-                        method="DOP853", rtol=_RTOL * scale,
-                        atol=_ATOL * scale)
-        if not sol.success:
-            raise RuntimeError(f"kernel ODE integration failed: {sol.message}")
-        y = sol.y[:, where]
+        y = solve_ivp(fun, x0, y_init, targets, _RTOL * scale,
+                      _ATOL * scale).y[:, where]
         z = y[0::2] + 1j * y[1::2] if paired else y.astype(complex)
         return z[:K], z[K:]
 

@@ -563,16 +563,44 @@ def builtin_operator(name: str) -> OperatorSpec:
     raise ValueError(f"unknown builtin operator {base!r}")
 
 
+_INFINITIES = {"inf": math.inf, "Infinity": math.inf,
+               "-inf": -math.inf, "-Infinity": -math.inf}
+
+
+def _json_field(doc: dict, key: str, source: str):
+    """Field key of an operator file: a float for the end points a and b,
+    which are JSON numbers or one of the strings in _INFINITIES, and a
+    string for the coefficients p, r and eta.  Any other type is a
+    ValueError that names the field."""
+    value = doc[key]
+    if key in ("a", "b"):
+        if isinstance(value, str) and value in _INFINITIES:
+            return _INFINITIES[value]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        want = 'a number, "inf" or "-inf"'
+    elif isinstance(value, str):
+        return value
+    else:
+        want = "an expression string"
+    raise ValueError(f"{source}: field {key!r} must be {want}, not "
+                     f"{json.dumps(value)}")
+
+
 def load_operator(source: str) -> OperatorSpec:
     """Load from "builtin:<name>" or a JSON definition file."""
     if source.startswith("builtin:"):
         return builtin_operator(source[len("builtin:"):])
     with open(source, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    a = float(doc["a"]) if doc["a"] not in ("-inf", "-Infinity") else -math.inf
-    b = float(doc["b"]) if doc["b"] not in ("inf", "Infinity") else math.inf
-    eta = parse_expression(doc["eta"]) if "eta" in doc else None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: an operator file holds a JSON object")
+    a, b, p, r = (_json_field(doc, key, source) for key in ("a", "b", "p", "r"))
+    eta = parse_expression(_json_field(doc, "eta", source)) if "eta" in doc else None
     spec = OperatorSpec(doc.get("name", source), a, b,
-                        parse_expression(doc["p"]), parse_expression(doc["r"]), eta=eta)
+                        parse_expression(p), parse_expression(r), eta=eta)
     spec.validate()
     return spec

@@ -1,6 +1,7 @@
 """Command line front end: output formats, exit codes, determinism, and
 config file handling."""
 
+import ast
 import json
 import os
 import subprocess
@@ -477,6 +478,23 @@ def test_unreadable_csv_row_is_an_error(bad_row, tmp_path, capsys):
                 "--lambda-max", "50", "--out", str(tmp_path / "t.csv")]) == 0
 
 
+@pytest.mark.parametrize("text", [
+    "x,value\nfoo,bar\n0,0\n1,1\n2,0\n",
+    "".join(f"np.float64({x!r}),np.float64(0.0)\n"
+            for x in np.linspace(0.0, 12.0, 601)),
+], ids=["two-headers", "numpy-reprs"])
+def test_only_one_header_row_is_skipped(text, tmp_path, capsys):
+    """A header is one row: a second unreadable row before the data is an
+    error that names its line, not a row dropped with the header."""
+    path = tmp_path / "h.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run(["transform", "--h", str(path), "--N", "256",
+                "--lambda-max", "50", "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:")
+    assert "h.csv" in err and "line 2" in err
+
+
 @pytest.mark.parametrize("doc", [{"N": "abc"}, {"L": [1]}, {"format": "xml"},
                                  {"format": "json"}, [1]])
 def test_config_file_value_types(doc, tmp_path, capsys):
@@ -599,18 +617,57 @@ MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
       *MEASURE_1024], ("integrate",)),
     (["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
      ("integrate",)),
-    (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"], ("interpolate",)),
-], ids=["spectrum", "heatkernel", "product", "kernel"])
+    (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"],
+     ("integrate", "interpolate")),
+    (["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
+     ("integrate", "interpolate")),
+    (["spectrum", *SMALL], ("integrate", "interpolate")),
+    (["selftest"], ("integrate",)),
+], ids=["spectrum", "heatkernel", "product", "kernel", "triangle",
+        "spectrum-cosine", "selftest"])
 def test_commands_load_only_the_scipy_they_run(argv, absent, tmp_path):
-    """scipy.integrate loads at the first kernel ODE solve, so the measure
-    commands that solve none never load it; scipy.interpolate loads at the
-    first eigenfunction evaluation, so a measure build (spectrum) and a
-    kernel evaluation, whose series table is a numpy spline, never load
-    it."""
+    """The kernel ODE is solved in numpy (slhyper.ode), so no command loads
+    scipy.integrate, not even those that solve it: kernel, triangle, the
+    cosine spectrum (its normalization falls back to the ODE) and selftest.
+    scipy.interpolate loads at the first eigenfunction evaluation, so a
+    measure build (spectrum) and a kernel evaluation, whose series table is
+    a numpy spline, never load it."""
     mods = _scipy_modules(argv, tmp_path / "out")
     assert "scipy.linalg" in mods
     assert not [m for m in mods if m.split(".")[:2] in
                 [["scipy", name] for name in absent]]
+
+
+def test_no_module_imports_scipy_integrate():
+    """The footprint above holds for every command line: no module of the
+    package imports scipy.integrate, at its top or inside a function."""
+    importers = []
+    for path in sorted(Path(slhyper.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[:2] == ["scipy", "integrate"] for n in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", 1), ("a", None), ("b", [1]), ("eta", {}), ("a", True),
+    ("b", 10 ** 400),
+], ids=["p-number", "a-null", "b-list", "eta-object", "a-bool", "b-overflow"])
+def test_operator_field_of_the_wrong_type_is_an_error(field, value, tmp_path,
+                                                       capsys):
+    doc = {"a": 0, "b": "inf", "p": "1", "r": "1", field: value}
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(doc))
+    assert run(["validate", "--op", str(op), "--out", str(tmp_path / "v.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:") and "Traceback" not in err
+    assert f"field {field!r}" in err
 
 
 @pytest.mark.parametrize("p", [
