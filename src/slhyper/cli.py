@@ -11,8 +11,9 @@ invocations of the same build produce byte-identical files.
 Each command runs in a process of its own, so the module imports only numpy
 and the operator layer, which every command reads; each compute function
 imports the layers it runs.  ``validate`` and ``support`` load no scipy,
-and no command loads scipy.integrate: the kernel ODE is solved in numpy
-(``slhyper.ode``).
+and the other commands load scipy.linalg alone: the kernel ODE is solved in
+numpy (``slhyper.ode``), and every spline is evaluated in numpy
+(``kernel.RowSpline``).
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import csr_array
 
 from .ode import solve_ivp
 from .operator import OperatorSpec
@@ -101,14 +100,14 @@ def _interval(t: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(t[4:-4], x, side="right") + 3
 
 
-def _bspline_rows(t: np.ndarray, mu: np.ndarray, stages) -> csr_array:
-    """Row i: the cubic B-splines mu[i]-3..mu[i] on the knots t, nonzero on
-    the knot interval t[mu[i]] <= x < t[mu[i]+1], from the de Boor-Cox
-    recurrence (Lyche & Morken, Spline Methods, ch. 2-4) with its degree-d
-    stage taken at the points stages[d - 1].  The operations and their
-    order are those of scipy's BSpline, so the values agree bit for bit."""
-    m = len(mu)
-    knots = t[mu + np.arange(-2, 4)[:, None]]      # row k: t[mu - 2 + k]
+def _de_boor(knots, stages) -> list:
+    """The cubic B-splines mu-3..mu nonzero on the knot interval t[mu] <= x
+    < t[mu+1], from the de Boor-Cox recurrence (Lyche & Morken, Spline
+    Methods, ch. 2-4), with knots[k] = t[mu - 2 + k] for k = 0..5 and the
+    degree-d stage taken at the points stages[d - 1].  The knots and points
+    are Python floats for one point, or arrays for many.  The operations
+    and their order are those of scipy's BSpline, so the values agree bit
+    for bit."""
     b = [1.0]
     for d, x in enumerate(stages, start=1):
         nb = [0.0] * (d + 1)
@@ -119,18 +118,38 @@ def _bspline_rows(t: np.ndarray, mu: np.ndarray, stages) -> csr_array:
             nb[j] += share * (hi - x)
             nb[j + 1] = share * (x - lo)
         b = nb
-    return csr_array((np.column_stack(b).ravel(),
-                      (mu[:, None] + np.arange(-3, 1)).ravel(),
-                      np.arange(0, 4 * m + 1, 4)), shape=(m, len(t) - 4))
+    return b
 
 
-def _refinement(t: np.ndarray, tau: np.ndarray) -> csr_array:
-    """The matrix that maps the coefficients of a cubic spline on the knots t
-    to those of the same spline on tau, which holds every knot of t at
-    least as often (the Oslo algorithm; Lyche & Morken, Spline Methods,
-    ch. 4).
+def _bspline_rows(t: np.ndarray, mu: np.ndarray, stages):
+    """The band of the matrix whose row i holds the cubic B-splines
+    mu[i]-3..mu[i] on the knots t (``_de_boor``, vectorized over the rows),
+    shape (len(mu), 4), and the index mu - 3 of each row's first column."""
+    knots = t[mu + np.arange(-2, 4)[:, None]]      # row k: t[mu - 2 + k]
+    return np.array(_de_boor(knots, stages)).T, mu - 3
 
-    Row i has four nonzeros, at the B-splines mu-3..mu of t whose support
+
+def _band_product(band: np.ndarray, first: np.ndarray, c: np.ndarray):
+    """Row i of the banded matrix (band, first) times c, of shape (n,) or
+    (n, q): sum_j band[i, j] c[first[i] + j], added to 0 in the order
+    j = 0..3, as scipy's sparse products and BSpline add, bit for bit."""
+    shape = (-1,) + (1,) * (c.ndim - 1)
+    v = c[first] * band[:, 0].reshape(shape)
+    v += 0.0
+    for j in (1, 2, 3):
+        term = c[first + j]
+        term *= band[:, j].reshape(shape)
+        v += term
+    return v
+
+
+def _refinement(t: np.ndarray, tau: np.ndarray):
+    """The banded matrix, as (band, first), that maps the coefficients of a
+    cubic spline on the knots t to those of the same spline on tau, which
+    holds every knot of t at least as often (the Oslo algorithm; Lyche &
+    Morken, Spline Methods, ch. 4).
+
+    Row i has four entries, at the B-splines mu-3..mu of t whose support
     holds the knot interval t[mu] <= tau[i] < t[mu+1].  They are the
     product R_1(tau[i+1]) R_2(tau[i+2]) R_3(tau[i+3]) of the matrices of
     the de Boor-Cox recurrence, each stage taken at its own knot of tau.
@@ -140,12 +159,16 @@ def _refinement(t: np.ndarray, tau: np.ndarray) -> csr_array:
                          [tau[d:m + d] for d in (1, 2, 3)])
 
 
-def _design(t: np.ndarray, x: np.ndarray) -> csr_array:
+def _design(t: np.ndarray, x: np.ndarray):
     """The collocation matrix of the cubic B-splines on the knots t at the
-    points x, shape (len(x), len(t) - 4), four nonzeros a row: design(t, x)
-    @ c is the spline with coefficients c at x, extrapolated past the end
-    knots by the end pieces."""
+    points x, as (band, first): row i holds the four B-splines
+    first[i]..first[i]+3 at x[i], extrapolated past the end knots by the
+    end pieces."""
     return _bspline_rows(t, _interval(t, x), (x, x, x))
+
+
+# RowSpline evaluates up to this many points one at a time
+_FEW_POINTS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +180,35 @@ class RowSpline:
     c: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
-        """Values at the 1-D points x, shape lead + (len(x),): the one
-        collocation matrix of x (``_design``) times the coefficients."""
+        """Values at the 1-D points x, shape lead + (len(x),), equal to
+        scipy's BSpline's bit for bit, past the end knots included.
+
+        Many points take the collocation matrix of x (``_design``) times
+        the coefficients.  Up to _FEW_POINTS points go one at a time, the
+        recurrence on Python floats and the sum over the point's four
+        contiguous coefficient rows: the vectorized recurrence costs some
+        forty numpy operations whatever the number of points, several
+        times scipy's compiled call on the one to three points that
+        spectral sums evaluate apart from their grids."""
         x = np.asarray(x, dtype=float)
-        v = _design(self.t, x) @ self.c.reshape(len(self.c), -1)
-        return np.moveaxis(v.reshape(len(x), *self.c.shape[1:]), 0, -1)
+        c = self.c.reshape(len(self.c), -1)
+        if c.shape[1] == 1:
+            # a 1-D gather is faster than one of rows of length 1
+            c = c[:, 0]
+        if len(x) > _FEW_POINTS:
+            v = _band_product(*_design(self.t, x), c)
+        else:
+            v = np.empty((len(x),) + c.shape[1:])
+            for i, (xi, mu) in enumerate(zip(x.tolist(),
+                                             _interval(self.t, x).tolist())):
+                b = _de_boor(self.t[mu - 2:mu + 4].tolist(), (xi, xi, xi))
+                rows = c[mu - 3:mu + 1]
+                vi = rows[0] * b[0] + 0.0
+                for j in (1, 2, 3):
+                    vi += rows[j] * b[j]
+                v[i] = vi
+        v = v.reshape(len(x), *self.c.shape[1:])
+        return v.transpose(*range(1, v.ndim), 0)
 
 
 def _interpolation(xs: np.ndarray, t: np.ndarray):
@@ -175,10 +222,12 @@ def _interpolation(xs: np.ndarray, t: np.ndarray):
     Fortran-ordered copy, solved in place, and the coefficients are
     make_interp_spline's, bit for bit.
     """
-    col = _design(t, xs).tocoo()
+    band, first = _design(t, xs)
+    row = np.arange(len(xs))[:, None]
+    col = first[:, None] + np.arange(4)
     # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
     ab = np.zeros((10, len(xs)), order="F")
-    ab[6 + col.row - col.col, col.col] = col.data
+    ab[6 + row - col, col] = band
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, 3, 3, overwrite_ab=True)
     if info != 0:
@@ -247,7 +296,7 @@ def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> RowSpline:
         for (_, _, weight), rows, fit, refine in zip(levels, tables, fits, maps):
             part = fit(rows[j:j + _SPLINE_BLOCK])
             if refine is not None:
-                part = refine @ part
+                part = _band_product(*refine, part)
             part *= weight
             c[:, j:j + _SPLINE_BLOCK] += part
     return RowSpline(tau, c.reshape(len(tau) - 4, *lead))

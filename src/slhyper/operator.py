@@ -95,6 +95,9 @@ class OperatorSpec:
     eta: CoefficientExpr | None = None
 
     def validate(self) -> None:
+        if not self.a < self.b:
+            raise ValueError(f"{self.name}: the interval needs a < b, not "
+                             f"a = {self.a:g} and b = {self.b:g}")
         pts = probe_points(self.a, self.b)
         with np.errstate(all="ignore"):
             pv, rv = self.p(pts), self.r(pts)
@@ -570,8 +573,10 @@ _INFINITIES = {"inf": math.inf, "Infinity": math.inf,
 def _json_field(doc: dict, key: str, source: str):
     """Field key of an operator file: a float for the end points a and b,
     which are JSON numbers or one of the strings in _INFINITIES, and a
-    string for the coefficients p, r and eta.  Any other type is a
-    ValueError that names the field."""
+    string for the coefficients p, r and eta.  A missing field or any
+    other type is a ValueError that names the file and the field."""
+    if key not in doc:
+        raise ValueError(f"{source}: field {key!r} is missing")
     value = doc[key]
     if key in ("a", "b"):
         if isinstance(value, str) and value in _INFINITIES:

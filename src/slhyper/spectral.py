@@ -14,12 +14,7 @@ the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
 (4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
 of their knots by knot insertion (``kernel._row_spline``), so every
-evaluation is one spline call.  The spline is built in numpy, but its
-values come from scipy's compiled BSpline, imported at the first
-evaluation (``_bspline``): on the few-point and single-column evaluations
-that spectral sums make, numpy's recurrence costs 2-4 times as much per
-call, while a process that builds a measure and evaluates no eigenfunction
-never loads scipy.interpolate.
+evaluation is one spline call, in numpy (``kernel.RowSpline``).
 
 Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
 is linear in its coefficients (de Boor, A Practical Guide to Splines), so
@@ -156,13 +151,6 @@ class Basis:
 _KEPT_MAX = 2
 
 
-def _bspline(t: np.ndarray, c: np.ndarray):
-    """scipy's BSpline on the knots t with the coefficients c, whose values
-    at points x take shape c.shape[1:] + (len(x),), as RowSpline's do."""
-    from scipy.interpolate import BSpline
-    return BSpline.construct_fast(t, c, 3, axis=c.ndim - 1)
-
-
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
     on [a_eff, L] stored as one vector-valued cubic spline: the Richardson
@@ -216,15 +204,11 @@ class SpectralMeasure:
                              "eigenfunctions end")
         return np.maximum(xq, self._a_eff)
 
-    @cached_property
-    def _eigenfunctions(self):
-        return _bspline(self._w.t, self._w.c)
-
     def w_values(self, xq) -> np.ndarray:
         """(K, len(xq)) matrix of eigenfunction values.  Points in [a,
         a_eff) take the value at a_eff, where every w_k is 1; points below
         a or past L raise ValueError."""
-        return self._eigenfunctions(
+        return self._w(
             self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
     def basis(self, grid) -> Basis:
@@ -283,7 +267,7 @@ class SpectralMeasure:
         the coefficient table times masses * coef, on the knots of those
         rows, evaluated on the grid clamped as in w_values."""
         weighted = (self.masses * coef.T).T
-        spline = _bspline(self._w.t[lo:hi + 4], self._w.c[lo:hi] @ weighted)
+        spline = RowSpline(self._w.t[lo:hi + 4], self._w.c[lo:hi] @ weighted)
         return spline(self._clamped(grid))
 
     def cumulative(self, lam: float) -> float:

@@ -610,37 +610,41 @@ def test_operator_commands_load_no_scipy(argv, tmp_path):
 MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12",
-      *MEASURE_1024], ("integrate", "interpolate")),
-    (["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
-      *MEASURE_1024], ("integrate",)),
-    (["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
-     ("integrate",)),
-    (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"],
-     ("integrate", "interpolate")),
-    (["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
-     ("integrate", "interpolate")),
-    (["spectrum", *SMALL], ("integrate", "interpolate")),
-    (["selftest"], ("integrate",)),
+# scipy subpackages no command loads; scipy.integrate and scipy.interpolate
+# would each load scipy.optimize and scipy.special as well
+_UNUSED_SCIPY = ("integrate", "interpolate", "optimize", "special", "sparse")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12", *MEASURE_1024],
+    ["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
+     *MEASURE_1024],
+    ["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
+    ["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"],
+    ["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
+    ["spectrum", *SMALL],
+    ["selftest"],
 ], ids=["spectrum", "heatkernel", "product", "kernel", "triangle",
         "spectrum-cosine", "selftest"])
-def test_commands_load_only_the_scipy_they_run(argv, absent, tmp_path):
-    """The kernel ODE is solved in numpy (slhyper.ode), so no command loads
-    scipy.integrate, not even those that solve it: kernel, triangle, the
-    cosine spectrum (its normalization falls back to the ODE) and selftest.
-    scipy.interpolate loads at the first eigenfunction evaluation, so a
-    measure build (spectrum) and a kernel evaluation, whose series table is
-    a numpy spline, never load it."""
+def test_commands_load_only_the_scipy_they_run(argv, tmp_path):
+    """scipy.linalg is the one scipy subpackage a command loads.  The kernel
+    ODE is solved in numpy (slhyper.ode), and the splines of the series
+    table and of the eigenfunctions are fitted, refined and evaluated in
+    numpy (kernel.RowSpline), so no command loads scipy.integrate,
+    scipy.interpolate or scipy.sparse, nor scipy.optimize and scipy.special,
+    which the first two import: not kernel, triangle or the cosine spectrum
+    (its normalization falls back to the ODE), which solve the ODE, nor the
+    measure commands and selftest, which evaluate eigenfunctions."""
     mods = _scipy_modules(argv, tmp_path / "out")
     assert "scipy.linalg" in mods
     assert not [m for m in mods if m.split(".")[:2] in
-                [["scipy", name] for name in absent]]
+                [["scipy", name] for name in _UNUSED_SCIPY]]
 
 
 def test_no_module_imports_scipy_integrate():
     """The footprint above holds for every command line: no module of the
-    package imports scipy.integrate, at its top or inside a function."""
+    package imports scipy.integrate, scipy.interpolate, scipy.optimize,
+    scipy.special or scipy.sparse, at its top or inside a function."""
     importers = []
     for path in sorted(Path(slhyper.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -650,7 +654,8 @@ def test_no_module_imports_scipy_integrate():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(n.split(".")[:2] == ["scipy", "integrate"] for n in names):
+            if any(n.split(".")[:2] in [["scipy", name] for name in _UNUSED_SCIPY]
+                   for n in names):
                 importers.append(path.name)
     assert importers == []
 
@@ -668,6 +673,30 @@ def test_operator_field_of_the_wrong_type_is_an_error(field, value, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("slhyper: error:") and "Traceback" not in err
     assert f"field {field!r}" in err
+
+
+@pytest.mark.parametrize("field", ["p", "r", "a", "b"])
+def test_operator_field_missing_is_an_error(field, tmp_path, capsys):
+    doc = {"a": 0, "b": "inf", "p": "1", "r": "1"}
+    del doc[field]
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(doc))
+    assert run(["validate", "--op", str(op), "--out", str(tmp_path / "v.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:") and "Traceback" not in err
+    assert f"{op}: field {field!r} is missing" in err
+
+
+@pytest.mark.parametrize("a, b", [("inf", "inf"), (2, 1), (1.5, 1.5)],
+                         ids=["inf-inf", "reversed", "equal"])
+def test_operator_interval_must_be_increasing(a, b, tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"a": a, "b": b, "p": "1", "r": "1"}))
+    assert run(["validate", "--op", str(op), "--out", str(tmp_path / "v.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error:") and "Traceback" not in err
+    assert "needs a < b" in err and f"a = {float(a):g} and b = {float(b):g}" in err
+    assert not (tmp_path / "v.json").exists()
 
 
 @pytest.mark.parametrize("p", [

@@ -10,8 +10,9 @@ from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from slhyper.expr import parse_expression
 from slhyper.operator import OperatorSpec, builtin_operator, load_operator
-from slhyper.kernel import (KernelEvaluator, RowSpline, _design,
-                            _refinement, _row_spline, _spline_increments)
+from slhyper.kernel import (KernelEvaluator, RowSpline, _band_product,
+                            _design, _refinement, _row_spline,
+                            _spline_increments)
 
 
 @pytest.fixture(scope="module")
@@ -78,29 +79,52 @@ def _spline_case(lead, seed=5):
 
 
 def test_design_is_bspline_design_matrix():
-    """The numpy collocation matrix is scipy's BSpline.design_matrix, bit
-    for bit, sparsity pattern included, on every point of the base
-    interval, knots and both ends included."""
+    """The numpy collocation band is scipy's BSpline.design_matrix, bit for
+    bit, sign of zero included, on every point of the base interval, knots
+    and both ends included: each row's four entries sit at scipy's columns,
+    and the matrix is zero off them."""
     spl, xq = _spline_case(())
     xq = xq[(xq >= spl.t[3]) & (xq <= spl.t[-4])]
-    got, want = _design(spl.t, xq), BSpline.design_matrix(xq, spl.t, 3)
-    assert got.shape == want.shape
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
-    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+    band, first = _design(spl.t, xq)
+    want = BSpline.design_matrix(xq, spl.t, 3)
+    assert band.shape == (len(xq), 4)
+    cols = first[:, None] + np.arange(4)
+    assert np.array_equal(cols.ravel(), want.indices)
+    dense = want.toarray()
+    rows = np.arange(len(xq))[:, None]
+    assert np.array_equal(band, dense[rows, cols])
+    assert np.array_equal(np.signbit(band), np.signbit(dense[rows, cols]))
+    dense[rows, cols] = 0.0
+    assert not np.any(dense)
 
 
-@pytest.mark.parametrize("lead", [(), (2, 61)])
+def _point_sets(xq):
+    """xq cut into sets of 1, 2, 3 and 5 consecutive points, and whole: the
+    point-by-point and the vectorized evaluation both run."""
+    return [xq[i:i + n] for n in (1, 2, 3, 5) for i in range(0, len(xq), n)] + [xq]
+
+
+@pytest.mark.parametrize("lead", [(), (2, 61), (1,)])
 def test_row_spline_values_are_bspline_values(lead):
-    """RowSpline values equal BSpline.__call__'s bit for bit, for 1-D and
-    (2, 61)-shaped coefficients, inside, at the knots and past both end
-    knots, where both extrapolate from the end pieces."""
+    """RowSpline values equal BSpline.__call__'s bit for bit, sign of zero
+    included, for 1-D, one-column and (2, 61)-shaped coefficients, inside,
+    at the knots and past both end knots, where both extrapolate from the
+    end pieces, whatever the number of points."""
     spl, xq = _spline_case(lead)
-    got, want = RowSpline(spl.t, spl.c)(xq), spl(xq)
-    assert got.shape == want.shape == lead + (len(xq),)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    sets = _point_sets(xq)
+    # exact zeros: a spline that vanishes on its last pieces, with
+    # coefficients of both signs of zero
+    zero = spl.c.copy()
+    zero[-6:] = -0.0
+    zero[-6::2] = 0.0
+    for c in (spl.c, zero):
+        want_spl = BSpline.construct_fast(spl.t, c, 3, axis=len(lead))
+        got_spl = RowSpline(spl.t, c)
+        for x in sets:
+            got, want = got_spl(x), want_spl(x)
+            assert got.shape == want.shape == lead + (len(x),)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 70])
@@ -115,12 +139,12 @@ def test_refinement_is_the_same_spline(rows):
                                    rng.uniform(0.0, 5.0, 90)]))
     tau = np.concatenate([np.zeros(4), more, np.full(4, 5.0)])
     c = rng.standard_normal((len(t) - 4, rows))
-    A = _refinement(t, tau)
-    assert A.shape == (len(tau) - 4, len(t) - 4)
-    assert np.all(np.diff(A.indptr) == 4)
+    band, first = _refinement(t, tau)
+    assert band.shape == (len(tau) - 4, 4)
+    assert first.min() >= 0 and first.max() + 4 <= len(t) - 4
     xq = np.linspace(0.0, 5.0, 10_000)
     want = BSpline(t, c, 3)(xq)
-    got = BSpline(tau, A @ c, 3)(xq)
+    got = BSpline(tau, _band_product(band, first, c), 3)(xq)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -4,6 +4,7 @@ the heat kernel."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import BSpline
 from scipy.linalg import eigh_tridiagonal
 
 from slhyper import spectral
@@ -190,6 +191,35 @@ def test_synthesis_orders_agree(name, m, request):
         assert first.shape == later.shape
         scale = np.max(np.abs(later))
         assert np.max(np.abs(first - later)) <= 1e-14 * scale
+
+
+def test_eigenfunction_values_are_bspline_values(sm_cosine, monkeypatch):
+    """w_values and both orders of synthesize evaluate the measure's spline
+    in numpy (RowSpline) with the values of scipy's BSpline on the same
+    knots and coefficients, bit for bit: on one to three points, points
+    below a_eff and at L included, on a grid, and contracted with one and
+    with three columns of coefficients."""
+    sm = sm_cosine
+    monkeypatch.setattr(sm, "_kept", [])
+    t, c = sm._w.t, sm._w.c
+    spline = BSpline.construct_fast(t, c, 3, axis=1)
+    for x in ([0.0], [2.0, 3.5], [0.5 * sm._a_eff, 7.25, sm.L],
+              np.linspace(0.0, sm.L, 1201)):
+        want = spline(np.maximum(x, sm._a_eff))
+        assert np.array_equal(sm.w_values(x), want)
+        assert np.array_equal(np.signbit(sm.w_values(x)), np.signbit(want))
+    rng = np.random.default_rng(11)
+    for coef in (np.exp(-0.1 * sm.lambdas), rng.standard_normal((len(sm), 3))):
+        weighted = (sm.masses * coef.T).T
+        short = np.linspace(0.0, 3.0, 13)
+        first = (sm.masses * coef.T) @ spline(np.maximum(short, sm._a_eff))
+        assert np.array_equal(sm.synthesize(coef, short), first)
+        long = np.linspace(0.0, 6.0, 3001)
+        lo, hi = sm._rows(long)
+        contracted = BSpline.construct_fast(t[lo:hi + 4], c[lo:hi] @ weighted, 3,
+                                            axis=coef.ndim - 1)
+        assert np.array_equal(sm.synthesize(coef, long),
+                              contracted(np.maximum(long, sm._a_eff)))
 
 
 def test_synthesis_order_ignores_the_memo(sm_cosine, monkeypatch):
