@@ -10,10 +10,10 @@ invocations of the same build produce byte-identical files.
 
 Each command runs in a process of its own, so the module imports only numpy
 and the operator layer, which every command reads; each compute function
-imports the layers it runs.  ``validate`` and ``support`` load no scipy,
-and the other commands load scipy.linalg alone: the kernel ODE is solved in
-numpy (``slhyper.ode``), and every spline is evaluated in numpy
-(``kernel.RowSpline``).
+imports the layers it runs.  ``validate``, ``support``, ``kernel`` and
+``triangle`` load no scipy.  The measure commands and ``selftest`` add
+scipy.linalg alone, for the eigensolve and the eigenfunction splines' fit;
+every spline is evaluated in numpy (``kernel.RowSpline``).
 """
 
 from __future__ import annotations
@@ -407,7 +407,9 @@ def _selftest(args):
         err = max(err, float(np.max(np.abs(w))) - 1.0)
     all_ok &= report("kernel-bound", err, 1e-9)
 
-    sm = build_spectral_measure(spec, L=16.0, N=2048, lambda_max=1600.0)
+    del e, ev_b  # the measure reuses the cosine table, not the Bessel one
+    sm = build_spectral_measure(spec, L=16.0, N=2048, lambda_max=1600.0,
+                                evaluator=ev)
     errc = max(abs(sm.cumulative(v) - 2.0 * math.sqrt(v) / math.pi)
                for v in (1.0, 4.0, 16.0))
     all_ok &= report("spectrum-cosine", errc, 2e-2)
@@ -537,6 +539,21 @@ def _check_finite(flags: dict, vals: dict) -> None:
 
 # output paths and the config file name the outputs, not what they hold
 _UNHASHED = ("out", "diagnostics", "config")
+# flags that name an input file: the hash covers the file's bytes
+_INPUTS = ("op", "h", "g", "f", "psi")
+
+
+def _input_key(text: str) -> str:
+    """The SHA-256 of the bytes of the file text names, or text itself for a
+    builtin operator, a heatkernel:t,x kernel or a file that cannot be read
+    (the command reports it when it reads the file)."""
+    try:
+        if not text.startswith(("builtin:", "heatkernel:")):
+            with open(text, "rb") as fh:
+                return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        pass
+    return text
 
 
 def _flags(cmd: Command) -> dict:
@@ -602,7 +619,8 @@ def _run(args) -> int:
         if dest in vals and not ok(vals[dest]):
             raise ValueError(message)
     doc = {"command": args.command,
-           **{k: v for k, v in vals.items() if k not in _UNHASHED}}
+           **{k: _input_key(v) if k in _INPUTS else v
+              for k, v in vals.items() if k not in _UNHASHED}}
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                            default=repr)
     sha = hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -8,12 +8,12 @@ singular, w is computed from the iterated-integral series
     eta_j(x) = int_a^x (s(x) - s(xi)) eta_{j-1}(xi) r(xi) dxi,
 
 with s' = 1/p.  The series terms are lambda-independent, so they are
-tabulated once per operator, as one vector-valued spline.  Each term's
-integrals are those of the not-a-knot cubic spline through the previous
-term on one grid; the spline's slope system depends on the grid alone, so
-one factored matrix serves every term (``_spline_increments``).  Further out,
-evaluation continues by integrating the first-order system
-w' = w1/p, w1' = -lambda r w.
+tabulated once per operator on one grid, with zeta_j = int_a^x eta_j r.
+Their slopes are exact: eta_{j+1}' = zeta_j / p, zeta_j' = eta_j r, and p'
+and r' are symbolic.  So each interval's integral is the cubic Hermite one
+(``_hermite_increments``), the terms between nodes are cubic Hermite
+interpolants (``KernelEvaluator._terms``), and no system is solved.  Further
+out, evaluation integrates the first-order system w' = w1/p, w1' = -lambda r w.
 
 Evaluation is batched over lambda (``KernelEvaluator.eval_many``).  The
 series part is one matrix product of scaled powers (-lambda)^j with the
@@ -32,7 +32,6 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .ode import solve_ivp
 from .operator import OperatorSpec
@@ -46,40 +45,11 @@ _RTOL = 1e-11
 _ATOL = 1e-13
 
 
-def _spline_increments(xs: np.ndarray):
-    """The map f -> per-interval integrals of the not-a-knot cubic spline
-    through (xs, f), for a grid of at least four points.
-
-    The slopes d solve a tridiagonal system whose matrix depends on xs
-    alone, so it is built and LU-factored once here, and each f costs one
-    pair of triangular solves.  The matrix and right-hand side are those of
-    scipy's CubicSpline.  Each interval integral is the Hermite form
-    h (f_i + f_{i+1}) / 2 + h^2 (d_i - d_{i+1}) / 12, which is local to the
-    interval, so no large antiderivative constant enters the arithmetic.
-    """
-    h = np.diff(xs)
-    # not-a-knot: the third derivative is continuous at xs[1] and xs[-2]
-    d_lo, d_hi = xs[2] - xs[0], xs[-1] - xs[-3]
-    sub = np.append(h[1:], d_hi)
-    main = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
-    sup = np.insert(h[:-1], 0, d_lo)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main,))
-    *lu, info = gttrf(sub, main, sup)
-    if info != 0:
-        raise ValueError("spline slope system is singular")
-
-    def increments(f):
-        slope = np.diff(f) / h
-        rhs = np.empty_like(xs)
-        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-        rhs[0] = ((h[0] + 2.0 * d_lo) * h[1] * slope[0]
-                  + h[0] ** 2 * slope[1]) / d_lo
-        rhs[-1] = (h[-1] ** 2 * slope[-2]
-                   + (2.0 * d_hi + h[-1]) * h[-2] * slope[-1]) / d_hi
-        d, _ = gttrs(*lu, rhs)
-        return h * (f[:-1] + f[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
-
-    return increments
+def _hermite_increments(h: np.ndarray, f: np.ndarray, d: np.ndarray):
+    """The integral over each interval of the cubic Hermite interpolant of
+    values f and slopes d at nodes h apart.  Each is local to its interval,
+    so no large antiderivative constant enters the arithmetic."""
+    return h * (f[:-1] + f[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
 
 
 # rows fitted per solve in _row_spline
@@ -222,6 +192,8 @@ def _interpolation(xs: np.ndarray, t: np.ndarray):
     Fortran-ordered copy, solved in place, and the coefficients are
     make_interp_spline's, bit for bit.
     """
+    from scipy.linalg import get_lapack_funcs
+
     band, first = _design(t, xs)
     row = np.arange(len(xs))[:, None]
     col = first[:, None] + np.arange(4)
@@ -313,67 +285,97 @@ class KernelEvaluator:
 
     def _left_grid(self) -> np.ndarray:
         a, b = self.spec.a, self.spec.b
-        span = 10.0 if math.isinf(b) else (b - a) * 0.9
-        offs = np.geomspace(span * 1e-14, span, _SERIES_POINTS)
-        xs = a + offs
-        # clip points where the coefficients are not representable
-        with np.errstate(all="ignore"):
-            pv = self.spec.p(xs)
-            rv = self.spec.r(xs)
-            inv_p = 1.0 / pv
-        ok = (pv > 0) & (rv > 0) & np.isfinite(inv_p) & np.isfinite(rv) & (inv_p < 1e15)
-        return xs[ok]
-
-    def _build_series_table(self) -> None:
-        a = self.spec.a
         if math.isinf(a):
             # left-infinite domains: start grid from far left, measure decay
             xs = np.linspace(-50.0, 10.0, _SERIES_POINTS)
-            with np.errstate(all="ignore"):
-                rv = self.spec.r(xs)
-                pv = self.spec.p(xs)
-            ok = (pv > 0) & (rv > 0) & np.isfinite(1.0 / pv)
-            xs = xs[ok]
         else:
-            xs = self._left_grid()
+            span = 10.0 if math.isinf(b) else (b - a) * 0.9
+            xs = a + np.geomspace(span * 1e-14, span, _SERIES_POINTS)
+        # clip points where the coefficients are not representable
+        with np.errstate(all="ignore"):
+            pv, rv = self.spec.p(xs), self.spec.r(xs)
+            inv_p = 1.0 / pv
+        ok = (pv > 0) & (rv > 0) & np.isfinite(inv_p)
+        if math.isfinite(a):
+            ok &= np.isfinite(rv) & (inv_p < 1e15)
+        return xs[ok]
+
+    def _build_series_table(self) -> None:
+        xs = self._left_grid()
         if xs.size < 64:
             raise ValueError(f"{self.spec.name}: cannot build series grid near a")
-        pv = self.spec.p(xs)
+        inv_p = 1.0 / self.spec.p(xs)
         rv = self.spec.r(xs)
-        increments = _spline_increments(xs)
+        # every integrand's exact slope comes from p' and r'
+        with np.errstate(all="ignore"):
+            dp, dr = self.spec.p.derivative(xs), self.spec.r.derivative(xs)
+        for name, d in (("p", dp), ("r", dr)):
+            if not np.all(np.isfinite(d)):
+                raise ValueError(f"{self.spec.name}: the derivative of {name} is "
+                                 f"not finite at x={xs[np.argmin(np.isfinite(d))]:g}")
+        h = np.diff(xs)
 
-        def cumint(f):
-            return np.concatenate([[0.0], np.cumsum(increments(f))])
+        def cumint(f, d):
+            return np.concatenate([[0.0], np.cumsum(_hermite_increments(h, f, d))])
 
         # s(x) = -int_x^{table end} dx/p: suffix sums keep s accurate at
         # moderate x even when 1/p is astronomically large near a (a plain
         # cumulative integral would cancel ~16 digits there)
-        inc_p = increments(1.0 / pv)
+        inc_p = _hermite_increments(h, inv_p, -dp * inv_p * inv_p)
         s = -np.concatenate([np.cumsum(inc_p[::-1])[::-1], [0.0]])
 
-        eta1 = s * cumint(rv) - cumint(s * rv)
+        eta1 = s * cumint(rv, dr) - cumint(s * rv, rv * inv_p + s * dr)
         # the series is only ever summed where S(x)|lambda| <= 1, so the
         # table can stop once the majorant S = eta_1 passes a small cap
         ncut = int(np.searchsorted(eta1, 4.0))
         if 64 < ncut < len(xs):
-            xs, pv, rv, s = xs[:ncut], pv[:ncut], rv[:ncut], s[:ncut]
-            increments = _spline_increments(xs)
+            xs, inv_p, rv, dr, s = (v[:ncut] for v in (xs, inv_p, rv, dr, s))
+            h = h[:ncut - 1]
 
-        # the (2, J+1, n) table of eta_j and zeta_j = int_a^x eta_j r
+        # the (2, J+1, n) table of eta_j and zeta_j = int_a^x eta_j r, each
+        # integrated with its exact slope: zeta_j' = eta_j r and
+        # eta_{j+1}' = zeta_j / p, so (s eta_j r)' = eta_j r / p + s (eta_j r)'
         table = np.empty((2, _MAX_TERMS + 1, len(xs)))
         etas, zetas = table
         etas[0] = 1.0
-        for j in range(_MAX_TERMS):
+        d_eta = np.zeros_like(xs)
+        for j in range(_MAX_TERMS + 1):
             f = etas[j] * rv
-            zetas[j] = cumint(f)
-            etas[j + 1] = s * zetas[j] - cumint(s * f)
-        zetas[-1] = cumint(etas[-1] * rv)
+            df = d_eta * rv + etas[j] * dr
+            zetas[j] = cumint(f, df)
+            if j < _MAX_TERMS:
+                etas[j + 1] = s * zetas[j] - cumint(s * f, f * inv_p + s * df)
+                d_eta = zetas[j] * inv_p
 
         self._xs = xs
-        # one spline over the whole table
-        self._terms = _row_spline((xs, table, 1.0))
+        self._table = table
+        # 1/p and r at the nodes give the slopes of the rows (``_terms``)
+        self._inv_p, self._r = inv_p, rv
         # S(x): the majorant with |eta_j| <= S^j / j!
         self._S = np.abs(etas[1])
+
+    def _terms(self, x: np.ndarray, J: int) -> np.ndarray:
+        """(eta_j, zeta_j) for j < J at the in-table points x, shape
+        (2, J, len(x)): the cubic Hermite interpolant of the rows' values
+        and exact slopes eta_j' = zeta_{j-1} / p, zeta_j' = eta_j r at the
+        nodes.  Products go through one buffer, not fresh temporaries."""
+        xs = self._xs
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        h = xs[i + 1] - xs[i]
+        t = (x - xs[i]) / h
+        u = 1.0 - t
+        out = np.zeros((2, J, len(x)))
+        buf = np.empty((J, len(x)))
+        for k, value_w, slope_w in ((i, (1.0 + 2.0 * t) * u * u, h * t * u * u),
+                                    (i + 1, t * t * (3.0 - 2.0 * t), -h * t * t * u)):
+            # gathered per contiguous (J, n) block: the (2, J, n) view is slower
+            eta, zeta = (rows[:J, k] for rows in self._table)
+            out[0] += np.multiply(eta, value_w, out=buf)
+            out[1] += np.multiply(zeta, value_w, out=buf)
+            out[0, 1:] += np.multiply(zeta[:-1], slope_w * self._inv_p[k],
+                                      out=buf[:-1])
+            out[1] += np.multiply(eta, slope_w * self._r[k], out=buf)
+        return out
 
     def _series(self, lams: np.ndarray, x: np.ndarray, rho: float):
         """Series (w, w1) for every lambda at in-table points x, with the
@@ -393,7 +395,7 @@ class KernelEvaluator:
         tau = float(S.max()) or 1.0
         powers = np.arange(J)
         coef = (-lams[:, None] * tau) ** powers
-        eta, zeta = self._terms(x)[:, :J] * tau ** -powers[:, None]
+        eta, zeta = self._terms(x, J) * tau ** -powers[:, None]
         w = coef @ eta
         w1 = -lams[:, None] * (coef @ zeta)
         lS = np.abs(lams)[:, None] * S

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .kernel import KernelEvaluator, RowSpline, _interval, _row_spline
 from .operator import OperatorSpec, _seg_integral, build_standard_form
@@ -353,6 +352,8 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     tolerance, and below the ulp ||T|| that a full bisection reaches, which
     on the graded matrices is 1e-6 of the lowest eigenvalues.
     """
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
     m, w, iblock, isplit, info = stebz(diag, off, 1, -1e-9, lambda_max,
                                        0, 0, 1e-8 * max(1.0, lambda_max),

@@ -234,6 +234,24 @@ def test_config_hash_covers_command_and_flags(tmp_path):
     assert len({sha["k4"], sha["k9"], sha["support"]}) == 3
 
 
+def test_config_hash_covers_input_file_content(tmp_path):
+    """An input flag hashes as its file's bytes: one operator path holding
+    two operators gives two hashes, and one operator at two paths gives
+    one."""
+    ops = ['{"a": 0.0, "b": "inf", "p": "1", "r": "cosh(x)"}',
+           '{"a": 0.0, "b": "inf", "p": "1", "r": "sinh(x)^2"}']
+    sha = []
+    for path, text in [("op.json", ops[0]), ("op.json", ops[1]),
+                       ("copy.json", ops[1])]:
+        (tmp_path / path).write_text(text)
+        out = tmp_path / "out.json"
+        assert run(["validate", "--op", str(tmp_path / path),
+                    "--out", str(out)]) == 0
+        sha.append(_config_hash(out))
+    assert sha[0] != sha[1]
+    assert sha[1] == sha[2]
+
+
 def test_domain_error_exit_1(tmp_path, capsys):
     # translate with a negative regularization parameter is a domain error
     h = _write_bump(tmp_path / "h.csv")
@@ -610,54 +628,82 @@ def test_operator_commands_load_no_scipy(argv, tmp_path):
 MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
 
 
-# scipy subpackages no command loads; scipy.integrate and scipy.interpolate
+# scipy subpackages no module imports; scipy.integrate and scipy.interpolate
 # would each load scipy.optimize and scipy.special as well
 _UNUSED_SCIPY = ("integrate", "interpolate", "optimize", "special", "sparse")
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12", *MEASURE_1024],
-    ["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
-     *MEASURE_1024],
-    ["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
-    ["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"],
-    ["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
-    ["spectrum", *SMALL],
-    ["selftest"],
+def _subpackages(mods) -> list:
+    """The public scipy subpackages among the module names mods: scipy's
+    own private modules and its version module aside."""
+    names = {m.split(".")[1] for m in mods if "." in m}
+    return sorted(n for n in names if not n.startswith("_") and n != "version")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12",
+      *MEASURE_1024], ["linalg"]),
+    (["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
+      *MEASURE_1024], ["linalg"]),
+    (["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
+     ["linalg"]),
+    (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"], []),
+    (["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
+     []),
+    (["spectrum", *SMALL], ["linalg"]),
+    (["selftest"], ["linalg"]),
 ], ids=["spectrum", "heatkernel", "product", "kernel", "triangle",
         "spectrum-cosine", "selftest"])
-def test_commands_load_only_the_scipy_they_run(argv, tmp_path):
-    """scipy.linalg is the one scipy subpackage a command loads.  The kernel
-    ODE is solved in numpy (slhyper.ode), and the splines of the series
-    table and of the eigenfunctions are fitted, refined and evaluated in
+def test_commands_load_only_the_scipy_they_run(argv, loaded, tmp_path):
+    """kernel and triangle load no scipy module: the series table is built
+    from exact slopes and interpolated in numpy, and the kernel ODE is
+    solved in numpy (slhyper.ode).  The measure commands and selftest add
+    scipy.linalg alone, which the eigensolve and the eigenfunction splines'
+    fit import when they run: every spline is refined and evaluated in
     numpy (kernel.RowSpline), so no command loads scipy.integrate,
     scipy.interpolate or scipy.sparse, nor scipy.optimize and scipy.special,
-    which the first two import: not kernel, triangle or the cosine spectrum
-    (its normalization falls back to the ODE), which solve the ODE, nor the
-    measure commands and selftest, which evaluate eigenfunctions."""
+    which the first two import."""
     mods = _scipy_modules(argv, tmp_path / "out")
-    assert "scipy.linalg" in mods
-    assert not [m for m in mods if m.split(".")[:2] in
-                [["scipy", name] for name in _UNUSED_SCIPY]]
+    if loaded:
+        assert _subpackages(mods) == loaded
+    else:
+        assert mods == []
+
+
+def _package_imports(module_level: bool):
+    """(module file name, imported names) of every import statement of the
+    package, or of those that run when the module is imported: all but
+    the ones inside a function body."""
+    for path in sorted(Path(slhyper.__file__).parent.glob("*.py")):
+        stack = [ast.parse(path.read_text(encoding="utf-8"))]
+        while stack:
+            node = stack.pop()
+            if module_level and isinstance(node, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                yield path.name, [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                yield path.name, [f"{node.module}.{alias.name}"
+                                  for alias in node.names]
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def test_no_module_imports_scipy_integrate():
     """The footprint above holds for every command line: no module of the
     package imports scipy.integrate, scipy.interpolate, scipy.optimize,
     scipy.special or scipy.sparse, at its top or inside a function."""
-    importers = []
-    for path in sorted(Path(slhyper.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any(n.split(".")[:2] in [["scipy", name] for name in _UNUSED_SCIPY]
-                   for n in names):
-                importers.append(path.name)
-    assert importers == []
+    unused = [["scipy", name] for name in _UNUSED_SCIPY]
+    assert [name for name, names in _package_imports(module_level=False)
+            if any(n.split(".")[:2] in unused for n in names)] == []
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """Importing any module of the package loads no scipy: the functions
+    that call LAPACK (spectral._eigenpairs, kernel._interpolation) import
+    scipy.linalg when they run."""
+    assert [name for name, names in _package_imports(module_level=True)
+            if any(n.split(".")[0] == "scipy" for n in names)] == []
 
 
 @pytest.mark.parametrize("field, value", [
