@@ -12,8 +12,9 @@ Each command runs in a process of its own, so the module imports only numpy
 and the operator layer, which every command reads; each compute function
 imports the layers it runs.  ``validate``, ``support``, ``kernel`` and
 ``triangle`` load no scipy.  The measure commands and ``selftest`` add
-scipy.linalg alone, for the eigensolve and the eigenfunction splines' fit;
-every spline is evaluated in numpy (``kernel.RowSpline``).
+scipy's compiled LAPACK extension alone (``kernel._lapack``), for the
+eigensolve and the eigenfunction splines' fit, and no scipy package
+module; every spline is evaluated in numpy (``kernel.RowSpline``).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import numpy as np
 from .spectral import (GridFunction, SpectralMeasure, TransformTable,
                        _r_weights, heat_kernel_grid)
 from .hconv import _convolve
+from .kernel import _distinct
 
 __all__ = [
     "SpectralStrip",
@@ -206,7 +207,7 @@ def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
     lam_max = float(sm.lambdas[-1])
     # real ray: the atoms, filled uniformly up to n samples by linear
     # interpolation of the atom values
-    ray = np.unique(np.concatenate(
+    ray = _distinct(np.concatenate(
         [sm.lambdas, np.linspace(strip.sigma2, lam_max,
                                  max(n - len(sm.lambdas), 2))]))
     ray_vals = rho + np.interp(ray, sm.lambdas, ff.real) \

@@ -26,9 +26,12 @@ to its single-lambda error criterion.  A single lambda is the batch of one.
 
 from __future__ import annotations
 
-import functools
+import importlib.machinery
+import importlib.util
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,26 +184,63 @@ class RowSpline:
         return v.transpose(*range(1, v.ndim), 0)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique's, without the
+    numpy.ma import that np.unique makes when it returns no indices."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack(*names: str):
+    """The double-precision LAPACK routines names ("gbtrf", ...) of scipy's
+    compiled LAPACK wrapper, scipy.linalg._flapack, loaded without importing
+    scipy or scipy.linalg.
+
+    The routines are the ones scipy.linalg.get_lapack_funcs returns for
+    float64 arrays.  Importing scipy.linalg costs a process about 0.2 s and
+    28 MB, most of it in scipy's array API layer (numpy.f2py, numpy.testing,
+    numpy.ma); the extension alone loads in a few milliseconds.  The module
+    is registered under its own name, so a later import of scipy.linalg
+    reuses this one module object, and one that came first is reused here.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        # find_spec of a top-level name locates scipy without importing it
+        scipy = importlib.util.find_spec("scipy")
+        paths = [os.path.join(base, "linalg", "_flapack" + suffix)
+                 for base in scipy.submodule_search_locations
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"cannot find {_FLAPACK} under {paths}")
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return [getattr(module, "d" + name) for name in names]
+
+
 def _interpolation(xs: np.ndarray, t: np.ndarray):
     """The map from a block of rows of values at xs, shape (b, len(xs)), to
     the coefficients, shape (len(xs), b), of the cubic splines on the knots
     t through them.
 
     The collocation matrix depends on xs and t alone, so it is LU-factored
-    once here (LAPACK gbtrf), where make_interp_spline factors it again on
-    every call (gbsv, which is gbtrf then gbtrs).  Each block costs one
-    Fortran-ordered copy, solved in place, and the coefficients are
-    make_interp_spline's, bit for bit.
+    once here (LAPACK gbtrf, from scipy's compiled wrapper: ``_lapack``),
+    where make_interp_spline factors it again on every call (gbsv, which is
+    gbtrf then gbtrs).  Each block costs one Fortran-ordered copy, solved in
+    place, and the coefficients are make_interp_spline's, bit for bit.
     """
-    from scipy.linalg import get_lapack_funcs
-
     band, first = _design(t, xs)
     row = np.arange(len(xs))[:, None]
     col = first[:, None] + np.arange(4)
     # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
     ab = np.zeros((10, len(xs)), order="F")
     ab[6 + row - col, col] = band
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    gbtrf, gbtrs = _lapack("gbtrf", "gbtrs")
     lu, piv, info = gbtrf(ab, 3, 3, overwrite_ab=True)
     if info != 0:
         raise ValueError("spline collocation system is singular")
@@ -256,7 +296,7 @@ def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> RowSpline:
     if len(levels) == 1:
         tau, maps = knots[0], [None]
     else:
-        inner = functools.reduce(np.union1d, [t[4:-4] for t in knots])
+        inner = _distinct(np.concatenate([t[4:-4] for t in knots]))
         tau = np.concatenate([knots[0][:4], inner, knots[0][-4:]])
         maps = [_refinement(t, tau) for t in knots]
     lead = levels[0][1].shape[:-1]

@@ -15,10 +15,11 @@ of its certificate.  The module needs numpy alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -596,11 +597,16 @@ def _json_field(doc: dict, key: str, source: str):
 
 
 def load_operator(source: str) -> OperatorSpec:
-    """Load from "builtin:<name>" or a JSON definition file."""
+    """Load from "builtin:<name>" or a JSON definition file.
+
+    A file without a "name" names its operator by the SHA-256 of its bytes,
+    not by its path, so one operator read from two paths is one operator;
+    the errors raised here still name the path."""
     if source.startswith("builtin:"):
         return builtin_operator(source[len("builtin:"):])
-    with open(source, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{source}: an operator file holds a JSON object")
     a, b, p, r = (_json_field(doc, key, source) for key in ("a", "b", "p", "r"))
@@ -608,4 +614,7 @@ def load_operator(source: str) -> OperatorSpec:
     spec = OperatorSpec(doc.get("name", source), a, b,
                         parse_expression(p), parse_expression(r), eta=eta)
     spec.validate()
+    if "name" not in doc:
+        spec = replace(
+            spec, name="sha256:" + hashlib.sha256(data).hexdigest())
     return spec

@@ -45,8 +45,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .kernel import KernelEvaluator, RowSpline, _interval, _row_spline
+from .kernel import (KernelEvaluator, RowSpline, _interval, _lapack,
+                     _row_spline)
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
@@ -350,11 +352,11 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     error is the square of the vector's residual over the gap (Parlett,
     The Symmetric Eigenvalue Problem, ch. 4): far below the bisection
     tolerance, and below the ulp ||T|| that a full bisection reaches, which
-    on the graded matrices is 1e-6 of the lowest eigenvalues.
+    on the graded matrices is 1e-6 of the lowest eigenvalues.  Both routines
+    come from scipy's compiled LAPACK wrapper (``kernel._lapack``), without
+    the import of scipy.linalg.
     """
-    from scipy.linalg import LinAlgError, get_lapack_funcs
-
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
+    stebz, stein = _lapack("stebz", "stein")
     m, w, iblock, isplit, info = stebz(diag, off, 1, -1e-9, lambda_max,
                                        0, 0, 1e-8 * max(1.0, lambda_max),
                                        "B")

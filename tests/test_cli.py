@@ -237,10 +237,11 @@ def test_config_hash_covers_command_and_flags(tmp_path):
 def test_config_hash_covers_input_file_content(tmp_path):
     """An input flag hashes as its file's bytes: one operator path holding
     two operators gives two hashes, and one operator at two paths gives
-    one."""
+    one, and the same output bytes: an operator without a name is named by
+    its file's content, not its path."""
     ops = ['{"a": 0.0, "b": "inf", "p": "1", "r": "cosh(x)"}',
            '{"a": 0.0, "b": "inf", "p": "1", "r": "sinh(x)^2"}']
-    sha = []
+    sha, outputs = [], []
     for path, text in [("op.json", ops[0]), ("op.json", ops[1]),
                        ("copy.json", ops[1])]:
         (tmp_path / path).write_text(text)
@@ -248,8 +249,10 @@ def test_config_hash_covers_input_file_content(tmp_path):
         assert run(["validate", "--op", str(tmp_path / path),
                     "--out", str(out)]) == 0
         sha.append(_config_hash(out))
+        outputs.append(out.read_bytes())
     assert sha[0] != sha[1]
     assert sha[1] == sha[2]
+    assert outputs[1] == outputs[2]
 
 
 def test_domain_error_exit_1(tmp_path, capsys):
@@ -590,28 +593,41 @@ def test_real_rho_writes_the_default_bytes(tmp_path):
     assert outputs[2] == outputs[0]
 
 
-# runs main(argv) in a fresh interpreter and prints its scipy modules
+# runs main(argv) in a fresh interpreter and prints its scipy modules and
+# numpy.ma, if loaded
 _FOOTPRINT = """
 import json, sys
 from slhyper.cli import main
 argv = json.loads(sys.argv[1])
 if argv and main(argv) != 0:
     sys.exit("command failed")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "numpy.ma")))
 """
 
 
-def _scipy_modules(argv, out):
-    """The scipy modules a fresh process holds after running the command
-    argv (importing slhyper.cli alone when argv is empty)."""
+def _fresh_python(script: str, *args: str) -> str:
+    """The standard output of script run with args in a fresh interpreter
+    that imports this package."""
     src = str(Path(slhyper.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    argv = [*argv, "--out", str(out)] if argv else []
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def _footprint(argv, tmp_path):
+    """The scipy modules, and numpy.ma, that a fresh process holds after
+    running the command argv (importing slhyper.cli alone when argv is
+    empty), with PROFILE in argv standing for a profile CSV."""
+    if argv:
+        profile = str(_write_bump(tmp_path / "profile.csv"))
+        argv = [profile if a == "PROFILE" else a for a in argv]
+        argv += ["--out", str(tmp_path / "out")]
+    return json.loads(_fresh_python(_FOOTPRINT,
+                                    json.dumps(argv)).splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,7 +638,7 @@ def _scipy_modules(argv, out):
 def test_operator_commands_load_no_scipy(argv, tmp_path):
     """Importing the CLI, validate and support load numpy and the operator
     layer, and no scipy module."""
-    assert _scipy_modules(argv, tmp_path / "out") == []
+    assert _footprint(argv, tmp_path) == []
 
 
 MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
@@ -630,44 +646,80 @@ MEASURE_1024 = ["--N", "1024", "--lambda-max", "100"]
 
 # scipy subpackages no module imports; scipy.integrate and scipy.interpolate
 # would each load scipy.optimize and scipy.special as well
-_UNUSED_SCIPY = ("integrate", "interpolate", "optimize", "special", "sparse")
+_UNUSED_SCIPY = ("integrate", "interpolate", "optimize", "special", "sparse",
+                 "linalg")
 
-
-def _subpackages(mods) -> list:
-    """The public scipy subpackages among the module names mods: scipy's
-    own private modules and its version module aside."""
-    names = {m.split(".")[1] for m in mods if "." in m}
-    return sorted(n for n in names if not n.startswith("_") and n != "version")
+_FLAPACK = ["scipy.linalg._flapack"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (["spectrum", "--op", "builtin:bessel?alpha=0.5", "--L", "12",
-      *MEASURE_1024], ["linalg"]),
+      *MEASURE_1024], _FLAPACK),
     (["heatkernel", "--t", "0.5", "--x-grid", "0:3:7", "--y-grid", "0:3:13",
-      *MEASURE_1024], ["linalg"]),
+      *MEASURE_1024], _FLAPACK),
     (["product", "--t", "0.5", "--x", "2.0", "--y", "1.5", *MEASURE_1024],
-     ["linalg"]),
+     _FLAPACK),
     (["kernel", "--lambda", "4.0,9.0", "--x", "0:10:101"], []),
     (["triangle", "--c", "0.5", "--x", "3.0", "--y", "1.5", "--lam", "2.0"],
      []),
-    (["spectrum", *SMALL], ["linalg"]),
-    (["selftest"], ["linalg"]),
+    (["spectrum", *SMALL], _FLAPACK),
+    (["selftest"], _FLAPACK),
+    (["solve-inteq", "--f", "heatkernel:0.25,1.0", "--psi", "PROFILE",
+      *SMALL], _FLAPACK),
 ], ids=["spectrum", "heatkernel", "product", "kernel", "triangle",
-        "spectrum-cosine", "selftest"])
+        "spectrum-cosine", "selftest", "solve-inteq"])
 def test_commands_load_only_the_scipy_they_run(argv, loaded, tmp_path):
     """kernel and triangle load no scipy module: the series table is built
     from exact slopes and interpolated in numpy, and the kernel ODE is
-    solved in numpy (slhyper.ode).  The measure commands and selftest add
-    scipy.linalg alone, which the eigensolve and the eigenfunction splines'
-    fit import when they run: every spline is refined and evaluated in
-    numpy (kernel.RowSpline), so no command loads scipy.integrate,
-    scipy.interpolate or scipy.sparse, nor scipy.optimize and scipy.special,
-    which the first two import."""
-    mods = _scipy_modules(argv, tmp_path / "out")
-    if loaded:
-        assert _subpackages(mods) == loaded
-    else:
-        assert mods == []
+    solved in numpy (slhyper.ode).  The measure commands and selftest hold
+    scipy's compiled LAPACK wrapper alone, which the eigensolve and the
+    eigenfunction splines' fit load as an extension module
+    (kernel._lapack): no scipy package module, not even scipy or
+    scipy.linalg, whose import loads numpy.f2py, numpy.testing and
+    numpy.ma.  No command loads numpy.ma, which np.unique imports when it
+    returns no indices."""
+    assert _footprint(argv, tmp_path) == loaded
+
+
+# builds the cosine measure in a fresh interpreter that imports scipy.linalg
+# before or after the build, checks that scipy.linalg and the package share
+# one LAPACK module, and saves the measure
+_IMPORT_ORDER = """
+import sys
+import numpy as np
+from slhyper.kernel import _lapack
+from slhyper.operator import builtin_operator
+from slhyper.spectral import build_spectral_measure
+order, path = sys.argv[1:]
+if order == "before":
+    import scipy.linalg
+sm = build_spectral_measure(builtin_operator("cosine"), L=20.0, N=512,
+                            lambda_max=100.0)
+if order == "after":
+    import scipy.linalg
+from scipy.linalg import lapack
+assert lapack._flapack is sys.modules["scipy.linalg._flapack"]
+assert _lapack("stebz")[0] is lapack.get_lapack_funcs("stebz", (np.ones(2),))
+k = np.arange(1, 5)
+vals = scipy.linalg.eigh_tridiagonal(np.full(4, 2.0), np.full(3, -1.0),
+                                     eigvals_only=True)
+assert np.allclose(vals, 2 - 2 * np.cos(k * np.pi / 5), rtol=0, atol=1e-14)
+np.savez(path, lambdas=sm.lambdas, masses=sm.masses, t=sm._w.t, c=sm._w.c)
+"""
+
+
+def test_measure_is_the_same_whichever_imports_lapack_first(tmp_path):
+    """The LAPACK loader (kernel._lapack) registers scipy's compiled wrapper
+    under its own module name.  With scipy.linalg imported before the first
+    measure build or after it, both use one module object, scipy.linalg
+    still solves, and the atoms, masses and spline coefficients agree bit
+    for bit."""
+    runs = {}
+    for order in ("before", "after"):
+        _fresh_python(_IMPORT_ORDER, order, str(tmp_path / f"{order}.npz"))
+        runs[order] = np.load(tmp_path / f"{order}.npz")
+    for key in ("lambdas", "masses", "t", "c"):
+        assert np.array_equal(runs["before"][key], runs["after"][key]), key
 
 
 def _package_imports(module_level: bool):
@@ -692,7 +744,8 @@ def _package_imports(module_level: bool):
 def test_no_module_imports_scipy_integrate():
     """The footprint above holds for every command line: no module of the
     package imports scipy.integrate, scipy.interpolate, scipy.optimize,
-    scipy.special or scipy.sparse, at its top or inside a function."""
+    scipy.special, scipy.sparse or scipy.linalg, at its top or inside a
+    function."""
     unused = [["scipy", name] for name in _UNUSED_SCIPY]
     assert [name for name, names in _package_imports(module_level=False)
             if any(n.split(".")[:2] in unused for n in names)] == []
@@ -700,8 +753,9 @@ def test_no_module_imports_scipy_integrate():
 
 def test_no_module_imports_scipy_at_module_level():
     """Importing any module of the package loads no scipy: the functions
-    that call LAPACK (spectral._eigenpairs, kernel._interpolation) import
-    scipy.linalg when they run."""
+    that call LAPACK (spectral._eigenpairs, kernel._interpolation) load
+    scipy's compiled wrapper from its file when they run
+    (kernel._lapack)."""
     assert [name for name, names in _package_imports(module_level=True)
             if any(n.split(".")[0] == "scipy" for n in names)] == []
 
