@@ -179,6 +179,7 @@ def _validate(args) -> dict:
         "sigma": sf.sigma,
         "sigma2": sf.sigma ** 2,
         "checks": {k: bool(v) for k, v in sorted(cert.checks.items())},
+        "violations": dict(sorted(cert.violations.items())),
         "left_boundary": {k: boundary[k] for k in sorted(boundary)},
     }
 

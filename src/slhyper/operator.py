@@ -58,7 +58,15 @@ _ADAPT_DEPTH = 30
 # support_params: psi equal to psi(0), and phi zero, to within this
 _SUPPORT_ATOL = 1e-10
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre rule, bit for bit the nodes and weights of
+# np.polynomial.legendre.leggauss(8), written out so that importing the
+# package does not load numpy.polynomial
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
 
 
 def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -318,10 +326,12 @@ class StandardForm:
     # -- A and derived quantities ------------------------------------------
 
     def _half_log_pr_deriv(self, x):
-        """g(x) = A'/(2A) at xi=gamma(x), i.e. (pr)'/(4pr) * sqrt(p/r)."""
+        """g(x) = A'/(2A) at xi=gamma(x), i.e. (pr)'/(4pr) * sqrt(p/r),
+        written as (p'/p + r'/r) / 4 * sqrt(p/r) so that no product p r
+        is formed: it overflows where p and r each stay finite."""
         p, r = self.spec.p(x), self.spec.r(x)
         p1, r1 = self._p1(x), self._r1(x)
-        return (p1 * r + p * r1) / (4.0 * p * r) * np.sqrt(p / r)
+        return (p1 / p + r1 / r) / 4.0 * np.sqrt(p / r)
 
     def mp_coefficients(self, eta: CoefficientExpr, x, xi):
         """(phi_eta, psi_eta) of assumption MP at the points x, whose
@@ -370,6 +380,7 @@ class MpCertificate:
     phi_values: np.ndarray
     psi_values: np.ndarray
     checks: dict = field(default_factory=dict)
+    violations: dict = field(default_factory=dict)  # failed check: first x
 
     @property
     def all_ok(self) -> bool:
@@ -388,7 +399,10 @@ def _mp_probe_xs(sf: StandardForm) -> np.ndarray:
 
 
 def certify_mp(sf: StandardForm) -> MpCertificate:
-    """Assumption MP with the operator's eta, or 0 when it has none."""
+    """Assumption MP with the operator's eta, or 0 when it has none.  Each
+    failed check names in violations the first probe x where it fails: for
+    a decreasing check, the probe where the value rises; for the limit at
+    infinity, the last probe."""
     eta = sf.spec.eta if sf.spec.eta is not None else parse_expression("0")
     xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
@@ -399,16 +413,21 @@ def certify_mp(sf: StandardForm) -> MpCertificate:
     phi, psi = sf.mp_coefficients(eta, xs, xi)
 
     slack = 1e-9
-    eta_v = eta(xi)
-    checks = {
-        "eta_nonnegative": bool(np.all(eta_v >= -slack)),
-        "phi_decreasing": bool(np.all(np.diff(phi) <= slack)),
-        "psi_decreasing": bool(np.all(np.diff(psi) <= slack)),
-        "phi_vanishes_at_infinity": bool(phi[-1] <= 1e-6 * abs(phi[0]) + 1e-9),
+    # whether each check holds at each probe
+    holds = {
+        "eta_nonnegative": np.broadcast_to(eta(xi) >= -slack, xs.shape),
+        "phi_decreasing": np.append(True, np.diff(phi) <= slack),
+        "psi_decreasing": np.append(True, np.diff(psi) <= slack),
+        "phi_vanishes_at_infinity": np.append(
+            np.ones(len(xs) - 1, bool), phi[-1] <= 1e-6 * abs(phi[0]) + 1e-9),
     }
+    checks = {k: bool(h.all()) for k, h in holds.items()}
+    violations = {k: float(xs[np.argmin(h)]) for k, h in holds.items()
+                  if not checks[k]}
     s = xi - sf.gamma_a if math.isfinite(sf.gamma_a) else np.full_like(xi, np.nan)
     return MpCertificate(sf=sf, eta=eta, grid_xi=xi, grid_s=s,
-                         phi_values=phi, psi_values=psi, checks=checks)
+                         phi_values=phi, psi_values=psi, checks=checks,
+                         violations=violations)
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,26 @@ the shapes alone: contract first (the rows of C that reach the grid times
 the weighted coef, then one spline evaluation), as for the product
 kernels on thousands of points; or evaluate every eigenfunction on the
 grid first, as for short grids and for many right-hand sides at once.
+Contracting first reads only a prefix of the atoms: those whose dropped
+tail sum_k |m_k coef_k| b_k, with b_k = max |C[:, k]| a bound on |w_k| by
+the convex-hull property of B-splines, stays within one unit roundoff of
+the whole sum of such terms.  The full sum's own rounding error is already
+up to K times that (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 4), so the result is as accurate; at t >= 0.1 the factor
+e^{-t lambda} of the heat and product kernels leaves most atoms below it.
 ``sm.basis(grid)`` is the one way the transforms and syntheses get the
 eigenfunction values on a grid, with the grid's weights for int f r dx
 and the forward transform on it; the evaluate-first order of synthesize
-reads its values too.  The measure
-memoizes bases, keyed by grid content: at most two, their grid, values
-and weights read-only, the one with fewer lookups evicted first, and none
-whose values would outgrow the spline's coefficient table.  So a function
-that uses one grid several times asks for its basis each time and
-evaluates it once.  The contract-first order neither reads nor fills the
-memo, and ``w_values`` itself is never memoized.  The eigenfunctions are
-known on [a_eff, L] only: a point in [a, a_eff) takes the value 1 of every
-w_k at a_eff, and a point below a or past L is an error.
+reads its values too, every atom of them.  The measure memoizes bases,
+keyed by grid content, their grid, values and weights read-only: the
+kept values add up to at most the size of the spline's coefficient table,
+and a miss evicts the bases with the fewest lookups until the new one
+fits.  So a function that uses one grid several times asks for its basis
+each time and evaluates it once.  The contract-first order neither reads
+nor fills the memo, and ``w_values`` itself is never memoized.  The
+eigenfunctions are known on [a_eff, L] only: a point in [a, a_eff) takes
+the value 1 of every w_k at a_eff, and a point below a or past L is an
+error.
 """
 
 from __future__ import annotations
@@ -148,9 +156,6 @@ class Basis:
         return self.W @ (values * self.rw)
 
 
-# bases a measure keeps: one grid that keeps coming back, and one more
-_KEPT_MAX = 2
-
 
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
@@ -161,14 +166,16 @@ class SpectralMeasure:
     synthesize contracts the coefficient table with the weighted
     coefficients first when that takes fewer multiply-adds than evaluating
     every eigenfunction on the grid first; the choice depends on the shapes
-    alone (see synthesize).
+    alone (see synthesize).  Contracting first drops the atoms whose terms
+    lie below one unit roundoff of the sum (see _contracted).
 
     basis memoizes the bases it builds, keyed by grid content (a stored
-    copy of the grid, compared with np.array_equal): at most two grids,
-    each with its grid, values and weights read-only.  On a miss with both
-    kept, the one with fewer lookups goes, the older on a tie, so a grid
-    that keeps coming back outlives one-off grids.  Values larger than the
-    spline's coefficient table are not kept.  The contract-first order of
+    copy of the grid, compared with np.array_equal), each with its grid,
+    values and weights read-only.  The kept values add up to at most the
+    size of the spline's coefficient table; on a miss, the bases with the
+    fewest lookups go, the older on a tie, until the new one fits, so a
+    grid that keeps coming back outlives one-off grids.  Values larger
+    than the coefficient table are not kept.  The contract-first order of
     synthesize keeps nothing.  sigma2 comes from the operator's standard
     form when first read, so a build does no standard-form work."""
 
@@ -215,19 +222,21 @@ class SpectralMeasure:
     def basis(self, grid) -> Basis:
         """Every eigenfunction on grid, with the grid's weights: what every
         transform and evaluate-first synthesis reads.  An equal grid kept in
-        the measure's memo of two returns its basis, read-only; a miss
-        evaluates grid and keeps the basis unless its values outgrow the
-        spline's coefficient table (see SpectralMeasure)."""
+        the measure's memo returns its basis, read-only; a miss evaluates
+        grid and keeps the basis unless its values outgrow the spline's
+        coefficient table, first evicting the bases with the fewest lookups
+        until all kept values fit in that size (see SpectralMeasure)."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         for kept in self._kept:
             if np.array_equal(kept.grid, grid):
                 kept.hits += 1
                 return kept
         b = Basis(grid.copy(), self.w_values(grid), _r_weights(self.spec, grid))
-        if b.W.size <= self._w.c.size:
+        room = self._w.c.size - b.W.size
+        if room >= 0:
             for a in (b.grid, b.W, b.rw):
                 a.flags.writeable = False
-            if len(self._kept) == _KEPT_MAX:
+            while sum(k.W.size for k in self._kept) > room:
                 # min keeps the first of equals: the older entry
                 self._kept.remove(min(self._kept, key=lambda k: k.hits))
             self._kept.append(b)
@@ -243,7 +252,9 @@ class SpectralMeasure:
         contracting first costs rows K m + 4 n m, where rows counts the
         rows of C whose B-splines reach the grid's span; evaluating first
         costs n K (4 + m) and reads the values of basis(grid), memo
-        included.  Contracting first keeps nothing."""
+        included.  Both costs count every atom, K; contracting first then
+        reads only the atoms above rounding (see _contracted) and keeps
+        nothing, and evaluating first sums every atom."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         coef = np.asarray(coef)
         m = 1 if coef.ndim == 1 else coef.shape[1]
@@ -266,10 +277,39 @@ class SpectralMeasure:
     def _contracted(self, coef, grid, lo: int, hi: int) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid) as one spline: the rows [lo, hi) of
         the coefficient table times masses * coef, on the knots of those
-        rows, evaluated on the grid clamped as in w_values."""
+        rows, evaluated on the grid clamped as in w_values.  Only the first
+        K0 atoms are read (``_atoms_above_rounding``), so the dropped part
+        of each column is at most one unit roundoff of sum_k |m_k coef_k|
+        b_k, which bounds the full sum's own rounding error K times over."""
         weighted = (self.masses * coef.T).T
-        spline = RowSpline(self._w.t[lo:hi + 4], self._w.c[lo:hi] @ weighted)
+        k0 = self._atoms_above_rounding(weighted)
+        spline = RowSpline(self._w.t[lo:hi + 4],
+                           self._w.c[lo:hi, :k0] @ weighted[:k0])
         return spline(self._clamped(grid))
+
+    @cached_property
+    def _atom_bounds(self) -> np.ndarray:
+        """b_k = max_i |C[i, k]|, a bound on |w_k| on [a_eff, L]: a spline
+        lies in the convex hull of its coefficients (de Boor).  Taken from
+        the column maxima and minima, which make no temporary the size of
+        the table."""
+        c = self._w.c
+        return np.maximum(c.max(axis=0), -c.min(axis=0))
+
+    def _atoms_above_rounding(self, weighted: np.ndarray) -> int:
+        """The smallest K0 with T_j(K0) <= 2^-53 T_j(0) for every column j
+        of weighted, where T_j(K0) = sum_{k >= K0} |weighted[k, j]| b_k;
+        every atom, K, when a weight or a T_j(0) is not finite, so that NaN
+        and inf reach the result as in the full sum."""
+        terms = np.abs(weighted.reshape(len(weighted), -1)) \
+            * self._atom_bounds[:, None]
+        # tails[k] = T(k); a float sum of non-negative terms never shrinks
+        # as terms are added, so each column of tails is non-increasing
+        tails = np.cumsum(terms[::-1], axis=0)[::-1]
+        if not (np.isfinite(weighted).all() and np.isfinite(tails[0]).all()):
+            return len(weighted)
+        above = tails > 2.0 ** -53 * tails[0]
+        return int(above.sum(axis=0).max(initial=0))
 
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom

@@ -1,7 +1,8 @@
 """One eigenfunction basis per grid: every rerouted spectral sum equals, bit
 for bit, its composition of forward_transform, inverse_transform and
 synthesize, and evaluates each of its grids once; the measure's memo of
-two bases serves equal grids across calls."""
+bases, bounded by the size of the spline's coefficient table, serves equal
+grids across calls."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from slhyper.inteq import (EquationProblem, SpectralStrip, resolvent_kernel,
                            solve_equation, wiener_levy_check)
 from slhyper.spectral import (GridFunction, TransformTable, _r_weights,
                               bump_function, forward_transform,
-                              inverse_transform)
+                              heat_kernel_grid, inverse_transform)
 
 GRID = np.linspace(0.0, 12.0, 1201)
 GRID2 = np.linspace(0.0, 11.0, 1001)
@@ -234,3 +235,28 @@ def test_oversize_values_are_not_kept(sm_cosine, w_calls):
     sm.basis(big)
     sm.basis(GRID)
     assert w_calls == [len(GRID), len(big), len(big)]
+
+
+def test_three_grids_of_a_pass_are_each_evaluated_once(sm_cosine, w_calls):
+    """The grids of the benchmark's spectral sums, 1201 points for the
+    transforms, 13 for a heat kernel and 201 for a Cauchy solve, alternated
+    over three rounds: each is evaluated once (the heat kernel's x once a
+    round), and the kept values never outgrow the coefficient table.  A
+    basis the size of the table then evicts all three."""
+    sm = sm_cosine
+    h = bump_function(2.5, 1.7, GRID)
+    ys = np.linspace(0.0, 3.0, 13)
+
+    def kept():
+        return sum(b.W.size for b in sm._kept)
+
+    for _ in range(3):
+        forward_transform(h, sm)
+        assert kept() <= sm._w.c.size
+        heat_kernel_grid(0.5, 1.0, ys, sm)
+        assert kept() <= sm._w.c.size
+        solve_cauchy(h, sm, XS)
+        assert kept() <= sm._w.c.size
+    assert w_calls == [len(GRID), 1, len(ys), len(XS), 1, 1]
+    whole = sm.basis(np.linspace(sm._a_eff, sm.L, sm._w.c.shape[0]))
+    assert sm._kept == [whole] and kept() == sm._w.c.size

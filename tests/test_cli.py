@@ -47,6 +47,27 @@ def test_validate_json_fields(tmp_path):
     assert "config" in doc["meta"]
 
 
+@pytest.mark.parametrize("op, violations", [
+    ("bessel-0.75", ["phi_decreasing"]), ("builtin:cosine", [])])
+def test_validate_names_where_a_check_fails(op, violations, tmp_path):
+    """validate maps each failed MP check to the first probe x where it
+    fails.  Bessel-Kingman alpha = -0.75, p = r = x^-0.5, has A'/(2A) =
+    -1/(4x), which rises at every probe; cosine is certified."""
+    if not op.startswith("builtin:"):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"name": op, "a": 0.0, "b": "inf",
+                                    "p": "x^-0.5", "r": "x^-0.5"}))
+        op = str(path)
+    out = tmp_path / "v.json"
+    assert run(["validate", "--op", op, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["violations"]) == violations
+    assert violations == [k for k, ok in doc["checks"].items() if not ok]
+    assert doc["mp_certified"] == (violations == [])
+    for x in doc["violations"].values():
+        assert 0.0 < x < 1e-6
+
+
 def test_kernel_csv_oracle(tmp_path):
     out = tmp_path / "k.csv"
     code = run(["kernel", "--lambda", "4.0,9.0", "--x", "0:3:7",
@@ -593,8 +614,8 @@ def test_real_rho_writes_the_default_bytes(tmp_path):
     assert outputs[2] == outputs[0]
 
 
-# runs main(argv) in a fresh interpreter and prints its scipy modules and
-# numpy.ma, if loaded
+# runs main(argv) in a fresh interpreter and prints its scipy modules, and
+# numpy.ma and numpy.polynomial, if loaded
 _FOOTPRINT = """
 import json, sys
 from slhyper.cli import main
@@ -602,7 +623,8 @@ argv = json.loads(sys.argv[1])
 if argv and main(argv) != 0:
     sys.exit("command failed")
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy" or m == "numpy.ma")))
+                        if m.split(".")[0] == "scipy"
+                        or m in ("numpy.ma", "numpy.polynomial"))))
 """
 
 
@@ -619,9 +641,10 @@ def _fresh_python(script: str, *args: str) -> str:
 
 
 def _footprint(argv, tmp_path):
-    """The scipy modules, and numpy.ma, that a fresh process holds after
-    running the command argv (importing slhyper.cli alone when argv is
-    empty), with PROFILE in argv standing for a profile CSV."""
+    """The scipy modules, numpy.ma and numpy.polynomial that a fresh
+    process holds after running the command argv (importing slhyper.cli
+    alone when argv is empty), with PROFILE in argv standing for a profile
+    CSV."""
     if argv:
         profile = str(_write_bump(tmp_path / "profile.csv"))
         argv = [profile if a == "PROFILE" else a for a in argv]
@@ -637,7 +660,8 @@ def _footprint(argv, tmp_path):
 ], ids=lambda v: " ".join(v[:1]) or "import")
 def test_operator_commands_load_no_scipy(argv, tmp_path):
     """Importing the CLI, validate and support load numpy and the operator
-    layer, and no scipy module."""
+    layer, and no scipy module, numpy.ma or numpy.polynomial (the operator
+    layer's Gauss-Legendre rule is written out)."""
     assert _footprint(argv, tmp_path) == []
 
 
@@ -677,7 +701,7 @@ def test_commands_load_only_the_scipy_they_run(argv, loaded, tmp_path):
     (kernel._lapack): no scipy package module, not even scipy or
     scipy.linalg, whose import loads numpy.f2py, numpy.testing and
     numpy.ma.  No command loads numpy.ma, which np.unique imports when it
-    returns no indices."""
+    returns no indices, or numpy.polynomial."""
     assert _footprint(argv, tmp_path) == loaded
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slhyper import operator
 from slhyper.expr import parse_expression
 from slhyper.operator import (OperatorSpec, builtin_operator,
                               build_standard_form, certify_mp,
@@ -254,6 +255,25 @@ def test_sigma_drops_probes_past_the_float_range():
     with np.errstate(over="ignore"):
         sf = build_standard_form(spec)
     assert abs(sf.sigma - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("coeff", ["sinh(x)^4 * cosh(x)^2",
+                                   "tanh(x)^4 * cosh(x)^6",
+                                   "sinh(x)^2 * cosh(x)^4"])
+def test_sigma_where_p_r_overflows(coeff, tmp_path):
+    # Jacobi p = r = sinh^(2 alpha + 1) cosh^(2 beta + 1), sigma = alpha +
+    # beta + 1 = 3.  p r grows like e^(12x) and overflows past x = 59.8,
+    # so it lost the probe c + 4^3 = 65, while p and r stay finite to 119
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"a": 0.0, "b": "inf", "p": coeff, "r": coeff}))
+    sf = build_standard_form(load_operator(str(path)))
+    assert abs(sf.sigma - 3.0) <= 1e-12
+
+
+def test_gauss_legendre_rule_is_leggauss():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(operator._GL_X, x)
+    assert np.array_equal(operator._GL_W, w)
 
 
 def test_operator_with_a_kink_at_the_first_sigma_probe(tmp_path):

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
-from slhyper.kernel import KernelEvaluator, _row_spline
+from slhyper.kernel import KernelEvaluator, RowSpline, _row_spline
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
                               build_spectral_measure, bump_function,
@@ -193,12 +193,32 @@ def test_synthesis_orders_agree(name, m, request):
         assert np.max(np.abs(first - later)) <= 1e-14 * scale
 
 
+def _rule_atoms(sm, weighted):
+    """The atoms that contracting first reads: the smallest K0 with
+    sum_{k >= K0} |weighted[k, j]| b_k <= 2^-53 times the sum over every k,
+    for every column j, with b_k = max |C[:, k]|."""
+    b = np.abs(sm._w.c).max(axis=0)
+    terms = np.abs(weighted.reshape(len(sm), -1)) * b[:, None]
+    tails = np.cumsum(terms[::-1], axis=0)[::-1]
+    return next((k0 for k0 in range(len(sm))
+                 if np.all(tails[k0] <= 2.0 ** -53 * tails[0])), len(sm))
+
+
+def _full_contraction(sm, weighted, grid):
+    """sum_k weighted_k w_k(grid) contracted first over every atom."""
+    lo, hi = sm._rows(grid)
+    return RowSpline(sm._w.t[lo:hi + 4],
+                     sm._w.c[lo:hi] @ weighted)(np.maximum(grid, sm._a_eff))
+
+
 def test_eigenfunction_values_are_bspline_values(sm_cosine, monkeypatch):
     """w_values and both orders of synthesize evaluate the measure's spline
     in numpy (RowSpline) with the values of scipy's BSpline on the same
     knots and coefficients, bit for bit: on one to three points, points
     below a_eff and at L included, on a grid, and contracted with one and
-    with three columns of coefficients."""
+    with three columns of coefficients.  Contracting first reads the atoms
+    above rounding (_rule_atoms): 95 of the 204 for e^{-0.1 lambda}, all
+    of them for the random coefficients."""
     sm = sm_cosine
     monkeypatch.setattr(sm, "_kept", [])
     t, c = sm._w.t, sm._w.c
@@ -216,7 +236,11 @@ def test_eigenfunction_values_are_bspline_values(sm_cosine, monkeypatch):
         assert np.array_equal(sm.synthesize(coef, short), first)
         long = np.linspace(0.0, 6.0, 3001)
         lo, hi = sm._rows(long)
-        contracted = BSpline.construct_fast(t[lo:hi + 4], c[lo:hi] @ weighted, 3,
+        k0 = _rule_atoms(sm, weighted)
+        assert k0 == sm._atoms_above_rounding(weighted)
+        assert k0 == (95 if coef.ndim == 1 else len(sm))
+        contracted = BSpline.construct_fast(t[lo:hi + 4],
+                                            c[lo:hi, :k0] @ weighted[:k0], 3,
                                             axis=coef.ndim - 1)
         assert np.array_equal(sm.synthesize(coef, long),
                               contracted(np.maximum(long, sm._a_eff)))
@@ -232,6 +256,66 @@ def test_synthesis_order_ignores_the_memo(sm_cosine, monkeypatch):
         cold = sm.synthesize(coef, grid)
         sm.basis(grid)
         assert np.array_equal(sm.synthesize(coef, grid), cold)
+
+
+XY_PAIRS = [(2.0, 1.5), (1.0, 0.5), (3.0, 2.5)]
+
+
+@pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
+@pytest.mark.parametrize("t", [1e-3, 0.01, 0.1, 0.5, 2.0])
+def test_contracted_sum_drops_only_rounding(name, t, request, monkeypatch):
+    """The product-kernel sum contracted first over the atoms above rounding
+    is within 1e-14 sum_k |m_k coef_k| b_k of the sum over every atom, and
+    bit for bit that sum where no atom is dropped (t = 1e-3)."""
+    sm = request.getfixturevalue(name)
+    monkeypatch.setattr(sm, "basis", None)     # contract first only
+    xi = np.linspace(sm._a_eff, 6.0, 3001)
+    b = np.abs(sm._w.c).max(axis=0)
+    for x, y in XY_PAIRS:
+        wxy = sm.w_values([x, y])
+        coef = np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1]
+        weighted = sm.masses * coef
+        got = sm.synthesize(coef, xi)
+        full = _full_contraction(sm, weighted, xi)
+        bound = 1e-14 * np.sum(np.abs(weighted) * b)
+        assert np.max(np.abs(got - full)) <= bound
+        if t == 1e-3:
+            assert _rule_atoms(sm, weighted) == len(sm)
+            assert np.array_equal(got, full)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_contracted_sum_of_random_coefficients_keeps_every_atom(sm_cosine, m):
+    sm = sm_cosine
+    coef = np.random.default_rng(5).standard_normal(
+        len(sm) if m == 1 else (len(sm), m))
+    weighted = (sm.masses * coef.T).T
+    xi = np.linspace(0.0, 6.0, 3001)
+    assert sm._atoms_above_rounding(weighted) == len(sm)
+    full = _full_contraction(sm, weighted, xi)
+    assert np.array_equal(sm.synthesize(coef, xi), full)
+
+
+def test_contracted_product_kernel_reads_a_quarter_of_the_atoms(sm_cosine):
+    """At t = 0.5, e^{-t lambda} leaves 43 of the 204 atoms above rounding,
+    and the contraction reads those alone."""
+    sm = sm_cosine
+    wxy = sm.w_values([2.0, 1.5])
+    weighted = sm.masses * np.exp(-0.5 * sm.lambdas) * wxy[:, 0] * wxy[:, 1]
+    k0 = sm._atoms_above_rounding(weighted)
+    assert k0 == _rule_atoms(sm, weighted)
+    assert k0 <= len(sm) // 4
+
+
+def test_contracted_sum_keeps_every_atom_past_a_nan_weight(sm_cosine):
+    """A NaN weight, on an atom the rule would drop, reaches every point of
+    the result, as in the full sum."""
+    sm = sm_cosine
+    coef = np.exp(-0.5 * sm.lambdas)
+    coef[-1] = np.nan
+    out = sm.synthesize(coef, np.linspace(0.0, 6.0, 3001))
+    assert sm._atoms_above_rounding(sm.masses * coef) == len(sm)
+    assert np.all(np.isnan(out))
 
 
 def test_transform_linearity(sm_cosine):
