@@ -8,7 +8,10 @@ singular, w is computed from the iterated-integral series
     eta_j(x) = int_a^x (s(x) - s(xi)) eta_{j-1}(xi) r(xi) dxi,
 
 with s' = 1/p.  The series terms are lambda-independent, so they are
-tabulated once per operator on one grid, with zeta_j = int_a^x eta_j r.
+tabulated on one grid, with zeta_j = int_a^x eta_j r: the rows a sum
+reads, extended on demand.  A sum at |lambda| S <= 1 reads 19 rows; larger
+|lambda| S read more, up to _MAX_TERMS + 1, and each new row comes from the
+same recurrence, so its bits do not depend on how the table grew.
 Their slopes are exact: eta_{j+1}' = zeta_j / p, zeta_j' = eta_j r, and p'
 and r' are symbolic.  So each interval's integral is the cubic Hermite one
 (``_hermite_increments``), the terms between nodes are cubic Hermite
@@ -55,7 +58,23 @@ def _hermite_increments(h: np.ndarray, f: np.ndarray, d: np.ndarray):
     return h * (f[:-1] + f[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
 
 
-# rows fitted per solve in _row_spline
+def _cumint(h: np.ndarray, f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The integral from the first node to every node of the cubic Hermite
+    interpolant of values f and slopes d at nodes h apart."""
+    return np.concatenate([[0.0], np.cumsum(_hermite_increments(h, f, d))])
+
+
+def _term_count(rho: float) -> int:
+    """The number of series terms J a sum at |lambda| S <= rho takes: the
+    first J with rho^J / J! below 1e-16, the bound on the first omitted
+    term, or all _MAX_TERMS + 1 rows.  At rho = 1 it is 19."""
+    log_rho = math.log(max(rho, 1e-300))
+    return next((j for j in range(1, _MAX_TERMS + 1)
+                 if j * log_rho - math.lgamma(j + 1) < math.log(1e-16)),
+                _MAX_TERMS + 1)
+
+
+# columns fitted per solve in _add_spline
 _SPLINE_BLOCK = 32
 
 
@@ -224,9 +243,9 @@ def _lapack(*names: str):
 
 
 def _interpolation(xs: np.ndarray, t: np.ndarray):
-    """The map from a block of rows of values at xs, shape (b, len(xs)), to
-    the coefficients, shape (len(xs), b), of the cubic splines on the knots
-    t through them.
+    """The map from a block of columns of values at xs, shape (len(xs), b),
+    to the coefficients, shape (len(xs), b), of the cubic splines on the
+    knots t through them.
 
     The collocation matrix depends on xs and t alone, so it is LU-factored
     once here (LAPACK gbtrf, from scipy's compiled wrapper: ``_lapack``),
@@ -245,8 +264,8 @@ def _interpolation(xs: np.ndarray, t: np.ndarray):
     if info != 0:
         raise ValueError("spline collocation system is singular")
 
-    def solve(rows):
-        rhs = np.array(rows.T, order="F")
+    def solve(cols):
+        rhs = np.array(cols, order="F")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("spline values must be finite")
         c, info = gbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
@@ -261,57 +280,66 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
     glibc maps each large malloc block on its own and, when one is freed,
     raises the size from which it maps later blocks to that block's size
-    (up to 32 MB).  The merged eigenfunction table is the largest array of
-    a measure build, 15 MB at N=6144.  Freed through malloc, it would send
-    every array of the next build below that size to the heap, where the
-    holes they leave raised the peak memory of three builds in one process
-    by 4 MB.
+    (up to 32 MB; mallopt(3), M_MMAP_THRESHOLD).  The largest arrays of a
+    measure build are the merged eigenfunction table, 15 MB at N=6144, and
+    each level's node table, which lives only until its level is fitted.
+    Freed through malloc, they would send every array of the next build
+    below that size to the heap, where the holes they leave raised the
+    peak memory of three builds in one process by 4 MB.  Released, a map
+    returns its pages at once.
     """
     n = math.prod(shape)
     return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float,
                          count=n).reshape(shape)
 
 
-def _row_spline(*levels: tuple[np.ndarray, np.ndarray, float]) -> RowSpline:
-    """The sum over levels (xs, Y, weight) of weight times the not-a-knot
-    cubic spline through every row of Y over xs, as one RowSpline whose
-    values run along Y's last axis.  The levels share their end points and
-    the shape of Y's leading axes.
+def _merged_knots(*grids: np.ndarray) -> np.ndarray:
+    """The union of the knots of the not-a-knot cubic splines through each
+    of grids, which share their end points: knots on which a weighted sum
+    of those splines is one spline (``_add_spline``)."""
+    knots = [_not_a_knot(xs) for xs in grids]
+    inner = _distinct(np.concatenate([t[4:-4] for t in knots]))
+    return np.concatenate([knots[0][:4], inner, knots[0][-4:]])
 
-    The sum lives on the union of the levels' knots.  Each level's
-    coefficients are refined onto it exactly (``_refinement``), so the one
-    spline is the same function as the weighted sum of the level splines,
-    to rounding.  A lone level is not refined: with weight 1 its
-    coefficients equal make_interp_spline's.
 
-    The rows are fitted a block at a time, and every level's block is
-    refined and summed straight into the one preallocated coefficient
-    array, so the temporaries stay one block's size: a copy for the solve
-    and its refinement.  Large temporaries leave holes in the heap that
-    later large arrays may or may not fit, which would make the peak memory
-    of a process that builds several measures depend on its heap layout,
-    not on its work.
+# rows of the coefficient table refined and summed per step in _add_spline
+_REFINE_ROWS = 1024
+
+
+def _add_spline(c: np.ndarray, tau: np.ndarray, xs: np.ndarray,
+                Y: np.ndarray, weight: float) -> None:
+    """Add to c, in place, weight times the coefficients on the knots tau
+    of the not-a-knot cubic spline through each column of Y over xs.  Y
+    has shape (len(xs), m) and c (len(tau) - 4, m); tau holds every knot of
+    those splines, as ``_merged_knots`` of xs and other grids does.
+
+    Each spline's coefficients are refined onto tau exactly
+    (``_refinement``), so a sum of such calls is the same function as the
+    weighted sum of their splines, to rounding.  When tau is the splines'
+    own knots they are not refined: with weight 1 and c zero, c becomes
+    make_interp_spline's coefficients.
+
+    The columns are fitted a block of _SPLINE_BLOCK at a time, each
+    block's solve released before the next, and summed into c a chunk of
+    _REFINE_ROWS rows at a time, so the temporaries stay one block's solve
+    and one chunk's products.  Large temporaries leave holes in the heap
+    that later large arrays may or may not fit, which would make the peak
+    memory of a process that builds several measures depend on its heap
+    layout, not on its work.
     """
-    knots = [_not_a_knot(xs) for xs, _, _ in levels]
-    if len(levels) == 1:
-        tau, maps = knots[0], [None]
-    else:
-        inner = _distinct(np.concatenate([t[4:-4] for t in knots]))
-        tau = np.concatenate([knots[0][:4], inner, knots[0][-4:]])
-        maps = [_refinement(t, tau) for t in knots]
-    lead = levels[0][1].shape[:-1]
-    n_rows = math.prod(lead)
-    tables = [Y.reshape(n_rows, Y.shape[-1]) for _, Y, _ in levels]
-    fits = [_interpolation(xs, t) for (xs, _, _), t in zip(levels, knots)]
-    c = _mapped_zeros((len(tau) - 4, n_rows))
-    for j in range(0, n_rows, _SPLINE_BLOCK):
-        for (_, _, weight), rows, fit, refine in zip(levels, tables, fits, maps):
-            part = fit(rows[j:j + _SPLINE_BLOCK])
-            if refine is not None:
-                part = _band_product(*refine, part)
-            part *= weight
-            c[:, j:j + _SPLINE_BLOCK] += part
-    return RowSpline(tau, c.reshape(len(tau) - 4, *lead))
+    t = _not_a_knot(xs)
+    fit = _interpolation(xs, t)
+    refine = None if np.array_equal(t, tau) else _refinement(t, tau)
+    for j in range(0, Y.shape[1], _SPLINE_BLOCK):
+        part = fit(Y[:, j:j + _SPLINE_BLOCK])
+        cols = c[:, j:j + _SPLINE_BLOCK]
+        for lo in range(0, len(cols), _REFINE_ROWS):
+            rows = slice(lo, lo + _REFINE_ROWS)
+            v = part[rows] if refine is None else _band_product(
+                refine[0][rows], refine[1][rows], part)
+            v *= weight
+            cols[rows] += v
+        del part, v
 
 
 class KernelEvaluator:
@@ -355,50 +383,60 @@ class KernelEvaluator:
                                  f"not finite at x={xs[np.argmin(np.isfinite(d))]:g}")
         h = np.diff(xs)
 
-        def cumint(f, d):
-            return np.concatenate([[0.0], np.cumsum(_hermite_increments(h, f, d))])
-
         # s(x) = -int_x^{table end} dx/p: suffix sums keep s accurate at
         # moderate x even when 1/p is astronomically large near a (a plain
         # cumulative integral would cancel ~16 digits there)
         inc_p = _hermite_increments(h, inv_p, -dp * inv_p * inv_p)
         s = -np.concatenate([np.cumsum(inc_p[::-1])[::-1], [0.0]])
 
-        eta1 = s * cumint(rv, dr) - cumint(s * rv, rv * inv_p + s * dr)
+        eta1 = s * _cumint(h, rv, dr) - _cumint(h, s * rv, rv * inv_p + s * dr)
         # the series is only ever summed where S(x)|lambda| <= 1, so the
         # table can stop once the majorant S = eta_1 passes a small cap
         ncut = int(np.searchsorted(eta1, 4.0))
         if 64 < ncut < len(xs):
             xs, inv_p, rv, dr, s = (v[:ncut] for v in (xs, inv_p, rv, dr, s))
-            h = h[:ncut - 1]
-
-        # the (2, J+1, n) table of eta_j and zeta_j = int_a^x eta_j r, each
-        # integrated with its exact slope: zeta_j' = eta_j r and
-        # eta_{j+1}' = zeta_j / p, so (s eta_j r)' = eta_j r / p + s (eta_j r)'
-        table = np.empty((2, _MAX_TERMS + 1, len(xs)))
-        etas, zetas = table
-        etas[0] = 1.0
-        d_eta = np.zeros_like(xs)
-        for j in range(_MAX_TERMS + 1):
-            f = etas[j] * rv
-            df = d_eta * rv + etas[j] * dr
-            zetas[j] = cumint(f, df)
-            if j < _MAX_TERMS:
-                etas[j + 1] = s * zetas[j] - cumint(s * f, f * inv_p + s * df)
-                d_eta = zetas[j] * inv_p
 
         self._xs = xs
-        self._table = table
-        # 1/p and r at the nodes give the slopes of the rows (``_terms``)
-        self._inv_p, self._r = inv_p, rv
+        # 1/p and r at the nodes give the slopes of the rows (``_terms``);
+        # with r' and s they give the rows themselves (``_extend_table``)
+        self._inv_p, self._r, self._dr, self._s = inv_p, rv, dr, s
+        self._table = np.empty((2, 0, len(xs)))
+        self._extend_table(_term_count(1.0))
         # S(x): the majorant with |eta_j| <= S^j / j!
-        self._S = np.abs(etas[1])
+        self._S = np.abs(self._table[0, 1])
+
+    def _extend_table(self, J: int) -> None:
+        """The (2, J, n) table of eta_j and zeta_j = int_a^x eta_j r for j <
+        J, from the rows already in it.  Each row is integrated with its
+        exact slope: zeta_j' = eta_j r and eta_{j+1}' = zeta_j / p, so
+        (s eta_j r)' = eta_j r / p + s (eta_j r)'.  The slope of eta_j is
+        recomputed from zeta_{j-1}, so a row has the same bits whether the
+        table is built to J rows at once or grown to them in steps."""
+        xs, inv_p, rv, dr, s = self._xs, self._inv_p, self._r, self._dr, self._s
+        h = np.diff(xs)
+        j0 = self._table.shape[1]
+        table = np.empty((2, J, len(xs)))
+        table[:, :j0] = self._table
+        etas, zetas = table
+        etas[0] = 1.0
+        for j in range(max(j0 - 1, 0), J):
+            f = etas[j] * rv
+            d_eta = zetas[j - 1] * inv_p if j else np.zeros_like(xs)
+            df = d_eta * rv + etas[j] * dr
+            if j >= j0:
+                zetas[j] = _cumint(h, f, df)
+            if j + 1 < J:
+                etas[j + 1] = s * zetas[j] - _cumint(h, s * f, f * inv_p + s * df)
+        self._table = table
 
     def _terms(self, x: np.ndarray, J: int) -> np.ndarray:
         """(eta_j, zeta_j) for j < J at the in-table points x, shape
         (2, J, len(x)): the cubic Hermite interpolant of the rows' values
         and exact slopes eta_j' = zeta_{j-1} / p, zeta_j' = eta_j r at the
-        nodes.  Products go through one buffer, not fresh temporaries."""
+        nodes.  The table is extended first when it has fewer than J rows.
+        Products go through one buffer, not fresh temporaries."""
+        if J > self._table.shape[1]:
+            self._extend_table(J)
         xs = self._xs
         i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         h = xs[i + 1] - xs[i]
@@ -428,10 +466,7 @@ class KernelEvaluator:
         eta_j / tau^j leaves the float range.
         """
         S = np.interp(x, self._xs, self._S)
-        log_rho = math.log(max(rho, 1e-300))
-        J = next((j for j in range(1, _MAX_TERMS + 1)
-                  if j * log_rho - math.lgamma(j + 1) < math.log(1e-16)),
-                 _MAX_TERMS + 1)
+        J = _term_count(rho)
         tau = float(S.max()) or 1.0
         powers = np.arange(J)
         coef = (-lams[:, None] * tau) ** powers

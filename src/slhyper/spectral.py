@@ -13,8 +13,12 @@ and masses are Richardson extrapolated across a grid halving, which removes
 the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
 (4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
-of their knots by knot insertion (``kernel._row_spline``), so every
-evaluation is one spline call, in numpy (``kernel.RowSpline``).
+of their knots by knot insertion (``kernel._add_spline``), so every
+evaluation is one spline call, in numpy (``kernel.RowSpline``).  Spline
+coefficients are linear in their data, so the levels are fitted in turn,
+and one level's node table, mapped outside the malloc heap, is alive at a
+time (``_levels``); ``SpectralMeasure.pairing`` says where the pairing of
+the levels' eigenvalues stopped.
 
 Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
 is linear in its coefficients (de Boor, A Practical Guide to Splines), so
@@ -55,13 +59,14 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .kernel import (KernelEvaluator, RowSpline, _interval, _lapack,
-                     _row_spline)
+from .kernel import (KernelEvaluator, RowSpline, _add_spline, _interval,
+                     _lapack, _mapped_zeros, _merged_knots)
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
     "Basis",
     "GridFunction",
+    "Pairing",
     "SpectralMeasure",
     "TransformTable",
     "build_spectral_measure",
@@ -177,11 +182,14 @@ class SpectralMeasure:
     grid that keeps coming back outlives one-off grids.  Values larger
     than the coefficient table are not kept.  The contract-first order of
     synthesize keeps nothing.  sigma2 comes from the operator's standard
-    form when first read, so a build does no standard-form work."""
+    form when first read, so a build does no standard-form work.  pairing
+    records how the two levels' eigenpairs were paired, and where the
+    pairing stopped when it dropped atoms (see Pairing)."""
 
     def __init__(self, spec, evaluator, lambdas, masses, L, N,
-                 a_eff: float, w: RowSpline):
+                 a_eff: float, w: RowSpline, pairing: Pairing):
         self.spec = spec
+        self.pairing = pairing
         self.evaluator = evaluator
         self.lambdas = lambdas
         self.masses = masses
@@ -381,13 +389,18 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
     matrix (diag, off), ascending, with orthonormal eigenvectors as columns.
+    Returns the eigenvalues, the eigenvectors and the table that holds them:
+    the vectors are the view table[1:-1] of a zeroed (n + 2, m) table mapped
+    outside the malloc heap (``kernel._mapped_zeros``), whose first and last
+    rows are left to the caller.
 
     Bisection (LAPACK stebz, with the arguments that
     ``eigh_tridiagonal(select="v")`` passes) only locates each eigenvalue to
     an absolute 1e-8 max(1, lambda_max), which is close enough for inverse
     iteration (stein) to converge in its usual few steps; stein runs once
     per run of close eigenvalues (``_runs``), so only the vectors of one run
-    are orthogonalized against each other.  Each eigenvalue is then the
+    are orthogonalized against each other, and each run's vectors are
+    written straight into the table.  Each eigenvalue is then the
     Rayleigh quotient of its unit vector (``_rayleigh_quotients``), whose
     error is the square of the vector's residual over the gap (Parlett,
     The Symmetric Eigenvalue Problem, ch. 4): far below the bisection
@@ -403,7 +416,8 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     if info != 0:
         raise LinAlgError(f"bisection failed (stebz info {info})")
     w, iblock = w[:m], iblock[:m]
-    vecs = np.empty((len(diag), m))
+    table = _mapped_zeros((len(diag) + 2, m))
+    vecs = table[1:-1]
     # stein reads the block index of each eigenvalue from an array of
     # the matrix's length
     blk = np.empty_like(isplit)
@@ -414,16 +428,19 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
             raise LinAlgError(f"inverse iteration failed (stein info {info})")
     lam = _rayleigh_quotients(diag, off, vecs)
     # block order to ascending order; a single block is ascending already,
-    # and then no copy of the vectors is made
+    # and then the vectors are not moved
     order = np.argsort(lam)
     if np.any(order != np.arange(m)):
-        lam, vecs = lam[order], vecs[:, order]
-    return lam, vecs
+        lam = lam[order]
+        vecs[:] = vecs[:, order]
+    return lam, vecs, table
 
 
-def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
-                 grade: float, lambda_max: float):
-    """Finite-volume eigenproblem with exact flux coefficients.
+def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
+                   grade: float, lambda_max: float):
+    """Finite-volume eigenproblem with exact flux coefficients: the nodes,
+    the cell masses wgt and the symmetric tridiagonal matrix (diag, off)
+    of one level.
 
     Fluxes use harmonic averages beta = 1/int dx/p and cell masses are
     int r dx, so power-law singular coefficients at the left endpoint are
@@ -432,17 +449,6 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
     neighbor: they contribute nothing to the spectrum below lambda_max but
     their roundoff (eps times the matrix norm) would pollute the small
     eigenvalues.
-
-    The eigenpairs below lambda_max come from a bisection to 1e-8
-    max(1, lambda_max), inverse iteration per run of close eigenvalues and
-    the Rayleigh quotient of each vector (``_eigenpairs``).  LAPACK's own
-    cluster test is absolute, a gap of 1e-3 ||T||_1, and ||T||_1 reaches
-    1e4 to 1e10 here, so it would reorthogonalize every wanted eigenvector
-    against all the others, an O(N K^2) Gram-Schmidt, though the relative
-    gaps of a Sturm-Liouville spectrum, about 2/k, need none of it.  For
-    the same reason a bisection to ulp ||T|| would leave the lowest
-    eigenvalues 1e-6 off on the graded matrices, and the Rayleigh quotient
-    does not.
     """
     nodes = _node_grid(a_eff, L, N, grade)
     faces = np.empty(N + 1)
@@ -470,20 +476,39 @@ def _eigen_solve(spec: OperatorSpec, a_eff: float, L: float, N: int,
         diag[0] = beta[0] / wgt[0]
         diag[1:] = (beta[:-1] + beta[1:]) / wgt[1:]
     off = -beta[:-1] / np.sqrt(wgt[:-1] * wgt[1:])
-    vals, vecs = _eigenpairs(diag, off, lambda_max)
+    return nodes, wgt, diag, off
+
+
+def _eigen_solve(evaluator: KernelEvaluator, nodes, wgt, diag, off,
+                 lambda_max: float):
+    """One level solved: the eigenvalues below lambda_max of its
+    finite-volume matrix, their masses and the (n + 2, K) node table of the
+    eigenfunctions at the nodes and both interval ends.  The eigenvectors
+    are divided by sqrt(wgt) in place, in the table, and ``_normalize``
+    scales them to w(a) = 1.
+
+    The eigenpairs come from a bisection to 1e-8 max(1, lambda_max),
+    inverse iteration per run of close eigenvalues and the Rayleigh
+    quotient of each vector (``_eigenpairs``).  LAPACK's own cluster test
+    is absolute, a gap of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10
+    here, so it would reorthogonalize every wanted eigenvector against all
+    the others, an O(N K^2) Gram-Schmidt, though the relative gaps of a
+    Sturm-Liouville spectrum, about 2/k, need none of it.  For the same
+    reason a bisection to ulp ||T|| would leave the lowest eigenvalues 1e-6
+    off on the graded matrices, and the Rayleigh quotient does not.
+    """
+    vals, vecs, table = _eigenpairs(diag, off, lambda_max)
     if len(vals) == 0:
         raise ValueError("no eigenvalues below lambda_max; enlarge L or lambda_max")
-    # the eigenfunction vectors fill rows 1..n of the node-value table;
-    # _normalize fills its rows for the two interval ends
-    table = np.empty((len(nodes) + 2, len(vals)))
-    np.divide(vecs, np.sqrt(wgt)[:, None], out=table[1:-1])
-    return nodes, wgt, vals, table
+    vecs /= np.sqrt(wgt)[:, None]
+    return vals, _normalize(evaluator, nodes, table, vals), table
 
 
 def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     """Scale the eigenfunction vectors, rows 1..N of table, to the kernel
     normalization w(a)=1, in place, and fill the rows of both interval
-    ends; returns the masses and table, the (N+2, K) node values.
+    ends, so that table holds the (N+2, K) node values; returns the
+    masses.
 
     Each atom is fitted on a window of leading nodes: up to 80 where the
     series converges fast (S lambda <= 0.5), or, with fewer than 3 such
@@ -519,18 +544,39 @@ def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     # left endpoint: w_lambda -> 1 at a by construction; Dirichlet at L
     table[0] = 1.0
     table[-1] = 0.0
-    return 1.0 / (c * c), table
+    return 1.0 / (c * c)
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """How a build paired the eigenpairs of its two Richardson levels by
+    index: the number found on the fine level (N nodes) and on the coarse
+    one (N // 2), the number kept as atoms, and the first pair that failed
+    the test |lambda_fine - lambda_coarse| <= 0.25 max(lambda_fine, 1), as
+    (index, lambda_fine, lambda_coarse), or None when none failed.  No pair
+    past the first failed one is kept."""
+
+    fine: int
+    coarse: int
+    kept: int
+    cut: tuple[int, float, float] | None
 
 
 def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
             evaluator: KernelEvaluator):
-    """The two Richardson levels of a measure, on N and N // 2 nodes.
+    """The two Richardson levels of a measure, on N and N // 2 nodes,
+    combined: a_eff, the extrapolated eigenvalues and masses, the one
+    eigenfunction spline (4 S_fine - S_coarse) / 3 on the union of the
+    levels' knots, and the levels' Pairing.
 
-    Returns a_eff, the extrapolated eigenvalues and masses, and the levels
-    as (xs, W, weight) for ``_row_spline``: the node values W of the kept
-    eigenfunctions on each level's nodes xs (both interval ends included),
-    a (K, len(xs)) view of the level's node-major table, weighted 4/3 and
-    -1/3.
+    Both levels' matrices and the merged knots come first.  Then the fine
+    level is solved, normalized and fitted into the coefficient table,
+    weighted 4/3, on all its columns, and its node table (mapped outside
+    the malloc heap) is released before the coarse level is solved,
+    normalized, paired and its kept columns fitted, weighted -1/3
+    (``kernel._add_spline``).  When the pairing keeps fewer atoms than the
+    fine level found, the spline keeps a view of the table's first K
+    columns.
     """
     # left edge of the computational interval: the operator domain unless
     # the coefficients underflow near a (steep exponential singularities)
@@ -548,23 +594,30 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
                        and 1e-8 < float(spec.r(probe)) < 1e8)
         grade = 1.0 if regular else 2.0
 
-    def one_level(n):
-        nodes, wgt, vals, table = _eigen_solve(spec, a_eff, L, n, grade,
-                                               lambda_max)
-        masses, W = _normalize(evaluator, nodes, table, vals)
-        xs_full = np.concatenate([[a_eff], nodes, [L]])
-        return vals, masses, xs_full, W
+    fine, coarse = (_finite_volume(spec, a_eff, L, n, grade, lambda_max)
+                    for n in (N, N // 2))
+    xs_f, xs_c = (np.concatenate([[a_eff], nodes, [L]])
+                  for nodes, *_ in (fine, coarse))
+    tau = _merged_knots(xs_f, xs_c)
 
-    vals_f, mass_f, xs_f, W_f = one_level(N)
-    vals_c, mass_c, xs_c, W_c = one_level(N // 2)
+    vals_f, mass_f, table = _eigen_solve(evaluator, *fine, lambda_max)
+    c = _mapped_zeros((len(tau) - 4, len(vals_f)))
+    _add_spline(c, tau, xs_f, table, 4.0 / 3.0)
+    del table
+
+    vals_c, mass_c, table = _eigen_solve(evaluator, *coarse, lambda_max)
     K = min(len(vals_f), len(vals_c))
     # pair by index; drop pairs too far apart to share the h^2 expansion
     ok = np.abs(vals_f[:K] - vals_c[:K]) <= 0.25 * np.maximum(vals_f[:K], 1.0)
-    K = int(np.argmin(ok)) if not np.all(ok) else K
+    cut = None
+    if not np.all(ok):
+        K = int(np.argmin(ok))
+        cut = (K, float(vals_f[K]), float(vals_c[K]))
+    _add_spline(c[:, :K], tau, xs_c, table[:, :K], -1.0 / 3.0)
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    return a_eff, lam, mass, [(xs_f, W_f[:, :K].T, 4.0 / 3.0),
-                              (xs_c, W_c[:, :K].T, -1.0 / 3.0)]
+    return (a_eff, lam, mass, RowSpline(tau, c[:, :K]),
+            Pairing(len(vals_f), len(vals_c), K, cut))
 
 
 def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
@@ -581,9 +634,9 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
         # sqrt(lambda_max) times the coarse level's mean spacing L / (N/2)
         # is 0.6: about ten nodes per wavelength of the highest atom
         lambda_max = (0.6 * N / (2.0 * L)) ** 2
-    a_eff, lam, mass, levels = _levels(spec, L, N, lambda_max, evaluator)
-    return SpectralMeasure(spec, evaluator, lam, mass, L, N, a_eff,
-                           _row_spline(*levels))
+    a_eff, lam, mass, w, pairing = _levels(spec, L, N, lambda_max, evaluator)
+    return SpectralMeasure(spec, evaluator, lam, mass, L, N, a_eff, w,
+                           pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from scipy.interpolate import BSpline, make_interp_spline
 
 from slhyper.expr import parse_expression
 from slhyper.operator import OperatorSpec, builtin_operator, load_operator
-from slhyper.kernel import (KernelEvaluator, RowSpline, _band_product,
-                            _design, _refinement, _row_spline)
+from slhyper.kernel import (KernelEvaluator, RowSpline, _add_spline,
+                            _band_product, _design, _merged_knots,
+                            _refinement, _term_count)
 
 
 @pytest.fixture(scope="module")
@@ -64,23 +65,47 @@ def test_series_table_matches_closed_form(name, three_rows, summed_rows):
         assert np.max(rel) <= bound
 
 
-@pytest.mark.parametrize("shape", [(0, 300), (1, 300), (70, 300), (2, 61, 300)])
+@pytest.mark.parametrize("shape", [(0, 300), (1, 300), (70, 300), (122, 300)])
 def test_row_spline_is_one_make_interp_spline(shape):
-    """Fitting the rows a block at a time gives the coefficients, knots and
-    values of one make_interp_spline call over the whole table, bit for
-    bit, whatever the number of rows and leading axes."""
+    """Fitting the rows, each one column of a node-major table, a block at
+    a time on their own knots (``_add_spline`` into zeros, weight 1) gives
+    the coefficients, knots and values of one make_interp_spline call over
+    the whole table, bit for bit, whatever the number of rows; 122 rows end
+    in a partial block."""
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(0.0, 5.0, shape[-1]))
     Y = rng.standard_normal(shape)
-    got = _row_spline((xs, Y, 1.0))
-    want = make_interp_spline(xs, Y, k=3, axis=Y.ndim - 1)
-    assert isinstance(got, RowSpline) and want.k == 3
+    t = _merged_knots(xs)
+    c = np.zeros((len(t) - 4, shape[0]))
+    _add_spline(c, t, xs, Y.T, 1.0)
+    got = RowSpline(t, c)
+    want = make_interp_spline(xs, Y, k=3, axis=1)
+    assert want.k == 3
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.c, want.c)
     xq = np.linspace(0.1, 4.9, 37)
     # values run along the last axis, as make_interp_spline's along axis -1
     assert got(xq).shape == want(xq).shape == shape[:-1] + (37,)
     assert np.array_equal(got(xq), want(xq))
+
+
+def test_series_table_grows_to_the_rows_a_sum_reads():
+    """A new evaluator tabulates the 19 rows a sum at |lambda| S <= 1
+    reads.  On Whittaker the sums at lambda 1600 and 5000 read 24 and 40
+    rows, and the table grows to them; every row, grown 19 -> 24 -> 40 ->
+    61 or straight to 61, is the same array, bit for bit."""
+    spec = builtin_operator("whittaker?alpha=0.25&kappa=1.0")
+    grown, straight = KernelEvaluator(spec), KernelEvaluator(spec)
+    assert _term_count(1.0) == 19
+    assert grown._table.shape[1] == straight._table.shape[1] == 19
+    xs = np.linspace(0.05, 3.0, 11)
+    for lam, rows in ((1600.0, 24), (5000.0, 40)):
+        grown.eval_many([lam], xs)
+        assert grown._table.shape[1] == rows
+    grown._terms(xs, 61)
+    straight._terms(xs, 61)
+    assert grown._table.shape == straight._table.shape == (2, 61, len(grown._xs))
+    assert np.array_equal(grown._table, straight._table)
 
 
 def _spline_case(lead, seed=5):

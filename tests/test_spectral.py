@@ -1,6 +1,9 @@
 """Discrete spectral measure: atoms, cumulative, transform round trips, and
 the heat kernel."""
 
+import mmap
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
-from slhyper.kernel import KernelEvaluator, RowSpline, _row_spline
+from slhyper.kernel import (KernelEvaluator, RowSpline, _add_spline,
+                            _merged_knots)
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
                               build_spectral_measure, bump_function,
@@ -136,20 +140,90 @@ def test_w_values_below_a_eff_is_one(sm_whittaker):
 
 
 @pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
-def test_w_values_is_the_richardson_combination(name, request):
+def test_w_values_is_the_richardson_combination(name, request, monkeypatch):
     """The measure's one eigenfunction spline, on the merged knots, is the
     combination (4 S_fine - S_coarse) / 3 of the two levels' own splines on
-    [a_eff, L]; eigenvalues and masses are those of the levels, bit for
-    bit.  Every fixture measure is built with lambda_max 1600."""
+    [a_eff, L], each fitted alone on its own knots from a copy of its node
+    table; eigenvalues and masses are those of the levels, bit for bit.
+    Every fixture measure is built with lambda_max 1600."""
     sm = request.getfixturevalue(name)
-    a_eff, lam, mass, levels = spectral._levels(sm.spec, sm.L, sm.N, 1600.0,
-                                                sm.evaluator)
+    tables = []
+    eigen_solve = spectral._eigen_solve
+
+    def spy(evaluator, nodes, *args):
+        vals, masses, table = eigen_solve(evaluator, nodes, *args)
+        tables.append((np.concatenate([[sm._a_eff], nodes, [sm.L]]),
+                       table.copy()))
+        return vals, masses, table
+
+    monkeypatch.setattr(spectral, "_eigen_solve", spy)
+    a_eff, lam, mass, w, pairing = spectral._levels(sm.spec, sm.L, sm.N,
+                                                    1600.0, sm.evaluator)
     assert np.array_equal(lam, sm.lambdas)
     assert np.array_equal(mass, sm.masses)
-    fine, coarse = (_row_spline((xs, W, 1.0)) for xs, W, _ in levels)
+    assert a_eff == sm._a_eff and len(tables) == 2
+
+    def alone(xs, table):
+        t = _merged_knots(xs)
+        c = np.zeros((len(t) - 4, len(lam)))
+        _add_spline(c, t, xs, table[:, :len(lam)], 1.0)
+        return RowSpline(t, c)
+
+    fine, coarse = (alone(xs, table) for xs, table in tables)
     x = np.linspace(a_eff, sm.L, 4001)
     want = (4.0 * fine(x) - coarse(x)) / 3.0
     assert np.max(np.abs(sm.w_values(x) - want)) <= 1e-14
+
+
+def _memory(a: np.ndarray):
+    """The object that owns the memory of the array a: an array, or the
+    object under the buffer that a chain of views ends in."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_fine_node_table_is_released_before_the_coarse_solve(monkeypatch):
+    """The levels are solved one at a time: when the coarse level's
+    eigenpairs are computed, nothing refers to the memory of the fine
+    level's node table any more, and that memory is a map of its own, not
+    the malloc heap's."""
+    owners = []
+    eigenpairs = spectral._eigenpairs
+
+    def spy(diag, off, lambda_max):
+        assert all(ref() is None for ref in owners)
+        vals, vecs, table = eigenpairs(diag, off, lambda_max)
+        owner = _memory(table)
+        assert isinstance(owner, mmap.mmap) and _memory(vecs) is owner
+        owners.append(weakref.ref(owner))
+        return vals, vecs, table
+
+    monkeypatch.setattr(spectral, "_eigenpairs", spy)
+    build_spectral_measure(builtin_operator("cosine"), 16.0, 2048,
+                           lambda_max=1600.0)
+    assert len(owners) == 2
+
+
+def test_pairing_reports_where_it_stops():
+    """Bessel alpha = 1/2 at L = 16, N = 2048 and lambda_max 8000 finds 477
+    fine and 557 coarse eigenpairs; pair 426 is the first more than 25%
+    apart, so 426 atoms are kept, the top one at 7036.3, and the measure
+    says so.  The sm_cosine fixture pairs every eigenpair it finds."""
+    sm = build_spectral_measure(builtin_operator("bessel?alpha=0.5"), 16.0,
+                                2048, lambda_max=8000.0)
+    p = sm.pairing
+    assert (p.fine, p.coarse, p.kept) == (477, 557, 426) == (477, 557, len(sm))
+    k, lam_f, lam_c = p.cut
+    assert k == 426
+    assert abs(lam_f - lam_c) > 0.25 * max(lam_f, 1.0)
+    assert sm.lambdas[-1] == pytest.approx(7036.3, abs=0.05)
+
+
+def test_pairing_of_the_cosine_measure_keeps_every_pair(sm_cosine):
+    p = sm_cosine.pairing
+    assert p.cut is None
+    assert p.kept == len(sm_cosine) == min(p.fine, p.coarse)
 
 
 @pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
@@ -394,14 +468,14 @@ def test_eigenpairs_of_sturm_liouville_matrices(name, L, N, monkeypatch):
     reorthogonalized, and the vectors are still eigenvectors and
     orthonormal.  The plain Gram matrix of the vectors _eigenpairs returns
     is the wgt-weighted Gram matrix of the eigenfunction vectors that
-    _eigen_solve returns."""
+    _eigen_solve makes of them in place, so they are copied here."""
     calls, runs = [], []
     run_bounds = spectral._runs
 
     def eigenpairs(diag, off, lambda_max):
-        vals, vecs = _eigenpairs(diag, off, lambda_max)
-        calls.append((diag, off, vals, vecs))
-        return vals, vecs
+        vals, vecs, table = _eigenpairs(diag, off, lambda_max)
+        calls.append((diag, off, vals, vecs.copy()))
+        return vals, vecs, table
 
     def spy_runs(vals, iblock):
         out = run_bounds(vals, iblock)
@@ -430,7 +504,7 @@ def test_eigenpairs_near_degenerate_pairs_stay_orthonormal():
     diag = np.full(2 * n, 2.0)
     off = np.full(2 * n - 1, -1.0)
     off[n - 1] = 1e-13
-    vals, vecs = _eigenpairs(diag, off, 1.0)
+    vals, vecs, _ = _eigenpairs(diag, off, 1.0)
     lap = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     single = lap[lap <= 1.0]
     assert np.allclose(vals, np.repeat(single, 2), rtol=0.0, atol=1e-12)
@@ -444,12 +518,16 @@ def test_eigenpairs_near_degenerate_pairs_stay_orthonormal():
 def test_eigenpairs_of_a_split_matrix_come_out_ascending():
     """Where the matrix splits, bisection lists the eigenvalues block by
     block; here the two blocks' spectra interleave, and _eigenpairs still
-    returns them ascending, each with its own vector."""
+    returns them ascending, each with its own vector, in rows 1..n of its
+    table, whose first and last rows stay zero."""
     n = 40
     diag = np.r_[np.full(n, 2.0), np.full(n, 3.0)]
     off = np.full(2 * n - 1, -1.0)
     off[n - 1] = 0.0
-    vals, vecs = _eigenpairs(diag, off, 2.5)
+    vals, vecs, table = _eigenpairs(diag, off, 2.5)
+    assert table.shape == (2 * n + 2, len(vals))
+    assert np.shares_memory(vecs, table[1:-1]) and vecs.shape == (2 * n, len(vals))
+    assert not table[[0, -1]].any()
     lap = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     both = np.sort(np.r_[lap, lap + 1.0])
     assert np.allclose(vals, both[both <= 2.5], rtol=0.0, atol=1e-12)
@@ -479,9 +557,9 @@ def test_eigenpairs_match_mrrr(name, L, N, lambda_max, monkeypatch):
     eigenpairs = spectral._eigenpairs
 
     def spy(diag, off, lam_max):
-        vals, vecs = eigenpairs(diag, off, lam_max)
+        vals, vecs, table = eigenpairs(diag, off, lam_max)
         mats.append((diag, off, lam_max, vals))
-        return vals, vecs
+        return vals, vecs, table
 
     monkeypatch.setattr(spectral, "_eigenpairs", spy)
     build_spectral_measure(builtin_operator(name), L, N, lambda_max=lambda_max)
@@ -507,19 +585,18 @@ def test_normalization_integrates_only_fallback_windows(name, L, N, n_ode,
     nodes; their one stacked solve stops at the last node of their window,
     the 20th."""
     events = []
-    eigen_solve = spectral._eigen_solve
+    normalize = spectral._normalize
     integrate = KernelEvaluator._integrate
 
-    def spy_solve(*args):
-        out = eigen_solve(*args)
-        events.append(("level", out[0]))
-        return out
+    def spy_normalize(evaluator, nodes, *args):
+        events.append(("level", nodes))
+        return normalize(evaluator, nodes, *args)
 
     def spy_integrate(self, lams, x0, w0, w10, xs):
         events.append(("ode", np.max(xs)))
         return integrate(self, lams, x0, w0, w10, xs)
 
-    monkeypatch.setattr(spectral, "_eigen_solve", spy_solve)
+    monkeypatch.setattr(spectral, "_normalize", spy_normalize)
     monkeypatch.setattr(KernelEvaluator, "_integrate", spy_integrate)
     build_spectral_measure(builtin_operator(name), L, N, lambda_max=1600.0)
     assert [kind for kind, _ in events].count("ode") == n_ode
