@@ -4,12 +4,14 @@ heat kernel.
 The measure rho on [sigma^2, oo) is approximated by the eigenvalues of the
 operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
 carrying mass 1/||w_lambda||^2.  The eigenvalues of the finite-volume
-matrix are located by a short bisection, then its eigenvectors come from
-inverse iteration per run of close eigenvalues, cut by relative gap:
+matrix are located by bisection to theta = 2e-4 times each one's gap, the
+largest ratio of tolerance to gap that the floor 1e-8 max(1, lambda_max)
+gives on the builtin families (``_bisection``), then its eigenvectors come
+from inverse iteration per run of close eigenvalues, cut by relative gap:
 LAPACK's own cluster test is an absolute gap, which on these graded
 matrices would reorthogonalize the whole wanted spectrum (``_eigen_solve``).
-Each eigenvalue is the Rayleigh quotient of its vector.  Eigenvalues
-and masses are Richardson extrapolated across a grid halving, which removes
+Each eigenvalue is the Rayleigh quotient of its vector.  Eigenvalues and
+masses are Richardson extrapolated across a grid halving, which removes
 the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
 (4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
@@ -198,8 +200,12 @@ class SpectralMeasure:
         self._a_eff = a_eff
         self._w = w
         self._kept: list[Basis] = []
-        if np.any(masses <= 0):
-            raise ValueError("non-positive atom mass: discretization too coarse")
+        bad = masses <= 0
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"{spec.name}: non-positive atom mass {masses[k]:.3g} at atom "
+                f"{k}, lambda = {lambdas[k]:.6g}: discretization too coarse")
 
     def __len__(self):
         return len(self.lambdas)
@@ -386,6 +392,82 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
     return lam
 
 
+# bisection chunks, as fractions of lambda_max: (-1e-9, lambda_max 4^-6],
+# (lambda_max 4^-6, lambda_max 4^-5], ..., (lambda_max / 4, lambda_max]
+_CHUNK_EDGES = tuple(4.0 ** -j for j in range(6, -1, -1))
+# bisection tolerance over eigenvalue gap: the largest ratio that the floor
+# 1e-8 lambda_max gives on the builtin families (2.1e-4, at cosine's lowest
+# atom), so no eigenvalue is located more loosely than that one
+_THETA = 2e-4
+
+
+def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float):
+    """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
+    matrix (diag, off), in LAPACK stebz's order (by block, then by value),
+    with their block indices and stebz's isplit.  Each is located to within
+    theta = _THETA times its gap to its neighbours, and never closer than
+    the floor 1e-8 max(1, lambda_max).
+
+    Each chunk of _CHUNK_EDGES is bisected at its own absolute tolerance,
+    first theta width / (2 m) from its count m.  Then a chunk whose
+    tolerance exceeds 4 max(floor, theta gap) at any of its eigenvalues is
+    bisected again at max(floor, theta times its smallest gap), until none
+    does.  Tolerances only fall, by more than 4 each time, and stop at the
+    floor, so this ends; a pair closer than floor / theta ends at it.  The
+    neighbours past the interval's ends are not computed: two Sturm counts
+    say whether one lies within one gap of the outermost eigenvalue, and if
+    one does, the end stands in for it.
+    """
+    stebz, = _lapack("stebz")
+    floor = 1e-8 * max(1.0, lambda_max)
+    edges = [-1e-9, *(lambda_max * f for f in _CHUNK_EDGES)]
+    isplit = None
+
+    def bisect(lo, hi, tol):
+        nonlocal isplit
+        m, w, iblock, isplit, info = stebz(diag, off, 1, lo, hi, 0, 0, tol,
+                                           "B")
+        if info != 0:
+            raise LinAlgError(f"bisection failed (stebz info {info})")
+        # copies, so that the chunks keep no matrix-length arrays alive
+        return w[:m].copy(), iblock[:m].copy()
+
+    def count(lo, hi):
+        # a tolerance of the whole width stops at the two Sturm counts
+        return len(bisect(lo, hi, hi - lo)[0])
+
+    chunks = []  # (lo, hi, tol, w, iblock), in ascending order
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = count(lo, hi)
+        if m:
+            tol = max(floor, _THETA * (hi - lo) / (2 * m))
+            chunks.append((lo, hi, tol, *bisect(lo, hi, tol)))
+    again = bool(chunks)
+    while again:
+        vals = np.concatenate([np.sort(w) for *_, w, _ in chunks])
+        d = np.diff(vals)
+        reach = (d[0], d[-1]) if len(d) else (lambda_max - edges[0],) * 2
+        below, above = vals[0] - reach[0], vals[-1] + reach[1]
+        if below < edges[0] and count(below, edges[0]):
+            below = edges[0]
+        if above > lambda_max and count(lambda_max, above):
+            above = lambda_max
+        gaps = np.diff(np.r_[below, vals, above])
+        near = np.minimum(gaps[:-1], gaps[1:])
+        again, first = False, 0
+        for i, (lo, hi, tol, w, _) in enumerate(chunks):
+            need = max(floor, _THETA * near[first:first + len(w)].min())
+            first += len(w)
+            if tol > 4 * need:
+                chunks[i] = (lo, hi, need, *bisect(lo, hi, need))
+                again = True
+    w = np.concatenate([np.empty(0), *(w for *_, w, _ in chunks)])
+    iblock = np.concatenate([np.empty(0, dtype=isplit.dtype),
+                             *(b for *_, b in chunks)])
+    order = np.lexsort((w, iblock))
+    return w[order], iblock[order], isplit
+
+
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
     matrix (diag, off), ascending, with orthonormal eigenvectors as columns.
@@ -394,28 +476,25 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     outside the malloc heap (``kernel._mapped_zeros``), whose first and last
     rows are left to the caller.
 
-    Bisection (LAPACK stebz, with the arguments that
-    ``eigh_tridiagonal(select="v")`` passes) only locates each eigenvalue to
-    an absolute 1e-8 max(1, lambda_max), which is close enough for inverse
-    iteration (stein) to converge in its usual few steps; stein runs once
-    per run of close eigenvalues (``_runs``), so only the vectors of one run
-    are orthogonalized against each other, and each run's vectors are
-    written straight into the table.  Each eigenvalue is then the
-    Rayleigh quotient of its unit vector (``_rayleigh_quotients``), whose
-    error is the square of the vector's residual over the gap (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 4): far below the bisection
-    tolerance, and below the ulp ||T|| that a full bisection reaches, which
-    on the graded matrices is 1e-6 of the lowest eigenvalues.  Both routines
-    come from scipy's compiled LAPACK wrapper (``kernel._lapack``), without
-    the import of scipy.linalg.
+    Bisection (``_bisection``) locates each eigenvalue to theta = 2e-4
+    times its gap, never closer than 1e-8 max(1, lambda_max): inverse
+    iteration (stein) needs its shift close relative to the eigenvalue's
+    own gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and theta,
+    the loosest ratio that floor gives on the builtin families, lets it
+    converge in its usual few steps.  stein runs once per run of
+    close eigenvalues (``_runs``), so only the vectors of one run are
+    orthogonalized against each other, and each run's vectors are written
+    straight into the table.  Each eigenvalue is then the Rayleigh
+    quotient of its unit vector (``_rayleigh_quotients``), whose error is
+    the square of the vector's residual over the gap (ch. 4 again): far
+    below the bisection tolerance, and below the ulp ||T|| that a full
+    bisection reaches, which on the graded matrices is 1e-6 of the lowest
+    eigenvalues.  Both routines come from scipy's compiled LAPACK wrapper
+    (``kernel._lapack``), without the import of scipy.linalg.
     """
-    stebz, stein = _lapack("stebz", "stein")
-    m, w, iblock, isplit, info = stebz(diag, off, 1, -1e-9, lambda_max,
-                                       0, 0, 1e-8 * max(1.0, lambda_max),
-                                       "B")
-    if info != 0:
-        raise LinAlgError(f"bisection failed (stebz info {info})")
-    w, iblock = w[:m], iblock[:m]
+    stein, = _lapack("stein")
+    w, iblock, isplit = _bisection(diag, off, lambda_max)
+    m = len(w)
     table = _mapped_zeros((len(diag) + 2, m))
     vecs = table[1:-1]
     # stein reads the block index of each eigenvalue from an array of
@@ -456,26 +535,39 @@ def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
     faces[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
     faces[-1] = 0.5 * (nodes[-1] + L)
     beta = np.empty(N)
-    beta[:-1] = 1.0 / _seg_integral(lambda x: 1.0 / spec.p(x),
-                                    nodes[:-1], nodes[1:])
-    beta[-1] = 1.0 / _seg_integral(lambda x: 1.0 / spec.p(x),
-                                   nodes[-1:], np.array([L]))[0]
-    wgt = _seg_integral(spec.r, faces[:-1], faces[1:])
-    diag = np.empty(N)
-    diag[0] = beta[0] / wgt[0]
-    diag[1:] = (beta[:-1] + beta[1:]) / wgt[1:]
-    cap = 1e7 * max(1.0, lambda_max)
-    if diag[0] > cap:
-        j0 = int(np.argmax(diag <= cap))
-        if j0 == 0:
-            raise ValueError("coefficients too singular for the grid")
-        nodes, beta = nodes[j0:], beta[j0:]
-        wgt = np.concatenate([[wgt[:j0 + 1].sum()], wgt[j0 + 1:]])
-        n2 = len(nodes)
-        diag = np.empty(n2)
-        diag[0] = beta[0] / wgt[0]
-        diag[1:] = (beta[:-1] + beta[1:]) / wgt[1:]
-    off = -beta[:-1] / np.sqrt(wgt[:-1] * wgt[1:])
+    # coefficients that over- or underflow give entries that are not
+    # finite; the check below names them, so numpy need not warn
+    with np.errstate(all="ignore"):
+        beta[:-1] = 1.0 / _seg_integral(lambda x: 1.0 / spec.p(x),
+                                        nodes[:-1], nodes[1:])
+        beta[-1] = 1.0 / _seg_integral(lambda x: 1.0 / spec.p(x),
+                                       nodes[-1:], np.array([L]))[0]
+        wgt = _seg_integral(spec.r, faces[:-1], faces[1:])
+        diag = (np.r_[0.0, beta[:-1]] + beta) / wgt
+        cap = 1e7 * max(1.0, lambda_max)
+        if diag[0] > cap:
+            j0 = int(np.argmax(diag <= cap))
+            if j0 == 0:
+                raise ValueError("coefficients too singular for the grid")
+            nodes, beta = nodes[j0:], beta[j0:]
+            wgt = np.concatenate([[wgt[:j0 + 1].sum()], wgt[j0 + 1:]])
+            diag = (np.r_[0.0, beta[:-1]] + beta) / wgt
+        # the product of two neighbouring cell masses leaves the normal
+        # floats where the masses are extreme (2e-306 on a left-infinite
+        # grid); there the two roots are taken apart, and elsewhere the
+        # product's root keeps its bits
+        prod = wgt[:-1] * wgt[1:]
+        normal = (prod >= np.finfo(float).tiny) & (prod <= np.finfo(float).max)
+        off = -beta[:-1] / np.where(normal, np.sqrt(prod),
+                                    np.sqrt(wgt[:-1]) * np.sqrt(wgt[1:]))
+    bad = ~np.isfinite(diag)
+    bad[:-1] |= ~np.isfinite(off)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(
+            f"{spec.name}: the finite-volume matrix is not finite at node {j} "
+            f"(x = {nodes[j]:.6g}, cell mass {wgt[j]:.3g}): the coefficients "
+            "over- or underflow there")
     return nodes, wgt, diag, off
 
 
@@ -487,13 +579,16 @@ def _eigen_solve(evaluator: KernelEvaluator, nodes, wgt, diag, off,
     are divided by sqrt(wgt) in place, in the table, and ``_normalize``
     scales them to w(a) = 1.
 
-    The eigenpairs come from a bisection to 1e-8 max(1, lambda_max),
-    inverse iteration per run of close eigenvalues and the Rayleigh
-    quotient of each vector (``_eigenpairs``).  LAPACK's own cluster test
-    is absolute, a gap of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10
-    here, so it would reorthogonalize every wanted eigenvector against all
-    the others, an O(N K^2) Gram-Schmidt, though the relative gaps of a
-    Sturm-Liouville spectrum, about 2/k, need none of it.  For the same
+    The eigenpairs come from a bisection to theta = 2e-4 times each
+    eigenvalue's gap, never closer than 1e-8 max(1, lambda_max) (theta is
+    that floor's largest ratio to a gap on the builtin families, at
+    cosine's lowest atom), inverse iteration per run of close eigenvalues
+    and the Rayleigh quotient of each vector (``_eigenpairs``).  LAPACK's
+    own cluster test is absolute, a gap of 1e-3 ||T||_1, and ||T||_1
+    reaches 1e4 to 1e10 here, so it would reorthogonalize every wanted
+    eigenvector against all the others, an O(N K^2) Gram-Schmidt, though
+    the relative gaps of a Sturm-Liouville spectrum, about 2/k, need none
+    of it.  For the same
     reason a bisection to ulp ||T|| would leave the lowest eigenvalues 1e-6
     off on the graded matrices, and the Rayleigh quotient does not.
     """
@@ -634,6 +729,8 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
         # sqrt(lambda_max) times the coarse level's mean spacing L / (N/2)
         # is 0.6: about ten nodes per wavelength of the highest atom
         lambda_max = (0.6 * N / (2.0 * L)) ** 2
+    if not lambda_max > 0:
+        raise ValueError("lambda_max must be positive")
     a_eff, lam, mass, w, pairing = _levels(spec, L, N, lambda_max, evaluator)
     return SpectralMeasure(spec, evaluator, lam, mass, L, N, a_eff, w,
                            pairing)

@@ -494,25 +494,130 @@ def test_eigenpairs_of_sturm_liouville_matrices(name, L, N, monkeypatch):
         assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
 
 
-def test_eigenpairs_near_degenerate_pairs_stay_orthonormal():
+def _stebz_calls(monkeypatch, pin: float | None = None) -> list[tuple]:
+    """Every stebz call that spectral makes from here on, as (diag, off, vl,
+    vu, tol); with pin, each call bisects at the tolerance pin instead of
+    the one asked for."""
+    calls = []
+    lapack = spectral._lapack
+
+    def spy(stebz):
+        def spied(d, e, rng, vl, vu, il, iu, tol, order):
+            out = stebz(d, e, rng, vl, vu, il, iu,
+                        tol if pin is None else pin, order)
+            calls.append((d, e, vl, vu, tol))
+            return out
+        return spied
+
+    def spy_lapack(*names):
+        return [spy(f) if name == "stebz" else f
+                for name, f in zip(names, lapack(*names))]
+
+    monkeypatch.setattr(spectral, "_lapack", spy_lapack)
+    return calls
+
+
+def _chunk_bisections(calls, lambda_max: float) -> dict:
+    """The tolerances at which each chunk (vl, vu] of the bisection was
+    bisected, in call order; a call whose tolerance is the chunk's width
+    only counts its eigenvalues."""
+    edges = [-1e-9, *(lambda_max * f for f in spectral._CHUNK_EDGES)]
+    chunks = set(zip(edges[:-1], edges[1:]))
+    out = {}
+    for _, _, vl, vu, tol in calls:
+        if (vl, vu) in chunks and tol < vu - vl:
+            out.setdefault((vl, vu), []).append(tol)
+    return out
+
+
+def _check_gap_tolerances(calls, lambda_max: float) -> int:
+    """Assert that on every matrix the calls bisected, every chunk of the
+    bisection that holds eigenvalues is bisected, and its last tolerance
+    lies in [floor, 4 max(floor, theta g)]: floor = 1e-8 max(1,
+    lambda_max), and g the smallest gap of the chunk's eigenvalues to their
+    neighbours in the whole spectrum (stemr), the ones past lambda_max
+    included.  The rule reads the gaps of its own eigenvalues, each within
+    its tolerance of the true one, so the bound allows g 2 tol more.
+    Returns the number of matrices."""
+    floor = 1e-8 * max(1.0, lambda_max)
+    edges = [-1e-9, *(lambda_max * f for f in spectral._CHUNK_EDGES)]
+    mats = {}
+    for call in calls:
+        mats.setdefault(id(call[0]), []).append(call)
+    for mat_calls in mats.values():
+        diag, off = mat_calls[0][:2]
+        spectrum = eigh_tridiagonal(diag, off, eigvals_only=True,
+                                    lapack_driver="stemr")
+        gap = np.diff(np.r_[-np.inf, spectrum, np.inf])
+        gap = np.minimum(gap[:-1], gap[1:])
+        final = {chunk: tols[-1] for chunk, tols
+                 in _chunk_bisections(mat_calls, lambda_max).items()}
+        held = {(vl, vu) for vl, vu in zip(edges[:-1], edges[1:])
+                if np.any((spectrum > vl) & (spectrum <= vu))}
+        assert set(final) == held
+        for (vl, vu), tol in final.items():
+            g = gap[(spectrum > vl) & (spectrum <= vu)].min()
+            assert floor <= tol <= 4 * max(floor,
+                                           spectral._THETA * (g + 2 * tol))
+    return len(mats)
+
+
+@pytest.mark.parametrize("n, coupling, lambda_max, bound", [
+    (60, 1e-13, 1.0, 1e-12),
+    # the double well: its lowest pairs are 1.4e-9 apart, closer than the
+    # bisection's floor 1e-8, so each of their vectors is a mix of the
+    # pair's two eigenvectors, an eigenvector only up to that split
+    (300, -1e-3, 0.5, 1e-8),
+], ids=["weak-coupling", "double-well"])
+def test_eigenpairs_near_degenerate_pairs_stay_orthonormal(
+        n, coupling, lambda_max, bound, monkeypatch):
     """Two copies of the uniform Laplacian, joined by a coupling too weak to
-    split the eigenvalue pairs but not weak enough for bisection to split
-    the matrix: each pair is one run, and inverse iteration orthogonalizes
-    its two vectors together.  Solved one eigenvalue at a time, both
-    vectors of a pair would come out the same."""
-    n = 60
+    split the eigenvalue pairs far but not weak enough for bisection to
+    split the matrix: no run of close eigenvalues splits a pair, and
+    inverse iteration orthogonalizes each pair's two vectors together.
+    Solved one eigenvalue at a time, both vectors of a pair would come out
+    the same.  The chunk tolerances that the eigenvalue counts give are far
+    looser than the pairs' splits; the gap check bisects a chunk again, and
+    every chunk ends at a tolerance that follows the gaps
+    (_check_gap_tolerances)."""
+    calls = _stebz_calls(monkeypatch)
     diag = np.full(2 * n, 2.0)
     off = np.full(2 * n - 1, -1.0)
-    off[n - 1] = 1e-13
-    vals, vecs, _ = _eigenpairs(diag, off, 1.0)
-    lap = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-    single = lap[lap <= 1.0]
-    assert np.allclose(vals, np.repeat(single, 2), rtol=0.0, atol=1e-12)
-    assert spectral._runs(vals, np.ones(len(vals), dtype=int)) == [
-        (k, k + 2) for k in range(0, len(vals), 2)]
-    assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
+    off[n - 1] = coupling
+    vals, vecs, _ = _eigenpairs(diag, off, lambda_max)
+    ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert np.allclose(vals, ref[ref <= lambda_max], rtol=0.0, atol=bound)
+    # every run starts at an even index, so none splits a pair
+    runs = spectral._runs(vals, np.ones(len(vals), dtype=int))
+    assert all(lo % 2 == 0 for lo, _ in runs)
+    assert _tridiag_residual(diag, off, vals, vecs) <= bound
     gram = vecs.T @ vecs
     assert np.max(np.abs(gram - np.eye(len(vals)))) <= 1e-9
+    assert max(map(len, _chunk_bisections(calls, lambda_max).values())) >= 2
+    assert _check_gap_tolerances(calls, lambda_max) == 1
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -1.0])
+def test_build_rejects_a_lambda_max_that_is_not_positive(lambda_max):
+    with pytest.raises(ValueError, match="lambda_max must be positive"):
+        build_spectral_measure(builtin_operator("cosine"), 16.0, 512,
+                               lambda_max=lambda_max)
+
+
+def test_bisection_sees_a_neighbour_past_lambda_max(monkeypatch):
+    """Eigenvalues 1, 2, ..., 10 and 10 + 1e-5, all but decoupled, with
+    lambda_max between the last two: the only close pair straddles
+    lambda_max, so the gap of the top eigenvalue shows only in a count past
+    lambda_max, and its chunk ends at the floor, not at theta times the gap
+    1 to the eigenvalue below."""
+    calls = _stebz_calls(monkeypatch)
+    diag = np.r_[np.arange(1.0, 11.0), 10.0 + 1e-5]
+    off = np.full(10, 1e-12)
+    lambda_max = 10.0 + 5e-6
+    vals, vecs, _ = _eigenpairs(diag, off, lambda_max)
+    assert np.allclose(vals, np.arange(1.0, 11.0), rtol=0.0, atol=1e-12)
+    assert _tridiag_residual(diag, off, vals, vecs) <= 1e-12
+    assert _check_gap_tolerances(calls, lambda_max) == 1
 
 
 def test_eigenpairs_of_a_split_matrix_come_out_ascending():
@@ -570,6 +675,40 @@ def test_eigenpairs_match_mrrr(name, L, N, lambda_max, monkeypatch):
                                lapack_driver="stemr")
         assert len(vals) == len(ref)
         assert np.all(np.abs(vals - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("name, L, N, lambda_max", SL_MATRICES)
+def test_bisection_tolerances_follow_the_gaps(name, L, N, lambda_max,
+                                              monkeypatch):
+    """The chunk tolerances of the fine and the coarse matrix of each build
+    (_check_gap_tolerances)."""
+    calls = _stebz_calls(monkeypatch)
+    build_spectral_measure(builtin_operator(name), L, N, lambda_max=lambda_max)
+    assert _check_gap_tolerances(calls, lambda_max) == 2
+
+
+@pytest.mark.parametrize("name, L, N", [
+    ("cosine", 16.0, 2048),
+    ("whittaker?alpha=0.25&kappa=1.0", 12.0, 4096),
+])
+def test_gap_tolerances_keep_the_measure_of_a_tight_bisection(name, L, N,
+                                                              monkeypatch):
+    """A build whose bisection follows the gaps against the same build with
+    every bisection pinned to 1e-13.  Over ten builds (the three families,
+    the CLI's cosine sizes and four Bessel builds) the largest differences
+    from such a reference were 2.0e-13 relative in the eigenvalues, 6.3e-9
+    relative in the masses and 1.3e-9 in w_values on [0.05, 11.5], against
+    2.9e-13, 7.5e-9 and 1.6e-9 for one bisection of the whole interval to
+    1e-8 lambda_max; each bound is twice the latter."""
+    spec = builtin_operator(name)
+    sm = build_spectral_measure(spec, L, N, lambda_max=1600.0)
+    _stebz_calls(monkeypatch, pin=1e-13)
+    ref = build_spectral_measure(spec, L, N, lambda_max=1600.0)
+    assert len(sm) == len(ref)
+    assert np.max(np.abs(sm.lambdas / ref.lambdas - 1.0)) <= 6e-13
+    assert np.max(np.abs(sm.masses / ref.masses - 1.0)) <= 1.5e-8
+    xs = np.linspace(0.05, 11.5, 777)
+    assert np.max(np.abs(sm.w_values(xs) - ref.w_values(xs))) <= 3.2e-9
 
 
 @pytest.mark.parametrize("name, L, N, n_ode", [
