@@ -25,6 +25,14 @@ The ODE part is one DOP853 solve (``slhyper.ode``, numpy) of the stacked
 state of every lambda that needs it, started at the earliest of their
 hand-off points, with the tolerances tightened so that each lambda is held
 to its single-lambda error criterion.  A single lambda is the batch of one.
+A solve that would span more than _MAX_PERIODS periods of w is refused
+before it runs.
+
+The table is this module's alone.  The spectral measure takes its left
+edge, the table's first node (``KernelEvaluator.start``), and the values
+its eigenvectors are scaled to (``KernelEvaluator.leading_values``) from
+here, so both series rules, the hand-off and the normalization windows,
+are set side by side in this module.
 """
 
 from __future__ import annotations
@@ -40,15 +48,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import solve_ivp
-from .operator import OperatorSpec
+from .operator import OperatorSpec, _seg_integral
 
 __all__ = ["KernelEvaluator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
+# eval_many sums the series while |lambda| S <= _HANDOFF_RHO.  A normalization
+# window (``leading_values``) is the series alone on the leading nodes with
+# |lambda| S <= _WINDOW_RHO, at most _WINDOW_NODES of them, or, with fewer
+# than _WINDOW_MIN, eval_many on the first _FALLBACK_NODES nodes
+_HANDOFF_RHO = 1.0
+_WINDOW_RHO, _WINDOW_NODES, _WINDOW_MIN, _FALLBACK_NODES = 0.5, 80, 3, 20
 # DOP853 tolerances of the kernel ODE
 _RTOL = 1e-11
 _ATOL = 1e-13
+# the most periods, sqrt(|lambda|) int sqrt(r/p) dx / 2 pi, that one ODE solve
+# may span.  DOP853's steps follow the oscillation: each period costs about
+# 3 ms per lambda and adds to a phase error that the estimate leaves out
+# (about 2e-12 a period on cosine), so this budget is some 30 s; the tests,
+# the CI commands and the benchmark stay under 400 periods
+_MAX_PERIODS = 1e4
 
 
 def _hermite_increments(h: np.ndarray, f: np.ndarray, d: np.ndarray):
@@ -401,7 +421,7 @@ class KernelEvaluator:
         # with r' and s they give the rows themselves (``_extend_table``)
         self._inv_p, self._r, self._dr, self._s = inv_p, rv, dr, s
         self._table = np.empty((2, 0, len(xs)))
-        self._extend_table(_term_count(1.0))
+        self._extend_table(_term_count(_HANDOFF_RHO))
         # S(x): the majorant with |eta_j| <= S^j / j!
         self._S = np.abs(self._table[0, 1])
 
@@ -480,8 +500,35 @@ class KernelEvaluator:
     def _handoff_index(self, lams: np.ndarray) -> np.ndarray:
         """Largest table index with S(x)|lambda| <= 1, for each lambda."""
         mag = np.maximum(np.abs(lams), 1e-30)
-        idx = np.searchsorted(self._S, 1.0 / mag) - 1
+        idx = np.searchsorted(self._S, _HANDOFF_RHO / mag) - 1
         return np.clip(idx, 8, len(self._xs) - 1)
+
+    @property
+    def start(self) -> float:
+        """The table's first node, a or above: w = 1 and p w' = 0 up to it."""
+        return float(self._xs[0])
+
+    def leading_values(self, lams: np.ndarray, nodes: np.ndarray):
+        """w for each real lambda on its normalization window, the leading
+        nodes an eigenvector is scaled on: (K, M) values, row k read only on
+        nodes[:n[k]], and the lengths n.  S grows with x, so each window is
+        a prefix of the nodes, and no ODE runs past one."""
+        S_nodes = np.interp(nodes, self._xs, self._S, right=np.inf)
+        n_win = np.minimum(np.searchsorted(
+            S_nodes, _WINDOW_RHO / np.maximum(lams, 1e-30), side="right"),
+            _WINDOW_NODES)
+        fallback = n_win < _WINDOW_MIN
+        n_fb = min(_FALLBACK_NODES, len(nodes))
+        n_win[fallback] = n_fb
+        w_win = np.zeros((len(lams), int(n_win.max())))
+        if not fallback.all():
+            M_ser = int(n_win[~fallback].max())
+            w_win[~fallback, :M_ser] = self._series(
+                lams[~fallback], nodes[:M_ser], _WINDOW_RHO)[0]
+        if fallback.any():
+            w_win[fallback, :n_fb] = self.eval_many(lams[fallback],
+                                                    nodes[:n_fb])[0].real
+        return w_win, n_win
 
     # -- public evaluation ---------------------------------------------------
 
@@ -549,7 +596,8 @@ class KernelEvaluator:
         lambda from x0.  The state is real, (w, w1), or, when some lambda
         is complex, the (Re, Im) pairs of (w, w1), which read as a complex
         array.  Returns w and w1 at xs, each (K, len(xs)); xs may repeat
-        nodes.
+        nodes.  A span of more than _MAX_PERIODS periods of the largest
+        |lambda| is a ValueError, raised before the solve.
 
         The error norm is an RMS over all m K real components.  Scaling the
         tolerances by 2 / sqrt(m K) keeps each lambda's own four-component
@@ -573,6 +621,18 @@ class KernelEvaluator:
 
         scale = 2.0 / math.sqrt(len(y_init))
         targets, where = np.unique(xs, return_inverse=True)
+        lam = lams[np.argmax(np.abs(lams))]
+        # estimated by Gauss-Legendre on each interval between the targets
+        edges = np.concatenate([[x0], targets])
+        span = _seg_integral(lambda x: np.sqrt(r(x) / p(x)), edges[:-1],
+                             edges[1:])
+        periods = math.sqrt(abs(lam)) * float(np.sum(span)) / (2.0 * math.pi)
+        if periods > _MAX_PERIODS:
+            shown = lam.real if lam.imag == 0 else lam
+            raise ValueError(
+                f"{self.spec.name}: lambda = {shown:.6g} spans about "
+                f"{periods:.3g} periods of w on [{x0:.6g}, {targets[-1]:.6g}],"
+                f" past the {_MAX_PERIODS:g} that one ODE solve may take")
         y = solve_ivp(fun, x0, y_init, targets, _RTOL * scale,
                       _ATOL * scale).y[:, where]
         z = y[0::2] + 1j * y[1::2] if paired else y.astype(complex)

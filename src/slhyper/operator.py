@@ -393,6 +393,9 @@ def _mp_probe_xs(sf: StandardForm) -> np.ndarray:
     if math.isinf(a):
         lo = np.array([c - 4.0 ** k for k in range(20, 0, -1)])
         hi = np.geomspace(1e-4, x_far - c, _MP_PROBES - len(lo)) + c
+        if math.isfinite(sf.gamma_a):
+            # as far as the finite branch reaches: xi - gamma(a) <= 1e6
+            hi = hi[sf.gamma(hi) - sf.gamma_a <= 1e6]
         return np.concatenate([lo, hi])
     offs = np.geomspace((c - a) * 1e-8, x_far - a, _MP_PROBES)
     return a + offs

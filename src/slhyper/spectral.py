@@ -9,8 +9,10 @@ largest ratio of tolerance to gap that the floor 1e-8 max(1, lambda_max)
 gives on the builtin families (``_bisection``), then its eigenvectors come
 from inverse iteration per run of close eigenvalues, cut by relative gap:
 LAPACK's own cluster test is an absolute gap, which on these graded
-matrices would reorthogonalize the whole wanted spectrum (``_eigen_solve``).
-Each eigenvalue is the Rayleigh quotient of its vector.  Eigenvalues and
+matrices would reorthogonalize the whole wanted spectrum (``_eigenpairs``).
+Each eigenvalue is the Rayleigh quotient of its vector, and each vector is
+scaled to w(a) = 1 by its least-squares fit to the kernel's w on a window
+of leading nodes (``KernelEvaluator.leading_values``).  Eigenvalues and
 masses are Richardson extrapolated across a grid halving, which removes
 the leading h^2 discretization error.  So are the eigenfunctions: the
 measure keeps one vector-valued cubic spline, the exact combination
@@ -47,9 +49,10 @@ and a miss evicts the bases with the fewest lookups until the new one
 fits.  So a function that uses one grid several times asks for its basis
 each time and evaluates it once.  The contract-first order neither reads
 nor fills the memo, and ``w_values`` itself is never memoized.  The
-eigenfunctions are known on [a_eff, L] only: a point in [a, a_eff) takes
-the value 1 of every w_k at a_eff, and a point below a or past L is an
-error.
+eigenfunctions are known on [a_eff, L] only, a_eff the first node of the
+kernel's series table (``KernelEvaluator.start``): a point in [a, a_eff)
+takes the value 1 of every w_k at a_eff, and a point below a or past L is
+an error.
 """
 
 from __future__ import annotations
@@ -481,16 +484,20 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     iteration (stein) needs its shift close relative to the eigenvalue's
     own gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and theta,
     the loosest ratio that floor gives on the builtin families, lets it
-    converge in its usual few steps.  stein runs once per run of
-    close eigenvalues (``_runs``), so only the vectors of one run are
+    converge in its usual few steps.  stein runs once per run of close
+    eigenvalues (``_runs``), so only the vectors of one run are
     orthogonalized against each other, and each run's vectors are written
-    straight into the table.  Each eigenvalue is then the Rayleigh
-    quotient of its unit vector (``_rayleigh_quotients``), whose error is
-    the square of the vector's residual over the gap (ch. 4 again): far
-    below the bisection tolerance, and below the ulp ||T|| that a full
-    bisection reaches, which on the graded matrices is 1e-6 of the lowest
-    eigenvalues.  Both routines come from scipy's compiled LAPACK wrapper
-    (``kernel._lapack``), without the import of scipy.linalg.
+    straight into the table.  LAPACK's own cluster test is absolute, a gap
+    of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10 here, so one call
+    would orthogonalize every wanted vector against all the others, an
+    O(N K^2) Gram-Schmidt that relative gaps of about 2/k do not need.
+    Each eigenvalue is then the Rayleigh quotient of its unit vector
+    (``_rayleigh_quotients``), whose error is the square of the vector's
+    residual over the gap (ch. 4 again): far below the bisection
+    tolerance, and below the ulp ||T|| that a full bisection reaches, which
+    on the graded matrices is 1e-6 of the lowest eigenvalues.  Both
+    routines come from scipy's compiled LAPACK wrapper (``kernel._lapack``),
+    without the import of scipy.linalg.
     """
     stein, = _lapack("stein")
     w, iblock, isplit = _bisection(diag, off, lambda_max)
@@ -574,23 +581,10 @@ def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
 def _eigen_solve(evaluator: KernelEvaluator, nodes, wgt, diag, off,
                  lambda_max: float):
     """One level solved: the eigenvalues below lambda_max of its
-    finite-volume matrix, their masses and the (n + 2, K) node table of the
-    eigenfunctions at the nodes and both interval ends.  The eigenvectors
-    are divided by sqrt(wgt) in place, in the table, and ``_normalize``
-    scales them to w(a) = 1.
-
-    The eigenpairs come from a bisection to theta = 2e-4 times each
-    eigenvalue's gap, never closer than 1e-8 max(1, lambda_max) (theta is
-    that floor's largest ratio to a gap on the builtin families, at
-    cosine's lowest atom), inverse iteration per run of close eigenvalues
-    and the Rayleigh quotient of each vector (``_eigenpairs``).  LAPACK's
-    own cluster test is absolute, a gap of 1e-3 ||T||_1, and ||T||_1
-    reaches 1e4 to 1e10 here, so it would reorthogonalize every wanted
-    eigenvector against all the others, an O(N K^2) Gram-Schmidt, though
-    the relative gaps of a Sturm-Liouville spectrum, about 2/k, need none
-    of it.  For the same
-    reason a bisection to ulp ||T|| would leave the lowest eigenvalues 1e-6
-    off on the graded matrices, and the Rayleigh quotient does not.
+    finite-volume matrix (``_eigenpairs``), their masses and the (n + 2, K)
+    node table of the eigenfunctions at the nodes and both interval ends.
+    The eigenvectors are divided by sqrt(wgt) in place, in the table, and
+    ``_normalize`` scales them to w(a) = 1.
     """
     vals, vecs, table = _eigenpairs(diag, off, lambda_max)
     if len(vals) == 0:
@@ -603,36 +597,12 @@ def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     """Scale the eigenfunction vectors, rows 1..N of table, to the kernel
     normalization w(a)=1, in place, and fill the rows of both interval
     ends, so that table holds the (N+2, K) node values; returns the
-    masses.
-
-    Each atom is fitted on a window of leading nodes: up to 80 where the
-    series converges fast (S lambda <= 0.5), or, with fewer than 3 such
-    nodes, the first 20.  S grows with x, so every window is a prefix of
-    the nodes.  The series atoms take the series alone, summed to its
-    bound at S lambda = 0.5, and each is read only on its own window; the
-    fallback atoms take one batched kernel evaluation on their 20 nodes,
-    so no ODE runs past a window.
+    masses.  Each vector is scaled to the least-squares fit of its leading
+    entries to w on its atom's window (``KernelEvaluator.leading_values``).
     """
-    N = len(nodes)
     us = table[1:-1]
-    table_xs = evaluator._xs
-    in_table = (nodes >= table_xs[0]) & (nodes <= table_xs[-1])
-    S_nodes = np.where(in_table, np.interp(nodes, table_xs, evaluator._S), np.inf)
-    n_win = np.minimum(np.searchsorted(S_nodes, 0.5 / np.maximum(vals, 1e-30),
-                                       side="right"), 80)
-    fallback = n_win < 3
-    n_fb = min(20, N)
-    n_win[fallback] = n_fb
-    M = int(n_win.max())
-    w_win = np.zeros((len(vals), M))
-    if not fallback.all():
-        # past its own window an atom's series values are not summed
-        M_ser = int(n_win[~fallback].max())
-        w_win[~fallback, :M_ser] = evaluator._series(vals[~fallback],
-                                                     nodes[:M_ser], 0.5)[0]
-    if fallback.any():
-        w_win[fallback, :n_fb] = evaluator.eval_many(vals[fallback],
-                                                     nodes[:n_fb])[0].real
+    w_win, n_win = evaluator.leading_values(vals, nodes)
+    M = w_win.shape[1]
     u_win = np.where(np.arange(M) < n_win[:, None], us[:M].T, 0.0)
     c = np.sum(u_win * w_win, axis=1) / np.sum(u_win * u_win, axis=1)
     us *= c
@@ -673,9 +643,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     fine level found, the spline keeps a view of the table's first K
     columns.
     """
-    # left edge of the computational interval: the operator domain unless
-    # the coefficients underflow near a (steep exponential singularities)
-    a_eff = max(spec.a, evaluator._xs[0]) if math.isfinite(spec.a) else evaluator._xs[0]
+    # left edge of the computational interval: the series table's start
+    a_eff = evaluator.start
     # quadratic grading toward a at singular or clipped endpoints, uniform
     # at regular ones
     if not math.isfinite(spec.a):

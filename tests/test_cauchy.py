@@ -1,12 +1,14 @@
 """Two-variable initial value problem and the mixed triangle identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slhyper.operator import (build_standard_form, builtin_operator,
                               certify_mp)
 from slhyper.spectral import GridFunction, bump_function
-from slhyper.cauchy import (positivity_report, solve_cauchy,
+from slhyper.cauchy import (CauchySolution, positivity_report, solve_cauchy,
                             solve_cauchy_shifted,
                             triangle_identity_residual)
 
@@ -119,3 +121,25 @@ def test_triangle_separable_solution(cert_cosine):
                                      cert=cert_cosine, n=200)
     assert abs(rep.residual) < 1e-4
     assert rep.n == 200
+
+
+def test_input_errors_name_what_is_wrong(sm_cosine, sol_cosine):
+    """Initial data with a negative part has no positivity report, the
+    shifted solve needs flagged data as the plain one does, and the
+    triangle identity needs a certificate whose checks all hold."""
+    h = sol_cosine.h
+    negative = CauchySolution(GridFunction(h.grid, -h.values, True, True),
+                              sol_cosine.xs, sol_cosine.ys, sol_cosine.values,
+                              sm_cosine)
+    with pytest.raises(ValueError, match="initial data must be nonnegative"):
+        positivity_report(negative)
+    unflagged = GridFunction(h.grid, h.values)
+    with pytest.raises(ValueError, match="must be flagged smooth2"):
+        solve_cauchy_shifted(unflagged, 0.5, sm_cosine,
+                             np.linspace(1.0, 3.0, 5))
+    cert = certify_mp(build_standard_form(builtin_operator("cosine")))
+    failed = dataclasses.replace(cert, checks={**cert.checks,
+                                               "phi_decreasing": False})
+    with pytest.raises(ValueError, match="MP certificate required"):
+        triangle_identity_residual(lambda xi, zeta: xi * 0.0, 0.5, 3.0, 1.5,
+                                   failed)

@@ -765,6 +765,21 @@ def _package_imports(module_level: bool):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def test_only_the_kernel_reads_its_series_table():
+    """The series table, its majorant S and its sums are the kernel's own:
+    the measure takes its left edge and its normalization windows from
+    KernelEvaluator.start and KernelEvaluator.leading_values."""
+    private = {"_xs", "_S", "_series", "_table"}
+    readers = []
+    for path in sorted(Path(slhyper.__file__).parent.glob("*.py")):
+        if path.name != "kernel.py":
+            readers += [(path.name, node.attr) for node in
+                        ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.Attribute)
+                        and node.attr in private]
+    assert readers == []
+
+
 def test_no_module_imports_scipy_integrate():
     """The footprint above holds for every command line: no module of the
     package imports scipy.integrate, scipy.interpolate, scipy.optimize,
@@ -835,3 +850,20 @@ def test_deep_coefficient_is_an_error_not_a_traceback(p, tmp_path, capsys):
     assert run(["validate", "--op", str(op), "--out", str(tmp_path / "v.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("slhyper: error: expression") and "Traceback" not in err
+
+
+def test_kernel_at_a_huge_lambda_is_an_error_not_a_hang(tmp_path, capsys,
+                                                        monkeypatch):
+    """At lambda 1e12 the ODE would follow 1.6e5 periods of cos(1e6 x) on
+    [0, 1], minutes of steps: the command exits 1 before any solve runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called past the period budget")
+
+    monkeypatch.setattr("slhyper.kernel.solve_ivp", no_solve)
+    out = tmp_path / "k.csv"
+    assert run(["kernel", "--lambda", "1e12", "--x", "0:1:3",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error: cosine: lambda = 1e+12 spans about")
+    assert "periods" in err and "Traceback" not in err
+    assert not out.exists()

@@ -7,7 +7,8 @@ from slhyper.operator import (SupportParams, _merge, build_standard_form,
                               builtin_operator, classify_support)
 from slhyper.spectral import GridFunction, bump_function, forward_transform
 from slhyper.hconv import (approx_nu, convolve_functions, convolve_measures,
-                           product_density, translate)
+                           product_density, product_formula_residual,
+                           translate)
 
 
 def test_product_density_mass_and_sign(sm_cosine):
@@ -18,6 +19,15 @@ def test_product_density_mass_and_sign(sm_cosine):
     mass = np.trapezoid(pk.values * r, xi)
     assert mass == pytest.approx(1.0, abs=5e-3)
     assert pk.values.min() > -1e-6
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_product_kernels_need_a_positive_t(sm_cosine, t):
+    xi = np.linspace(0.0, 8.0, 81)
+    with pytest.raises(ValueError, match="t must be positive"):
+        product_density(t, 2.0, 1.0, xi, sm_cosine)
+    with pytest.raises(ValueError, match="t must be positive"):
+        product_formula_residual(1.0, t, 2.0, 1.0, sm_cosine, xi)
 
 
 def test_product_density_follows_its_grid(sm_cosine):

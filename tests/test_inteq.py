@@ -171,3 +171,9 @@ def test_kappa_zero_on_bessel_is_the_ray(sm_bessel, monkeypatch):
                                          kappa=sm_bessel.sigma2), sm_bessel)
     assert sol.diagnostics == ref.diagnostics
     assert np.array_equal(sol.h.values, ref.h.values)
+
+
+def test_l1_kappa_norm_needs_kappa_at_most_sigma2(sm_cosine):
+    h = bump_function(4.0, 1.5, np.linspace(0.0, 10.0, 201))
+    with pytest.raises(ValueError, match="kappa must not exceed sigma2"):
+        l1_kappa_norm(h, 1.0, sm_cosine)

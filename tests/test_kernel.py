@@ -402,3 +402,35 @@ def test_series_table_needs_finite_coefficient_slopes(coef):
     spec.validate()
     with pytest.raises(ValueError, match=f"derivative of {coef} is not finite"):
         KernelEvaluator(spec)
+
+
+def test_a_span_past_the_period_budget_is_an_error_before_any_solve(
+        ev_cosine, monkeypatch):
+    """At lambda 1e12 the ODE span [x0, 1] holds 1e6 / (2 pi) periods, and
+    DOP853's steps follow them: eval_many and eval_w_shifted raise, naming
+    lambda and the count, instead of running the solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called past the period budget")
+
+    monkeypatch.setattr("slhyper.kernel.solve_ivp", no_solve)
+    with pytest.raises(ValueError, match=r"lambda = 1e\+12 spans about "
+                       r"1\.59e\+05 periods of w on \[.*, 1\]"):
+        ev_cosine.eval_many([1e12], np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match=r"lambda = 1e\+12\+1j spans"):
+        ev_cosine.eval_w_shifted(1e12 + 1j, 0.5, [1.0])
+
+
+@pytest.mark.parametrize("budget, fails", [(15.0, True), (16.5, False)])
+def test_period_estimate_counts_the_oscillations(ev_cosine, monkeypatch,
+                                                 budget, fails):
+    """lambda = 100 hands off to the ODE at x0 = 0.1406 on cosine, and
+    cos(10 x) spans 10 (10 - x0) / (2 pi) = 15.69 periods on [x0, 10]: the
+    estimate reads that, and a budget just above it lets the solve run."""
+    monkeypatch.setattr("slhyper.kernel._MAX_PERIODS", budget)
+    xs = np.linspace(0.0, 10.0, 11)
+    if fails:
+        with pytest.raises(ValueError, match=r"spans about 15\.7 periods"):
+            ev_cosine.eval_many([100.0], xs)
+    else:
+        w = ev_cosine.eval_many([100.0], xs)[0]
+        assert np.allclose(w[0].real, np.cos(10.0 * xs), atol=1e-9)

@@ -1,6 +1,7 @@
 """Operator specifications, standard form, and the maximum-principle
 certificate."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -13,8 +14,8 @@ from slhyper import operator
 from slhyper.expr import parse_expression
 from slhyper.operator import (OperatorSpec, builtin_operator,
                               build_standard_form, certify_mp,
-                              check_left_boundary, load_operator,
-                              support_params)
+                              check_left_boundary, classify_support,
+                              load_operator, support_params)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,47 @@ def test_cosine_support_params(sf_cosine):
 def test_support_params_reject_degenerate(sf_whittaker):
     with pytest.raises(ValueError, match="degenerate"):
         support_params(certify_mp(sf_whittaker))
+
+
+@pytest.mark.parametrize("vanish, depart, case", [
+    (0, 200, "b"), (300, None, "c"), (100, 400, "d")])
+def test_support_params_read_where_phi_vanishes_and_psi_departs(
+        sf_bessel, vanish, depart, case):
+    """A certified certificate whose phi vanishes from probe `vanish` on
+    and whose psi departs from its first value at probe `depart` (never,
+    for None): x1 is the probe's s where phi vanishes, x0 the s of the last
+    probe before psi departs, and eta(0) = 0 gives cases b, c and d."""
+    cert = certify_mp(sf_bessel)
+    k = np.arange(len(cert.grid_s))
+    phi = np.where(k >= vanish, 0.0, 1.0)
+    psi = np.zeros(len(k)) if depart is None else np.where(k >= depart, 1.0, 0.0)
+    par = support_params(dataclasses.replace(cert, phi_values=phi,
+                                             psi_values=psi))
+    s = cert.grid_s
+    assert par.x1 == (0.0 if vanish == 0 else s[vanish])
+    assert par.x0 == (math.inf if depart is None else s[depart - 1])
+    assert classify_support(3.0, 1.0, sf_bessel, par).case == case
+
+
+def test_exponential_weight_on_the_line_has_the_support_of_bessel_zero():
+    """p = 1, r = e^x on the line is Bessel-Kingman alpha = 0 under
+    xi = 2 e^{x/2}, with gamma(a) = -2.  Its MP probes stop where
+    xi - gamma(a) reaches 1e6, as the x-form's do, so both forms get one
+    case, and the intervals are gamma^-1(gamma(a) + [|u - v|, u + v]),
+    u = 2 e^{x/2}: 2 log(s / 2), since gamma(x) = 2 e^{x/2} - 2."""
+    spec = OperatorSpec("expline", -math.inf, math.inf, parse_expression("1"),
+                        parse_expression("exp(x)"))
+    sf = build_standard_form(spec)
+    sf_b = build_standard_form(builtin_operator("bessel?alpha=0"))
+    x, y = 1.0, 0.5
+    u, v = 2.0 * math.exp(x / 2.0), 2.0 * math.exp(y / 2.0)
+    rep = classify_support(x, y, sf, support_params(certify_mp(sf)))
+    rep_b = classify_support(u, v, sf_b, support_params(certify_mp(sf_b)))
+    assert rep.case == rep_b.case == "extrapolated_e"
+    want = [[2.0 * math.log(abs(u - v) / 2.0), 2.0 * math.log((u + v) / 2.0)]]
+    assert np.allclose(rep.intervals, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(rep_b.intervals, [[abs(u - v), u + v]], rtol=0.0,
+                       atol=1e-12)
 
 
 def test_phi_eta_bessel(sf_bessel):

@@ -1,6 +1,7 @@
 """Discrete spectral measure: atoms, cumulative, transform round trips, and
 the heat kernel."""
 
+import math
 import mmap
 import weakref
 
@@ -15,10 +16,10 @@ from slhyper.inteq import l1_kappa_norm
 from slhyper.kernel import (KernelEvaluator, RowSpline, _add_spline,
                             _merged_knots)
 from slhyper.operator import builtin_operator
-from slhyper.spectral import (GridFunction, _eigenpairs, _r_weights,
-                              build_spectral_measure, bump_function,
-                              forward_transform, heat_kernel_grid,
-                              inverse_transform)
+from slhyper.spectral import (GridFunction, TransformTable, _eigenpairs,
+                              _r_weights, build_spectral_measure,
+                              bump_function, forward_transform,
+                              heat_kernel_grid, inverse_transform)
 
 
 def test_grid_function_rejects_bad_grid():
@@ -602,6 +603,26 @@ def test_build_rejects_a_lambda_max_that_is_not_positive(lambda_max):
     with pytest.raises(ValueError, match="lambda_max must be positive"):
         build_spectral_measure(builtin_operator("cosine"), 16.0, 512,
                                lambda_max=lambda_max)
+
+
+@pytest.mark.parametrize("L, N, message", [
+    (16.0, 15, "N must be at least 16"),
+    (0.0, 512, "L must satisfy a < L < b"),
+    (math.inf, 512, "L must satisfy a < L < b"),
+])
+def test_build_rejects_a_size_or_cut_outside_its_range(L, N, message):
+    with pytest.raises(ValueError, match=message):
+        build_spectral_measure(builtin_operator("cosine"), L, N,
+                               lambda_max=100.0)
+
+
+def test_inverse_transform_rejects_a_table_of_other_atoms(sm_cosine):
+    values = np.ones(len(sm_cosine))
+    grid = np.linspace(0.0, 4.0, 5)
+    for lambdas in (sm_cosine.lambdas[:-1], sm_cosine.lambdas * (1 + 1e-9)):
+        table = TransformTable(lambdas, values[:len(lambdas)])
+        with pytest.raises(ValueError, match="does not match the measure"):
+            inverse_transform(table, sm_cosine, grid)
 
 
 def test_bisection_sees_a_neighbour_past_lambda_max(monkeypatch):
