@@ -3,26 +3,34 @@ heat kernel.
 
 The measure rho on [sigma^2, oo) is approximated by the eigenvalues of the
 operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
-carrying mass 1/||w_lambda||^2.  The eigenvalues of the finite-volume
-matrix are located by bisection to theta = 2e-4 times each one's gap, the
-largest ratio of tolerance to gap that the floor 1e-8 max(1, lambda_max)
-gives on the builtin families (``_bisection``), then its eigenvectors come
-from inverse iteration per run of close eigenvalues, cut by relative gap:
-LAPACK's own cluster test is an absolute gap, which on these graded
-matrices would reorthogonalize the whole wanted spectrum (``_eigenpairs``).
-Each eigenvalue is the Rayleigh quotient of its vector, and each vector is
-scaled to w(a) = 1 by its least-squares fit to the kernel's w on a window
-of leading nodes (``KernelEvaluator.leading_values``).  Eigenvalues and
-masses are Richardson extrapolated across a grid halving, which removes
-the leading h^2 discretization error.  So are the eigenfunctions: the
-measure keeps one vector-valued cubic spline, the exact combination
-(4 S_fine - S_coarse) / 3 of the two levels' splines, written on the union
-of their knots by knot insertion (``kernel._add_spline``), so every
-evaluation is one spline call, in numpy (``kernel.RowSpline``).  Spline
-coefficients are linear in their data, so the levels are fitted in turn,
-and one level's node table, mapped outside the malloc heap, is alive at a
-time (``_levels``); ``SpectralMeasure.pairing`` says where the pairing of
-the levels' eigenvalues stopped.
+carrying mass 1/||w_lambda||^2.  Eigenvalues and masses are Richardson
+extrapolated across a grid halving, which removes the leading h^2
+discretization error, so the finite-volume matrices of two levels, on N
+and N // 2 nodes, are solved, the coarse one first (``_levels``).  The
+coarse matrix's eigenvalues are located by bisection to theta = 2e-4 times
+each one's gap, the largest ratio of tolerance to gap that the floor 1e-8
+max(1, lambda_max) gives on the builtin families (``_bisection``), then its
+eigenvectors come from inverse iteration per run of close eigenvalues, cut
+by relative gap: LAPACK's own cluster test is an absolute gap, which on
+these graded matrices would reorthogonalize the whole wanted spectrum
+(``_eigenpairs``).  The fine matrix is not bisected where the coarse level
+already knows its eigenpairs: the coarse eigenfunctions, read at the fine
+nodes, seed two steps of Rayleigh-quotient inverse iteration per
+eigenpair, and a seed is accepted only if its eigenvector has as many sign
+changes as its index, its eigenvalue stands clear of the one below, and
+its residual bounds its error (``_rayleigh_iteration``).  Bisection takes
+over above the last accepted seed.  Each eigenvalue is the Rayleigh
+quotient of its vector, and each vector is scaled to w(a) = 1 by its
+least-squares fit to the kernel's w on a window of leading nodes
+(``KernelEvaluator.leading_values``).  The eigenfunctions are extrapolated
+too: the measure keeps one vector-valued cubic spline, the exact
+combination (4 S_fine - S_coarse) / 3 of the two levels' splines, written
+on the union of their knots by knot insertion (``kernel._add_spline``), so
+every evaluation is one spline call, in numpy (``kernel.RowSpline``).
+Spline coefficients are linear in their data, so the levels are fitted in
+turn, and one level's node table, mapped outside the malloc heap, is alive
+at a time; ``SpectralMeasure.pairing`` says where the pairing of the
+levels' eigenvalues stopped and how many fine eigenpairs came from seeds.
 
 Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
 is linear in its coefficients (de Boor, A Practical Guide to Splines), so
@@ -64,8 +72,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .kernel import (KernelEvaluator, RowSpline, _add_spline, _interval,
-                     _lapack, _mapped_zeros, _merged_knots)
+from .kernel import (KernelEvaluator, RowSpline, _add_spline, _band_product,
+                     _design, _interval, _lapack, _mapped_zeros, _merged_knots)
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
@@ -368,7 +376,7 @@ _RQ_ROWS = 64
 
 
 def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
-                        vecs: np.ndarray) -> np.ndarray:
+                        vecs: np.ndarray, rows: int = _RQ_ROWS) -> np.ndarray:
     """v^T T v for every column v of vecs, T the symmetric tridiagonal
     matrix (diag, off), written as a sum of squares,
 
@@ -380,7 +388,7 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
     the discrete energy, both nearly free of cancellation.  The sum over
     diag v^2 + 2 off v v' loses eps ||T|| to it, 7e-9 relative on the
     Whittaker matrix at N=4096.  Summed in blocks of rows, so no
-    temporary the size of vecs is made.
+    temporary the size of a table of vectors is made.
     """
     a = np.abs(off)
     g = diag.copy()
@@ -388,8 +396,8 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
     g[1:] -= a
     sgn = np.sign(off)[:, None]
     lam = np.einsum("i,ik,ik->k", g, vecs, vecs)
-    for lo in range(0, len(off), _RQ_ROWS):
-        hi = min(lo + _RQ_ROWS, len(off))
+    for lo in range(0, len(off), rows):
+        hi = min(lo + rows, len(off))
         dv = vecs[lo:hi] + sgn[lo:hi] * vecs[lo + 1:hi + 1]
         lam += np.einsum("i,ik,ik->k", a[lo:hi], dv, dv)
     return lam
@@ -404,8 +412,32 @@ _CHUNK_EDGES = tuple(4.0 ** -j for j in range(6, -1, -1))
 _THETA = 2e-4
 
 
-def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float):
-    """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
+def _stebz(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
+           tol: float):
+    """LAPACK stebz on the symmetric tridiagonal matrix (diag, off): its
+    eigenvalues in (lo, hi], each located to within tol, in stebz's order
+    (by block, then by value), their block indices and stebz's isplit.  A
+    tolerance of the whole width hi - lo stops at the two Sturm counts.
+    The eigenvalues and block indices are copies, so that callers keep no
+    matrix-length arrays alive."""
+    stebz, = _lapack("stebz")
+    m, w, iblock, isplit, info = stebz(diag, off, 1, lo, hi, 0, 0, tol, "B")
+    if info != 0:
+        raise LinAlgError(f"bisection failed (stebz info {info})")
+    return w[:m].copy(), iblock[:m].copy(), isplit
+
+
+def _count(diag: np.ndarray, off: np.ndarray, hi: float) -> tuple[int, bool]:
+    """The number of eigenvalues in (-1e-9, hi] of the symmetric tridiagonal
+    matrix (diag, off), from two Sturm counts, and whether stebz splits the
+    matrix into blocks."""
+    w, _, isplit = _stebz(diag, off, -1e-9, hi, hi + 1e-9)
+    return len(w), bool(isplit[0] < len(diag))
+
+
+def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float,
+               lo: float = -1e-9):
+    """Eigenvalues in (lo, lambda_max] of the symmetric tridiagonal
     matrix (diag, off), in LAPACK stebz's order (by block, then by value),
     with their block indices and stebz's isplit.  Each is located to within
     theta = _THETA times its gap to its neighbours, and never closer than
@@ -419,24 +451,20 @@ def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     floor, so this ends; a pair closer than floor / theta ends at it.  The
     neighbours past the interval's ends are not computed: two Sturm counts
     say whether one lies within one gap of the outermost eigenvalue, and if
-    one does, the end stands in for it.
+    one does, the end stands in for it.  The chunks start at lo, and edges
+    at or below it are dropped.
     """
-    stebz, = _lapack("stebz")
     floor = 1e-8 * max(1.0, lambda_max)
-    edges = [-1e-9, *(lambda_max * f for f in _CHUNK_EDGES)]
+    edges = [lo, *(e for e in (lambda_max * f for f in _CHUNK_EDGES)
+                   if e > lo)]
     isplit = None
 
     def bisect(lo, hi, tol):
         nonlocal isplit
-        m, w, iblock, isplit, info = stebz(diag, off, 1, lo, hi, 0, 0, tol,
-                                           "B")
-        if info != 0:
-            raise LinAlgError(f"bisection failed (stebz info {info})")
-        # copies, so that the chunks keep no matrix-length arrays alive
-        return w[:m].copy(), iblock[:m].copy()
+        w, iblock, isplit = _stebz(diag, off, lo, hi, tol)
+        return w, iblock
 
     def count(lo, hi):
-        # a tolerance of the whole width stops at the two Sturm counts
         return len(bisect(lo, hi, hi - lo)[0])
 
     chunks = []  # (lo, hi, tol, w, iblock), in ascending order
@@ -471,13 +499,27 @@ def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     return w[order], iblock[order], isplit
 
 
-def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
+def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
+                table: np.ndarray | None = None, seed=None):
     """Eigenvalues in (-1e-9, lambda_max] of the symmetric tridiagonal
     matrix (diag, off), ascending, with orthonormal eigenvectors as columns.
-    Returns the eigenvalues, the eigenvectors and the table that holds them:
-    the vectors are the view table[1:-1] of a zeroed (n + 2, m) table mapped
-    outside the malloc heap (``kernel._mapped_zeros``), whose first and last
-    rows are left to the caller.
+    Returns the eigenvalues, the eigenvectors, the table that holds them
+    and the number of them accepted from seeds: the vectors are the view
+    table[1:-1] of a zeroed (n + 2, m) table mapped outside the malloc heap
+    (``kernel._mapped_zeros``), whose first and last rows are left to the
+    caller.
+
+    A caller that has seeds passes that table itself, m the count of
+    eigenvalues in (-1e-9, lambda_max], and seed(j, k), the seeds of
+    eigenvectors j..k-1 as the columns of an (n, k - j) array, fewer or
+    none past the last seed, for a matrix that stebz does not split.
+    ``_rayleigh_iteration`` refines them and writes a leading run of
+    accepted ones into the table; a Sturm count then checks that no eigenvalue
+    lies within _RUN_GAP of the last accepted one, which would belong to
+    its run, and drops accepted columns from the top until none does.
+    Everything above, the eigenpairs of rejected seeds and those past the
+    seeds, is bisected on (``_above`` of the last accepted eigenvalue,
+    lambda_max], and a matrix with no seeds on all of (-1e-9, lambda_max].
 
     Bisection (``_bisection``) locates each eigenvalue to theta = 2e-4
     times its gap, never closer than 1e-8 max(1, lambda_max): inverse
@@ -495,31 +537,143 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float):
     (``_rayleigh_quotients``), whose error is the square of the vector's
     residual over the gap (ch. 4 again): far below the bisection
     tolerance, and below the ulp ||T|| that a full bisection reaches, which
-    on the graded matrices is 1e-6 of the lowest eigenvalues.  Both
+    on the graded matrices is 1e-6 of the lowest eigenvalues.  The LAPACK
     routines come from scipy's compiled LAPACK wrapper (``kernel._lapack``),
     without the import of scipy.linalg.
     """
     stein, = _lapack("stein")
-    w, iblock, isplit = _bisection(diag, off, lambda_max)
-    m = len(w)
-    table = _mapped_zeros((len(diag) + 2, m))
+    lam = (np.empty(0) if seed is None
+           else _rayleigh_iteration(diag, off, table[1:-1], seed))
+    k = len(lam)
+    # the last accepted eigenvalue is a run of its own below the rest
+    while 0 < k < table.shape[1] and _count(diag, off,
+                                            _above(lam[k - 1]))[0] != k:
+        k -= 1
+    lam = lam[:k]
+    if table is None or k < table.shape[1]:
+        w, iblock, isplit = _bisection(diag, off, lambda_max,
+                                       _above(lam[-1]) if k else -1e-9)
+        if table is None:
+            table = _mapped_zeros((len(diag) + 2, len(w)))
+        if k + len(w) != table.shape[1]:
+            raise LinAlgError(f"{k} seeded and {len(w)} bisected eigenvalues "
+                              f"against a count of {table.shape[1]}")
+        bisected = table[1:-1, k:]
+        # stein reads the block index of each eigenvalue from an array of
+        # the matrix's length
+        blk = np.empty_like(isplit)
+        for lo, hi in _runs(w, iblock):
+            blk[:hi - lo] = iblock[lo:hi]
+            bisected[:, lo:hi], info = stein(diag, off, w[lo:hi], blk, isplit)
+            if info != 0:
+                raise LinAlgError(
+                    f"inverse iteration failed (stein info {info})")
+        lam = np.r_[lam, _rayleigh_quotients(diag, off, bisected)]
     vecs = table[1:-1]
-    # stein reads the block index of each eigenvalue from an array of
-    # the matrix's length
-    blk = np.empty_like(isplit)
-    for lo, hi in _runs(w, iblock):
-        blk[:hi - lo] = iblock[lo:hi]
-        vecs[:, lo:hi], info = stein(diag, off, w[lo:hi], blk, isplit)
-        if info != 0:
-            raise LinAlgError(f"inverse iteration failed (stein info {info})")
-    lam = _rayleigh_quotients(diag, off, vecs)
     # block order to ascending order; a single block is ascending already,
     # and then the vectors are not moved
     order = np.argsort(lam)
-    if np.any(order != np.arange(m)):
+    if np.any(order != np.arange(len(lam))):
         lam = lam[order]
         vecs[:] = vecs[:, order]
-    return lam, vecs, table
+    return lam, vecs, table, k
+
+
+def _above(lam):
+    """The point one relative gap _RUN_GAP above lam, as _runs measures
+    gaps, for a number or an array: where the bisection above the last
+    accepted seed starts."""
+    return lam + _RUN_GAP * np.maximum(1.0, np.abs(lam))
+
+
+# Rayleigh-quotient inverse-iteration steps per seed: after one, the
+# residual check stops a fifth to a half of the way up the fine spectra of
+# the benchmark's families; after two, every seed there passes it
+_RQI_STEPS = 2
+# the largest residual over gap, and so the largest angle between an
+# accepted vector and its eigenvector; rounding alone leaves up to 3.5e-9
+# on the cosine matrix at N=6144
+_RQI_ANGLE = 1e-8
+# seed columns refined together, so that the numpy work around the solves
+# is done a block at a time
+_RQI_COLUMNS = 8
+# rows per block of a seed block's Rayleigh quotients.  Apart from the
+# block and its seed, the refinement's temporaries are vectors or 1024 x 8
+# values; with (n, 8) temporaries throughout (0.3 MB at n=4096), the peak
+# RSS of the benchmark's workloads rose by 0.4-0.8 MB
+_RQI_ROWS = 1024
+
+
+def _rayleigh_iteration(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray,
+                        seed) -> np.ndarray:
+    """Refine seed vectors toward the eigenvectors 0, 1, ... of the
+    symmetric tridiagonal matrix (diag, off), write the leading ones that
+    are accepted into the columns of vecs, and return their eigenvalues.
+    seed(j, k) gives the seeds of eigenvectors j..k-1 as the columns of an
+    (n, k - j) array, fewer or none past the last seed; they are asked for
+    _RQI_COLUMNS at a time, only as far as the refinement goes.
+
+    Each column takes _RQI_STEPS steps of Rayleigh-quotient inverse
+    iteration, cubically convergent (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4): a LAPACK gtsv solve (``kernel._lapack``) shifted by
+    the column's Rayleigh quotient, then normalized.  The eigenvalues are
+    ``_rayleigh_quotients`` of the refined columns.  Column j is accepted
+    only if its solves are finite; it has exactly j sign changes, the i
+    with v_i off_i v_{i+1} > 0, as eigenvector j of a Jacobi matrix does
+    (Gantmacher & Krein, Oscillation Matrices and Kernels); its eigenvalue
+    exceeds column j - 1's by _RUN_GAP relative, as _runs measures gaps
+    (column 0's exceeds -1e-9); and its residual ||T v - lambda v|| is at
+    most _RQI_ANGLE times its gap to the neighbouring eigenvalues, so that
+    its angle to its eigenvector is at most _RQI_ANGLE (the gap theorem).
+    Without the residual check, columns
+    150 to 165 of Bessel alpha = 1/2 at L=16, N=2048 and lambda_max 8000
+    were accepted with vector errors up to 1e-2.  The first column that
+    fails a check ends the refinement; only the gap above a column waits
+    for the next one, so that part of the residual check comes last, and
+    may reject more.  No column after a rejected one is accepted.
+    """
+    gtsv, = _lapack("gtsv")
+    lam = res = np.empty(0)
+    for j in range(0, vecs.shape[1], _RQI_COLUMNS):
+        # a copy in columns, the layout that einsum and gtsv read fastest
+        v = np.array(seed(j, min(j + _RQI_COLUMNS, vecs.shape[1])), order="F")
+        if not v.shape[1]:
+            break
+        v /= np.sqrt(np.einsum("ik,ik->k", v, v))
+        solved = np.ones(v.shape[1], dtype=bool)
+        for _ in range(_RQI_STEPS):
+            for k, shift in enumerate(
+                    _rayleigh_quotients(diag, off, v, _RQI_ROWS).tolist()):
+                *_, v[:, k], info = gtsv(off, diag - shift, off, v[:, k],
+                                         overwrite_d=1)
+                solved[k] &= info == 0
+            v /= np.sqrt(np.einsum("ik,ik->k", v, v))
+        # a solve that is not finite leaves q NaN, which fails here
+        q = _rayleigh_quotients(diag, off, v, _RQI_ROWS)
+        r, changes = np.empty(len(q)), np.empty(len(q), dtype=int)
+        for k, (x, qk) in enumerate(zip(v.T, q.tolist())):
+            t = (diag - qk) * x
+            t[:-1] += off * x[1:]
+            t[1:] += off * x[:-1]
+            r[k] = np.sqrt(t @ t)
+            changes[k] = np.count_nonzero(x[:-1] * off * x[1:] > 0)
+        # the gap below each column; the residual check against the gap
+        # above waits for the next column
+        prev = np.r_[lam[-1] if len(lam) else -np.inf, q[:-1]]
+        ok = (solved & (q > -1e-9) & (changes == np.arange(j, j + len(q)))
+              & (q - prev >= _RUN_GAP * np.maximum(1.0, np.abs(prev)))
+              & (r <= _RQI_ANGLE * (q - prev)))
+        good = len(q) if ok.all() else int(np.argmin(ok))
+        vecs[:, j:j + good] = v[:, :good]
+        lam, res = np.r_[lam, q[:good]], np.r_[res, r[:good]]
+        if good < len(q):
+            break
+    lam = _rayleigh_quotients(diag, off, vecs[:, :len(lam)])
+    # no eigenvalue lies within _above(lam[-1]) once _eigenpairs accepts
+    # the last column, so that bounds the last gap
+    gap = np.diff(np.r_[-np.inf, lam, _above(lam[-1:])])
+    ok = res <= _RQI_ANGLE * np.minimum(gap[:-1], gap[1:])
+    return lam[:len(lam) if ok.all() else int(np.argmin(ok))]
 
 
 def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
@@ -579,18 +733,20 @@ def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
 
 
 def _eigen_solve(evaluator: KernelEvaluator, nodes, wgt, diag, off,
-                 lambda_max: float):
+                 lambda_max: float, table=None, seed=None):
     """One level solved: the eigenvalues below lambda_max of its
-    finite-volume matrix (``_eigenpairs``), their masses and the (n + 2, K)
-    node table of the eigenfunctions at the nodes and both interval ends.
-    The eigenvectors are divided by sqrt(wgt) in place, in the table, and
-    ``_normalize`` scales them to w(a) = 1.
+    finite-volume matrix (``_eigenpairs``, into table and from seed when
+    given), their masses, the (n + 2, K) node table of the eigenfunctions
+    at the nodes and both interval ends, and the number of eigenpairs
+    accepted from the seeds.  The eigenvectors are divided by sqrt(wgt) in
+    place, in the table, and ``_normalize`` scales them to w(a) = 1.
     """
-    vals, vecs, table = _eigenpairs(diag, off, lambda_max)
+    vals, vecs, table, seeded = _eigenpairs(diag, off, lambda_max, table,
+                                            seed)
     if len(vals) == 0:
         raise ValueError("no eigenvalues below lambda_max; enlarge L or lambda_max")
     vecs /= np.sqrt(wgt)[:, None]
-    return vals, _normalize(evaluator, nodes, table, vals), table
+    return vals, _normalize(evaluator, nodes, table, vals), table, seeded
 
 
 def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
@@ -619,12 +775,26 @@ class Pairing:
     one (N // 2), the number kept as atoms, and the first pair that failed
     the test |lambda_fine - lambda_coarse| <= 0.25 max(lambda_fine, 1), as
     (index, lambda_fine, lambda_coarse), or None when none failed.  No pair
-    past the first failed one is kept."""
+    past the first failed one is kept.  seeded is the number of fine
+    eigenpairs accepted from the coarse level's seeds (see _levels); the
+    rest were bisected."""
 
     fine: int
     coarse: int
     kept: int
     cut: tuple[int, float, float] | None
+    seeded: int
+
+
+def _spline_seed(tau: np.ndarray, c: np.ndarray, nodes: np.ndarray,
+                 wgt: np.ndarray):
+    """seed(j, k) for ``_eigenpairs``: columns j..k-1 of the spline on the
+    knots tau with coefficients c, at nodes, times sqrt(wgt).  The
+    B-splines at nodes are found once (``kernel._design``), and each call
+    is one banded product (``kernel._band_product``)."""
+    band, first = _design(tau, nodes)
+    root_wgt = np.sqrt(wgt)[:, None]
+    return lambda j, k: _band_product(band, first, c[:, j:k]) * root_wgt
 
 
 def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
@@ -634,14 +804,20 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     eigenfunction spline (4 S_fine - S_coarse) / 3 on the union of the
     levels' knots, and the levels' Pairing.
 
-    Both levels' matrices and the merged knots come first.  Then the fine
-    level is solved, normalized and fitted into the coefficient table,
-    weighted 4/3, on all its columns, and its node table (mapped outside
-    the malloc heap) is released before the coarse level is solved,
-    normalized, paired and its kept columns fitted, weighted -1/3
-    (``kernel._add_spline``).  When the pairing keeps fewer atoms than the
-    fine level found, the spline keeps a view of the table's first K
-    columns.
+    Both levels' matrices and the merged knots come first, and one Sturm
+    count gives the number of fine eigenvalues below lambda_max.  Then the
+    coarse level is solved, normalized and fitted into a coefficient table
+    of exactly K = min(fine count, coarse count) columns, weighted -1/3
+    (``kernel._add_spline``), and its node table (mapped outside the malloc
+    heap) is released.  That spline is the fine level's seed: read at the
+    fine nodes, times sqrt(wgt), a block of columns at a time as the
+    refinement asks for them (``_rayleigh_iteration``), it seeds
+    ``_eigenpairs`` on the fine matrix, which bisects only above the last
+    accepted seed.  A fine matrix that stebz splits into blocks is not
+    seeded: there the sign changes of an eigenvector do not give its
+    index.  The fine level is then normalized, paired and its kept columns
+    fitted, weighted 4/3.  When the pairing keeps fewer atoms than K, the
+    spline keeps a view of the table's first columns.
     """
     # left edge of the computational interval: the series table's start
     a_eff = evaluator.start
@@ -663,43 +839,55 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     xs_f, xs_c = (np.concatenate([[a_eff], nodes, [L]])
                   for nodes, *_ in (fine, coarse))
     tau = _merged_knots(xs_f, xs_c)
+    nodes, wgt, diag, off = fine
+    count, split = _count(diag, off, lambda_max)
 
-    vals_f, mass_f, table = _eigen_solve(evaluator, *fine, lambda_max)
-    c = _mapped_zeros((len(tau) - 4, len(vals_f)))
-    _add_spline(c, tau, xs_f, table, 4.0 / 3.0)
+    vals_c, mass_c, table, _ = _eigen_solve(evaluator, *coarse, lambda_max)
+    K = min(count, len(vals_c))
+    c = _mapped_zeros((len(tau) - 4, K))
+    _add_spline(c, tau, xs_c, table[:, :K], -1.0 / 3.0)
     del table
 
-    vals_c, mass_c, table = _eigen_solve(evaluator, *coarse, lambda_max)
-    K = min(len(vals_f), len(vals_c))
+    vals_f, mass_f, table, seeded = _eigen_solve(
+        evaluator, *fine, lambda_max, _mapped_zeros((len(nodes) + 2, count)),
+        None if split else _spline_seed(tau, c, nodes, wgt))
     # pair by index; drop pairs too far apart to share the h^2 expansion
     ok = np.abs(vals_f[:K] - vals_c[:K]) <= 0.25 * np.maximum(vals_f[:K], 1.0)
     cut = None
     if not np.all(ok):
         K = int(np.argmin(ok))
         cut = (K, float(vals_f[K]), float(vals_c[K]))
-    _add_spline(c[:, :K], tau, xs_c, table[:, :K], -1.0 / 3.0)
+    _add_spline(c[:, :K], tau, xs_f, table[:, :K], 4.0 / 3.0)
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
     return (a_eff, lam, mass, RowSpline(tau, c[:, :K]),
-            Pairing(len(vals_f), len(vals_c), K, cut))
+            Pairing(len(vals_f), len(vals_c), K, cut, seeded))
 
 
 def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
                            lambda_max: float | None = None,
                            evaluator: KernelEvaluator | None = None
                            ) -> SpectralMeasure:
+    """The spectral measure of spec truncated to [a, L], from two
+    finite-volume levels on N and N // 2 nodes, with its atoms up to
+    lambda_max (see _levels).  N, L and lambda_max are checked before any
+    work: N an integer of at least 16, a < L < b, and lambda_max finite
+    and positive, by default (0.3 N / L)^2."""
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, not {N!r}")
     if N < 16:
         raise ValueError("N must be at least 16")
     if not (spec.a < L < spec.b):
         raise ValueError("L must satisfy a < L < b")
-    if evaluator is None:
-        evaluator = KernelEvaluator(spec)
     if lambda_max is None:
         # sqrt(lambda_max) times the coarse level's mean spacing L / (N/2)
         # is 0.6: about ten nodes per wavelength of the highest atom
         lambda_max = (0.6 * N / (2.0 * L)) ** 2
-    if not lambda_max > 0:
-        raise ValueError("lambda_max must be positive")
+    if not (lambda_max > 0 and math.isfinite(lambda_max)):
+        raise ValueError(f"lambda_max must be positive and finite, "
+                         f"not {lambda_max}")
+    if evaluator is None:
+        evaluator = KernelEvaluator(spec)
     a_eff, lam, mass, w, pairing = _levels(spec, L, N, lambda_max, evaluator)
     return SpectralMeasure(spec, evaluator, lam, mass, L, N, a_eff, w,
                            pairing)
