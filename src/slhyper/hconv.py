@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
-                       _r_weights)
+                       _positive_time, _r_weights)
 
 __all__ = [
     "ProductKernel",
@@ -67,8 +67,7 @@ def product_density(t: float, x: float, y: float, xi_grid,
     spline's coefficients first, and then the eigenfunctions are evaluated
     at x and y only, not on the grid.  The grid must be finite, strictly
     increasing and at least two points long, or ValueError is raised."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_time(t)
     xi = _checked_grid(xi_grid, "xi grid")
     wxy = sm.w_values([x, y])
     vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1], xi)
@@ -83,8 +82,7 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
     The left side uses the high-accuracy kernel solver, so the residual
     measures the quality of the discretized measure, not of the identity.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_time(t)
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, t, x, y)
     pk = product_density(t, x, y, xi_grid, sm)
@@ -119,9 +117,9 @@ def _probe_atoms(sm: SpectralMeasure) -> list[int]:
 
 def approx_nu(x: float, y: float, sm: SpectralMeasure,
               t_schedule=DEFAULT_T_SCHEDULE, xi_grid=None) -> MeasureApprox:
-    ts = [float(t) for t in t_schedule]
-    if any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_schedule must be positive and strictly decreasing")
+    ts = [_positive_time(t, "t_schedule") for t in t_schedule]
+    if any(b >= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_schedule must be strictly decreasing")
     idx = _probe_atoms(sm)
     probe_lambdas = sm.lambdas[idx]
     a = sm.spec.a
@@ -158,8 +156,7 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
     """(T^y h)(x) = int h d(delta_x * delta_y), regularized through q_t:
     the convolution h * delta_y of the heat-smoothed profile, with transform
     e^{-t_reg lam} (Fh)(lam) w_lam(y), for t_reg > 0.  T^a h is h itself."""
-    if t_reg <= 0:
-        raise ValueError("t_reg must be positive")
+    t_reg = _positive_time(t_reg, "t_reg")
     out_grid = h.grid if out_grid is None else np.asarray(out_grid, dtype=float)
     if y == sm.spec.a:
         return GridFunction(out_grid, h(out_grid))
@@ -172,6 +169,7 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     """(h * g)(x) = int (T^y h)(x) g(y) r(y) dy; evaluated through the
     transform product, which is the same quadrature reordered and is
     symmetric in (h, g) by construction."""
+    t_reg = _positive_time(t_reg, "t_reg")
     return _convolve(sm.basis(h.grid).forward(h.values),
                      sm.basis(g.grid).forward(g.values), sm, t_reg,
                      h.grid if out_grid is None else out_grid)
@@ -180,8 +178,6 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
 def _convolve(th, tg, sm: SpectralMeasure, t_reg: float,
               grid) -> GridFunction:
     """h * g on grid, from the atom transforms th, tg of h, g."""
-    if t_reg <= 0:
-        raise ValueError("t_reg must be positive")
     return GridFunction(grid, sm.synthesize(
         np.exp(-t_reg * sm.lambdas) * th * tg, grid))
 
@@ -205,14 +201,18 @@ def convolve_measures(mu, nu, sm: SpectralMeasure,
                       t_reg: float = 0.0) -> MeasureConvolution:
     """mu, nu: finite atom lists [(position, weight), ...].  The transform
     product is the exact contract; a q_t density realization is attached
-    when t_reg > 0.  By linearity that density is sum_ij mu_i nu_j
-    q_t(x_i, y_j, .), the inverse transform of e^{-t lam} mu_hat nu_hat."""
+    when t_reg > 0, and none when t_reg = 0; any other t_reg, NaN included,
+    is a ValueError.  By linearity that density is sum_ij mu_i nu_j
+    q_t(x_i, y_j, .), the inverse transform of e^{-t lam} mu_hat nu_hat.
+    An empty list is the zero measure, and the density is then zero."""
     mu_hat = _measure_hat(mu, sm)
     nu_hat = _measure_hat(nu, sm)
     product = mu_hat * nu_hat
     density = None
-    if t_reg > 0:
-        hi = max(pos for pos, _ in mu) + max(pos for pos, _ in nu)
+    if t_reg != 0:
+        t_reg = _positive_time(t_reg, "t_reg")
+        hi = sum(max((pos for pos, _ in atoms), default=sm._a_eff)
+                 for atoms in (mu, nu))
         grid = default_xi_grid(sm, t_reg, hi / 2, hi / 2)
         density = GridFunction(grid, sm.synthesize(
             np.exp(-t_reg * sm.lambdas) * product, grid))

@@ -16,21 +16,23 @@ these graded matrices would reorthogonalize the whole wanted spectrum
 (``_eigenpairs``).  The fine matrix is not bisected where the coarse level
 already knows its eigenpairs: the coarse eigenfunctions, read at the fine
 nodes, seed two steps of Rayleigh-quotient inverse iteration per
-eigenpair, and a seed is accepted only if its eigenvector has as many sign
-changes as its index, its eigenvalue stands clear of the one below, and
-its residual bounds its error (``_rayleigh_iteration``).  Bisection takes
-over above the last accepted seed.  Each eigenvalue is the Rayleigh
-quotient of its vector, and each vector is scaled to w(a) = 1 by its
-least-squares fit to the kernel's w on a window of leading nodes
-(``KernelEvaluator.leading_values``).  The eigenfunctions are extrapolated
-too: the measure keeps one vector-valued cubic spline, the exact
-combination (4 S_fine - S_coarse) / 3 of the two levels' splines, written
-on the union of their knots by knot insertion (``kernel._add_spline``), so
-every evaluation is one spline call, in numpy (``kernel.RowSpline``).
-Spline coefficients are linear in their data, so the levels are fitted in
-turn, and one level's node table, mapped outside the malloc heap, is alive
-at a time; ``SpectralMeasure.pairing`` says where the pairing of the
-levels' eigenvalues stopped and how many fine eigenpairs came from seeds.
+eigenpair, one vector at a time, and a seed is accepted only if its
+eigenvector has as many sign changes as its index, its eigenvalue stands
+clear of the one below, and its residual bounds its error
+(``_rayleigh_iteration``).  Bisection takes over above the last accepted
+seed.  Each eigenvalue is the Rayleigh quotient of its vector, a sum of
+squares summed pairwise (``_rayleigh_quotient``), and each vector is
+scaled to w(a) = 1 by its least-squares fit to the kernel's w on a window
+of leading nodes (``KernelEvaluator.leading_values``).  The eigenfunctions
+are extrapolated too: the measure keeps one vector-valued cubic spline,
+the exact combination (4 S_fine - S_coarse) / 3 of the two levels'
+splines, written on the union of their knots by knot insertion
+(``kernel._add_spline``), so every evaluation is one spline call, in numpy
+(``kernel.RowSpline``).  Spline coefficients are linear in their data, so
+the levels are fitted in turn, and one level's node table, mapped outside
+the malloc heap, is alive at a time; ``SpectralMeasure.pairing`` says
+where the pairing of the levels' eigenvalues stopped and how many fine
+eigenpairs came from seeds.
 
 Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
 is linear in its coefficients (de Boor, A Practical Guide to Splines), so
@@ -106,6 +108,14 @@ def _r_weights(spec: OperatorSpec, grid: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         rv = spec.r(grid)
     return np.where(np.isfinite(rv), rv, 0.0) * w
+
+
+def _positive_time(t, name: str = "t") -> float:
+    """t as a float, which must be positive and finite, or ValueError names
+    it.  NaN fails every comparison, so a guard t <= 0 lets it through."""
+    if not (float(t) > 0 and math.isfinite(t)):
+        raise ValueError(f"{name} must be positive and finite, not {t}")
+    return float(t)
 
 
 def _checked_grid(grid, name: str = "grid") -> np.ndarray:
@@ -339,8 +349,12 @@ class SpectralMeasure:
     def cumulative(self, lam: float) -> float:
         """rho[0, lam], smoothed: it interpolates linearly between atom
         midpoints, which is the natural reading of the staircase as an
-        approximation of an absolutely continuous measure."""
+        approximation of an absolutely continuous measure.  A lone atom has
+        no neighbour to size its cell, so it reads as a step: 0 below it,
+        its mass from it on."""
         lams, ms = self.lambdas, self.masses
+        if len(lams) == 1:
+            return float(ms[0]) if lam >= lams[0] else 0.0
         csum = np.concatenate([[0.0], np.cumsum(ms)])
         # midpoints between consecutive atoms; each atom's mass is treated
         # as spread over its cell
@@ -370,15 +384,9 @@ def _runs(vals: np.ndarray, iblock: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-# rows per block of the Rayleigh quotient's sum; its two (rows, K) temporaries
-# stay small beside the eigenvector table (256 rows raised the peak RSS)
-_RQ_ROWS = 64
-
-
-def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
-                        vecs: np.ndarray, rows: int = _RQ_ROWS) -> np.ndarray:
-    """v^T T v for every column v of vecs, T the symmetric tridiagonal
-    matrix (diag, off), written as a sum of squares,
+def _rayleigh_quotient(diag: np.ndarray, off: np.ndarray):
+    """v -> v^T T v, T the symmetric tridiagonal matrix (diag, off), for one
+    vector v, written as a sum of squares,
 
         sum_i g_i v_i^2 + sum_i |off_i| (v_i + sign(off_i) v_{i+1})^2,
         g_i = diag_i - |off_{i-1}| - |off_i|,
@@ -387,20 +395,20 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray,
     on a Sturm-Liouville matrix g is a small potential and the second sum
     the discrete energy, both nearly free of cancellation.  The sum over
     diag v^2 + 2 off v v' loses eps ||T|| to it, 7e-9 relative on the
-    Whittaker matrix at N=4096.  Summed in blocks of rows, so no
-    temporary the size of a table of vectors is made.
+    Whittaker matrix at N=4096.  g, |off| and sign(off) are formed once, and
+    each sum is np.sum's pairwise one, whose error grows like log n eps, not
+    n eps (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
     """
     a = np.abs(off)
     g = diag.copy()
     g[:-1] -= a
     g[1:] -= a
-    sgn = np.sign(off)[:, None]
-    lam = np.einsum("i,ik,ik->k", g, vecs, vecs)
-    for lo in range(0, len(off), rows):
-        hi = min(lo + rows, len(off))
-        dv = vecs[lo:hi] + sgn[lo:hi] * vecs[lo + 1:hi + 1]
-        lam += np.einsum("i,ik,ik->k", a[lo:hi], dv, dv)
-    return lam
+    sgn = np.sign(off)
+
+    def quotient(v: np.ndarray) -> float:
+        dv = v[:-1] + sgn * v[1:]
+        return float(np.sum(g * v * v) + np.sum(a * dv * dv))
+    return quotient
 
 
 # bisection chunks, as fractions of lambda_max: (-1e-9, lambda_max 4^-6],
@@ -510,13 +518,13 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
     caller.
 
     A caller that has seeds passes that table itself, m the count of
-    eigenvalues in (-1e-9, lambda_max], and seed(j, k), the seeds of
-    eigenvectors j..k-1 as the columns of an (n, k - j) array, fewer or
-    none past the last seed, for a matrix that stebz does not split.
-    ``_rayleigh_iteration`` refines them and writes a leading run of
-    accepted ones into the table; a Sturm count then checks that no eigenvalue
-    lies within _RUN_GAP of the last accepted one, which would belong to
-    its run, and drops accepted columns from the top until none does.
+    eigenvalues in (-1e-9, lambda_max], and seed(j), the seed of
+    eigenvector j as a vector of length n, or None past the last seed, for
+    a matrix that stebz does not split.  ``_rayleigh_iteration`` refines
+    them one at a time and writes a leading run of accepted ones into the
+    table; a Sturm count then checks that no eigenvalue lies within
+    _RUN_GAP of the last accepted one, which would belong to its run, and
+    drops accepted columns from the top until none does.
     Everything above, the eigenpairs of rejected seeds and those past the
     seeds, is bisected on (``_above`` of the last accepted eigenvalue,
     lambda_max], and a matrix with no seeds on all of (-1e-9, lambda_max].
@@ -533,11 +541,12 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
     of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10 here, so one call
     would orthogonalize every wanted vector against all the others, an
     O(N K^2) Gram-Schmidt that relative gaps of about 2/k do not need.
-    Each eigenvalue is then the Rayleigh quotient of its unit vector
-    (``_rayleigh_quotients``), whose error is the square of the vector's
-    residual over the gap (ch. 4 again): far below the bisection
-    tolerance, and below the ulp ||T|| that a full bisection reaches, which
-    on the graded matrices is 1e-6 of the lowest eigenvalues.  The LAPACK
+    Each eigenvalue is then the Rayleigh quotient of its unit vector, one
+    vector at a time (``_rayleigh_quotient``), whose error is the square of
+    the vector's residual over the gap (ch. 4 again): far below the
+    bisection tolerance, and below the ulp ||T|| that a full bisection
+    reaches, which on the graded matrices is 1e-6 of the lowest
+    eigenvalues.  The LAPACK
     routines come from scipy's compiled LAPACK wrapper (``kernel._lapack``),
     without the import of scipy.linalg.
     """
@@ -568,7 +577,7 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
             if info != 0:
                 raise LinAlgError(
                     f"inverse iteration failed (stein info {info})")
-        lam = np.r_[lam, _rayleigh_quotients(diag, off, bisected)]
+        lam = np.r_[lam, list(map(_rayleigh_quotient(diag, off), bisected.T))]
     vecs = table[1:-1]
     # block order to ascending order; a single block is ascending already,
     # and then the vectors are not moved
@@ -594,85 +603,74 @@ _RQI_STEPS = 2
 # accepted vector and its eigenvector; rounding alone leaves up to 3.5e-9
 # on the cosine matrix at N=6144
 _RQI_ANGLE = 1e-8
-# seed columns refined together, so that the numpy work around the solves
-# is done a block at a time
-_RQI_COLUMNS = 8
-# rows per block of a seed block's Rayleigh quotients.  Apart from the
-# block and its seed, the refinement's temporaries are vectors or 1024 x 8
-# values; with (n, 8) temporaries throughout (0.3 MB at n=4096), the peak
-# RSS of the benchmark's workloads rose by 0.4-0.8 MB
-_RQI_ROWS = 1024
 
 
 def _rayleigh_iteration(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray,
                         seed) -> np.ndarray:
     """Refine seed vectors toward the eigenvectors 0, 1, ... of the
-    symmetric tridiagonal matrix (diag, off), write the leading ones that
-    are accepted into the columns of vecs, and return their eigenvalues.
-    seed(j, k) gives the seeds of eigenvectors j..k-1 as the columns of an
-    (n, k - j) array, fewer or none past the last seed; they are asked for
-    _RQI_COLUMNS at a time, only as far as the refinement goes.
+    symmetric tridiagonal matrix (diag, off), one vector at a time, write
+    the leading ones that are accepted into the columns of vecs, and return
+    their eigenvalues.  seed(j) gives the seed of eigenvector j, a vector
+    of length n, or None past the last seed; seeds are asked for only as
+    far as the refinement goes.
 
-    Each column takes _RQI_STEPS steps of Rayleigh-quotient inverse
+    Each seed takes _RQI_STEPS steps of Rayleigh-quotient inverse
     iteration, cubically convergent (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4): a LAPACK gtsv solve (``kernel._lapack``) shifted by
-    the column's Rayleigh quotient, then normalized.  The eigenvalues are
-    ``_rayleigh_quotients`` of the refined columns.  Column j is accepted
-    only if its solves are finite; it has exactly j sign changes, the i
-    with v_i off_i v_{i+1} > 0, as eigenvector j of a Jacobi matrix does
-    (Gantmacher & Krein, Oscillation Matrices and Kernels); its eigenvalue
-    exceeds column j - 1's by _RUN_GAP relative, as _runs measures gaps
-    (column 0's exceeds -1e-9); and its residual ||T v - lambda v|| is at
-    most _RQI_ANGLE times its gap to the neighbouring eigenvalues, so that
-    its angle to its eigenvector is at most _RQI_ANGLE (the gap theorem).
-    Without the residual check, columns
-    150 to 165 of Bessel alpha = 1/2 at L=16, N=2048 and lambda_max 8000
-    were accepted with vector errors up to 1e-2.  The first column that
-    fails a check ends the refinement; only the gap above a column waits
-    for the next one, so that part of the residual check comes last, and
-    may reject more.  No column after a rejected one is accepted.
+    the vector's Rayleigh quotient (``_rayleigh_quotient``), then
+    normalized.  Its eigenvalue is the quotient of the refined vector, kept
+    as computed.  Vector j is accepted only if its solves are finite; it
+    has exactly j sign changes, the i with v_i off_i v_{i+1} > 0, as
+    eigenvector j of a Jacobi matrix does (Gantmacher & Krein, Oscillation
+    Matrices and Kernels); its eigenvalue exceeds vector j - 1's by
+    _RUN_GAP relative, as _runs measures gaps (vector 0's exceeds -1e-9);
+    and its residual ||T v - lambda v|| is at most _RQI_ANGLE times its gap
+    to the neighbouring eigenvalues, so that its angle to its eigenvector
+    is at most _RQI_ANGLE (the gap theorem).  Without the residual check,
+    vectors 150 to 165 of Bessel alpha = 1/2 at L=16, N=2048 and lambda_max
+    8000 were accepted with vector errors up to 1e-2.  The first vector
+    that fails a check ends the refinement; only the gap above a vector
+    waits for the next one, so that part of the residual check comes last,
+    over the kept eigenvalues, and may reject more.  No vector after a
+    rejected one is accepted.  Apart from vecs, the refinement holds about
+    a dozen vectors of length n at its peak.
     """
     gtsv, = _lapack("gtsv")
-    lam = res = np.empty(0)
-    for j in range(0, vecs.shape[1], _RQI_COLUMNS):
-        # a copy in columns, the layout that einsum and gtsv read fastest
-        v = np.array(seed(j, min(j + _RQI_COLUMNS, vecs.shape[1])), order="F")
-        if not v.shape[1]:
+    quotient = _rayleigh_quotient(diag, off)
+    lam, res = [], []
+    for j in range(vecs.shape[1]):
+        if (v := seed(j)) is None:
             break
-        v /= np.sqrt(np.einsum("ik,ik->k", v, v))
-        solved = np.ones(v.shape[1], dtype=bool)
+        # normalized into a copy of its own, which gtsv overwrites
+        v = v / math.sqrt(v @ v)
+        solved = True
         for _ in range(_RQI_STEPS):
-            for k, shift in enumerate(
-                    _rayleigh_quotients(diag, off, v, _RQI_ROWS).tolist()):
-                *_, v[:, k], info = gtsv(off, diag - shift, off, v[:, k],
-                                         overwrite_d=1)
-                solved[k] &= info == 0
-            v /= np.sqrt(np.einsum("ik,ik->k", v, v))
+            *_, v, info = gtsv(off, diag - quotient(v), off, v,
+                               overwrite_d=1, overwrite_b=1)
+            solved &= info == 0
+            v /= math.sqrt(v @ v)
         # a solve that is not finite leaves q NaN, which fails here
-        q = _rayleigh_quotients(diag, off, v, _RQI_ROWS)
-        r, changes = np.empty(len(q)), np.empty(len(q), dtype=int)
-        for k, (x, qk) in enumerate(zip(v.T, q.tolist())):
-            t = (diag - qk) * x
-            t[:-1] += off * x[1:]
-            t[1:] += off * x[:-1]
-            r[k] = np.sqrt(t @ t)
-            changes[k] = np.count_nonzero(x[:-1] * off * x[1:] > 0)
-        # the gap below each column; the residual check against the gap
-        # above waits for the next column
-        prev = np.r_[lam[-1] if len(lam) else -np.inf, q[:-1]]
-        ok = (solved & (q > -1e-9) & (changes == np.arange(j, j + len(q)))
-              & (q - prev >= _RUN_GAP * np.maximum(1.0, np.abs(prev)))
-              & (r <= _RQI_ANGLE * (q - prev)))
-        good = len(q) if ok.all() else int(np.argmin(ok))
-        vecs[:, j:j + good] = v[:, :good]
-        lam, res = np.r_[lam, q[:good]], np.r_[res, r[:good]]
-        if good < len(q):
+        q = quotient(v)
+        t = (diag - q) * v
+        t[:-1] += off * v[1:]
+        t[1:] += off * v[:-1]
+        r = math.sqrt(t @ t)
+        changes = np.count_nonzero(v[:-1] * off * v[1:] > 0)
+        # the gap below; the residual check against the gap above waits
+        # for the next vector
+        below = lam[-1] if lam else -math.inf
+        if not (solved and q > -1e-9 and changes == j
+                and q - below >= _RUN_GAP * max(1.0, abs(below))
+                and r <= _RQI_ANGLE * (q - below)):
             break
-    lam = _rayleigh_quotients(diag, off, vecs[:, :len(lam)])
+        vecs[:, j] = v
+        lam.append(q)
+        res.append(r)
+    lam = np.array(lam)
     # no eigenvalue lies within _above(lam[-1]) once _eigenpairs accepts
-    # the last column, so that bounds the last gap
+    # the last vector, so that bounds the last gap
     gap = np.diff(np.r_[-np.inf, lam, _above(lam[-1:])])
-    ok = res <= _RQI_ANGLE * np.minimum(gap[:-1], gap[1:])
+    ok = np.array(res) <= _RQI_ANGLE * np.minimum(gap[:-1], gap[1:])
     return lam[:len(lam) if ok.all() else int(np.argmin(ok))]
 
 
@@ -788,13 +786,14 @@ class Pairing:
 
 def _spline_seed(tau: np.ndarray, c: np.ndarray, nodes: np.ndarray,
                  wgt: np.ndarray):
-    """seed(j, k) for ``_eigenpairs``: columns j..k-1 of the spline on the
-    knots tau with coefficients c, at nodes, times sqrt(wgt).  The
-    B-splines at nodes are found once (``kernel._design``), and each call
-    is one banded product (``kernel._band_product``)."""
+    """seed(j) for ``_eigenpairs``: column j of the spline on the knots tau
+    with coefficients c, at nodes, times sqrt(wgt), or None past the last
+    column.  The B-splines at nodes are found once (``kernel._design``),
+    and each call is one banded product (``kernel._band_product``)."""
     band, first = _design(tau, nodes)
-    root_wgt = np.sqrt(wgt)[:, None]
-    return lambda j, k: _band_product(band, first, c[:, j:k]) * root_wgt
+    root_wgt = np.sqrt(wgt)
+    return lambda j: (_band_product(band, first, c[:, j]) * root_wgt
+                      if j < c.shape[1] else None)
 
 
 def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
@@ -810,8 +809,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     of exactly K = min(fine count, coarse count) columns, weighted -1/3
     (``kernel._add_spline``), and its node table (mapped outside the malloc
     heap) is released.  That spline is the fine level's seed: read at the
-    fine nodes, times sqrt(wgt), a block of columns at a time as the
-    refinement asks for them (``_rayleigh_iteration``), it seeds
+    fine nodes, times sqrt(wgt), one column at a time as the refinement
+    asks for it (``_rayleigh_iteration``), it seeds
     ``_eigenpairs`` on the fine matrix, which bisects only above the last
     accepted seed.  A fine matrix that stebz splits into blocks is not
     seeded: there the sign changes of an eigenvector do not give its
@@ -915,7 +914,6 @@ def heat_kernel_grid(t: float, x, ys, sm: SpectralMeasure) -> np.ndarray:
     """p(t, x, y) = sum_k m_k e^{-t lambda_k} w_k(x) w_k(y) on the grid ys,
     one sm.synthesize: shape (len(ys),) for one number x, and (len(x),
     len(ys)) for an array of x."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_time(t)
     coef = np.exp(-t * sm.lambdas)[:, None] * sm.w_values(x)
     return sm.synthesize(coef if np.ndim(x) else coef[:, 0], ys)

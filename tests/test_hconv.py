@@ -5,7 +5,8 @@ import pytest
 
 from slhyper.operator import (SupportParams, _merge, build_standard_form,
                               builtin_operator, classify_support)
-from slhyper.spectral import GridFunction, bump_function, forward_transform
+from slhyper.spectral import (GridFunction, bump_function, forward_transform,
+                              heat_kernel_grid)
 from slhyper.hconv import (approx_nu, convolve_functions, convolve_measures,
                            product_density, product_formula_residual,
                            translate)
@@ -58,6 +59,53 @@ def test_approx_nu_schedule_validation(sm_cosine):
         approx_nu(1.0, 2.0, sm_cosine, t_schedule=(0.1, 0.1))
     with pytest.raises(ValueError):
         approx_nu(1.0, 2.0, sm_cosine, t_schedule=(0.1, -0.01))
+
+
+# every function that takes a time: the name of the argument, and the call
+# with the time t; convolve_measures takes t_reg = 0 as "no density", so 0
+# is not among its bad times
+_h = bump_function(4.0, 1.5, np.linspace(0.0, 8.0, 161))
+_xi = np.linspace(0.0, 8.0, 81)
+TIME_CALLERS = {
+    "heat_kernel_grid": ("t", lambda sm, t: heat_kernel_grid(t, 1.0, _xi, sm)),
+    "product_density":
+        ("t", lambda sm, t: product_density(t, 2.0, 1.0, _xi, sm)),
+    "product_formula_residual":
+        ("t", lambda sm, t: product_formula_residual(1.0, t, 2.0, 1.0, sm,
+                                                     _xi)),
+    "approx_nu":
+        ("t_schedule", lambda sm, t: approx_nu(2.0, 1.0, sm, (0.1, t), _xi)),
+    "translate": ("t_reg", lambda sm, t: translate(_h, 1.5, sm, t)),
+    "convolve_functions":
+        ("t_reg", lambda sm, t: convolve_functions(_h, _h, sm, t)),
+    "convolve_measures":
+        ("t_reg", lambda sm, t: convolve_measures([(1.0, 1.0)], [(2.0, 1.0)],
+                                                  sm, t)),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, -0.5, 0.0, np.inf])
+@pytest.mark.parametrize("caller", sorted(TIME_CALLERS))
+def test_a_time_must_be_positive_and_finite(caller, t, sm_cosine):
+    """Each time argument passes one check: NaN, which fails every
+    comparison, and inf are errors as a non-positive time is, not arrays of
+    NaN.  The error names the argument."""
+    name, call = TIME_CALLERS[caller]
+    if caller == "convolve_measures" and t == 0.0:
+        assert call(sm_cosine, t).density is None
+        return
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be positive and finite"):
+        call(sm_cosine, t)
+
+
+def test_convolving_the_zero_measure_gives_a_zero_density(sm_cosine):
+    """An empty atom list is the zero measure: with t_reg > 0 the density
+    is zero, where max() of the empty positions raised."""
+    for mu, nu in (([], [(2.0, 1.0)]), ([(1.0, 1.0)], []), ([], [])):
+        mc = convolve_measures(mu, nu, sm_cosine, t_reg=0.01)
+        assert not mc.product.any()
+        assert len(mc.density.values) and not mc.density.values.any()
 
 
 def test_approx_nu_density_concentrates(sm_cosine):
