@@ -7,7 +7,8 @@ The regularized product kernel
 is a probability density in xi (mass one against r), and as t decreases it
 concentrates on the convolution support of the point pair (x, y).  All
 convolution-level objects here are built from it or from the transform-domain
-product, which is exact on the measure's atoms.
+product, which is exact on the measure's atoms: the inverse transform of a
+product of transforms, read through its grid's basis (``Basis.inverse``).
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
     out_grid = h.grid if out_grid is None else np.asarray(out_grid, dtype=float)
     if y == sm.spec.a:
         return GridFunction(out_grid, h(out_grid))
-    return _convolve(sm.basis(h.grid).forward(h.values), sm.w_values(y)[:, 0],
-                     sm, t_reg, out_grid)
+    bh = sm.basis(h.grid)
+    coef = (np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
+            * sm.w_values(y)[:, 0])
+    return GridFunction(out_grid, sm.basis(out_grid, bh).inverse(coef))
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -170,16 +173,12 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     transform product, which is the same quadrature reordered and is
     symmetric in (h, g) by construction."""
     t_reg = _positive_time(t_reg, "t_reg")
-    return _convolve(sm.basis(h.grid).forward(h.values),
-                     sm.basis(g.grid).forward(g.values), sm, t_reg,
-                     h.grid if out_grid is None else out_grid)
-
-
-def _convolve(th, tg, sm: SpectralMeasure, t_reg: float,
-              grid) -> GridFunction:
-    """h * g on grid, from the atom transforms th, tg of h, g."""
-    return GridFunction(grid, sm.synthesize(
-        np.exp(-t_reg * sm.lambdas) * th * tg, grid))
+    out_grid = h.grid if out_grid is None else out_grid
+    bh = sm.basis(h.grid)
+    bg = sm.basis(g.grid, bh)
+    coef = (np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
+            * bg.forward(g.values))
+    return GridFunction(out_grid, sm.basis(out_grid, bh, bg).inverse(coef))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (GridFunction, SpectralMeasure, TransformTable,
+from .spectral import (Basis, GridFunction, SpectralMeasure, TransformTable,
                        _r_weights, heat_kernel_grid)
-from .hconv import _convolve
-from .kernel import _distinct
 
 __all__ = [
     "SpectralStrip",
@@ -201,6 +199,13 @@ def wiener_levy_check(f: GridFunction, strip: SpectralStrip, rho: complex,
                         sm, n)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique's, without the
+    numpy.ma import that np.unique makes when it returns no indices."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
                  sm: SpectralMeasure, n: int = 512) -> StripCheck:
     """wiener_levy_check from the atom transform ff of f."""
@@ -266,13 +271,15 @@ def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
     out_grid (default: the grid of f).  forward_recheck reports how well the
     quadrature transform of the realized g reproduces the defining table.
     """
-    return _resolvent(sm.basis(f.grid).forward(f.values), rho, sm,
-                      f.grid if out_grid is None else out_grid)
+    bf = sm.basis(f.grid)
+    return _resolvent(bf.forward(f.values), rho, sm,
+                      bf if out_grid is None else sm.basis(out_grid, bf))
 
 
 def _resolvent(ff, rho: complex, sm: SpectralMeasure,
-               grid) -> ResolventResult:
-    """resolvent_kernel from the atom transform ff of f, with g on grid."""
+               basis: Basis) -> ResolventResult:
+    """resolvent_kernel from the atom transform ff of f, with g the inverse
+    transform of its table on the grid of basis."""
     denom = rho + ff
     if np.min(np.abs(denom)) <= 1e-8:
         k = int(np.argmin(np.abs(denom)))
@@ -280,9 +287,9 @@ def _resolvent(ff, rho: complex, sm: SpectralMeasure,
             f"rho + Ff vanishes at atom lambda = {sm.lambdas[k]:.6g}")
     fg_vals = 1.0 / denom - rho
     fg = TransformTable(lambdas=sm.lambdas.copy(), values=fg_vals)
-    g = GridFunction(grid, sm.synthesize(fg_vals, grid))
+    g = GridFunction(basis.grid, basis.inverse(fg_vals))
     rt = float(np.max(np.abs((rho + fg_vals) * denom - 1.0)))
-    g_back = sm.basis(g.grid).forward(g.values)
+    g_back = basis.forward(g.values)
     scale = max(float(np.max(np.abs(fg_vals))), 1e-300)
     recheck = float(np.max(np.abs(g_back - fg_vals))) / scale
     return ResolventResult(g=g, fg=fg, round_trip_residual=rt,
@@ -307,12 +314,12 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure) -> EquationSoluti
         raise ValueError(
             f"equation not solvable in L1,kappa: |rho + Ff| = "
             f"{check.min_modulus:.3e} at lambda = {check.witness}")
-    res = _resolvent(ff, prob.rho, sm, prob.f.grid)
-    bpsi = sm.basis(prob.psi.grid)
+    res = _resolvent(ff, prob.rho, sm, bf)
+    bpsi = sm.basis(prob.psi.grid, bf)
     fpsi = bpsi.forward(prob.psi.values)
-    conv = _convolve(fpsi, bf.forward(res.g.values), sm, _T_REG,
-                     prob.psi.grid)
-    h_vals = prob.rho * prob.psi.values + conv.values
+    conv = bpsi.inverse(np.exp(-_T_REG * sm.lambdas) * fpsi
+                        * bf.forward(res.g.values))
+    h_vals = prob.rho * prob.psi.values + conv
     h = GridFunction(prob.psi.grid, np.real_if_close(h_vals, tol=1e6))
     fh = bpsi.forward(h.values)
     scale = max(float(np.max(np.abs(fpsi))), 1e-300)

@@ -94,7 +94,7 @@ def _term_count(rho: float) -> int:
                 _MAX_TERMS + 1)
 
 
-# columns fitted per solve in _add_spline
+# columns fitted per solve in _fit_in_place
 _SPLINE_BLOCK = 32
 
 
@@ -112,16 +112,15 @@ def _interval(t: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(t[4:-4], x, side="right") + 3
 
 
-def _de_boor(knots, stages) -> list:
+def _de_boor(knots, x) -> list:
     """The cubic B-splines mu-3..mu nonzero on the knot interval t[mu] <= x
-    < t[mu+1], from the de Boor-Cox recurrence (Lyche & Morken, Spline
-    Methods, ch. 2-4), with knots[k] = t[mu - 2 + k] for k = 0..5 and the
-    degree-d stage taken at the points stages[d - 1].  The knots and points
-    are Python floats for one point, or arrays for many.  The operations
-    and their order are those of scipy's BSpline, so the values agree bit
-    for bit."""
+    < t[mu+1], at x, from the de Boor-Cox recurrence (Lyche & Morken,
+    Spline Methods, ch. 2), with knots[k] = t[mu - 2 + k] for k = 0..5.
+    The knots and x are Python floats for one point, or arrays for many.
+    The operations and their order are those of scipy's BSpline, so the
+    values agree bit for bit."""
     b = [1.0]
-    for d, x in enumerate(stages, start=1):
+    for d in (1, 2, 3):
         nb = [0.0] * (d + 1)
         for j in range(d):
             # b[j] is the B-spline mu - d + 1 + j of degree d-1, on [lo, hi)
@@ -131,14 +130,6 @@ def _de_boor(knots, stages) -> list:
             nb[j + 1] = share * (x - lo)
         b = nb
     return b
-
-
-def _bspline_rows(t: np.ndarray, mu: np.ndarray, stages):
-    """The band of the matrix whose row i holds the cubic B-splines
-    mu[i]-3..mu[i] on the knots t (``_de_boor``, vectorized over the rows),
-    shape (len(mu), 4), and the index mu - 3 of each row's first column."""
-    knots = t[mu + np.arange(-2, 4)[:, None]]      # row k: t[mu - 2 + k]
-    return np.array(_de_boor(knots, stages)).T, mu - 3
 
 
 def _band_product(band: np.ndarray, first: np.ndarray, c: np.ndarray):
@@ -155,28 +146,14 @@ def _band_product(band: np.ndarray, first: np.ndarray, c: np.ndarray):
     return v
 
 
-def _refinement(t: np.ndarray, tau: np.ndarray):
-    """The banded matrix, as (band, first), that maps the coefficients of a
-    cubic spline on the knots t to those of the same spline on tau, which
-    holds every knot of t at least as often (the Oslo algorithm; Lyche &
-    Morken, Spline Methods, ch. 4).
-
-    Row i has four entries, at the B-splines mu-3..mu of t whose support
-    holds the knot interval t[mu] <= tau[i] < t[mu+1].  They are the
-    product R_1(tau[i+1]) R_2(tau[i+2]) R_3(tau[i+3]) of the matrices of
-    the de Boor-Cox recurrence, each stage taken at its own knot of tau.
-    """
-    m = len(tau) - 4
-    return _bspline_rows(t, _interval(t, tau[:m]),
-                         [tau[d:m + d] for d in (1, 2, 3)])
-
-
 def _design(t: np.ndarray, x: np.ndarray):
     """The collocation matrix of the cubic B-splines on the knots t at the
     points x, as (band, first): row i holds the four B-splines
-    first[i]..first[i]+3 at x[i], extrapolated past the end knots by the
-    end pieces."""
-    return _bspline_rows(t, _interval(t, x), (x, x, x))
+    first[i]..first[i]+3 at x[i] (``_de_boor``, vectorized over the rows),
+    extrapolated past the end knots by the end pieces."""
+    mu = _interval(t, x)
+    knots = t[mu + np.arange(-2, 4)[:, None]]      # row k: t[mu - 2 + k]
+    return np.array(_de_boor(knots, x)).T, mu - 3
 
 
 # RowSpline evaluates up to this many points one at a time
@@ -213,7 +190,7 @@ class RowSpline:
             v = np.empty((len(x),) + c.shape[1:])
             for i, (xi, mu) in enumerate(zip(x.tolist(),
                                              _interval(self.t, x).tolist())):
-                b = _de_boor(self.t[mu - 2:mu + 4].tolist(), (xi, xi, xi))
+                b = _de_boor(self.t[mu - 2:mu + 4].tolist(), xi)
                 rows = c[mu - 3:mu + 1]
                 vi = rows[0] * b[0] + 0.0
                 for j in (1, 2, 3):
@@ -221,13 +198,6 @@ class RowSpline:
                 v[i] = vi
         v = v.reshape(len(x), *self.c.shape[1:])
         return v.transpose(*range(1, v.ndim), 0)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending: np.unique's, without the
-    numpy.ma import that np.unique makes when it returns no indices."""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -301,11 +271,11 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     glibc maps each large malloc block on its own and, when one is freed,
     raises the size from which it maps later blocks to that block's size
     (up to 32 MB; mallopt(3), M_MMAP_THRESHOLD).  The largest arrays of a
-    measure build are the merged eigenfunction table, 15 MB at N=6144, and
-    each level's node table, which lives only until its level is fitted.
-    Freed through malloc, they would send every array of the next build
-    below that size to the heap, where the holes they leave raised the
-    peak memory of three builds in one process by 4 MB.  Released, a map
+    measure build are its levels' tables, 10 MB at N=6144 for the fine
+    node table, which becomes the eigenfunctions' coefficient table.  Freed
+    through malloc, they would send every array of the next build below
+    that size to the heap, where the holes they leave raised the peak
+    memory of three builds in one process by 4 MB.  Released, a map
     returns its pages at once.
     """
     n = math.prod(shape)
@@ -313,53 +283,30 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
                          count=n).reshape(shape)
 
 
-def _merged_knots(*grids: np.ndarray) -> np.ndarray:
-    """The union of the knots of the not-a-knot cubic splines through each
-    of grids, which share their end points: knots on which a weighted sum
-    of those splines is one spline (``_add_spline``)."""
-    knots = [_not_a_knot(xs) for xs in grids]
-    inner = _distinct(np.concatenate([t[4:-4] for t in knots]))
-    return np.concatenate([knots[0][:4], inner, knots[0][-4:]])
+def _fit_in_place(xs: np.ndarray, c: np.ndarray, values) -> np.ndarray:
+    """Write into c, of shape (len(xs), m), the coefficients of the
+    not-a-knot cubic splines over xs through values(cols), the node values
+    of the columns cols of c, and return their knots (``_not_a_knot``).
+    cols is a slice of at most _SPLINE_BLOCK columns, taken in order, and
+    each block is read before its columns are written, so values may read
+    c itself: a node table becomes its own coefficient table, with no
+    second table of its size.  c may be a transposed view, one spline per
+    row of the array beneath.  With values(cols) = c[:, cols], c becomes
+    make_interp_spline's coefficients, bit for bit.
 
-
-# rows of the coefficient table refined and summed per step in _add_spline
-_REFINE_ROWS = 1024
-
-
-def _add_spline(c: np.ndarray, tau: np.ndarray, xs: np.ndarray,
-                Y: np.ndarray, weight: float) -> None:
-    """Add to c, in place, weight times the coefficients on the knots tau
-    of the not-a-knot cubic spline through each column of Y over xs.  Y
-    has shape (len(xs), m) and c (len(tau) - 4, m); tau holds every knot of
-    those splines, as ``_merged_knots`` of xs and other grids does.
-
-    Each spline's coefficients are refined onto tau exactly
-    (``_refinement``), so a sum of such calls is the same function as the
-    weighted sum of their splines, to rounding.  When tau is the splines'
-    own knots they are not refined: with weight 1 and c zero, c becomes
-    make_interp_spline's coefficients.
-
-    The columns are fitted a block of _SPLINE_BLOCK at a time, each
-    block's solve released before the next, and summed into c a chunk of
-    _REFINE_ROWS rows at a time, so the temporaries stay one block's solve
-    and one chunk's products.  Large temporaries leave holes in the heap
-    that later large arrays may or may not fit, which would make the peak
-    memory of a process that builds several measures depend on its heap
-    layout, not on its work.
+    Each block's solve is released before the next, so the temporaries
+    stay one block's values and solve.  Large temporaries leave holes in
+    the heap that later large arrays may or may not fit, which would make
+    the peak memory of a process that builds several measures depend on
+    its heap layout, not on its work.
     """
     t = _not_a_knot(xs)
     fit = _interpolation(xs, t)
-    refine = None if np.array_equal(t, tau) else _refinement(t, tau)
-    for j in range(0, Y.shape[1], _SPLINE_BLOCK):
-        part = fit(Y[:, j:j + _SPLINE_BLOCK])
-        cols = c[:, j:j + _SPLINE_BLOCK]
-        for lo in range(0, len(cols), _REFINE_ROWS):
-            rows = slice(lo, lo + _REFINE_ROWS)
-            v = part[rows] if refine is None else _band_product(
-                refine[0][rows], refine[1][rows], part)
-            v *= weight
-            cols[rows] += v
-        del part, v
+    m = c.shape[1]
+    for j in range(0, m, _SPLINE_BLOCK):
+        cols = slice(j, min(j + _SPLINE_BLOCK, m))
+        c[:, cols] = fit(values(cols))
+    return t
 
 
 class KernelEvaluator:

@@ -24,24 +24,30 @@ seed.  Each eigenvalue is the Rayleigh quotient of its vector, a sum of
 squares summed pairwise (``_rayleigh_quotient``), and each vector is
 scaled to w(a) = 1 by its least-squares fit to the kernel's w on a window
 of leading nodes (``KernelEvaluator.leading_values``).  The eigenfunctions
-are extrapolated too: the measure keeps one vector-valued cubic spline,
-the exact combination (4 S_fine - S_coarse) / 3 of the two levels'
-splines, written on the union of their knots by knot insertion
-(``kernel._add_spline``), so every evaluation is one spline call, in numpy
-(``kernel.RowSpline``).  Spline coefficients are linear in their data, so
-the levels are fitted in turn, and one level's node table, mapped outside
-the malloc heap, is alive at a time; ``SpectralMeasure.pairing`` says
-where the pairing of the levels' eigenvalues stopped and how many fine
-eigenpairs came from seeds.
+are extrapolated too: the measure keeps one vector-valued cubic spline on
+the fine level's own knots, the not-a-knot interpolant of the combined
+node values (4 T_fine - S_coarse(x_fine)) / 3, T_fine the fine node table
+and S_coarse the coarse level's spline, so every evaluation is one spline
+call, in numpy (``kernel.RowSpline``).  The fine node table is combined
+and fitted in place (``kernel._fit_in_place``), so it becomes the
+coefficient table, and one level's node table, mapped outside the malloc
+heap, is alive at a time; ``SpectralMeasure.pairing`` says where the
+pairing of the levels' eigenvalues stopped and how many fine eigenpairs
+came from seeds.
 
-Every inverse transform is one ``sm.synthesize(coef, grid)``.  A spline
-is linear in its coefficients (de Boor, A Practical Guide to Splines), so
-sum_k m_k coef_k w_k is itself a spline, and synthesize takes the cheaper
-order of B(grid) C (masses * coef), C the coefficient table, decided by
-the shapes alone: contract first (the rows of C that reach the grid times
-the weighted coef, then one spline evaluation), as for the product
-kernels on thousands of points; or evaluate every eigenfunction on the
-grid first, as for short grids and for many right-hand sides at once.
+Inverse transforms read their grid's basis: ``inverse_transform`` and
+the transform-domain products of ``hconv`` and ``inteq`` are
+``Basis.inverse`` on the basis of their grid, held for the call, so each
+distinct grid of a call is evaluated once, whatever the memo keeps.
+Kernel sums, the heat, product and Cauchy kernels and the measure
+densities, are one ``sm.synthesize(coef, grid)``.  A spline is linear in
+its coefficients (de Boor, A Practical Guide to Splines), so sum_k m_k
+coef_k w_k is itself a spline, and synthesize takes the cheaper order of
+B(grid) C (masses * coef), C the coefficient table, decided by the shapes
+alone: contract first (the rows of C that reach the grid times the
+weighted coef, then one spline evaluation), as for the product kernels on
+thousands of points; or evaluate every eigenfunction on the grid first,
+as for short grids and for many right-hand sides at once.
 Contracting first reads only a prefix of the atoms: those whose dropped
 tail sum_k |m_k coef_k| b_k, with b_k = max |C[:, k]| a bound on |w_k| by
 the convex-hull property of B-splines, stays within one unit roundoff of
@@ -50,19 +56,19 @@ up to K times that (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 4), so the result is as accurate; at t >= 0.1 the factor
 e^{-t lambda} of the heat and product kernels leaves most atoms below it.
 ``sm.basis(grid)`` is the one way the transforms and syntheses get the
-eigenfunction values on a grid, with the grid's weights for int f r dx
-and the forward transform on it; the evaluate-first order of synthesize
-reads its values too, every atom of them.  The measure memoizes bases,
+eigenfunction values on a grid, with the grid's weights for int f r dx,
+and the forward and inverse transforms on it; the evaluate-first order of
+synthesize reads it too, every atom of it.  The measure memoizes bases,
 keyed by grid content, their grid, values and weights read-only: the
 kept values add up to at most the size of the spline's coefficient table,
 and a miss evicts the bases with the fewest lookups until the new one
-fits.  So a function that uses one grid several times asks for its basis
-each time and evaluates it once.  The contract-first order neither reads
-nor fills the memo, and ``w_values`` itself is never memoized.  The
-eigenfunctions are known on [a_eff, L] only, a_eff the first node of the
-kernel's series table (``KernelEvaluator.start``): a point in [a, a_eff)
-takes the value 1 of every w_k at a_eff, and a point below a or past L is
-an error.
+fits.  So calls that share a grid evaluate it once while the memo keeps
+it.  The contract-first order neither reads nor fills the memo, and
+``w_values`` itself is never memoized.  The eigenfunctions are known on
+[a_eff, L] only, a_eff the first node of the kernel's series table
+(``KernelEvaluator.start``): a point in [a, a_eff) takes the value 1 of
+every w_k at a_eff, and a point that is NaN, below a or past L is an
+error.
 """
 
 from __future__ import annotations
@@ -74,8 +80,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .kernel import (KernelEvaluator, RowSpline, _add_spline, _band_product,
-                     _design, _interval, _lapack, _mapped_zeros, _merged_knots)
+from .kernel import (KernelEvaluator, RowSpline, _band_product, _design,
+                     _fit_in_place, _interval, _lapack, _mapped_zeros)
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
@@ -170,31 +176,39 @@ class TransformTable:
 @dataclass(eq=False)
 class Basis:
     """The eigenfunctions of one measure evaluated on one grid, W[k] =
-    w_k(grid), with the grid's weights rw for int f r dx and the number of
-    lookups the measure's memo has answered with it.  Built by
-    SpectralMeasure.basis, which keeps its own copy of the grid."""
+    w_k(grid), with the grid's weights rw for int f r dx, the measure's
+    masses and the number of lookups the measure's memo has answered with
+    it.  Built by SpectralMeasure.basis, which keeps its own copy of the
+    grid."""
 
     grid: np.ndarray
     W: np.ndarray
     rw: np.ndarray
+    masses: np.ndarray
     hits: int = 0
 
     def forward(self, values) -> np.ndarray:
         """int values w_k r dx at every atom."""
         return self.W @ (values * self.rw)
 
+    def inverse(self, coef) -> np.ndarray:
+        """sum_k m_k coef_k w_k on the grid, the inverse transform of the
+        atom table coef of shape (K,) or (K, m): shape (n,) or (m, n)."""
+        return (self.masses * coef.T) @ self.W
 
 
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
-    on [a_eff, L] stored as one vector-valued cubic spline: the Richardson
-    combination (4 S_fine - S_coarse) / 3 of the two levels' splines,
-    written exactly on the union of their knots.
+    on [a_eff, L] stored as one vector-valued cubic spline on the fine
+    level's knots, through the Richardson combination (4 T_fine -
+    S_coarse(x_fine)) / 3 of the two levels' values at the fine nodes (see
+    _levels).
 
-    synthesize contracts the coefficient table with the weighted
-    coefficients first when that takes fewer multiply-adds than evaluating
-    every eigenfunction on the grid first; the choice depends on the shapes
-    alone (see synthesize).  Contracting first drops the atoms whose terms
+    synthesize, the kernel sums' primitive (inverse transforms read their
+    grid's basis instead), contracts the coefficient table with the
+    weighted coefficients first when that takes fewer multiply-adds than
+    evaluating every eigenfunction on the grid first; the choice depends on
+    the shapes alone (see synthesize).  Contracting first drops the atoms whose terms
     lie below one unit roundoff of the sum (see _contracted).
 
     basis memoizes the bases it builds, keyed by grid content (a stored
@@ -237,36 +251,47 @@ class SpectralMeasure:
         return float(build_standard_form(self.spec).sigma ** 2)
 
     def _clamped(self, xq: np.ndarray) -> np.ndarray:
-        """xq clamped below at a_eff, where every w_k is 1; a point below a,
-        or past L where the truncated measure ends, raises ValueError."""
-        if np.fmin.reduce(xq, initial=math.inf) < self.spec.a:
+        """xq clamped below at a_eff, where every w_k is 1; a point that is
+        NaN (np.min, unlike np.fmin, returns it), below a, or past L where
+        the truncated measure ends, raises ValueError."""
+        lo = np.min(xq, initial=math.inf)
+        if math.isnan(lo):
+            raise ValueError("points must not be NaN")
+        if lo < self.spec.a:
             raise ValueError(f"points below a = {self.spec.a:g}, the "
                              "operator's left end")
-        if np.fmax.reduce(xq, initial=-math.inf) > self.L:
+        if np.max(xq, initial=-math.inf) > self.L:
             raise ValueError(f"points past L = {self.L:g}, where the "
                              "eigenfunctions end")
         return np.maximum(xq, self._a_eff)
 
     def w_values(self, xq) -> np.ndarray:
         """(K, len(xq)) matrix of eigenfunction values.  Points in [a,
-        a_eff) take the value at a_eff, where every w_k is 1; points below
-        a or past L raise ValueError."""
+        a_eff) take the value at a_eff, where every w_k is 1; points that
+        are NaN, below a or past L raise ValueError."""
         return self._w(
             self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
-    def basis(self, grid) -> Basis:
+    def basis(self, grid, *held: Basis) -> Basis:
         """Every eigenfunction on grid, with the grid's weights: what every
-        transform and evaluate-first synthesis reads.  An equal grid kept in
-        the measure's memo returns its basis, read-only; a miss evaluates
-        grid and keeps the basis unless its values outgrow the spline's
-        coefficient table, first evicting the bases with the fewest lookups
-        until all kept values fit in that size (see SpectralMeasure)."""
+        transform and evaluate-first synthesis reads.  A basis among held,
+        those a caller already has, whose grid equals grid is returned as it
+        is, so a call that reads one grid several times evaluates it once,
+        whatever the memo keeps.  Else an equal grid kept in the measure's
+        memo returns its basis, read-only; a miss evaluates grid and keeps
+        the basis unless its values outgrow the spline's coefficient table,
+        first evicting the bases with the fewest lookups until all kept
+        values fit in that size (see SpectralMeasure)."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        for b in held:
+            if np.array_equal(b.grid, grid):
+                return b
         for kept in self._kept:
             if np.array_equal(kept.grid, grid):
                 kept.hits += 1
                 return kept
-        b = Basis(grid.copy(), self.w_values(grid), _r_weights(self.spec, grid))
+        b = Basis(grid.copy(), self.w_values(grid),
+                  _r_weights(self.spec, grid), self.masses)
         room = self._w.c.size - b.W.size
         if room >= 0:
             for a in (b.grid, b.W, b.rw):
@@ -298,7 +323,7 @@ class SpectralMeasure:
             lo, hi = self._rows(grid)
             if (hi - lo) * K * m + 4 * n * m < n * K * (4 + m):
                 return self._contracted(coef, grid, lo, hi)
-        return (self.masses * coef.T) @ self.basis(grid).W
+        return self.basis(grid).inverse(coef)
 
     def _rows(self, grid: np.ndarray) -> tuple[int, int]:
         """The rows [lo, hi) of the coefficient table whose B-splines are
@@ -536,19 +561,19 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
     the loosest ratio that floor gives on the builtin families, lets it
     converge in its usual few steps.  stein runs once per run of close
     eigenvalues (``_runs``), so only the vectors of one run are
-    orthogonalized against each other, and each run's vectors are written
-    straight into the table.  LAPACK's own cluster test is absolute, a gap
+    orthogonalized against each other, and each run's vectors are copied
+    into the table.  LAPACK's own cluster test is absolute, a gap
     of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10 here, so one call
     would orthogonalize every wanted vector against all the others, an
     O(N K^2) Gram-Schmidt that relative gaps of about 2/k do not need.
     Each eigenvalue is then the Rayleigh quotient of its unit vector, one
-    vector at a time (``_rayleigh_quotient``), whose error is the square of
-    the vector's residual over the gap (ch. 4 again): far below the
-    bisection tolerance, and below the ulp ||T|| that a full bisection
-    reaches, which on the graded matrices is 1e-6 of the lowest
-    eigenvalues.  The LAPACK
-    routines come from scipy's compiled LAPACK wrapper (``kernel._lapack``),
-    without the import of scipy.linalg.
+    vector at a time (``_rayleigh_quotient``), read from stein's output,
+    whose columns are contiguous, before the table takes them.  Its error
+    is the square of the vector's residual over the gap (ch. 4 again): far
+    below the bisection tolerance, and below the ulp ||T|| that a full
+    bisection reaches, which on the graded matrices is 1e-6 of the lowest
+    eigenvalues.  The LAPACK routines come from scipy's compiled LAPACK
+    wrapper (``kernel._lapack``), without the import of scipy.linalg.
     """
     stein, = _lapack("stein")
     lam = (np.empty(0) if seed is None
@@ -568,16 +593,20 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
             raise LinAlgError(f"{k} seeded and {len(w)} bisected eigenvalues "
                               f"against a count of {table.shape[1]}")
         bisected = table[1:-1, k:]
+        quotient, quotients = _rayleigh_quotient(diag, off), [lam]
         # stein reads the block index of each eigenvalue from an array of
         # the matrix's length
         blk = np.empty_like(isplit)
         for lo, hi in _runs(w, iblock):
             blk[:hi - lo] = iblock[lo:hi]
-            bisected[:, lo:hi], info = stein(diag, off, w[lo:hi], blk, isplit)
+            z, info = stein(diag, off, w[lo:hi], blk, isplit)
             if info != 0:
                 raise LinAlgError(
                     f"inverse iteration failed (stein info {info})")
-        lam = np.r_[lam, list(map(_rayleigh_quotient(diag, off), bisected.T))]
+            # stein's columns are contiguous, the table's are not
+            quotients.append(list(map(quotient, z.T)))
+            bisected[:, lo:hi] = z
+        lam = np.concatenate(quotients)
     vecs = table[1:-1]
     # block order to ascending order; a single block is ascending already,
     # and then the vectors are not moved
@@ -784,39 +813,42 @@ class Pairing:
     seeded: int
 
 
-def _spline_seed(tau: np.ndarray, c: np.ndarray, nodes: np.ndarray,
+def _spline_seed(band: np.ndarray, first: np.ndarray, c: np.ndarray,
                  wgt: np.ndarray):
-    """seed(j) for ``_eigenpairs``: column j of the spline on the knots tau
-    with coefficients c, at nodes, times sqrt(wgt), or None past the last
-    column.  The B-splines at nodes are found once (``kernel._design``),
-    and each call is one banded product (``kernel._band_product``)."""
-    band, first = _design(tau, nodes)
+    """seed(j) for ``_eigenpairs``: the spline of row j of the coefficient
+    table c, one spline per contiguous row, at the nodes of the collocation
+    matrix (band, first) (``kernel._design``), times sqrt(wgt), or None
+    past the last row: one banded product (``kernel._band_product``)."""
     root_wgt = np.sqrt(wgt)
-    return lambda j: (_band_product(band, first, c[:, j]) * root_wgt
-                      if j < c.shape[1] else None)
+    return lambda j: (_band_product(band, first, c[j]) * root_wgt
+                      if j < len(c) else None)
 
 
 def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
             evaluator: KernelEvaluator):
     """The two Richardson levels of a measure, on N and N // 2 nodes,
     combined: a_eff, the extrapolated eigenvalues and masses, the one
-    eigenfunction spline (4 S_fine - S_coarse) / 3 on the union of the
-    levels' knots, and the levels' Pairing.
+    eigenfunction spline and the levels' Pairing.  The spline is the
+    not-a-knot cubic spline on the fine level's own knots through (4 T_fine
+    - S_coarse(x_fine)) / 3, T_fine the fine node table and S_coarse the
+    coarse level's spline on its own knots: between the fine nodes, its
+    O(h^4) interpolation error lies far below the O(h^2) error that the
+    combination cancels.
 
-    Both levels' matrices and the merged knots come first, and one Sturm
-    count gives the number of fine eigenvalues below lambda_max.  Then the
-    coarse level is solved, normalized and fitted into a coefficient table
-    of exactly K = min(fine count, coarse count) columns, weighted -1/3
-    (``kernel._add_spline``), and its node table (mapped outside the malloc
-    heap) is released.  That spline is the fine level's seed: read at the
-    fine nodes, times sqrt(wgt), one column at a time as the refinement
-    asks for it (``_rayleigh_iteration``), it seeds
-    ``_eigenpairs`` on the fine matrix, which bisects only above the last
-    accepted seed.  A fine matrix that stebz splits into blocks is not
-    seeded: there the sign changes of an eigenvector do not give its
-    index.  The fine level is then normalized, paired and its kept columns
-    fitted, weighted 4/3.  When the pairing keeps fewer atoms than K, the
-    spline keeps a view of the table's first columns.
+    One Sturm count gives the number of fine eigenvalues below lambda_max.
+    The coarse level is solved, normalized and fitted into a table of K =
+    min(fine count, coarse count) rows of N // 2 + 2 coefficients, one
+    eigenfunction per contiguous row, and its node table (mapped outside
+    the malloc heap) is released.  That spline seeds the fine level: read
+    at the fine nodes, times sqrt(wgt), one row at a time as
+    ``_rayleigh_iteration`` asks for it, it seeds ``_eigenpairs`` on the
+    fine matrix, which bisects only above the last accepted seed.  A fine
+    matrix that stebz splits into blocks is not seeded: there the sign
+    changes of an eigenvector do not give its index.  The fine level is
+    normalized and paired, and its node table's kept columns are combined
+    and fitted in place (``kernel._fit_in_place``), so the node table
+    becomes the coefficient table, N + 2 rows by K columns, or a view of
+    its first K columns when the pairing cuts.
     """
     # left edge of the computational interval: the series table's start
     a_eff = evaluator.start
@@ -837,29 +869,31 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
                     for n in (N, N // 2))
     xs_f, xs_c = (np.concatenate([[a_eff], nodes, [L]])
                   for nodes, *_ in (fine, coarse))
-    tau = _merged_knots(xs_f, xs_c)
     nodes, wgt, diag, off = fine
     count, split = _count(diag, off, lambda_max)
 
     vals_c, mass_c, table, _ = _eigen_solve(evaluator, *coarse, lambda_max)
     K = min(count, len(vals_c))
-    c = _mapped_zeros((len(tau) - 4, K))
-    _add_spline(c, tau, xs_c, table[:, :K], -1.0 / 3.0)
+    c = _mapped_zeros((K, len(xs_c)))
+    # the coarse spline, one eigenfunction per row, at the fine nodes and ends
+    band, first = _design(
+        _fit_in_place(xs_c, c.T, lambda cols: table[:, cols]), xs_f)
     del table
 
     vals_f, mass_f, table, seeded = _eigen_solve(
         evaluator, *fine, lambda_max, _mapped_zeros((len(nodes) + 2, count)),
-        None if split else _spline_seed(tau, c, nodes, wgt))
+        None if split else _spline_seed(band[1:-1], first[1:-1], c, wgt))
     # pair by index; drop pairs too far apart to share the h^2 expansion
     ok = np.abs(vals_f[:K] - vals_c[:K]) <= 0.25 * np.maximum(vals_f[:K], 1.0)
     cut = None
     if not np.all(ok):
         K = int(np.argmin(ok))
         cut = (K, float(vals_f[K]), float(vals_c[K]))
-    _add_spline(c[:, :K], tau, xs_f, table[:, :K], 4.0 / 3.0)
+    t = _fit_in_place(xs_f, table[:, :K], lambda cols: (
+        4.0 * table[:, cols] - _band_product(band, first, c[cols].T)) / 3.0)
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    return (a_eff, lam, mass, RowSpline(tau, c[:, :K]),
+    return (a_eff, lam, mass, RowSpline(t, table[:, :K]),
             Pairing(len(vals_f), len(vals_c), K, cut, seeded))
 
 
@@ -904,10 +938,13 @@ def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
 
 def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
                       out_grid) -> GridFunction:
+    """sum_k m_k (Fh)(lambda_k) w_k on out_grid, read through the grid's
+    basis (``Basis.inverse``): one product when the memo keeps it.  The
+    table must be on the measure's atoms."""
     if len(tbl.lambdas) != len(sm.lambdas) or not np.allclose(
             tbl.lambdas, sm.lambdas, rtol=1e-12, atol=1e-12):
         raise ValueError("transform table does not match the measure's atoms")
-    return GridFunction(out_grid, sm.synthesize(tbl.values, out_grid))
+    return GridFunction(out_grid, sm.basis(out_grid).inverse(tbl.values))
 
 
 def heat_kernel_grid(t: float, x, ys, sm: SpectralMeasure) -> np.ndarray:

@@ -15,6 +15,12 @@ def sm_cosine():
 
 
 @pytest.fixture(scope="session")
+def sm_cosine_512():
+    return build_spectral_measure(builtin_operator("cosine"),
+                                  L=16.0, N=512, lambda_max=100.0)
+
+
+@pytest.fixture(scope="session")
 def sm_cosine_wide():
     return build_spectral_measure(builtin_operator("cosine"),
                                   L=40.0, N=2048, lambda_max=100.0)

@@ -1,8 +1,9 @@
 """One eigenfunction basis per grid: every rerouted spectral sum equals, bit
 for bit, its composition of forward_transform, inverse_transform and
-synthesize, and evaluates each of its grids once; the measure's memo of
-bases, bounded by the size of the spline's coefficient table, serves equal
-grids across calls."""
+synthesize (the transform-domain products inverse_transform, the kernel
+sums synthesize), and evaluates each of its grids once; the measure's memo
+of bases, bounded by the size of the spline's coefficient table, serves
+equal grids across calls."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from slhyper.cauchy import solve_cauchy
 from slhyper.hconv import (DEFAULT_T_SCHEDULE, approx_nu, convolve_functions,
                            default_xi_grid, product_density, translate)
 from slhyper.inteq import (EquationProblem, SpectralStrip, resolvent_kernel,
-                           solve_equation, wiener_levy_check)
+                           solve_equation, solve_qt_equation,
+                           wiener_levy_check)
 from slhyper.spectral import (GridFunction, TransformTable, _r_weights,
                               bump_function, forward_transform,
                               heat_kernel_grid, inverse_transform)
@@ -25,26 +27,36 @@ def _ft(h, sm):
     return forward_transform(h, sm).values
 
 
+def _inverse(coef, sm, grid):
+    return inverse_transform(TransformTable(sm.lambdas, coef), sm, grid).values
+
+
 def _problem(psi_grid):
     f = GridFunction(GRID, 0.3 * np.exp(-GRID ** 2))
     return EquationProblem(f=f, psi=bump_function(3.0, 1.2, psi_grid),
                            kappa=0.0)
 
 
-@pytest.fixture
-def w_calls(sm_cosine, monkeypatch):
-    """Sizes of the point sets handed to sm_cosine.w_values, in order,
-    starting from an empty memo of bases."""
-    monkeypatch.setattr(sm_cosine, "_kept", [])
+def _counted_w_values(sm, monkeypatch):
+    """Sizes of the point sets handed to sm.w_values, in order, starting
+    from an empty memo of bases."""
+    monkeypatch.setattr(sm, "_kept", [])
     calls = []
-    w_values = sm_cosine.w_values
+    w_values = sm.w_values
 
     def counted(xq):
         calls.append(np.size(xq))
         return w_values(xq)
 
-    monkeypatch.setattr(sm_cosine, "w_values", counted)
+    monkeypatch.setattr(sm, "w_values", counted)
     return calls
+
+
+@pytest.fixture
+def w_calls(sm_cosine, monkeypatch):
+    """Sizes of the point sets handed to sm_cosine.w_values, in order,
+    starting from an empty memo of bases."""
+    return _counted_w_values(sm_cosine, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +82,8 @@ def test_solve_equation_bit_identical(sm_cosine, psi_grid):
     ff, _, g, g_back, rt, recheck = _reference_resolvent(prob.f, rho, sm,
                                                          prob.f.grid)
     fpsi = _ft(psi, sm)
-    conv = sm.synthesize(np.exp(-t_reg * sm.lambdas) * fpsi * g_back,
-                         psi.grid)
+    conv = _inverse(np.exp(-t_reg * sm.lambdas) * fpsi * g_back, sm,
+                    psi.grid)
     h = np.real_if_close(rho * psi.values + conv, tol=1e6)
     fh = _ft(GridFunction(psi.grid, h), sm)
     resid = np.max(np.abs(fh * (rho + ff) - fpsi)) / max(np.max(np.abs(fpsi)),
@@ -101,8 +113,8 @@ def test_resolvent_kernel_bit_identical(sm_cosine, out_grid):
 def test_convolve_functions_bit_identical(sm_cosine, out_grid):
     sm = sm_cosine
     h, g = bump_function(2.5, 1.2, GRID), bump_function(3.5, 2.0, GRID)
-    ref = sm.synthesize(np.exp(-1e-8 * sm.lambdas) * _ft(h, sm) * _ft(g, sm),
-                        out_grid)
+    ref = _inverse(np.exp(-1e-8 * sm.lambdas) * _ft(h, sm) * _ft(g, sm), sm,
+                   out_grid)
     out = convolve_functions(h, g, sm, t_reg=1e-8, out_grid=out_grid)
     assert np.array_equal(out.values, ref)
 
@@ -112,7 +124,7 @@ def test_translate_bit_identical(sm_cosine, out_grid):
     sm, y = sm_cosine, 1.3
     h = bump_function(3.5, 2.0, GRID)
     coef = np.exp(-1e-6 * sm.lambdas) * _ft(h, sm)
-    ref = sm.synthesize(coef * sm.w_values(y)[:, 0], out_grid)
+    ref = _inverse(coef * sm.w_values(y)[:, 0], sm, out_grid)
     out = translate(h, y, sm, t_reg=1e-6, out_grid=out_grid)
     assert np.array_equal(out.values, ref)
 
@@ -181,6 +193,37 @@ def test_approx_nu_never_evaluates_its_xi_grid(sm_cosine, w_calls):
     assert w_calls == [2] * len(DEFAULT_T_SCHEDULE)
 
 
+def test_each_grid_is_evaluated_once_when_the_memo_cannot_keep_it(
+        sm_cosine_512, monkeypatch):
+    """On the cosine 16/512 measure, whose coefficient table has 514 rows,
+    the memo keeps no basis of a 601-point grid.  translate,
+    convolve_functions, solve_equation and solve_qt_equation still
+    evaluate each distinct grid of a call once, besides their one-point
+    sets: equal grids, by content, share one basis within the call."""
+    sm = sm_cosine_512
+    assert sm._w.c.shape[0] == 514
+    calls = _counted_w_values(sm, monkeypatch)
+    g1, g2 = np.linspace(0.0, 12.0, 601), np.linspace(0.0, 11.0, 601)
+    h, g = bump_function(3.5, 2.0, g1), bump_function(2.5, 1.2, g2)
+    f1 = GridFunction(g1, 0.3 * np.exp(-g1 ** 2))
+    cases = [
+        (lambda: translate(h, 1.3, sm, 1e-6), [1, 601]),
+        (lambda: translate(h, 1.3, sm, 1e-6, out_grid=g1.copy()), [1, 601]),
+        (lambda: translate(h, 1.3, sm, 1e-6, out_grid=g2), [1, 601, 601]),
+        (lambda: convolve_functions(h, h, sm, 1e-8), [601]),
+        (lambda: convolve_functions(h, g, sm, 1e-8), [601, 601]),
+        (lambda: convolve_functions(h, g, sm, 1e-8, out_grid=g2), [601, 601]),
+        (lambda: solve_equation(EquationProblem(f1, h, 0.0), sm), [601]),
+        (lambda: solve_equation(EquationProblem(f1, g, 0.0), sm), [601, 601]),
+        (lambda: solve_qt_equation(0.25, 1.0, h, sm), [1, 601]),
+    ]
+    for call, want in cases:
+        calls.clear()
+        call()
+        assert sorted(calls) == want
+    assert sm._kept == []
+
+
 # ---------------------------------------------------------------------------
 # the memo of bases across calls
 
@@ -190,7 +233,7 @@ def test_equal_grid_is_not_evaluated_again(sm_cosine, w_calls):
     coef = np.exp(-0.1 * sm.lambdas)
     W = sm.basis(GRID).W
     again = sm.basis(GRID.copy())
-    out = sm.synthesize(coef, list(GRID))
+    out = _inverse(coef, sm, list(GRID))
     assert w_calls == [len(GRID)]
     fresh = sm.w_values(GRID)
     assert np.array_equal(again.W, fresh) and np.array_equal(W, fresh)

@@ -10,9 +10,8 @@ from scipy.interpolate import BSpline, make_interp_spline
 
 from slhyper.expr import parse_expression
 from slhyper.operator import OperatorSpec, builtin_operator, load_operator
-from slhyper.kernel import (KernelEvaluator, RowSpline, _add_spline,
-                            _band_product, _design, _merged_knots,
-                            _refinement, _term_count)
+from slhyper.kernel import (KernelEvaluator, RowSpline, _design,
+                            _fit_in_place, _term_count)
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +67,14 @@ def test_series_table_matches_closed_form(name, three_rows, summed_rows):
 @pytest.mark.parametrize("shape", [(0, 300), (1, 300), (70, 300), (122, 300)])
 def test_row_spline_is_one_make_interp_spline(shape):
     """Fitting the rows, each one column of a node-major table, a block at
-    a time on their own knots (``_add_spline`` into zeros, weight 1) gives
-    the coefficients, knots and values of one make_interp_spline call over
-    the whole table, bit for bit, whatever the number of rows; 122 rows end
-    in a partial block."""
+    a time in place (``_fit_in_place``) gives the coefficients, knots and
+    values of one make_interp_spline call over the whole table, bit for
+    bit, whatever the number of rows; 122 rows end in a partial block."""
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(0.0, 5.0, shape[-1]))
     Y = rng.standard_normal(shape)
-    t = _merged_knots(xs)
-    c = np.zeros((len(t) - 4, shape[0]))
-    _add_spline(c, t, xs, Y.T, 1.0)
+    c = Y.T.copy()
+    t = _fit_in_place(xs, c, lambda cols: c[:, cols])
     got = RowSpline(t, c)
     want = make_interp_spline(xs, Y, k=3, axis=1)
     assert want.k == 3
@@ -168,27 +165,6 @@ def test_row_spline_values_are_bspline_values(lead):
             assert got.shape == want.shape == lead + (len(x),)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("rows", [1, 3, 70])
-def test_refinement_is_the_same_spline(rows):
-    """A cubic spline refined onto a superset of its knots, one knot of it
-    doubled, is the same function: its values agree at 10^4 points to
-    1e-13 of their size."""
-    rng = np.random.default_rng(rows)
-    inner = np.sort(rng.uniform(0.0, 5.0, 40))
-    t = np.concatenate([np.zeros(4), inner, np.full(4, 5.0)])
-    more = np.sort(np.concatenate([inner, inner[7:8],
-                                   rng.uniform(0.0, 5.0, 90)]))
-    tau = np.concatenate([np.zeros(4), more, np.full(4, 5.0)])
-    c = rng.standard_normal((len(t) - 4, rows))
-    band, first = _refinement(t, tau)
-    assert band.shape == (len(tau) - 4, 4)
-    assert first.min() >= 0 and first.max() + 4 <= len(t) - 4
-    xq = np.linspace(0.0, 5.0, 10_000)
-    want = BSpline(t, c, 3)(xq)
-    got = BSpline(tau, _band_product(band, first, c), 3)(xq)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lambda_zero_is_one(ev_cosine, ev_bessel):

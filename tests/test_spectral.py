@@ -10,13 +10,12 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
 from slhyper import spectral
 from slhyper.inteq import l1_kappa_norm
-from slhyper.kernel import (KernelEvaluator, RowSpline, _add_spline,
-                            _merged_knots)
+from slhyper.kernel import KernelEvaluator, RowSpline
 from slhyper.operator import builtin_operator
 from slhyper.spectral import (GridFunction, TransformTable, _eigenpairs,
                               _r_weights, build_spectral_measure,
@@ -156,12 +155,15 @@ def test_w_values_below_a_eff_is_one(sm_whittaker):
 
 @pytest.mark.parametrize("name", ["sm_cosine", "sm_bessel", "sm_whittaker"])
 def test_w_values_is_the_richardson_combination(name, request, monkeypatch):
-    """The measure's one eigenfunction spline, on the merged knots, is the
-    combination (4 S_fine - S_coarse) / 3 of the two levels' own splines on
-    [a_eff, L], each fitted alone on its own knots from a copy of its node
-    table; eigenvalues and masses are those of the levels, bit for bit.
-    The levels are told apart by their node counts.  Every fixture measure
-    is built with lambda_max 1600."""
+    """The measure's one eigenfunction spline is the not-a-knot cubic
+    spline on the fine grid's own knots through (4 T_fine - S_coarse) / 3
+    at the fine nodes: T_fine a copy of the fine node table, and S_coarse
+    the coarse level's spline, fitted alone on its own knots
+    (make_interp_spline) from a copy of its node table.  Its values at the
+    fine nodes are that combination, and its knots make_interp_spline's on
+    the fine grid; eigenvalues and masses are those of the levels, bit for
+    bit.  The levels are told apart by their node counts.  Every fixture
+    measure is built with lambda_max 1600."""
     sm = request.getfixturevalue(name)
     tables = {}
     eigen_solve = spectral._eigen_solve
@@ -179,16 +181,12 @@ def test_w_values_is_the_richardson_combination(name, request, monkeypatch):
     assert np.array_equal(mass, sm.masses)
     assert a_eff == sm._a_eff and len(tables) == 2
 
-    def alone(xs, table):
-        t = _merged_knots(xs)
-        c = np.zeros((len(t) - 4, len(lam)))
-        _add_spline(c, t, xs, table[:, :len(lam)], 1.0)
-        return RowSpline(t, c)
-
-    coarse, fine = (alone(*tables[n]) for n in sorted(tables))
-    x = np.linspace(a_eff, sm.L, 4001)
-    want = (4.0 * fine(x) - coarse(x)) / 3.0
-    assert np.max(np.abs(sm.w_values(x) - want)) <= 1e-14
+    (xs_c, coarse), (xs_f, fine) = (tables[n] for n in sorted(tables))
+    K = len(lam)
+    s_coarse = make_interp_spline(xs_c, coarse[:, :K], k=3)
+    want = (4.0 * fine[:, :K] - s_coarse(xs_f)) / 3.0
+    assert np.array_equal(w.t, make_interp_spline(xs_f, want[:, 0], k=3).t)
+    assert np.max(np.abs(sm.w_values(xs_f) - want.T)) <= 1e-14
 
 
 def _memory(a: np.ndarray):
@@ -279,6 +277,25 @@ def test_eigenfunctions_end_at_L(name, request):
                  lambda: sm.synthesize(coef, np.linspace(0.0, sm.L + 1.0, 5001))):
         with pytest.raises(ValueError, match=f"past L = {sm.L:g}"):
             call()
+
+
+def test_nan_points_raise(sm_cosine_512):
+    """A NaN point raises ValueError in w_values, basis and both orders of
+    synthesize, as a point past L does, and is not kept by the memo: the
+    range checks skipped NaN, and w_values([1, nan]) returned a column of
+    NaN."""
+    sm = sm_cosine_512
+    coef = np.exp(-0.1 * sm.lambdas)
+    long = np.linspace(0.0, 12.0, 3001)
+    long[1500] = np.nan
+    for call in (lambda: sm.w_values([1.0, np.nan]),
+                 lambda: sm.basis([1.0, np.nan]),
+                 lambda: sm.synthesize(coef, [1.0, np.nan]),
+                 lambda: sm.synthesize(coef, long),
+                 lambda: sm.w_values(np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+    assert not any(np.isnan(b.grid).any() for b in sm._kept)
 
 
 def _synthesis_grids(sm):
@@ -722,6 +739,31 @@ def test_a_seed_below_a_close_pair_is_bisected_with_it():
         lambda j: vecs[:, j])
     assert seeded == 0
     assert np.array_equal(got, vals) and np.array_equal(got_vecs, vecs)
+
+
+def test_stein_quotients_are_taken_from_contiguous_vectors(monkeypatch):
+    """The cosine 16/6144 coarse matrix (3072 nodes), solved by bisection
+    and inverse iteration: every eigenvector's Rayleigh quotient is taken
+    from a contiguous vector, stein's own output, not from a strided column
+    of the node table, and the eigenvalues are array_equal to the quotients
+    of the table's columns."""
+    diag, off = _cosine_fine_matrix(3072)
+    make = spectral._rayleigh_quotient
+    contiguous = []
+
+    def spy(diag, off):
+        quotient = make(diag, off)
+
+        def watched(v):
+            contiguous.append(v.flags.c_contiguous)
+            return quotient(v)
+        return watched
+
+    monkeypatch.setattr(spectral, "_rayleigh_quotient", spy)
+    vals, vecs, _, seeded = _eigenpairs(diag, off, 1600.0)
+    assert seeded == 0 and len(contiguous) == len(vals) and all(contiguous)
+    quotient = make(diag, off)
+    assert np.array_equal(vals, [quotient(v) for v in vecs.T])
 
 
 def test_rayleigh_quotients_are_summed_to_rounding():
