@@ -8,7 +8,8 @@ is a probability density in xi (mass one against r), and as t decreases it
 concentrates on the convolution support of the point pair (x, y).  All
 convolution-level objects here are built from it or from the transform-domain
 product, which is exact on the measure's atoms: the inverse transform of a
-product of transforms, read through its grid's basis (``Basis.inverse``).
+product of transforms, the product of the basis of an input grid when the
+output grid equals it, synthesize's order on any other grid.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def translate(h: GridFunction, y: float, sm: SpectralMeasure,
     bh = sm.basis(h.grid)
     coef = (np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
             * sm.w_values(y)[:, 0])
-    return GridFunction(out_grid, sm.basis(out_grid, bh).inverse(coef))
+    return GridFunction(out_grid, sm.synthesize(coef, out_grid, bh))
 
 
 def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
@@ -178,7 +179,7 @@ def convolve_functions(h: GridFunction, g: GridFunction, sm: SpectralMeasure,
     bg = sm.basis(g.grid, bh)
     coef = (np.exp(-t_reg * sm.lambdas) * bh.forward(h.values)
             * bg.forward(g.values))
-    return GridFunction(out_grid, sm.basis(out_grid, bh, bg).inverse(coef))
+    return GridFunction(out_grid, sm.synthesize(coef, out_grid, bh, bg))
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,15 @@ heap, is alive at a time; ``SpectralMeasure.pairing`` says where the
 pairing of the levels' eigenvalues stopped and how many fine eigenpairs
 came from seeds.
 
-Inverse transforms read their grid's basis: ``inverse_transform`` and
-the transform-domain products of ``hconv`` and ``inteq`` are
-``Basis.inverse`` on the basis of their grid, held for the call, so each
-distinct grid of a call is evaluated once, whatever the memo keeps.
-Kernel sums, the heat, product and Cauchy kernels and the measure
-densities, are one ``sm.synthesize(coef, grid)``.  A spline is linear in
-its coefficients (de Boor, A Practical Guide to Splines), so sum_k m_k
+``inverse_transform``, the resolvent kernel (whose recheck reads that
+basis) and the equation solves are ``Basis.inverse`` on their grid's
+basis.  Translation and convolution of functions hand their input grids'
+bases to ``sm.synthesize(coef, grid, *held)``, which takes a held basis
+on an equal grid and its own order on any other, so each distinct grid
+of a call is evaluated at most once, whatever the memo keeps.  Kernel
+sums, the heat, product and Cauchy kernels and the measure densities,
+are one ``sm.synthesize(coef, grid)``.  A spline is linear in its
+coefficients (de Boor, A Practical Guide to Splines), so sum_k m_k
 coef_k w_k is itself a spline, and synthesize takes the cheaper order of
 B(grid) C (masses * coef), C the coefficient table, decided by the shapes
 alone: contract first (the rows of C that reach the grid times the
@@ -204,12 +206,12 @@ class SpectralMeasure:
     S_coarse(x_fine)) / 3 of the two levels' values at the fine nodes (see
     _levels).
 
-    synthesize, the kernel sums' primitive (inverse transforms read their
-    grid's basis instead), contracts the coefficient table with the
-    weighted coefficients first when that takes fewer multiply-adds than
-    evaluating every eigenfunction on the grid first; the choice depends on
-    the shapes alone (see synthesize).  Contracting first drops the atoms whose terms
-    lie below one unit roundoff of the sum (see _contracted).
+    synthesize takes the product of a basis its caller holds on an equal
+    grid; otherwise it contracts the coefficient table with the weighted
+    coefficients first when that takes fewer multiply-adds than evaluating
+    every eigenfunction on the grid first, a choice that depends on the
+    shapes alone (see synthesize).  Contracting first drops the atoms whose
+    terms lie below one unit roundoff of the sum (see _contracted).
 
     basis memoizes the bases it builds, keyed by grid content (a stored
     copy of the grid, compared with np.array_equal), each with its grid,
@@ -302,13 +304,14 @@ class SpectralMeasure:
             self._kept.append(b)
         return b
 
-    def synthesize(self, coef, grid) -> np.ndarray:
+    def synthesize(self, coef, grid, *held: Basis) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
         table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n).
 
-        The sum is B(grid) C (masses * coef), with B the B-splines on grid
-        and C the spline's coefficient table, and it takes the cheaper
-        order by multiply-adds, a choice made from the shapes alone:
+        A basis among held, already paid for, on an equal grid gives its
+        product.  Else the sum is B(grid) C (masses * coef), with B the
+        B-splines on grid and C the spline's coefficient table, in the
+        cheaper order by multiply-adds, chosen from the shapes alone:
         contracting first costs rows K m + 4 n m, where rows counts the
         rows of C whose B-splines reach the grid's span; evaluating first
         costs n K (4 + m) and reads the values of basis(grid), memo
@@ -317,6 +320,8 @@ class SpectralMeasure:
         nothing, and evaluating first sums every atom."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         coef = np.asarray(coef)
+        if any(np.array_equal(b.grid, grid) for b in held):
+            return self.basis(grid, *held).inverse(coef)
         m = 1 if coef.ndim == 1 else coef.shape[1]
         n, K = grid.size, len(self.lambdas)
         if n:
@@ -847,8 +852,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     changes of an eigenvector do not give its index.  The fine level is
     normalized and paired, and its node table's kept columns are combined
     and fitted in place (``kernel._fit_in_place``), so the node table
-    becomes the coefficient table, N + 2 rows by K columns, or a view of
-    its first K columns when the pairing cuts.
+    becomes the coefficient table, N + 2 rows by K columns, or a copy of
+    its first K columns when it has more, so that none stays alive unused.
     """
     # left edge of the computational interval: the series table's start
     a_eff = evaluator.start
@@ -893,7 +898,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
         4.0 * table[:, cols] - _band_product(band, first, c[cols].T)) / 3.0)
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
-    return (a_eff, lam, mass, RowSpline(t, table[:, :K]),
+    kept = np.ascontiguousarray(table[:, :K])
+    return (a_eff, lam, mass, RowSpline(t, kept),
             Pairing(len(vals_f), len(vals_c), K, cut, seeded))
 
 
@@ -938,9 +944,9 @@ def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
 
 def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
                       out_grid) -> GridFunction:
-    """sum_k m_k (Fh)(lambda_k) w_k on out_grid, read through the grid's
-    basis (``Basis.inverse``): one product when the memo keeps it.  The
-    table must be on the measure's atoms."""
+    """sum_k m_k (Fh)(lambda_k) w_k on out_grid through its basis, as the
+    resolvent kernel's g: one product when the memo keeps it (sm.synthesize
+    may contract first on a one-off grid).  tbl must be on sm's atoms."""
     if len(tbl.lambdas) != len(sm.lambdas) or not np.allclose(
             tbl.lambdas, sm.lambdas, rtol=1e-12, atol=1e-12):
         raise ValueError("transform table does not match the measure's atoms")
