@@ -8,8 +8,8 @@ is a probability density in xi (mass one against r), and as t decreases it
 concentrates on the convolution support of the point pair (x, y).  All
 convolution-level objects here are built from it or from the transform-domain
 product, which is exact on the measure's atoms: the inverse transform of a
-product of transforms, the product of the basis of an input grid when the
-output grid equals it, synthesize's order on any other grid.
+product of transforms (``SpectralMeasure.synthesize``, handed the bases of
+the input grids).
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
 def product_density(t: float, x: float, y: float, xi_grid,
                     sm: SpectralMeasure) -> ProductKernel:
     """q_t(x, y, .) on xi_grid, with its mass int q_t r dxi by the grid's
-    trapezoid weights.  The sum over atoms is one sm.synthesize.  On grids
-    of thousands of points, such as default_xi_grid's, it contracts the
-    spline's coefficients first, and then the eigenfunctions are evaluated
-    at x and y only, not on the grid.  The grid must be finite, strictly
-    increasing and at least two points long, or ValueError is raised."""
+    trapezoid weights.  The sum over atoms is one sm.synthesize.  The grid
+    must be finite, strictly increasing and at least two points long, or
+    ValueError is raised."""
     t = _positive_time(t)
     xi = _checked_grid(xi_grid, "xi grid")
     wxy = sm.w_values([x, y])

@@ -38,7 +38,6 @@ __all__ = [
     "ResolventResult",
     "l1_kappa_norm",
     "wiener_levy_check",
-    "resolvent_kernel",
     "solve_equation",
     "solve_qt_equation",
 ]
@@ -263,23 +262,14 @@ def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
 # resolvent and solver
 
 
-def resolvent_kernel(f: GridFunction, rho: complex, sm: SpectralMeasure,
-                     out_grid=None) -> ResolventResult:
-    """Kernel g with 1/(rho + Ff) = rho + Fg on the measure's atoms.
-
-    The identity defines Fg exactly on atoms; g is its inverse transform on
-    out_grid (default: the grid of f).  forward_recheck reports how well the
-    quadrature transform of the realized g reproduces the defining table.
-    """
-    bf = sm.basis(f.grid)
-    return _resolvent(bf.forward(f.values), rho, sm,
-                      bf if out_grid is None else sm.basis(out_grid, bf))
-
-
 def _resolvent(ff, rho: complex, sm: SpectralMeasure,
-               basis: Basis) -> ResolventResult:
-    """resolvent_kernel from the atom transform ff of f, with g the inverse
-    transform of its table on the grid of basis."""
+               basis: Basis) -> tuple[ResolventResult, np.ndarray]:
+    """The resolvent kernel g with 1/(rho + Ff) = rho + Fg on the measure's
+    atoms, from the atom transform ff of f: the identity defines Fg
+    exactly on the atoms, and g is its inverse transform on the grid of
+    basis.  forward_recheck reports how well the quadrature transform of
+    the realized g, returned beside the result, reproduces the defining
+    table."""
     denom = rho + ff
     if np.min(np.abs(denom)) <= 1e-8:
         k = int(np.argmin(np.abs(denom)))
@@ -293,7 +283,7 @@ def _resolvent(ff, rho: complex, sm: SpectralMeasure,
     scale = max(float(np.max(np.abs(fg_vals))), 1e-300)
     recheck = float(np.max(np.abs(g_back - fg_vals))) / scale
     return ResolventResult(g=g, fg=fg, round_trip_residual=rt,
-                           forward_recheck=recheck)
+                           forward_recheck=recheck), g_back
 
 
 def solve_equation(prob: EquationProblem, sm: SpectralMeasure) -> EquationSolution:
@@ -314,11 +304,10 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure) -> EquationSoluti
         raise ValueError(
             f"equation not solvable in L1,kappa: |rho + Ff| = "
             f"{check.min_modulus:.3e} at lambda = {check.witness}")
-    res = _resolvent(ff, prob.rho, sm, bf)
+    res, g_back = _resolvent(ff, prob.rho, sm, bf)
     bpsi = sm.basis(prob.psi.grid, bf)
     fpsi = bpsi.forward(prob.psi.values)
-    conv = bpsi.inverse(np.exp(-_T_REG * sm.lambdas) * fpsi
-                        * bf.forward(res.g.values))
+    conv = bpsi.inverse(np.exp(-_T_REG * sm.lambdas) * fpsi * g_back)
     h_vals = prob.rho * prob.psi.values + conv
     h = GridFunction(prob.psi.grid, np.real_if_close(h_vals, tol=1e6))
     fh = bpsi.forward(h.values)

@@ -8,31 +8,18 @@ singular, w is computed from the iterated-integral series
     eta_j(x) = int_a^x (s(x) - s(xi)) eta_{j-1}(xi) r(xi) dxi,
 
 with s' = 1/p.  The series terms are lambda-independent, so they are
-tabulated on one grid, with zeta_j = int_a^x eta_j r: the rows a sum
-reads, extended on demand.  A sum at |lambda| S <= 1 reads 19 rows; larger
-|lambda| S read more, up to _MAX_TERMS + 1, and each new row comes from the
-same recurrence, so its bits do not depend on how the table grew.
-Their slopes are exact: eta_{j+1}' = zeta_j / p, zeta_j' = eta_j r, and p'
-and r' are symbolic.  So each interval's integral is the cubic Hermite one
-(``_hermite_increments``), the terms between nodes are cubic Hermite
-interpolants (``KernelEvaluator._terms``), and no system is solved.  Further
-out, evaluation integrates the first-order system w' = w1/p, w1' = -lambda r w.
+tabulated on one grid (``KernelEvaluator._build_series_table``), with the
+rows a sum reads (``_extend_table``) and the terms between the nodes
+(``KernelEvaluator._terms``) taken from exact slopes, so no system is
+solved.  Further out, evaluation integrates the first-order system
+w' = w1/p, w1' = -lambda r w, one DOP853 solve (``slhyper.ode``) for every
+lambda at once, within the period budget _MAX_PERIODS
+(``KernelEvaluator.eval_many``, ``_integrate``).
 
-Evaluation is batched over lambda (``KernelEvaluator.eval_many``).  The
-series part is one matrix product of scaled powers (-lambda)^j with the
-table, served up to each lambda's hand-off point, where |lambda| S <= 1.
-The ODE part is one DOP853 solve (``slhyper.ode``, numpy) of the stacked
-state of every lambda that needs it, started at the earliest of their
-hand-off points, with the tolerances tightened so that each lambda is held
-to its single-lambda error criterion.  A single lambda is the batch of one.
-A solve that would span more than _MAX_PERIODS periods of w is refused
-before it runs.
-
-The table is this module's alone.  The spectral measure takes its left
-edge, the table's first node (``KernelEvaluator.start``), and the values
-its eigenvectors are scaled to (``KernelEvaluator.leading_values``) from
-here, so both series rules, the hand-off and the normalization windows,
-are set side by side in this module.
+The spectral measure reads this module's table through its first node
+(``KernelEvaluator.start``) and the values its eigenvectors are scaled to
+(``KernelEvaluator.leading_values``), and fits and evaluates its
+eigenfunction splines here (``_fit_in_place``, ``RowSpline``).
 """
 
 from __future__ import annotations
@@ -54,10 +41,8 @@ __all__ = ["KernelEvaluator"]
 
 _SERIES_POINTS = 4000
 _MAX_TERMS = 60
-# eval_many sums the series while |lambda| S <= _HANDOFF_RHO.  A normalization
-# window (``leading_values``) is the series alone on the leading nodes with
-# |lambda| S <= _WINDOW_RHO, at most _WINDOW_NODES of them, or, with fewer
-# than _WINDOW_MIN, eval_many on the first _FALLBACK_NODES nodes
+# eval_many sums the series while |lambda| S <= _HANDOFF_RHO; the window
+# constants are leading_values'
 _HANDOFF_RHO = 1.0
 _WINDOW_RHO, _WINDOW_NODES, _WINDOW_MIN, _FALLBACK_NODES = 0.5, 80, 3, 20
 # DOP853 tolerances of the kernel ODE
@@ -163,13 +148,13 @@ _FEW_POINTS = 4
 @dataclass(frozen=True, eq=False)
 class RowSpline:
     """A vector-valued cubic spline: knots t and coefficients c of shape
-    (len(t) - 4, *lead), one spline for each entry of lead."""
+    (len(t) - 4,) for one spline or (len(t) - 4, m) for m of them."""
 
     t: np.ndarray
     c: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
-        """Values at the 1-D points x, shape lead + (len(x),), equal to
+        """Values at the 1-D points x, shape c.shape[1:] + (len(x),), equal to
         scipy's BSpline's bit for bit, past the end knots included.
 
         Many points take the collocation matrix of x (``_design``) times
@@ -180,8 +165,8 @@ class RowSpline:
         times scipy's compiled call on the one to three points that
         spectral sums evaluate apart from their grids."""
         x = np.asarray(x, dtype=float)
-        c = self.c.reshape(len(self.c), -1)
-        if c.shape[1] == 1:
+        c = self.c
+        if c.ndim == 2 and c.shape[1] == 1:
             # a 1-D gather is faster than one of rows of length 1
             c = c[:, 0]
         if len(x) > _FEW_POINTS:
@@ -196,8 +181,7 @@ class RowSpline:
                 for j in (1, 2, 3):
                     vi += rows[j] * b[j]
                 v[i] = vi
-        v = v.reshape(len(x), *self.c.shape[1:])
-        return v.transpose(*range(1, v.ndim), 0)
+        return v.reshape(len(x), *self.c.shape[1:]).T
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -232,38 +216,6 @@ def _lapack(*names: str):
     return [getattr(module, "d" + name) for name in names]
 
 
-def _interpolation(xs: np.ndarray, t: np.ndarray):
-    """The map from a block of columns of values at xs, shape (len(xs), b),
-    to the coefficients, shape (len(xs), b), of the cubic splines on the
-    knots t through them.
-
-    The collocation matrix depends on xs and t alone, so it is LU-factored
-    once here (LAPACK gbtrf, from scipy's compiled wrapper: ``_lapack``),
-    where make_interp_spline factors it again on every call (gbsv, which is
-    gbtrf then gbtrs).  Each block costs one Fortran-ordered copy, solved in
-    place, and the coefficients are make_interp_spline's, bit for bit.
-    """
-    band, first = _design(t, xs)
-    row = np.arange(len(xs))[:, None]
-    col = first[:, None] + np.arange(4)
-    # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
-    ab = np.zeros((10, len(xs)), order="F")
-    ab[6 + row - col, col] = band
-    gbtrf, gbtrs = _lapack("gbtrf", "gbtrs")
-    lu, piv, info = gbtrf(ab, 3, 3, overwrite_ab=True)
-    if info != 0:
-        raise ValueError("spline collocation system is singular")
-
-    def solve(cols):
-        rhs = np.array(cols, order="F")
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("spline values must be finite")
-        c, info = gbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
-        return c
-
-    return solve
-
-
 def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """A float array of zeros in an anonymous memory map of its own, outside
     the malloc heap.
@@ -294,18 +246,36 @@ def _fit_in_place(xs: np.ndarray, c: np.ndarray, values) -> np.ndarray:
     row of the array beneath.  With values(cols) = c[:, cols], c becomes
     make_interp_spline's coefficients, bit for bit.
 
-    Each block's solve is released before the next, so the temporaries
-    stay one block's values and solve.  Large temporaries leave holes in
-    the heap that later large arrays may or may not fit, which would make
-    the peak memory of a process that builds several measures depend on
-    its heap layout, not on its work.
+    The collocation matrix depends on xs alone, so it is LU-factored once
+    (LAPACK gbtrf, from scipy's compiled wrapper: ``_lapack``), where
+    make_interp_spline factors it again on every call (gbsv, which is
+    gbtrf then gbtrs).  Each block costs one Fortran-ordered copy, solved
+    in place, and is released before the next, so the temporaries stay one
+    block's values and solve.  Large temporaries leave holes in the heap
+    that later large arrays may or may not fit, which would make the peak
+    memory of a process that builds several measures depend on its heap
+    layout, not on its work.
     """
     t = _not_a_knot(xs)
-    fit = _interpolation(xs, t)
+    band, first = _design(t, xs)
+    row = np.arange(len(xs))[:, None]
+    col = first[:, None] + np.arange(4)
+    # LAPACK band storage with room for the fill-in: A[i, j] at [6 + i - j, j]
+    ab = np.zeros((10, len(xs)), order="F")
+    ab[6 + row - col, col] = band
+    gbtrf, gbtrs = _lapack("gbtrf", "gbtrs")
+    lu, piv, info = gbtrf(ab, 3, 3, overwrite_ab=True)
+    if info != 0:
+        raise ValueError("spline collocation system is singular")
+    del band, first, row, col      # only the factors stay for the blocks
     m = c.shape[1]
     for j in range(0, m, _SPLINE_BLOCK):
         cols = slice(j, min(j + _SPLINE_BLOCK, m))
-        c[:, cols] = fit(values(cols))
+        rhs = np.array(values(cols), order="F")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("spline values must be finite")
+        c[:, cols] = gbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)[0]
+        del rhs
     return t
 
 
@@ -374,8 +344,11 @@ class KernelEvaluator:
 
     def _extend_table(self, J: int) -> None:
         """The (2, J, n) table of eta_j and zeta_j = int_a^x eta_j r for j <
-        J, from the rows already in it.  Each row is integrated with its
-        exact slope: zeta_j' = eta_j r and eta_{j+1}' = zeta_j / p, so
+        J, from the rows already in it.  Rows are made on demand: the
+        table starts with the 19 rows that every sum at |lambda| S <= 1
+        reads, and _terms adds those that a larger |lambda| S reads
+        (``_term_count``), up to _MAX_TERMS + 1.  Each row is integrated
+        with its exact slope: zeta_j' = eta_j r and eta_{j+1}' = zeta_j / p, so
         (s eta_j r)' = eta_j r / p + s (eta_j r)'.  The slope of eta_j is
         recomputed from zeta_{j-1}, so a row has the same bits whether the
         table is built to J rows at once or grown to them in steps."""
@@ -400,8 +373,7 @@ class KernelEvaluator:
         """(eta_j, zeta_j) for j < J at the in-table points x, shape
         (2, J, len(x)): the cubic Hermite interpolant of the rows' values
         and exact slopes eta_j' = zeta_{j-1} / p, zeta_j' = eta_j r at the
-        nodes.  The table is extended first when it has fewer than J rows.
-        Products go through one buffer, not fresh temporaries."""
+        nodes.  Products go through one buffer, not fresh temporaries."""
         if J > self._table.shape[1]:
             self._extend_table(J)
         xs = self._xs
@@ -458,8 +430,11 @@ class KernelEvaluator:
     def leading_values(self, lams: np.ndarray, nodes: np.ndarray):
         """w for each real lambda on its normalization window, the leading
         nodes an eigenvector is scaled on: (K, M) values, row k read only on
-        nodes[:n[k]], and the lengths n.  S grows with x, so each window is
-        a prefix of the nodes, and no ODE runs past one."""
+        nodes[:n[k]], and the lengths n.  A window is the series alone on
+        the leading nodes with |lambda| S <= _WINDOW_RHO, at most
+        _WINDOW_NODES of them, or, where fewer than _WINDOW_MIN are, eval_many
+        on the first _FALLBACK_NODES nodes.  S grows with x, so each window
+        is a prefix of the nodes, and no ODE runs past one."""
         S_nodes = np.interp(nodes, self._xs, self._S, right=np.inf)
         n_win = np.minimum(np.searchsorted(
             S_nodes, _WINDOW_RHO / np.maximum(lams, 1e-30), side="right"),
@@ -543,8 +518,7 @@ class KernelEvaluator:
         lambda from x0.  The state is real, (w, w1), or, when some lambda
         is complex, the (Re, Im) pairs of (w, w1), which read as a complex
         array.  Returns w and w1 at xs, each (K, len(xs)); xs may repeat
-        nodes.  A span of more than _MAX_PERIODS periods of the largest
-        |lambda| is a ValueError, raised before the solve.
+        nodes.  A span past _MAX_PERIODS is a ValueError.
 
         The error norm is an RMS over all m K real components.  Scaling the
         tolerances by 2 / sqrt(m K) keeps each lambda's own four-component

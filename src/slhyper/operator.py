@@ -516,13 +516,10 @@ def _support_in_s(case: str, u: float, v: float, par: SupportParams):
         if max(u, v) < x0:
             return _merge([(d, d), (2 * x0 - s, s)])
         return ((d, s),)
-    # cases c and d share the two-interval shape away from the thresholds
-    if case == "c":
-        if min(u, v) <= 2 * x1:
-            return ((d, s),)
-        return _merge([(d, 2 * x1 + d), (s - 2 * x1, s)])
-    if case == "d":
-        if min(u, v) <= 2 * x1 or max(u, v) >= x0 - x1:
+    # cases c and d share the two-interval shape away from the thresholds,
+    # of which d has one more
+    if case in ("c", "d"):
+        if min(u, v) <= 2 * x1 or (case == "d" and max(u, v) >= x0 - x1):
             return ((d, s),)
         return _merge([(d, 2 * x1 + d), (s - 2 * x1, s)])
     raise ValueError(f"unknown case {case!r}")

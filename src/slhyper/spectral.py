@@ -3,74 +3,24 @@ heat kernel.
 
 The measure rho on [sigma^2, oo) is approximated by the eigenvalues of the
 operator truncated to [a, L] (zero flux at a, Dirichlet at L), each atom
-carrying mass 1/||w_lambda||^2.  Eigenvalues and masses are Richardson
-extrapolated across a grid halving, which removes the leading h^2
-discretization error, so the finite-volume matrices of two levels, on N
-and N // 2 nodes, are solved, the coarse one first (``_levels``).  The
-coarse matrix's eigenvalues are located by bisection to theta = 2e-4 times
-each one's gap, the largest ratio of tolerance to gap that the floor 1e-8
-max(1, lambda_max) gives on the builtin families (``_bisection``), then its
-eigenvectors come from inverse iteration per run of close eigenvalues, cut
-by relative gap: LAPACK's own cluster test is an absolute gap, which on
-these graded matrices would reorthogonalize the whole wanted spectrum
-(``_eigenpairs``).  The fine matrix is not bisected where the coarse level
-already knows its eigenpairs: the coarse eigenfunctions, read at the fine
-nodes, seed two steps of Rayleigh-quotient inverse iteration per
-eigenpair, one vector at a time, and a seed is accepted only if its
-eigenvector has as many sign changes as its index, its eigenvalue stands
-clear of the one below, and its residual bounds its error
-(``_rayleigh_iteration``).  Bisection takes over above the last accepted
-seed.  Each eigenvalue is the Rayleigh quotient of its vector, a sum of
-squares summed pairwise (``_rayleigh_quotient``), and each vector is
-scaled to w(a) = 1 by its least-squares fit to the kernel's w on a window
-of leading nodes (``KernelEvaluator.leading_values``).  The eigenfunctions
-are extrapolated too: the measure keeps one vector-valued cubic spline on
-the fine level's own knots, the not-a-knot interpolant of the combined
-node values (4 T_fine - S_coarse(x_fine)) / 3, T_fine the fine node table
-and S_coarse the coarse level's spline, so every evaluation is one spline
-call, in numpy (``kernel.RowSpline``).  The fine node table is combined
-and fitted in place (``kernel._fit_in_place``), so it becomes the
-coefficient table, and one level's node table, mapped outside the malloc
-heap, is alive at a time; ``SpectralMeasure.pairing`` says where the
-pairing of the levels' eigenvalues stopped and how many fine eigenpairs
-came from seeds.
+carrying mass 1/||w_lambda||^2, from the finite-volume matrices of two
+levels (``_finite_volume``).  Each rule of the build and of the sums is
+stated once, where it is implemented:
 
-``inverse_transform``, the resolvent kernel (whose recheck reads that
-basis) and the equation solves are ``Basis.inverse`` on their grid's
-basis.  Translation and convolution of functions hand their input grids'
-bases to ``sm.synthesize(coef, grid, *held)``, which takes a held basis
-on an equal grid and its own order on any other, so each distinct grid
-of a call is evaluated at most once, whatever the memo keeps.  Kernel
-sums, the heat, product and Cauchy kernels and the measure densities,
-are one ``sm.synthesize(coef, grid)``.  A spline is linear in its
-coefficients (de Boor, A Practical Guide to Splines), so sum_k m_k
-coef_k w_k is itself a spline, and synthesize takes the cheaper order of
-B(grid) C (masses * coef), C the coefficient table, decided by the shapes
-alone: contract first (the rows of C that reach the grid times the
-weighted coef, then one spline evaluation), as for the product kernels on
-thousands of points; or evaluate every eigenfunction on the grid first,
-as for short grids and for many right-hand sides at once.
-Contracting first reads only a prefix of the atoms: those whose dropped
-tail sum_k |m_k coef_k| b_k, with b_k = max |C[:, k]| a bound on |w_k| by
-the convex-hull property of B-splines, stays within one unit roundoff of
-the whole sum of such terms.  The full sum's own rounding error is already
-up to K times that (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 4), so the result is as accurate; at t >= 0.1 the factor
-e^{-t lambda} of the heat and product kernels leaves most atoms below it.
-``sm.basis(grid)`` is the one way the transforms and syntheses get the
-eigenfunction values on a grid, with the grid's weights for int f r dx,
-and the forward and inverse transforms on it; the evaluate-first order of
-synthesize reads it too, every atom of it.  The measure memoizes bases,
-keyed by grid content, their grid, values and weights read-only: the
-kept values add up to at most the size of the spline's coefficient table,
-and a miss evicts the bases with the fewest lookups until the new one
-fits.  So calls that share a grid evaluate it once while the memo keeps
-it.  The contract-first order neither reads nor fills the memo, and
-``w_values`` itself is never memoized.  The eigenfunctions are known on
-[a_eff, L] only, a_eff the first node of the kernel's series table
-(``KernelEvaluator.start``): a point in [a, a_eff) takes the value 1 of
-every w_k at a_eff, and a point that is NaN, below a or past L is an
-error.
+- the two levels, their Richardson combination, their pairing and the
+  order in which their tables are released: ``_levels``;
+- the bisection and its tolerance: ``_bisection`` and ``_THETA``;
+- runs of close eigenvalues and their inverse iteration: ``_runs`` and
+  ``_eigenpairs``;
+- the seeds of the fine level that are accepted: ``_rayleigh_iteration``;
+- the scale w(a) = 1 of each eigenfunction: ``_eigen_solve``, on the
+  windows of ``KernelEvaluator.leading_values``;
+- the bases of grids and the memo that keeps them:
+  ``SpectralMeasure.basis``;
+- the order of a synthesis and the bases its caller holds:
+  ``SpectralMeasure.synthesize``, and the atoms that contracting first
+  drops: ``SpectralMeasure._contracted``;
+- the points the eigenfunctions are known at: ``SpectralMeasure._clamped``.
 """
 
 from __future__ import annotations
@@ -180,8 +130,7 @@ class Basis:
     """The eigenfunctions of one measure evaluated on one grid, W[k] =
     w_k(grid), with the grid's weights rw for int f r dx, the measure's
     masses and the number of lookups the measure's memo has answered with
-    it.  Built by SpectralMeasure.basis, which keeps its own copy of the
-    grid."""
+    it.  Built by SpectralMeasure.basis."""
 
     grid: np.ndarray
     W: np.ndarray
@@ -201,29 +150,10 @@ class Basis:
 
 class SpectralMeasure:
     """Atoms and masses of the measure, with the normalized eigenfunctions
-    on [a_eff, L] stored as one vector-valued cubic spline on the fine
-    level's knots, through the Richardson combination (4 T_fine -
-    S_coarse(x_fine)) / 3 of the two levels' values at the fine nodes (see
-    _levels).
-
-    synthesize takes the product of a basis its caller holds on an equal
-    grid; otherwise it contracts the coefficient table with the weighted
-    coefficients first when that takes fewer multiply-adds than evaluating
-    every eigenfunction on the grid first, a choice that depends on the
-    shapes alone (see synthesize).  Contracting first drops the atoms whose
-    terms lie below one unit roundoff of the sum (see _contracted).
-
-    basis memoizes the bases it builds, keyed by grid content (a stored
-    copy of the grid, compared with np.array_equal), each with its grid,
-    values and weights read-only.  The kept values add up to at most the
-    size of the spline's coefficient table; on a miss, the bases with the
-    fewest lookups go, the older on a tie, until the new one fits, so a
-    grid that keeps coming back outlives one-off grids.  Values larger
-    than the coefficient table are not kept.  The contract-first order of
-    synthesize keeps nothing.  sigma2 comes from the operator's standard
-    form when first read, so a build does no standard-form work.  pairing
-    records how the two levels' eigenpairs were paired, and where the
-    pairing stopped when it dropped atoms (see Pairing)."""
+    on [a_eff, L] as one vector-valued cubic spline (see _levels).  sigma2
+    comes from the operator's standard form when first read, so a build
+    does no standard-form work.  pairing records how the two levels'
+    eigenpairs were paired (see Pairing)."""
 
     def __init__(self, spec, evaluator, lambdas, masses, L, N,
                  a_eff: float, w: RowSpline, pairing: Pairing):
@@ -253,9 +183,11 @@ class SpectralMeasure:
         return float(build_standard_form(self.spec).sigma ** 2)
 
     def _clamped(self, xq: np.ndarray) -> np.ndarray:
-        """xq clamped below at a_eff, where every w_k is 1; a point that is
-        NaN (np.min, unlike np.fmin, returns it), below a, or past L where
-        the truncated measure ends, raises ValueError."""
+        """xq clamped below at a_eff, the first node of the kernel's series
+        table (``KernelEvaluator.start``), where every w_k is 1: the
+        eigenfunctions are known on [a_eff, L] only.  A point that is NaN
+        (np.min, unlike np.fmin, returns it), below a, or past L where the
+        truncated measure ends, raises ValueError."""
         lo = np.min(xq, initial=math.inf)
         if math.isnan(lo):
             raise ValueError("points must not be NaN")
@@ -268,22 +200,24 @@ class SpectralMeasure:
         return np.maximum(xq, self._a_eff)
 
     def w_values(self, xq) -> np.ndarray:
-        """(K, len(xq)) matrix of eigenfunction values.  Points in [a,
-        a_eff) take the value at a_eff, where every w_k is 1; points that
-        are NaN, below a or past L raise ValueError."""
+        """(K, len(xq)) matrix of eigenfunction values at xq, clamped as
+        _clamped says.  It is never memoized."""
         return self._w(
             self._clamped(np.atleast_1d(np.asarray(xq, dtype=float))))
 
     def basis(self, grid, *held: Basis) -> Basis:
         """Every eigenfunction on grid, with the grid's weights: what every
-        transform and evaluate-first synthesis reads.  A basis among held,
-        those a caller already has, whose grid equals grid is returned as it
-        is, so a call that reads one grid several times evaluates it once,
-        whatever the memo keeps.  Else an equal grid kept in the measure's
-        memo returns its basis, read-only; a miss evaluates grid and keeps
-        the basis unless its values outgrow the spline's coefficient table,
-        first evicting the bases with the fewest lookups until all kept
-        values fit in that size (see SpectralMeasure)."""
+        transform and evaluate-first synthesis reads.  A basis among held
+        whose grid equals grid is returned as it is (see synthesize).
+
+        Else the measure's memo answers.  It keeps bases keyed by grid
+        content (a stored copy of the grid, compared with np.array_equal),
+        their grid, values and weights read-only.  A miss evaluates grid
+        and keeps the basis unless its values outgrow the spline's
+        coefficient table: the kept values add up to at most that size, so
+        the bases with the fewest lookups go first, the older on a tie,
+        until the new one fits, and a grid that keeps coming back outlives
+        one-off grids."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         for b in held:
             if np.array_equal(b.grid, grid):
@@ -308,16 +242,21 @@ class SpectralMeasure:
         """sum_k m_k coef_k w_k(grid), the inverse transform of an atom
         table.  coef of shape (K,) or (K, m) gives shape (n,) or (m, n).
 
-        A basis among held, already paid for, on an equal grid gives its
-        product.  Else the sum is B(grid) C (masses * coef), with B the
-        B-splines on grid and C the spline's coefficient table, in the
-        cheaper order by multiply-adds, chosen from the shapes alone:
-        contracting first costs rows K m + 4 n m, where rows counts the
-        rows of C whose B-splines reach the grid's span; evaluating first
-        costs n K (4 + m) and reads the values of basis(grid), memo
-        included.  Both costs count every atom, K; contracting first then
-        reads only the atoms above rounding (see _contracted) and keeps
-        nothing, and evaluating first sums every atom."""
+        A basis among held, those its caller already paid for, on an equal
+        grid gives its product, so a call that hands over the bases of its
+        input grids evaluates each distinct grid at most once, whatever the
+        memo keeps.  Else, a spline being linear in its coefficients (de
+        Boor, A Practical Guide to Splines), the sum is B(grid) C (masses *
+        coef), with B the B-splines on grid and C the spline's coefficient
+        table, in the cheaper order by multiply-adds, chosen from the
+        shapes alone: contracting first costs rows K m + 4 n m, where rows
+        counts the rows of C whose B-splines reach the grid's span, as for
+        the product kernels on thousands of points; evaluating first costs
+        n K (4 + m) and reads the values of basis(grid), memo included, as
+        for short grids and many right-hand sides at once.  Both costs
+        count every atom, K; contracting first then reads only the atoms
+        above rounding (see _contracted) and neither reads nor fills the
+        memo, and evaluating first sums every atom."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         coef = np.asarray(coef)
         if any(np.array_equal(b.grid, grid) for b in held):
@@ -342,10 +281,16 @@ class SpectralMeasure:
     def _contracted(self, coef, grid, lo: int, hi: int) -> np.ndarray:
         """sum_k m_k coef_k w_k(grid) as one spline: the rows [lo, hi) of
         the coefficient table times masses * coef, on the knots of those
-        rows, evaluated on the grid clamped as in w_values.  Only the first
-        K0 atoms are read (``_atoms_above_rounding``), so the dropped part
-        of each column is at most one unit roundoff of sum_k |m_k coef_k|
-        b_k, which bounds the full sum's own rounding error K times over."""
+        rows, evaluated on the grid clamped as in w_values.
+
+        Only the first K0 atoms are read (``_atoms_above_rounding``): the
+        dropped tail of each column, sum_{k >= K0} |m_k coef_k| b_k with
+        b_k a bound on |w_k| (``_atom_bounds``), is at most one unit
+        roundoff of the same sum over every atom.  The full sum's own
+        rounding error is already up to K times that (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 4), so the result is as
+        accurate; at t >= 0.1 the factor e^{-t lambda} of the heat and
+        product kernels leaves most atoms below it."""
         weighted = (self.masses * coef.T).T
         k0 = self._atoms_above_rounding(weighted)
         spline = RowSpline(self._w.t[lo:hi + 4],
@@ -362,10 +307,11 @@ class SpectralMeasure:
         return np.maximum(c.max(axis=0), -c.min(axis=0))
 
     def _atoms_above_rounding(self, weighted: np.ndarray) -> int:
-        """The smallest K0 with T_j(K0) <= 2^-53 T_j(0) for every column j
-        of weighted, where T_j(K0) = sum_{k >= K0} |weighted[k, j]| b_k;
-        every atom, K, when a weight or a T_j(0) is not finite, so that NaN
-        and inf reach the result as in the full sum."""
+        """K0 for _contracted: the smallest with T_j(K0) <= 2^-53 T_j(0)
+        for every column j of weighted, where T_j(K0) = sum_{k >= K0}
+        |weighted[k, j]| b_k; every atom, K, when a weight or a T_j(0) is
+        not finite, so that NaN and inf reach the result as in the full
+        sum."""
         terms = np.abs(weighted.reshape(len(weighted), -1)) \
             * self._atom_bounds[:, None]
         # tails[k] = T(k); a float sum of non-negative terms never shrinks
@@ -444,9 +390,12 @@ def _rayleigh_quotient(diag: np.ndarray, off: np.ndarray):
 # bisection chunks, as fractions of lambda_max: (-1e-9, lambda_max 4^-6],
 # (lambda_max 4^-6, lambda_max 4^-5], ..., (lambda_max / 4, lambda_max]
 _CHUNK_EDGES = tuple(4.0 ** -j for j in range(6, -1, -1))
-# bisection tolerance over eigenvalue gap: the largest ratio that the floor
-# 1e-8 lambda_max gives on the builtin families (2.1e-4, at cosine's lowest
-# atom), so no eigenvalue is located more loosely than that one
+# bisection tolerance over eigenvalue gap: inverse iteration (stein) needs
+# its shift close relative to the eigenvalue's own gap (Parlett, The
+# Symmetric Eigenvalue Problem, ch. 4), and this is the largest ratio that
+# the floor 1e-8 lambda_max gives on the builtin families (2.1e-4, at
+# cosine's lowest atom), so no eigenvalue is located more loosely than that
+# one and stein converges in its usual few steps
 _THETA = 2e-4
 
 
@@ -465,21 +414,19 @@ def _stebz(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     return w[:m].copy(), iblock[:m].copy(), isplit
 
 
-def _count(diag: np.ndarray, off: np.ndarray, hi: float) -> tuple[int, bool]:
-    """The number of eigenvalues in (-1e-9, hi] of the symmetric tridiagonal
-    matrix (diag, off), from two Sturm counts, and whether stebz splits the
-    matrix into blocks."""
-    w, _, isplit = _stebz(diag, off, -1e-9, hi, hi + 1e-9)
-    return len(w), bool(isplit[0] < len(diag))
+def _count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """The number of eigenvalues in (lo, hi] of the symmetric tridiagonal
+    matrix (diag, off), from two Sturm counts."""
+    return len(_stebz(diag, off, lo, hi, hi - lo)[0])
 
 
 def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float,
                lo: float = -1e-9):
     """Eigenvalues in (lo, lambda_max] of the symmetric tridiagonal
     matrix (diag, off), in LAPACK stebz's order (by block, then by value),
-    with their block indices and stebz's isplit.  Each is located to within
-    theta = _THETA times its gap to its neighbours, and never closer than
-    the floor 1e-8 max(1, lambda_max).
+    with their block indices and stebz's isplit, None when there are none.
+    Each is located to within theta = _THETA times its gap to its
+    neighbours, and never closer than the floor 1e-8 max(1, lambda_max).
 
     Each chunk of _CHUNK_EDGES is bisected at its own absolute tolerance,
     first theta width / (2 m) from its count m.  Then a chunk whose
@@ -495,46 +442,36 @@ def _bisection(diag: np.ndarray, off: np.ndarray, lambda_max: float,
     floor = 1e-8 * max(1.0, lambda_max)
     edges = [lo, *(e for e in (lambda_max * f for f in _CHUNK_EDGES)
                    if e > lo)]
-    isplit = None
-
-    def bisect(lo, hi, tol):
-        nonlocal isplit
-        w, iblock, isplit = _stebz(diag, off, lo, hi, tol)
-        return w, iblock
-
-    def count(lo, hi):
-        return len(bisect(lo, hi, hi - lo)[0])
-
-    chunks = []  # (lo, hi, tol, w, iblock), in ascending order
+    chunks = []  # (lo, hi, tol, w, iblock, isplit), in ascending order
     for lo, hi in zip(edges[:-1], edges[1:]):
-        m = count(lo, hi)
-        if m:
+        if m := _count(diag, off, lo, hi):
             tol = max(floor, _THETA * (hi - lo) / (2 * m))
-            chunks.append((lo, hi, tol, *bisect(lo, hi, tol)))
+            chunks.append((lo, hi, tol, *_stebz(diag, off, lo, hi, tol)))
     again = bool(chunks)
     while again:
-        vals = np.concatenate([np.sort(w) for *_, w, _ in chunks])
+        vals = np.concatenate([np.sort(c[3]) for c in chunks])
         d = np.diff(vals)
         reach = (d[0], d[-1]) if len(d) else (lambda_max - edges[0],) * 2
         below, above = vals[0] - reach[0], vals[-1] + reach[1]
-        if below < edges[0] and count(below, edges[0]):
+        if below < edges[0] and _count(diag, off, below, edges[0]):
             below = edges[0]
-        if above > lambda_max and count(lambda_max, above):
+        if above > lambda_max and _count(diag, off, lambda_max, above):
             above = lambda_max
         gaps = np.diff(np.r_[below, vals, above])
         near = np.minimum(gaps[:-1], gaps[1:])
         again, first = False, 0
-        for i, (lo, hi, tol, w, _) in enumerate(chunks):
+        for i, (lo, hi, tol, w, *_) in enumerate(chunks):
             need = max(floor, _THETA * near[first:first + len(w)].min())
             first += len(w)
             if tol > 4 * need:
-                chunks[i] = (lo, hi, need, *bisect(lo, hi, need))
+                chunks[i] = (lo, hi, need, *_stebz(diag, off, lo, hi, need))
                 again = True
-    w = np.concatenate([np.empty(0), *(w for *_, w, _ in chunks)])
-    iblock = np.concatenate([np.empty(0, dtype=isplit.dtype),
-                             *(b for *_, b in chunks)])
+    w = np.concatenate([np.empty(0), *(c[3] for c in chunks)])
+    # stebz's block indices are Fortran integers
+    iblock = np.concatenate([np.empty(0, dtype=np.intc),
+                             *(c[4] for c in chunks)])
     order = np.lexsort((w, iblock))
-    return w[order], iblock[order], isplit
+    return w[order], iblock[order], chunks[-1][5] if chunks else None
 
 
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
@@ -559,34 +496,28 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
     seeds, is bisected on (``_above`` of the last accepted eigenvalue,
     lambda_max], and a matrix with no seeds on all of (-1e-9, lambda_max].
 
-    Bisection (``_bisection``) locates each eigenvalue to theta = 2e-4
-    times its gap, never closer than 1e-8 max(1, lambda_max): inverse
-    iteration (stein) needs its shift close relative to the eigenvalue's
-    own gap (Parlett, The Symmetric Eigenvalue Problem, ch. 4), and theta,
-    the loosest ratio that floor gives on the builtin families, lets it
-    converge in its usual few steps.  stein runs once per run of close
-    eigenvalues (``_runs``), so only the vectors of one run are
+    stein runs from the bisected eigenvalues (``_bisection``) once per run
+    of close eigenvalues (``_runs``), so only the vectors of one run are
     orthogonalized against each other, and each run's vectors are copied
-    into the table.  LAPACK's own cluster test is absolute, a gap
-    of 1e-3 ||T||_1, and ||T||_1 reaches 1e4 to 1e10 here, so one call
-    would orthogonalize every wanted vector against all the others, an
-    O(N K^2) Gram-Schmidt that relative gaps of about 2/k do not need.
-    Each eigenvalue is then the Rayleigh quotient of its unit vector, one
-    vector at a time (``_rayleigh_quotient``), read from stein's output,
-    whose columns are contiguous, before the table takes them.  Its error
-    is the square of the vector's residual over the gap (ch. 4 again): far
-    below the bisection tolerance, and below the ulp ||T|| that a full
-    bisection reaches, which on the graded matrices is 1e-6 of the lowest
-    eigenvalues.  The LAPACK routines come from scipy's compiled LAPACK
-    wrapper (``kernel._lapack``), without the import of scipy.linalg.
+    into the table.  LAPACK's own cluster test is absolute, a gap of 1e-3
+    ||T||_1, and ||T||_1 reaches 1e4 to 1e10 here, so one call would
+    orthogonalize every wanted vector against all the others, an O(N K^2)
+    Gram-Schmidt that relative gaps of about 2/k do not need.  Each
+    eigenvalue is then the Rayleigh quotient of its unit vector, one vector
+    at a time (``_rayleigh_quotient``), read from stein's output, whose
+    columns are contiguous, before the table takes them.  Its error is the
+    square of the vector's residual over the gap (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4): far below the bisection tolerance, and
+    below the ulp ||T|| that a full bisection reaches, which on the graded
+    matrices is 1e-6 of the lowest eigenvalues.
     """
     stein, = _lapack("stein")
     lam = (np.empty(0) if seed is None
            else _rayleigh_iteration(diag, off, table[1:-1], seed))
     k = len(lam)
     # the last accepted eigenvalue is a run of its own below the rest
-    while 0 < k < table.shape[1] and _count(diag, off,
-                                            _above(lam[k - 1]))[0] != k:
+    while 0 < k < table.shape[1] and _count(diag, off, -1e-9,
+                                            _above(lam[k - 1])) != k:
         k -= 1
     lam = lam[:k]
     if table is None or k < table.shape[1]:
@@ -601,7 +532,7 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lambda_max: float,
         quotient, quotients = _rayleigh_quotient(diag, off), [lam]
         # stein reads the block index of each eigenvalue from an array of
         # the matrix's length
-        blk = np.empty_like(isplit)
+        blk = np.empty(len(diag), dtype=iblock.dtype)
         for lo, hi in _runs(w, iblock):
             blk[:hi - lo] = iblock[lo:hi]
             z, info = stein(diag, off, w[lo:hi], blk, isplit)
@@ -771,24 +702,15 @@ def _eigen_solve(evaluator: KernelEvaluator, nodes, wgt, diag, off,
     given), their masses, the (n + 2, K) node table of the eigenfunctions
     at the nodes and both interval ends, and the number of eigenpairs
     accepted from the seeds.  The eigenvectors are divided by sqrt(wgt) in
-    place, in the table, and ``_normalize`` scales them to w(a) = 1.
+    place, in the table, and each is scaled to w(a) = 1 by the
+    least-squares fit of its leading entries to w on its atom's window
+    (``KernelEvaluator.leading_values``); its mass is one over the square
+    of that scale.
     """
-    vals, vecs, table, seeded = _eigenpairs(diag, off, lambda_max, table,
-                                            seed)
+    vals, us, table, seeded = _eigenpairs(diag, off, lambda_max, table, seed)
     if len(vals) == 0:
         raise ValueError("no eigenvalues below lambda_max; enlarge L or lambda_max")
-    vecs /= np.sqrt(wgt)[:, None]
-    return vals, _normalize(evaluator, nodes, table, vals), table, seeded
-
-
-def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
-    """Scale the eigenfunction vectors, rows 1..N of table, to the kernel
-    normalization w(a)=1, in place, and fill the rows of both interval
-    ends, so that table holds the (N+2, K) node values; returns the
-    masses.  Each vector is scaled to the least-squares fit of its leading
-    entries to w on its atom's window (``KernelEvaluator.leading_values``).
-    """
-    us = table[1:-1]
+    us /= np.sqrt(wgt)[:, None]
     w_win, n_win = evaluator.leading_values(vals, nodes)
     M = w_win.shape[1]
     u_win = np.where(np.arange(M) < n_win[:, None], us[:M].T, 0.0)
@@ -797,19 +719,17 @@ def _normalize(evaluator: KernelEvaluator, nodes, table, vals):
     # left endpoint: w_lambda -> 1 at a by construction; Dirichlet at L
     table[0] = 1.0
     table[-1] = 0.0
-    return 1.0 / (c * c)
+    return vals, 1.0 / (c * c), table, seeded
 
 
 @dataclass(frozen=True)
 class Pairing:
-    """How a build paired the eigenpairs of its two Richardson levels by
-    index: the number found on the fine level (N nodes) and on the coarse
-    one (N // 2), the number kept as atoms, and the first pair that failed
-    the test |lambda_fine - lambda_coarse| <= 0.25 max(lambda_fine, 1), as
-    (index, lambda_fine, lambda_coarse), or None when none failed.  No pair
-    past the first failed one is kept.  seeded is the number of fine
-    eigenpairs accepted from the coarse level's seeds (see _levels); the
-    rest were bisected."""
+    """How a build paired the eigenpairs of its two Richardson levels (see
+    _levels): the number found on the fine level (N nodes) and on the
+    coarse one (N // 2), the number kept as atoms, the first pair that
+    failed, as (index, lambda_fine, lambda_coarse), or None when none
+    failed, and the number of fine eigenpairs accepted from the coarse
+    level's seeds; the rest were bisected."""
 
     fine: int
     coarse: int
@@ -818,42 +738,34 @@ class Pairing:
     seeded: int
 
 
-def _spline_seed(band: np.ndarray, first: np.ndarray, c: np.ndarray,
-                 wgt: np.ndarray):
-    """seed(j) for ``_eigenpairs``: the spline of row j of the coefficient
-    table c, one spline per contiguous row, at the nodes of the collocation
-    matrix (band, first) (``kernel._design``), times sqrt(wgt), or None
-    past the last row: one banded product (``kernel._band_product``)."""
-    root_wgt = np.sqrt(wgt)
-    return lambda j: (_band_product(band, first, c[j]) * root_wgt
-                      if j < len(c) else None)
-
-
 def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
             evaluator: KernelEvaluator):
     """The two Richardson levels of a measure, on N and N // 2 nodes,
     combined: a_eff, the extrapolated eigenvalues and masses, the one
-    eigenfunction spline and the levels' Pairing.  The spline is the
-    not-a-knot cubic spline on the fine level's own knots through (4 T_fine
-    - S_coarse(x_fine)) / 3, T_fine the fine node table and S_coarse the
-    coarse level's spline on its own knots: between the fine nodes, its
-    O(h^4) interpolation error lies far below the O(h^2) error that the
-    combination cancels.
+    eigenfunction spline and the levels' Pairing.  Eigenvalues and masses
+    are combined as (4 fine - coarse) / 3, which cancels the leading h^2
+    discretization error.  The spline is the not-a-knot cubic spline on
+    the fine level's own knots through (4 T_fine - S_coarse(x_fine)) / 3,
+    T_fine the fine node table and S_coarse the coarse level's spline on
+    its own knots: between the fine nodes, its O(h^4) interpolation error
+    lies far below the O(h^2) error that the combination cancels.  The
+    levels' eigenpairs are paired by index, and the first pair with
+    |lambda_fine - lambda_coarse| > 0.25 max(lambda_fine, 1), too far apart
+    to share the h^2 expansion, ends the atoms.
 
-    One Sturm count gives the number of fine eigenvalues below lambda_max.
-    The coarse level is solved, normalized and fitted into a table of K =
-    min(fine count, coarse count) rows of N // 2 + 2 coefficients, one
-    eigenfunction per contiguous row, and its node table (mapped outside
-    the malloc heap) is released.  That spline seeds the fine level: read
-    at the fine nodes, times sqrt(wgt), one row at a time as
-    ``_rayleigh_iteration`` asks for it, it seeds ``_eigenpairs`` on the
-    fine matrix, which bisects only above the last accepted seed.  A fine
-    matrix that stebz splits into blocks is not seeded: there the sign
-    changes of an eigenvector do not give its index.  The fine level is
-    normalized and paired, and its node table's kept columns are combined
-    and fitted in place (``kernel._fit_in_place``), so the node table
-    becomes the coefficient table, N + 2 rows by K columns, or a copy of
-    its first K columns when it has more, so that none stays alive unused.
+    One stebz call gives the number of fine eigenvalues below lambda_max
+    and whether the fine matrix splits into blocks.  The coarse level is
+    solved, normalized and fitted into a table of K = min(fine count,
+    coarse count) rows of N // 2 + 2 coefficients, one eigenfunction per
+    contiguous row, and its node table is released.  That spline, read at
+    the fine nodes times sqrt(wgt) one row at a time as
+    ``_rayleigh_iteration`` asks for it, seeds ``_eigenpairs`` on the fine
+    matrix, unless stebz splits it into blocks: there the sign changes of
+    an eigenvector do not give its index.  The fine level is normalized
+    and paired, and its node table's kept columns are combined and fitted
+    in place (``kernel._fit_in_place``), so the node table becomes the
+    coefficient table, N + 2 rows by K columns, or a copy of its first K
+    columns when it has more, so that none stays alive unused.
     """
     # left edge of the computational interval: the series table's start
     a_eff = evaluator.start
@@ -875,7 +787,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     xs_f, xs_c = (np.concatenate([[a_eff], nodes, [L]])
                   for nodes, *_ in (fine, coarse))
     nodes, wgt, diag, off = fine
-    count, split = _count(diag, off, lambda_max)
+    w, _, isplit = _stebz(diag, off, -1e-9, lambda_max, lambda_max + 1e-9)
+    count, split = len(w), isplit[0] < len(diag)
 
     vals_c, mass_c, table, _ = _eigen_solve(evaluator, *coarse, lambda_max)
     K = min(count, len(vals_c))
@@ -884,11 +797,16 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     band, first = _design(
         _fit_in_place(xs_c, c.T, lambda cols: table[:, cols]), xs_f)
     del table
+    root_wgt = np.sqrt(wgt)
+
+    def seed(j):
+        return (_band_product(band[1:-1], first[1:-1], c[j]) * root_wgt
+                if j < len(c) else None)
 
     vals_f, mass_f, table, seeded = _eigen_solve(
         evaluator, *fine, lambda_max, _mapped_zeros((len(nodes) + 2, count)),
-        None if split else _spline_seed(band[1:-1], first[1:-1], c, wgt))
-    # pair by index; drop pairs too far apart to share the h^2 expansion
+        None if split else seed)
+    del w, isplit, root_wgt, seed    # not read past the fine solve
     ok = np.abs(vals_f[:K] - vals_c[:K]) <= 0.25 * np.maximum(vals_f[:K], 1.0)
     cut = None
     if not np.all(ok):
@@ -944,9 +862,8 @@ def forward_transform(h: GridFunction, sm: SpectralMeasure) -> TransformTable:
 
 def inverse_transform(tbl: TransformTable, sm: SpectralMeasure,
                       out_grid) -> GridFunction:
-    """sum_k m_k (Fh)(lambda_k) w_k on out_grid through its basis, as the
-    resolvent kernel's g: one product when the memo keeps it (sm.synthesize
-    may contract first on a one-off grid).  tbl must be on sm's atoms."""
+    """sum_k m_k (Fh)(lambda_k) w_k on out_grid, through its basis
+    (sm.basis).  tbl must be on sm's atoms."""
     if len(tbl.lambdas) != len(sm.lambdas) or not np.allclose(
             tbl.lambdas, sm.lambdas, rtol=1e-12, atol=1e-12):
         raise ValueError("transform table does not match the measure's atoms")

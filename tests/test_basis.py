@@ -12,10 +12,10 @@ import pytest
 from slhyper.cauchy import solve_cauchy
 from slhyper.hconv import (DEFAULT_T_SCHEDULE, approx_nu, convolve_functions,
                            default_xi_grid, product_density, translate)
-from slhyper.inteq import (EquationProblem, SpectralStrip, resolvent_kernel,
+from slhyper.inteq import (EquationProblem, SpectralStrip, _resolvent,
                            solve_equation, solve_qt_equation,
                            wiener_levy_check)
-from slhyper.spectral import (GridFunction, TransformTable, _r_weights,
+from slhyper.spectral import (Basis, GridFunction, TransformTable, _r_weights,
                               bump_function, forward_transform,
                               heat_kernel_grid, inverse_transform)
 
@@ -107,12 +107,33 @@ def test_solve_equation_bit_identical(sm_cosine, psi_grid):
         "resolvent_recheck": recheck}
 
 
+def test_solve_equation_transforms_each_function_once(sm_cosine, monkeypatch):
+    """One solve_equation call takes the forward transform of f, of the
+    resolvent kernel g, of psi and of h once each: the transform of g that
+    the resolvent's recheck takes is the one that psi * g reads."""
+    prob = _problem(GRID2)
+    seen = []
+    forward = Basis.forward
+
+    def spy(self, values):
+        seen.append(values)
+        return forward(self, values)
+
+    monkeypatch.setattr(Basis, "forward", spy)
+    sol = solve_equation(prob, sm_cosine)
+    want = (prob.f.values, sol.g.values, prob.psi.values, sol.h.values)
+    assert len(seen) == len(want)
+    assert all(a is b for a, b in zip(seen, want))
+
+
 @pytest.mark.parametrize("out_grid", [None, GRID2])
 def test_resolvent_kernel_bit_identical(sm_cosine, out_grid):
     f = _problem(GRID).f
     grid = f.grid if out_grid is None else out_grid
     _, fg, g, _, rt, recheck = _reference_resolvent(f, 1.0, sm_cosine, grid)
-    res = resolvent_kernel(f, 1.0, sm_cosine, out_grid=out_grid)
+    bf = sm_cosine.basis(f.grid)
+    res, _ = _resolvent(bf.forward(f.values), 1.0, sm_cosine,
+                        sm_cosine.basis(grid, bf))
     assert np.array_equal(res.g.values, g)
     assert np.array_equal(res.fg.values, fg)
     assert res.round_trip_residual == rt

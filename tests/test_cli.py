@@ -285,6 +285,15 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_lambda_max_below_the_spectrum_exit_1(tmp_path, capsys):
+    code = run(["spectrum", "--N", "512", "--lambda-max", "0.001",
+                "--out", str(tmp_path / "low.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("slhyper: error: no eigenvalues below lambda_max; "
+                   "enlarge L or lambda_max\n")
+
+
 def test_missing_input_file_exit_1(capsys):
     code = run(["transform", "--h", "/nonexistent/h.csv"])
     assert code == 1
@@ -792,7 +801,7 @@ def test_no_module_imports_scipy_integrate():
 
 def test_no_module_imports_scipy_at_module_level():
     """Importing any module of the package loads no scipy: the functions
-    that call LAPACK (spectral._eigenpairs, kernel._interpolation) load
+    that call LAPACK (spectral._eigenpairs, kernel._fit_in_place) load
     scipy's compiled wrapper from its file when they run
     (kernel._lapack)."""
     assert [name for name, names in _package_imports(module_level=True)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from slhyper.spectral import GridFunction, bump_function, forward_transform
-from slhyper.inteq import (EquationProblem, SpectralStrip, l1_kappa_norm,
-                           resolvent_kernel, solve_equation,
-                           wiener_levy_check)
+from slhyper.inteq import (EquationProblem, SpectralStrip, _resolvent,
+                           l1_kappa_norm, solve_equation, wiener_levy_check)
 
 
 def test_strip_geometry():
@@ -90,12 +89,18 @@ def test_wiener_levy_boundary_curve_sampled(sm_cosine):
     assert chk1.min_modulus <= chk0.min_modulus + 1e-12
 
 
+def _resolvent_on_grid(f, rho, sm):
+    """The resolvent kernel of f, on the grid of f."""
+    bf = sm.basis(f.grid)
+    return _resolvent(bf.forward(f.values), rho, sm, bf)[0]
+
+
 def test_resolvent_pointwise_formula(sm_cosine):
     # transform of the resolvent: Fg = 1/(rho + Ff) - rho, so on the real
     # ray Fg = -Ff/(1+Ff) at rho = 1.  (No domination |Fg| <= |Ff| holds in
     # general; it fails wherever Ff < 0.)
     h, _ = _bump(sm_cosine, center=3.0, width=1.2)
-    rr = resolvent_kernel(h, 1.0, sm_cosine)
+    rr = _resolvent_on_grid(h, 1.0, sm_cosine)
     ff = forward_transform(h, sm_cosine).values
     want = -ff / (1.0 + ff)
     assert np.max(np.abs(rr.fg.values - want)) < 1e-10
@@ -107,7 +112,7 @@ def test_resolvent_of_zero_is_zero(sm_cosine):
     g = np.linspace(0.0, 12.0, 601)
     zero = GridFunction(g, np.zeros_like(g), compact_support=True,
                         smooth2=True)
-    rr = resolvent_kernel(zero, 1.0, sm_cosine)
+    rr = _resolvent_on_grid(zero, 1.0, sm_cosine)
     assert np.max(np.abs(rr.fg.values)) < 1e-14
     assert np.max(np.abs(rr.g.values)) < 1e-12
 

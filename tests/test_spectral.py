@@ -663,6 +663,24 @@ def test_build_rejects_a_lambda_max_that_is_not_positive(lambda_max):
                                lambda_max=lambda_max)
 
 
+def test_lambda_max_below_the_lowest_eigenvalue_is_an_error():
+    """The cosine measure at L = 16 has its lowest eigenvalue near
+    (pi / 32)^2 = 0.0096, so lambda_max 0.001 leaves no atom: the build
+    says so, and the eigensolve of the fine matrix returns no eigenpair,
+    its bisection an empty array of stebz's integer block indices."""
+    spec = builtin_operator("cosine")
+    with pytest.raises(ValueError, match="no eigenvalues below lambda_max"):
+        build_spectral_measure(spec, 16.0, 512, lambda_max=0.001)
+    _, _, diag, off = spectral._finite_volume(
+        spec, KernelEvaluator(spec).start, 16.0, 512, 1.0, 0.001)
+    vals, vecs, table, seeded = _eigenpairs(diag, off, 0.001)
+    assert vals.shape == (0,) and vecs.shape == (512, 0) and seeded == 0
+    assert table.shape == (514, 0)
+    w, iblock, _ = spectral._bisection(diag, off, 0.001)
+    assert w.shape == iblock.shape == (0,)
+    assert iblock.dtype == np.intc
+
+
 @pytest.mark.parametrize("L, N, message", [
     (16.0, 15, "N must be at least 16"),
     (0.0, 512, "L must satisfy a < L < b"),
@@ -978,18 +996,18 @@ def test_normalization_integrates_only_fallback_windows(name, L, N, n_ode,
     nodes; their one stacked solve stops at the last node of their window,
     the 20th."""
     events = []
-    normalize = spectral._normalize
+    eigen_solve = spectral._eigen_solve
     integrate = KernelEvaluator._integrate
 
-    def spy_normalize(evaluator, nodes, *args):
+    def spy_eigen_solve(evaluator, nodes, *args):
         events.append(("level", nodes))
-        return normalize(evaluator, nodes, *args)
+        return eigen_solve(evaluator, nodes, *args)
 
     def spy_integrate(self, lams, x0, w0, w10, xs):
         events.append(("ode", np.max(xs)))
         return integrate(self, lams, x0, w0, w10, xs)
 
-    monkeypatch.setattr(spectral, "_normalize", spy_normalize)
+    monkeypatch.setattr(spectral, "_eigen_solve", spy_eigen_solve)
     monkeypatch.setattr(KernelEvaluator, "_integrate", spy_integrate)
     build_spectral_measure(builtin_operator(name), L, N, lambda_max=1600.0)
     assert [kind for kind, _ in events].count("ode") == n_ode
