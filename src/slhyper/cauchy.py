@@ -6,7 +6,6 @@ terms from one (n+1) x (n+1) trapezoid block."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +65,20 @@ class CauchySolution:
         return res[2:-2, 2:-2]
 
 
-def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
-                 ys=None) -> CauchySolution:
+def _checked_problem(h: GridFunction, xs, ys):
+    """The solution grids xs and ys (xs when None), checked, and ValueError
+    unless the initial data h is flagged smooth2 and compact_support."""
     xs = _checked_grid(xs, "solution grid")
     ys = xs if ys is None else _checked_grid(ys, "solution grid")
     if not (h.smooth2 and h.compact_support):
         raise ValueError("initial data must be flagged smooth2 and "
                          "compact_support")
+    return xs, ys
+
+
+def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
+                 ys=None) -> CauchySolution:
+    xs, ys = _checked_problem(h, xs, ys)
     fh = sm.basis(h.grid).forward(h.values)
     vals = sm.synthesize(fh[:, None] * sm.basis(xs).W, ys)
     return CauchySolution(h, xs, ys, vals, sm)
@@ -81,14 +87,8 @@ def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
 def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
                          xs, ys=None) -> CauchySolution:
     """Same spectral sum with the y-kernel replaced by the solution
-    normalized at the shifted origin a_m."""
-    xs = _checked_grid(xs, "solution grid")
-    ys = xs if ys is None else _checked_grid(ys, "solution grid")
-    if not (sm.spec.a < a_m < ys.min()):
-        raise ValueError("need a < a_m < min(grid)")
-    if not (h.smooth2 and h.compact_support):
-        raise ValueError("initial data must be flagged smooth2 and "
-                         "compact_support")
+    normalized at the shifted origin a_m; eval_w_shifted checks a_m and ys."""
+    xs, ys = _checked_problem(h, xs, ys)
     tbl = forward_transform(h, sm)
     weights = np.abs(tbl.values) * sm.masses
     keep = weights >= 1e-14 * max(weights.max(), 1e-300)
@@ -134,17 +134,14 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
     if not cert.all_ok:
         raise ValueError("MP certificate required")
     sf = cert.sf
-    if math.isfinite(sf.gamma_a) and not (sf.gamma_a < c <= y <= x):
+    # gamma(a) is -inf where gamma is unbounded below
+    if not (sf.gamma_a < c <= y <= x):
         raise ValueError("need gamma(a) < c <= y <= x")
-    if not (c <= y <= x):
-        raise ValueError("need c <= y <= x")
     h_fd = max((x + y - 2 * c), 1.0) / (8 * n)
 
     # dense tables for A_B, phi, psi over every argument the terms touch;
     # B is the cumulative trapezoid of eta/2 anchored at c
-    lo = c - 4 * h_fd
-    if math.isfinite(sf.gamma_a):
-        lo = max(lo, (sf.gamma_a + c) / 2)
+    lo = max(c - 4 * h_fd, (sf.gamma_a + c) / 2)
     hi = max(x + y, x + y - c) + 4 * h_fd
     dense = np.linspace(lo, hi, 8 * n + 1)
     x_d = sf.gamma_inv(dense)
@@ -152,7 +149,9 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
     log_b = 0.5 * np.concatenate(
         [[0.0], np.cumsum((eta_d[1:] + eta_d[:-1]) / 2 * np.diff(dense))])
     log_b -= np.interp(c, dense, log_b)
-    ab_d = np.sqrt(sf.spec.p(x_d) * sf.spec.r(x_d)) * np.exp(-2.0 * log_b)
+    # A = sqrt(p) sqrt(r): p r overflows where A is still finite
+    ab_d = (np.sqrt(sf.spec.p(x_d)) * np.sqrt(sf.spec.r(x_d))
+            * np.exp(-2.0 * log_b))
     phi_d, psi_d = sf.mp_coefficients(cert.eta, x_d, dense)
 
     def A_B(s):

@@ -3,10 +3,11 @@
 Every subcommand runs one library operation and writes deterministic CSV,
 JSON or text.  The subcommands are one table, COMMANDS, of help text, output
 format, own flags and compute function; one dispatcher parses, merges
---config, checks, hashes the resolved configuration, loads the operator
-once for the compute function (``args.spec``) and emits.  CSV and JSON
-outputs open with the package version and that hash, so identical
-invocations of the same build produce byte-identical files.
+--config, loads the operator once for the compute function (``args.spec``),
+checks every value before any profile is read, hashes the resolved
+configuration and emits.  CSV and JSON outputs open with the package
+version and that hash, so identical invocations of the same build produce
+byte-identical files.
 
 Each command runs in a process of its own, so the module imports only numpy
 and the operator layer, which every command reads; each compute function
@@ -142,17 +143,11 @@ def _json_default(v):
 
 
 def _in_domain(args, *named) -> None:
-    """Before the build: raise unless every point of the (what, points)
-    pairs lies in [a, L], from the operator's left end to where the
-    measure's eigenfunctions end."""
-    a, L = args.spec.a, args.L
+    """Before the build: spectral._check_domain on each (what, points)."""
+    from .spectral import _check_domain
+
     for what, points in named:
-        if np.any(np.less(points, a)):
-            raise ValueError(f"{what}: points below a = {a:g}, the "
-                             "operator's left end")
-        if np.any(np.greater(points, L)):
-            raise ValueError(f"{what}: points past L = {L:g}, where the "
-                             "eigenfunctions end")
+        _check_domain(points, args.spec.a, args.L, f"{what}: ")
 
 
 def _measure(args):
@@ -271,11 +266,10 @@ def _support(args) -> dict:
 
 
 def _cauchy(args):
-    from .spectral import _checked_grid
-    from .cauchy import solve_cauchy
+    from .cauchy import _checked_problem, solve_cauchy
 
     h = _read_grid_function(args.h)
-    xs = _checked_grid(_parse_grid(args.grid), "solution grid")
+    xs, _ = _checked_problem(h, _parse_grid(args.grid), None)
     _in_domain(args, (args.h, h.grid), ("--grid", xs))
     sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
@@ -289,8 +283,8 @@ class _EigenPair:
     """v(xi, zeta) = u(xi) u(zeta), u = w_lam o gamma^{-1}, and its
     derivatives: the cheap exact test object for the triangle identity.
     (u, u', u'') comes once per distinct point set from one array gamma_inv
-    and one eval_grid: u' = p w' / A, A = sqrt(p r), and, from the standard
-    form, u'' = -lam u - (A'/A) u'."""
+    and one eval_grid: u' = p w' / A, A = sqrt(p) sqrt(r) (p r overflows
+    first), and, from the standard form, u'' = -lam u - (A'/A) u'."""
 
     def __init__(self, ev: KernelEvaluator, sf, lam: float):
         self.ev, self.sf, self.lam = ev, sf, lam
@@ -302,16 +296,11 @@ class _EigenPair:
         if key not in self._known:
             pts, where = np.unique(xi, return_inverse=True)
             x = self.sf.gamma_inv(pts)
-            # roots of nearly equal targets can swap order by an ulp, and
-            # eval_grid needs a sorted grid
-            order = np.argsort(x, kind="stable")
-            x = x[order]
             w, w1, _ = self.ev.eval_grid(self.lam, x)
             spec = self.sf.spec
-            u1 = w1.real / np.sqrt(spec.p(x) * spec.r(x))
+            u1 = w1.real / (np.sqrt(spec.p(x)) * np.sqrt(spec.r(x)))
             u2 = -self.lam * w.real - 2.0 * self.sf._half_log_pr_deriv(x) * u1
-            idx = np.argsort(order)[where]
-            self._known[key] = tuple(f[idx].reshape(xi.shape)
+            self._known[key] = tuple(f[where].reshape(xi.shape)
                                      for f in (w.real, u1, u2))
         return self._known[key]
 
@@ -335,19 +324,18 @@ def _triangle(args) -> dict:
 
 
 def _heat_slice(text: str) -> tuple[float, float] | None:
-    """(t, x) of a --f heatkernel:t,x kernel: two finite numbers, t > 0;
-    None for a CSV path."""
+    """(t, x) of a --f heatkernel:t,x kernel, or None for a CSV path."""
+    from .spectral import _positive_time
+
     if not text.startswith("heatkernel:"):
         return None
     try:
         t, x = (float(v) for v in text[len("heatkernel:"):].split(","))
     except ValueError:
         raise ValueError("--f heatkernel:t,x needs two numbers t,x") from None
-    if not (math.isfinite(t) and math.isfinite(x)):
+    if not math.isfinite(x):
         raise ValueError("--f heatkernel:t,x must be finite")
-    if t <= 0:
-        raise ValueError("--f heatkernel:t,x needs t > 0")
-    return t, x
+    return _positive_time(t, "--f heatkernel:t,x"), x
 
 
 def _solve_inteq(args):
@@ -398,11 +386,10 @@ def _selftest(args):
     err = float(np.max(np.abs(w - np.sinc(k[1:] * xs / math.pi))))
     all_ok &= report("kernel-bessel", err, 1e-7)
 
-    # 50 random (lambda, x) pairs, sorted by x: pair i is entry (i, i) of
-    # one batched evaluation per operator
-    pairs = np.random.default_rng(20240817).uniform((0.0, 0.0), (40.0, 6.0),
-                                                    (50, 2))
-    lams, xb = pairs[np.argsort(pairs[:, 1])].T
+    # 50 random (lambda, x) pairs: pair i is entry (i, i) of one batched
+    # evaluation per operator
+    lams, xb = np.random.default_rng(20240817).uniform(
+        (0.0, 0.0), (40.0, 6.0), (50, 2)).T
     err = 0.0
     for e in (ev, ev_b):
         w = e.eval_many(lams, xb)[0].diagonal()
@@ -503,17 +490,6 @@ COMMANDS = {
                         _selftest),
 }
 
-# flag -> (test, message), for every command that has the flag; checked
-# before any input is read
-_CHECKS = {
-    "L": (lambda v: v > 0, "numeric parameters must be positive"),
-    "N": (lambda v: v > 0, "numeric parameters must be positive"),
-    "lambda_max": (lambda v: v is None or v > 0, "lambda-max must be positive"),
-    "t": (lambda v: v > 0, "t must be positive"),
-    "t_reg": (lambda v: v > 0, "t-reg must be positive"),
-    "precision": (lambda v: 6 <= v <= 17, "precision must lie in [6, 17]"),
-}
-
 # dest -> reader of the numbers in the text of a flag that holds a list;
 # these numbers and every float or complex flag must be finite
 _NUMBER_LISTS = {
@@ -609,17 +585,25 @@ def _merge_config_file(args, flags: dict) -> None:
 
 
 def _run(args) -> int:
-    """Merge --config, check the values, hash the resolved configuration,
-    load the operator, compute and emit; returns the exit code."""
+    """Merge --config, load the operator, check the values before any
+    profile is read, hash the resolved configuration, compute and emit;
+    returns the exit code."""
     cmd = COMMANDS[args.command]
     flags = _flags(cmd)
     if args.config:
         _merge_config_file(args, flags)
     vals = {dest: getattr(args, dest) for dest in flags}
     _check_finite(flags, vals)
-    for dest, (ok, message) in _CHECKS.items():
-        if dest in vals and not ok(vals[dest]):
-            raise ValueError(message)
+    if not 6 <= vals.get("precision", 12) <= 17:
+        raise ValueError("precision must lie in [6, 17]")
+    # every command but selftest reads the operator: it is loaded once here
+    args.spec = load_operator(args.op) if "op" in vals else None
+    if "L" in vals:
+        from .spectral import _checked_sizes, _positive_time
+
+        _checked_sizes(args.spec, args.L, args.N, args.lambda_max)
+        for dest in vals.keys() & {"t", "t_reg"}:
+            _positive_time(vals[dest], flags[dest][0])
     doc = {"command": args.command,
            **{k: _input_key(v) if k in _INPUTS else v
               for k, v in vals.items() if k not in _UNHASHED}}
@@ -627,8 +611,6 @@ def _run(args) -> int:
                            default=repr)
     sha = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     em = Emitter(sha, args.out, vals.get("precision"))
-    # every command but selftest reads the operator: it is loaded once here
-    args.spec = load_operator(args.op) if "op" in vals else None
     result = cmd.compute(args)
     if cmd.fmt == "text":
         text, code = result

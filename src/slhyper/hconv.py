@@ -64,9 +64,8 @@ def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
 def product_density(t: float, x: float, y: float, xi_grid,
                     sm: SpectralMeasure) -> ProductKernel:
     """q_t(x, y, .) on xi_grid, with its mass int q_t r dxi by the grid's
-    trapezoid weights.  The sum over atoms is one sm.synthesize.  The grid
-    must be finite, strictly increasing and at least two points long, or
-    ValueError is raised."""
+    trapezoid weights.  The sum over atoms is one sm.synthesize.  xi_grid
+    is checked by _checked_grid."""
     t = _positive_time(t)
     xi = _checked_grid(xi_grid, "xi grid")
     wxy = sm.w_values([x, y])
@@ -89,8 +88,7 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
     if lam == 0.0:
         return abs(1.0 - pk.mass)
     # one solve for the xi grid and both points
-    pts, where = np.unique(np.concatenate([pk.xi, [x, y]]), return_inverse=True)
-    w = sm.evaluator.eval_grid(lam, pts)[0].real[where]
+    w = sm.evaluator.eval_grid(lam, np.concatenate([pk.xi, [x, y]]))[0].real
     rhs = float(np.sum(w[:-2] * pk.values * _r_weights(sm.spec, pk.xi)))
     return abs(math.exp(-t * lam) * w[-2] * w[-1] - rhs)
 

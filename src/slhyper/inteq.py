@@ -96,8 +96,7 @@ def l1_kappa_norm(h: GridFunction, kappa: float, sm: SpectralMeasure) -> float:
     decay even for decaying h; a tail whose window contributions stop
     shrinking is reported as divergent rather than silently truncated.
     """
-    if kappa > sm.sigma2 + 1e-12:
-        raise ValueError("kappa must not exceed sigma2")
+    SpectralStrip(kappa, sm.sigma2)  # kappa <= sigma2, or ValueError
     wk, _, _ = sm.evaluator.eval_grid(complex(kappa), h.grid)
     contrib = np.abs(h.values) * np.abs(wk) * _r_weights(sm.spec, h.grid)
     total = float(np.sum(contrib))

@@ -13,8 +13,8 @@ rows a sum reads (``_extend_table``) and the terms between the nodes
 (``KernelEvaluator._terms``) taken from exact slopes, so no system is
 solved.  Further out, evaluation integrates the first-order system
 w' = w1/p, w1' = -lambda r w, one DOP853 solve (``slhyper.ode``) for every
-lambda at once, within the period budget _MAX_PERIODS
-(``KernelEvaluator.eval_many``, ``_integrate``).
+lambda at once, within the period budget _MAX_PERIODS (``_integrate``), by
+``KernelEvaluator.eval_many``; its points follow one rule (``_points``).
 
 The spectral measure reads this module's table through its first node
 (``KernelEvaluator.start``) and the values its eigenvectors are scaled to
@@ -454,21 +454,32 @@ class KernelEvaluator:
 
     # -- public evaluation ---------------------------------------------------
 
+    def _points(self, xs, a_m: float | None = None) -> np.ndarray:
+        """xs as a 1-D float array: points in any order, none NaN (np.min,
+        unlike np.fmin, returns it), each in [a, b), or in (a_m, b) for a
+        solution started at a_m; else ValueError."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        lo = np.min(xs, initial=math.inf)
+        if math.isnan(lo):
+            raise ValueError("points must not be NaN")
+        a, b = self.spec.a, self.spec.b
+        ok, ends = (lo >= a, f"[{a:g}, {b:g})") if a_m is None else (
+            lo > a_m, f"({a_m:g}, {b:g})")
+        if not ok or np.max(xs, initial=-math.inf) >= b:
+            raise ValueError(f"points outside {ends}")
+        return xs
+
     def eval_many(self, lams, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, w1) for every lambda at a sorted array of points, shapes
-        (K, n) and (K, n), with a per-lambda error estimate of shape (K,).
+        """(w, w1) for every lambda at the points xs, in any order (see
+        _points), shapes (K, n) and (K, n), with a per-lambda error estimate
+        of shape (K,); a point's values do not depend on the order.
 
         Each (lambda, x) pair up to that lambda's hand-off point takes the
         series value.  The pairs past it come from one stacked ODE solve,
         started at the earliest hand-off among the lambdas that need it.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if np.any(np.diff(xs) < 0):
-            raise ValueError("evaluation grid must be sorted")
-        a, b = self.spec.a, self.spec.b
-        if xs.size and (xs[0] < a or xs[-1] >= b):
-            raise ValueError(f"point outside domain [{a},{b})")
+        xs = self._points(xs)
         W = np.ones((lams.size, xs.size), dtype=complex)
         W1 = np.zeros((lams.size, xs.size), dtype=complex)
         err = np.zeros(lams.size)
@@ -509,7 +520,7 @@ class KernelEvaluator:
         return W, W1, err
 
     def eval_grid(self, lam: complex, xs) -> tuple[np.ndarray, np.ndarray, float]:
-        """(w, w1) at a sorted array of points for one lambda."""
+        """(w, w1) at the points xs, in any order, for one lambda."""
         W, W1, err = self.eval_many([lam], xs)
         return W[0], W1[0], float(err[0])
 
@@ -562,15 +573,14 @@ class KernelEvaluator:
     def eval_w_shifted(self, lam, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
         """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point.
 
-        lam is one lambda or an array of them; the results have shape
-        np.shape(lam) + (len(xs),), from one stacked solve.
+        lam is one lambda or an array of them, and xs points in (a_m, b)
+        (see _points); the results have shape np.shape(lam) + (len(xs),),
+        from one stacked solve.
         """
         lams = np.asarray(lam, dtype=complex)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if not (self.spec.a < a_m):
+        if not (self.spec.a < a_m < self.spec.b):
             raise ValueError("a_m must lie inside (a,b)")
-        if xs.size and xs.min() <= a_m:
-            raise ValueError("shifted evaluation needs x > a_m")
+        xs = self._points(xs, a_m)
         flat = lams.reshape(-1)
         w = np.ones((flat.size, xs.size), dtype=complex)
         w1 = np.zeros((flat.size, xs.size), dtype=complex)

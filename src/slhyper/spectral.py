@@ -20,7 +20,8 @@ stated once, where it is implemented:
 - the order of a synthesis and the bases its caller holds:
   ``SpectralMeasure.synthesize``, and the atoms that contracting first
   drops: ``SpectralMeasure._contracted``;
-- the points the eigenfunctions are known at: ``SpectralMeasure._clamped``.
+- the sizes of a build: ``_checked_sizes``; the points the eigenfunctions
+  are known at: ``_check_domain`` and ``SpectralMeasure._clamped``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,20 @@ def _positive_time(t, name: str = "t") -> float:
     if not (float(t) > 0 and math.isfinite(t)):
         raise ValueError(f"{name} must be positive and finite, not {t}")
     return float(t)
+
+
+def _check_domain(xq, a: float, L: float, what: str = "") -> None:
+    """ValueError, its message opening with what, unless each point of xq is
+    in [a, L] and none is NaN (np.min, unlike np.fmin, returns it)."""
+    lo = np.min(xq, initial=math.inf)
+    if math.isnan(lo):
+        raise ValueError(f"{what}points must not be NaN")
+    if lo < a:
+        raise ValueError(f"{what}points below a = {a:g}, the operator's "
+                         "left end")
+    if np.max(xq, initial=-math.inf) > L:
+        raise ValueError(f"{what}points past L = {L:g}, where the "
+                         "eigenfunctions end")
 
 
 def _checked_grid(grid, name: str = "grid") -> np.ndarray:
@@ -185,18 +200,9 @@ class SpectralMeasure:
     def _clamped(self, xq: np.ndarray) -> np.ndarray:
         """xq clamped below at a_eff, the first node of the kernel's series
         table (``KernelEvaluator.start``), where every w_k is 1: the
-        eigenfunctions are known on [a_eff, L] only.  A point that is NaN
-        (np.min, unlike np.fmin, returns it), below a, or past L where the
-        truncated measure ends, raises ValueError."""
-        lo = np.min(xq, initial=math.inf)
-        if math.isnan(lo):
-            raise ValueError("points must not be NaN")
-        if lo < self.spec.a:
-            raise ValueError(f"points below a = {self.spec.a:g}, the "
-                             "operator's left end")
-        if np.max(xq, initial=-math.inf) > self.L:
-            raise ValueError(f"points past L = {self.L:g}, where the "
-                             "eigenfunctions end")
+        eigenfunctions are known on [a_eff, L] only.  A point that is NaN,
+        below a, or past L raises ValueError (``_check_domain``)."""
+        _check_domain(xq, self.spec.a, self.L)
         return np.maximum(xq, self._a_eff)
 
     def w_values(self, xq) -> np.ndarray:
@@ -821,15 +827,10 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
             Pairing(len(vals_f), len(vals_c), K, cut, seeded))
 
 
-def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
-                           lambda_max: float | None = None,
-                           evaluator: KernelEvaluator | None = None
-                           ) -> SpectralMeasure:
-    """The spectral measure of spec truncated to [a, L], from two
-    finite-volume levels on N and N // 2 nodes, with its atoms up to
-    lambda_max (see _levels).  N, L and lambda_max are checked before any
-    work: N an integer of at least 16, a < L < b, and lambda_max finite
-    and positive, by default (0.3 N / L)^2."""
+def _checked_sizes(spec: OperatorSpec, L: float, N: int,
+                   lambda_max: float | None) -> float:
+    """lambda_max, by default (0.3 N / L)^2, once N is an integer >= 16,
+    a < L < b and 0 < lambda_max < inf, checked before any work."""
     if not isinstance(N, (int, np.integer)):
         raise ValueError(f"N must be an integer, not {N!r}")
     if N < 16:
@@ -843,6 +844,17 @@ def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
     if not (lambda_max > 0 and math.isfinite(lambda_max)):
         raise ValueError(f"lambda_max must be positive and finite, "
                          f"not {lambda_max}")
+    return lambda_max
+
+
+def build_spectral_measure(spec: OperatorSpec, L: float, N: int,
+                           lambda_max: float | None = None,
+                           evaluator: KernelEvaluator | None = None
+                           ) -> SpectralMeasure:
+    """The spectral measure of spec truncated to [a, L], from two
+    finite-volume levels on N and N // 2 nodes, with its atoms up to
+    lambda_max (see _levels), its sizes checked first (_checked_sizes)."""
+    lambda_max = _checked_sizes(spec, L, N, lambda_max)
     if evaluator is None:
         evaluator = KernelEvaluator(spec)
     a_eff, lam, mass, w, pairing = _levels(spec, L, N, lambda_max, evaluator)

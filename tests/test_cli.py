@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,8 +16,9 @@ import pytest
 import slhyper
 from slhyper.cli import _EigenPair, main
 from slhyper.kernel import KernelEvaluator
-from slhyper.operator import builtin_operator, build_standard_form
-from slhyper.spectral import SpectralMeasure, heat_kernel_grid
+from slhyper.operator import builtin_operator, build_standard_form, load_operator
+from slhyper.spectral import (SpectralMeasure, build_spectral_measure,
+                              heat_kernel_grid)
 
 # a small measure, cheap to build
 SMALL = ["--N", "512", "--lambda-max", "100"]
@@ -367,6 +369,8 @@ def test_measure_command_loads_the_operator_once(tmp_path, monkeypatch):
     ["heatkernel", "--t", "0.5", "--x-grid", "0:1", "--y-grid", "1.0"],
     ["product", "--t", "0.5", "--x", "1", "--y", "1", "--xi-grid", "0:1"],
     ["product", "--t", "0", "--x", "1", "--y", "1"],
+    ["spectrum", "--N", "8"],
+    ["spectrum", "--L", "0"],
 ])
 def test_arguments_checked_before_measure_build(argv, monkeypatch, capsys):
     import slhyper.cli as cli
@@ -374,6 +378,75 @@ def test_arguments_checked_before_measure_build(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("slhyper: error:")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--N", "8"], "N must be at least 16"),
+    (["--L", "6"], "L must satisfy a < L < b"),
+    (["--lambda-max", "0"], "lambda_max must be positive and finite, not 0.0"),
+    (["--t-reg", "0"], "--t-reg must be positive and finite, not 0.0"),
+])
+def test_library_checks_run_before_any_profile_is_read(flags, message,
+                                                       tmp_path, capsys):
+    """The sizes of the measure and the times are checked by the library's
+    own checks, with their messages, before --h is read (here it is
+    missing); the operator lives on (0, 5)."""
+    op = tmp_path / "box.json"
+    op.write_text(json.dumps({"a": 0.0, "b": 5.0, "p": "1", "r": "1"}))
+    assert run(["translate", "--op", str(op), "--L", "4",
+                "--h", str(tmp_path / "missing.csv"), "--y", "1",
+                *SMALL, *flags]) == 1
+    assert capsys.readouterr().err == f"slhyper: error: {message}\n"
+
+
+def test_cauchy_initial_data_checked_before_measure_build(tmp_path,
+                                                          monkeypatch, capsys):
+    """A profile that does not vanish at both ends is not compactly
+    supported: cauchy's own initial-data check rejects it before the build."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    h = tmp_path / "h.csv"
+    h.write_text("0,1\n1,0.5\n2,0\n")
+    assert run(["cauchy", "--h", str(h), "--grid", "0:2:5", *SMALL]) == 1
+    assert capsys.readouterr().err == ("slhyper: error: initial data must be "
+                                       "flagged smooth2 and compact_support\n")
+
+
+def test_line_operator_takes_a_negative_L(tmp_path):
+    """p = 1, r = e^x on the whole line: L = -1 lies in (a, b), and the
+    command writes the atoms that build_spectral_measure builds."""
+    op = tmp_path / "expx.json"
+    op.write_text(json.dumps({"name": "expline", "a": "-inf", "b": "inf",
+                              "p": "1", "r": "exp(x)"}))
+    out = tmp_path / "atoms.csv"
+    assert run(["spectrum", "--op", str(op), "--L", "-1", *SMALL,
+                "--out", str(out)]) == 0
+    sm = build_spectral_measure(load_operator(str(op)), L=-1.0, N=512,
+                                lambda_max=100.0)
+    assert len(sm) == 4
+    assert out.read_text().splitlines()[2:] == [
+        f"{k},{lam:.12g},{m:.12g}"
+        for k, (lam, m) in enumerate(zip(sm.lambdas, sm.masses))]
+
+
+def test_triangle_where_p_r_overflows(tmp_path, capsys):
+    """On p = r = sinh(x)^4 cosh(x)^2 at x = 70, p r overflows while A =
+    sqrt(p) sqrt(r) is finite: the report is finite, and nothing warns."""
+    op = tmp_path / "jac3.json"
+    op.write_text(json.dumps({"a": 0.0, "b": "inf",
+                              "p": "sinh(x)^4 * cosh(x)^2",
+                              "r": "sinh(x)^4 * cosh(x)^2"}))
+    out = tmp_path / "tri.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["triangle", "--op", str(op), "--c", "0.5", "--x", "70",
+                    "--y", "1.5", "--lam", "12", "--n", "50",
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    floats = [v for v in doc.values() if isinstance(v, float)]
+    assert len(floats) == 11 and np.all(np.isfinite(floats))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag, argv", [

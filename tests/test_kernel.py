@@ -316,6 +316,47 @@ def test_shifted_kernel_empty_grid(ev_cosine):
     assert w.shape == w1.shape == (2, 0)
 
 
+@pytest.mark.parametrize("op", ["cosine", "bessel?alpha=0.5",
+                                "whittaker?alpha=0.25&kappa=1.0"])
+def test_eval_many_takes_points_in_any_order(op):
+    """Permuted and repeated points give the sorted call's columns and error
+    estimates bit for bit, series and ODE pairs alike: the series works
+    point by point, and the ODE solve evaluates the distinct points in
+    ascending order and scatters them back."""
+    ev = KernelEvaluator(builtin_operator(op))
+    xs = np.linspace(0.0, 6.0, 61)
+    lams = [0.3, 4.0, 37.0, 400.0, 3.0 + 2.0j]
+    W, W1, err = ev.eval_many(lams, xs)
+    idx = np.r_[np.random.default_rng(7).permutation(len(xs)), 60, 0, 30, 30]
+    P, P1, perr = ev.eval_many(lams, xs[idx])
+    assert np.array_equal(P, W[:, idx]) and np.array_equal(P1, W1[:, idx])
+    assert np.array_equal(perr, err)
+
+
+def test_nan_points_raise(ev_cosine):
+    """A NaN point is an error at both entry points, not w = 1 or values
+    from memory that no solve wrote."""
+    with pytest.raises(ValueError, match="points must not be NaN"):
+        ev_cosine.eval_grid(4.0, [0.5, math.nan])
+    with pytest.raises(ValueError, match="points must not be NaN"):
+        ev_cosine.eval_w_shifted(4.0, 0.5, [1.0, math.nan])
+
+
+def test_shifted_points_past_b_raise():
+    """On (0, 5) a shifted solution is not evaluated at x = 7, past b, as
+    eval_many is not."""
+    spec = OperatorSpec("box", 0.0, 5.0, parse_expression("1"),
+                        parse_expression("1"))
+    spec.validate()
+    ev = KernelEvaluator(spec)
+    with pytest.raises(ValueError, match=r"points outside \(0\.5, 5\)"):
+        ev.eval_w_shifted(4.0, 0.5, [1.0, 7.0])
+    with pytest.raises(ValueError, match=r"points outside \[0, 5\)"):
+        ev.eval_grid(4.0, [1.0, 7.0])
+    w, _ = ev.eval_w_shifted(4.0, 0.5, [3.0, 1.0])
+    assert np.allclose(w.real, np.cos(2.0 * np.array([2.5, 0.5])), atol=1e-9)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(0.0, 80.0), x=st.floats(0.0, 10.0))
 def test_boundedness_property(lam, x):
