@@ -149,13 +149,16 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
     log_b = 0.5 * np.concatenate(
         [[0.0], np.cumsum((eta_d[1:] + eta_d[:-1]) / 2 * np.diff(dense))])
     log_b -= np.interp(c, dense, log_b)
-    # A = sqrt(p) sqrt(r): p r overflows where A is still finite
-    ab_d = (np.sqrt(sf.spec.p(x_d)) * np.sqrt(sf.spec.r(x_d))
-            * np.exp(-2.0 * log_b))
+    # log A_B = (log p + log r) / 2 - 2 log B is interpolated, then
+    # exponentiated: exact where A_B grows or decays exponentially, where
+    # interpolating A_B itself measures the table, not the identity; and
+    # p r, which overflows where A is still finite, is never formed
+    log_ab_d = (0.5 * (np.log(sf.spec.p(x_d)) + np.log(sf.spec.r(x_d)))
+                - 2.0 * log_b)
     phi_d, psi_d = sf.mp_coefficients(cert.eta, x_d, dense)
 
     def A_B(s):
-        return np.interp(s, dense, ab_d)
+        return np.exp(np.interp(s, dense, log_ab_d))
 
     def phi(s):
         return np.interp(s, dense, phi_d)

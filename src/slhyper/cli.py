@@ -47,14 +47,17 @@ __all__ = ["main"]
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid spec: either "start:stop:count" or a comma list."""
+    """Grid spec: either "start:stop:count" or a comma list, of one point
+    or more either way; the commands whose grids need two points (cauchy's
+    --grid, product's --xi-grid) check them with the library's own rule,
+    spectral._checked_grid."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec {text!r}: want start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
-            raise ValueError("grid needs at least 2 points")
+        if count < 1:
+            raise ValueError("grid needs at least 1 point")
         return np.linspace(start, stop, count)
     return np.array([float(v) for v in text.split(",")], dtype=float)
 

@@ -19,7 +19,9 @@ lambda at once, within the period budget _MAX_PERIODS (``_integrate``), by
 The spectral measure reads this module's table through its first node
 (``KernelEvaluator.start``) and the values its eigenvectors are scaled to
 (``KernelEvaluator.leading_values``), and fits and evaluates its
-eigenfunction splines here (``_fit_in_place``, ``RowSpline``).
+eigenfunction splines here (``_fit_in_place``, ``RowSpline``), each with
+at most one fixed block of temporaries: the memory rule is stated in
+``_band_product`` and ``_fit_in_place``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def _term_count(rho: float) -> int:
 
 # columns fitted per solve in _fit_in_place
 _SPLINE_BLOCK = 32
+# the floats of one block of temporaries (``_band_product``)
+_BLOCK = 1 << 15
 
 
 def _not_a_knot(xs: np.ndarray) -> np.ndarray:
@@ -120,14 +124,43 @@ def _de_boor(knots, x) -> list:
 def _band_product(band: np.ndarray, first: np.ndarray, c: np.ndarray):
     """Row i of the banded matrix (band, first) times c, of shape (n,) or
     (n, q): sum_j band[i, j] c[first[i] + j], added to 0 in the order
-    j = 0..3, as scipy's sparse products and BSpline add, bit for bit."""
+    j = 0..3, as scipy's sparse products and BSpline add, bit for bit.
+
+    The memory rule of the spline layer, for evaluation: a product larger
+    than one block of _BLOCK floats holds its output, in a memory map of
+    its own (``_mapped_zeros``), and one block besides.  It is accumulated
+    into its output a block of rows at a time, each term gathered into one
+    reused buffer (np.take, whose "clip" mode writes straight into it; the
+    band's columns are always in range), with the same operations in the
+    same order as in one shot, which would hold two more arrays the size
+    of the output.  A product of up to one block, as the many small ones
+    of a build and of the spectral sums are, is one gather and multiply
+    per term, which costs them less than the loop.
+    """
     shape = (-1,) + (1,) * (c.ndim - 1)
-    v = c[first] * band[:, 0].reshape(shape)
-    v += 0.0
-    for j in (1, 2, 3):
-        term = c[first + j]
-        term *= band[:, j].reshape(shape)
-        v += term
+    width = math.prod(c.shape[1:])
+    if len(first) * width <= _BLOCK:
+        v = c[first] * band[:, 0].reshape(shape)
+        v += 0.0
+        for j in (1, 2, 3):
+            term = c[first + j]
+            term *= band[:, j].reshape(shape)
+            v += term
+        return v
+    step = max(_BLOCK // width, 1)
+    v = _mapped_zeros(first.shape + c.shape[1:])
+    gather = np.empty((step,) + c.shape[1:])
+    for i in range(0, len(first), step):
+        rows = slice(i, i + step)
+        out, at, b = v[rows], first[rows], band[rows]
+        term = gather[:len(at)]
+        np.take(c, at, axis=0, out=out, mode="clip")
+        out *= b[:, 0].reshape(shape)
+        out += 0.0
+        for j in (1, 2, 3):
+            np.take(c, at + j, axis=0, out=term, mode="clip")
+            term *= b[:, j].reshape(shape)
+            out += term
     return v
 
 
@@ -222,13 +255,21 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
     glibc maps each large malloc block on its own and, when one is freed,
     raises the size from which it maps later blocks to that block's size
-    (up to 32 MB; mallopt(3), M_MMAP_THRESHOLD).  The largest arrays of a
-    measure build are its levels' tables, 10 MB at N=6144 for the fine
-    node table, which becomes the eigenfunctions' coefficient table.  Freed
-    through malloc, they would send every array of the next build below
-    that size to the heap, where the holes they leave raised the peak
-    memory of three builds in one process by 4 MB.  Released, a map
-    returns its pages at once.
+    (up to 32 MB; mallopt(3), M_MMAP_THRESHOLD), and the size of free heap
+    it keeps resident to twice that (M_TRIM_THRESHOLD).  The largest arrays
+    of a measure build are its levels' tables, 10 MB at N=6144 for the
+    fine node table, which becomes the eigenfunctions' coefficient table.
+    Freed through malloc, they would send every array of the next build
+    below that size to the heap, where the holes they leave raised the
+    peak memory of three builds in one process by 4 MB.  The spline
+    layer's other arrays of a table's size, a fit's buffer and the values
+    of a large evaluation (``_fit_in_place``, ``_band_product``), are
+    mapped for the same reason: through malloc, the 1 MB fit buffer of a
+    4096-node level and the 2.4 MB values of an evaluation kept up to
+    3.4 MB of freed heap resident in the next build, 1.1 MB over the
+    benchmark's live peak.  Released, a map returns its pages at once;
+    a new one costs its page faults, about 1.4 ms for 2.4 MB on 2 shared
+    cores, where reused heap pages cost none.
     """
     n = math.prod(shape)
     return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float,
@@ -237,24 +278,24 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 def _fit_in_place(xs: np.ndarray, c: np.ndarray, values) -> np.ndarray:
     """Write into c, of shape (len(xs), m), the coefficients of the
-    not-a-knot cubic splines over xs through values(cols), the node values
-    of the columns cols of c, and return their knots (``_not_a_knot``).
+    not-a-knot cubic splines over xs through the node values that
+    values(cols, out) writes into out, of shape (len(xs), len(cols)), for
+    the columns cols of c, and return their knots (``_not_a_knot``).
     cols is a slice of at most _SPLINE_BLOCK columns, taken in order, and
-    each block is read before its columns are written, so values may read
+    each block is written before its columns of c are, so values may read
     c itself: a node table becomes its own coefficient table, with no
     second table of its size.  c may be a transposed view, one spline per
-    row of the array beneath.  With values(cols) = c[:, cols], c becomes
-    make_interp_spline's coefficients, bit for bit.
+    row of the array beneath.  With values copying c[:, cols] into out, c
+    becomes make_interp_spline's coefficients, bit for bit.
 
     The collocation matrix depends on xs alone, so it is LU-factored once
     (LAPACK gbtrf, from scipy's compiled wrapper: ``_lapack``), where
     make_interp_spline factors it again on every call (gbsv, which is
-    gbtrf then gbtrs).  Each block costs one Fortran-ordered copy, solved
-    in place, and is released before the next, so the temporaries stay one
-    block's values and solve.  Large temporaries leave holes in the heap
-    that later large arrays may or may not fit, which would make the peak
-    memory of a process that builds several measures depend on its heap
-    layout, not on its work.
+    gbtrf then gbtrs).  The memory rule of the spline layer, for fits: a
+    fit holds its table and one block besides, the one Fortran-ordered
+    buffer of len(xs) by _SPLINE_BLOCK floats mapped here
+    (``_mapped_zeros``), which values fills and gbtrs solves in place for
+    every block.
     """
     t = _not_a_knot(xs)
     band, first = _design(t, xs)
@@ -269,13 +310,14 @@ def _fit_in_place(xs: np.ndarray, c: np.ndarray, values) -> np.ndarray:
         raise ValueError("spline collocation system is singular")
     del band, first, row, col      # only the factors stay for the blocks
     m = c.shape[1]
+    block = _mapped_zeros((min(_SPLINE_BLOCK, m), len(xs))).T
     for j in range(0, m, _SPLINE_BLOCK):
         cols = slice(j, min(j + _SPLINE_BLOCK, m))
-        rhs = np.array(values(cols), order="F")
+        rhs = block[:, :cols.stop - j]
+        values(cols, rhs)
         if not np.all(np.isfinite(rhs)):
             raise ValueError("spline values must be finite")
         c[:, cols] = gbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)[0]
-        del rhs
     return t
 
 

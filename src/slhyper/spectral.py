@@ -771,7 +771,10 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     and paired, and its node table's kept columns are combined and fitted
     in place (``kernel._fit_in_place``), so the node table becomes the
     coefficient table, N + 2 rows by K columns, or a copy of its first K
-    columns when it has more, so that none stays alive unused.
+    columns when it has more, so that none stays alive unused.  The
+    combination is written into the fit's one buffer a column at a time,
+    each S_coarse column read from its contiguous row of the coarse table,
+    so it holds a few arrays of N floats.
     """
     # left edge of the computational interval: the series table's start
     a_eff = evaluator.start
@@ -800,8 +803,8 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     K = min(count, len(vals_c))
     c = _mapped_zeros((K, len(xs_c)))
     # the coarse spline, one eigenfunction per row, at the fine nodes and ends
-    band, first = _design(
-        _fit_in_place(xs_c, c.T, lambda cols: table[:, cols]), xs_f)
+    band, first = _design(_fit_in_place(
+        xs_c, c.T, lambda cols, out: np.copyto(out, table[:, cols])), xs_f)
     del table
     root_wgt = np.sqrt(wgt)
 
@@ -818,8 +821,14 @@ def _levels(spec: OperatorSpec, L: float, N: int, lambda_max: float,
     if not np.all(ok):
         K = int(np.argmin(ok))
         cut = (K, float(vals_f[K]), float(vals_c[K]))
-    t = _fit_in_place(xs_f, table[:, :K], lambda cols: (
-        4.0 * table[:, cols] - _band_product(band, first, c[cols].T)) / 3.0)
+
+    def combined(cols, out):
+        for j, col in zip(range(cols.start, cols.stop), out.T):
+            np.multiply(table[:, j], 4.0, out=col)
+            col -= _band_product(band, first, c[j])
+            col /= 3.0
+
+    t = _fit_in_place(xs_f, table[:, :K], combined)
     lam = (4.0 * vals_f[:K] - vals_c[:K]) / 3.0
     mass = (4.0 * mass_f[:K] - mass_c[:K]) / 3.0
     kept = np.ascontiguousarray(table[:, :K])

@@ -182,7 +182,7 @@ def test_eigen_pair_nearly_equal_targets():
     assert calls == [len(np.unique(xi)), len(z)]
 
 
-@pytest.mark.parametrize("grid", ["3,1,2,4,5,6", "3"])
+@pytest.mark.parametrize("grid", ["3,1,2,4,5,6", "3", "0:6:1"])
 def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys, monkeypatch):
     # the grid is checked before the measure is built
     def no_build(*args, **kwargs):
@@ -193,6 +193,24 @@ def test_cauchy_rejects_bad_grid(grid, tmp_path, capsys, monkeypatch):
     assert run(["cauchy", "--h", str(h), "--grid", grid, *SMALL,
                 "--out", str(tmp_path / "c.csv")]) == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_one_point_grid_either_way(tmp_path, capsys):
+    """start:stop:count takes a count of 1, as a comma list takes one
+    point: --x-grid 0:1:1 writes the rows of --x-grid 0 (the header's
+    config digest hashes the flag as written).  A count of 0 is an
+    error."""
+    rows = []
+    for grid in ("0:1:1", "0"):
+        out = tmp_path / f"p{len(rows)}.csv"
+        assert run(["heatkernel", "--t", "0.5", "--x-grid", grid,
+                    "--y-grid", "0:3:13", *SMALL, "--out", str(out)]) == 0
+        rows.append(out.read_text().splitlines()[1:])
+    assert rows[0] == rows[1] and len(rows[0]) == 14
+    assert run(["heatkernel", "--t", "0.5", "--x-grid", "0:1:0",
+                "--y-grid", "1.0", *SMALL]) == 1
+    assert capsys.readouterr().err == (
+        "slhyper: error: grid needs at least 1 point\n")
 
 
 def test_bad_usage_exit_2(capsys):
@@ -432,21 +450,30 @@ def test_line_operator_takes_a_negative_L(tmp_path):
 
 def test_triangle_where_p_r_overflows(tmp_path, capsys):
     """On p = r = sinh(x)^4 cosh(x)^2 at x = 70, p r overflows while A =
-    sqrt(p) sqrt(r) is finite: the report is finite, and nothing warns."""
+    sqrt(p) sqrt(r) is finite: the report is finite, and nothing warns.
+    A_B grows exponentially there, and its table is interpolated in log
+    form, so the residual measures the identity: below 1e-2 of |lhs| at
+    n = 50 and falling with the quadrature's O(h^2) from n = 100 to 200.
+    Interpolated linearly, the ratio read 0.108 / 0.025 / 0.023."""
     op = tmp_path / "jac3.json"
     op.write_text(json.dumps({"a": 0.0, "b": "inf",
                               "p": "sinh(x)^4 * cosh(x)^2",
                               "r": "sinh(x)^4 * cosh(x)^2"}))
     out = tmp_path / "tri.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["triangle", "--op", str(op), "--c", "0.5", "--x", "70",
-                    "--y", "1.5", "--lam", "12", "--n", "50",
-                    "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    floats = [v for v in doc.values() if isinstance(v, float)]
-    assert len(floats) == 11 and np.all(np.isfinite(floats))
-    assert capsys.readouterr().err == ""
+    ratio = {}
+    for n in (50, 100, 200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["triangle", "--op", str(op), "--c", "0.5", "--x",
+                        "70", "--y", "1.5", "--lam", "12", "--n", str(n),
+                        "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        floats = [v for v in doc.values() if isinstance(v, float)]
+        assert len(floats) == 11 and np.all(np.isfinite(floats))
+        assert capsys.readouterr().err == ""
+        ratio[n] = doc["residual"] / abs(doc["lhs"])
+    assert ratio[50] < 1e-2
+    assert ratio[200] * 3 <= ratio[100]
 
 
 @pytest.mark.parametrize("flag, argv", [

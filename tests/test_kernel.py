@@ -74,7 +74,7 @@ def test_row_spline_is_one_make_interp_spline(shape):
     xs = np.sort(rng.uniform(0.0, 5.0, shape[-1]))
     Y = rng.standard_normal(shape)
     c = Y.T.copy()
-    t = _fit_in_place(xs, c, lambda cols: c[:, cols])
+    t = _fit_in_place(xs, c, lambda cols, out: np.copyto(out, c[:, cols]))
     got = RowSpline(t, c)
     want = make_interp_spline(xs, Y, k=3, axis=1)
     assert want.k == 3
@@ -105,7 +105,7 @@ def test_series_table_grows_to_the_rows_a_sum_reads():
     assert np.array_equal(grown._table, straight._table)
 
 
-def _spline_case(lead, seed=5):
+def _spline_case(lead, seed=5, points=300):
     """make_interp_spline through random rows of shape lead + (80,), and
     points: interior, every knot, both end knots and past them."""
     rng = np.random.default_rng(seed)
@@ -114,7 +114,7 @@ def _spline_case(lead, seed=5):
                              axis=len(lead))
     ends = [xs[0], xs[-1], xs[0] - 0.5, xs[-1] + 0.5, xs[0] - 1e-9,
             xs[-1] + 1e-9]
-    xq = np.concatenate([rng.uniform(xs[0], xs[-1], 300), spl.t, ends])
+    xq = np.concatenate([rng.uniform(xs[0], xs[-1], points), spl.t, ends])
     return spl, xq
 
 
@@ -145,20 +145,26 @@ def _point_sets(xq):
 
 
 # the ids are the cases' names from when a (2, 61) case was lead1
-@pytest.mark.parametrize("lead", [(), (1,)], ids=["lead0", "lead2"])
-def test_row_spline_values_are_bspline_values(lead):
+@pytest.mark.parametrize("lead, points", [((), 300), ((1,), 300),
+                                          ((205,), 4910)],
+                         ids=["lead0", "lead2", "lead205"])
+def test_row_spline_values_are_bspline_values(lead, points):
     """RowSpline values equal BSpline.__call__'s bit for bit, sign of zero
-    included, for 1-D and one-column coefficients, inside, at the knots and
-    past both end knots, where both extrapolate from the end pieces,
-    whatever the number of points."""
-    spl, xq = _spline_case(lead)
-    sets = _point_sets(xq)
+    included, for 1-D, one-column and 205-column coefficients, inside, at
+    the knots and past both end knots, where both extrapolate from the end
+    pieces, whatever the number of points.  205 columns at 5,000 points
+    span 32 blocks of the band product's rows.  Every case's coefficients
+    are also read through a Fortran-ordered view, one spline per row of
+    the array beneath."""
+    spl, xq = _spline_case(lead, points=points)
+    # the point-by-point sets of 5,000 points would take seconds
+    sets = _point_sets(xq) if points < 1000 else [xq[:3], xq]
     # exact zeros: a spline that vanishes on its last pieces, with
     # coefficients of both signs of zero
     zero = spl.c.copy()
     zero[-6:] = -0.0
     zero[-6::2] = 0.0
-    for c in (spl.c, zero):
+    for c in (spl.c, zero, np.ascontiguousarray(spl.c.T).T):
         want_spl = BSpline.construct_fast(spl.t, c, 3, axis=len(lead))
         got_spl = RowSpline(spl.t, c)
         for x in sets:

@@ -823,15 +823,47 @@ def test_refinement_holds_a_few_vectors_at_a_time(N):
     vals, vecs, _, _ = _eigenpairs(diag, off, 1600.0)
     vecs = vecs.copy()
     table = np.zeros((len(diag), len(vals)))
-    tracemalloc.start()
-    try:
-        lam = spectral._rayleigh_iteration(diag, off, table,
-                                           lambda j: vecs[:, j])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    lam, peak = _traced_peak(lambda: spectral._rayleigh_iteration(
+        diag, off, table, lambda j: vecs[:, j]))
     assert len(lam) == len(vals)
     assert peak <= 16 * 8 * len(diag)
+
+
+def _traced_peak(call):
+    """call's result and the peak of tracemalloc's traced heap during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_basis_holds_its_values_and_one_block():
+    """A basis on a fresh grid of 1,501 points of the cosine 16/2048
+    measure (205 eigenfunctions) holds its values and at most one MiB
+    besides: the band product fills its output, mapped outside the traced
+    heap, a block of rows at a time.  In one shot it held three arrays of
+    the values' size on the heap, 7.14 MiB."""
+    sm = build_spectral_measure(builtin_operator("cosine"), L=16.0, N=2048,
+                                lambda_max=1600.0)
+    grid = np.linspace(0.05, 12.0, 1501)
+    b, peak = _traced_peak(lambda: sm.basis(grid))
+    assert b.W.shape == (205, 1501)
+    assert peak <= b.W.nbytes + 2 ** 20
+
+
+def test_build_holds_one_block_of_spline_temporaries():
+    """A Bessel 12/4096 build, its evaluator built beforehand, peaks within
+    3 MiB of traced heap; its node and coefficient tables and its fits'
+    buffers are memory maps, which tracemalloc does not trace.  With a
+    Fortran-ordered copy of every block's values and the combination's
+    temporaries on the heap, it peaked at 4.79 MiB."""
+    spec = builtin_operator("bessel?alpha=0.5")
+    evaluator = KernelEvaluator(spec)
+    sm, peak = _traced_peak(lambda: build_spectral_measure(
+        spec, L=12.0, N=4096, lambda_max=1600.0, evaluator=evaluator))
+    assert len(sm) > 100
+    assert peak <= 3 * 2 ** 20
 
 
 def test_inverse_transform_rejects_a_table_of_other_atoms(sm_cosine):
