@@ -1,8 +1,9 @@
 """Spectral solution of the hyperbolic problem l_x f = l_y f with initial
 data on the boundary, shifted-boundary approximations, the characteristic
 triangle integral identity, and positivity reporting.  The identity's
-coefficient tables come from one array inverse of gamma, and its volume
-terms from one (n+1) x (n+1) trapezoid block."""
+coefficient tables come from one array inverse of gamma, and every one of
+its terms from one (n+1) x (n+1) trapezoid block, on which the test
+function and its derivatives are evaluated once."""
 
 from __future__ import annotations
 
@@ -119,16 +120,27 @@ class TriangleIdentityReport:
     residual: float
 
 
+def _checked_panels(n) -> None:
+    """ValueError unless the identity's panel count n is an integer >= 1."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be an integer of at least 1, not {n!r}")
+
+
 def triangle_identity_residual(v, c: float, x: float, y: float,
                                cert: MpCertificate,
                                n: int = 200) -> TriangleIdentityReport:
     """Residual of the characteristic-triangle identity for a C^2 function
     v(xi, zeta) given in standard coordinates, which takes broadcasting
-    arrays (a 2-D block for the volume terms), as do its derivatives.
+    arrays, as do its derivatives (centred differences when v has none).
 
-    All quadratures are composite trapezoid with n panels, so the residual
-    decreases at a predictable rate under refinement.  The volume term I4
-    vanishes for exact solutions of the transformed equation; for spectral
+    v, its derivatives, A_B, phi and psi are evaluated once each on the
+    (n+1) x (n+1) volume block, and every term reads them by index: row 0
+    is the base zeta = c (I0 and the corners of H), columns 0 and n are
+    the sides (I1, I2), and row n is the apex (x, y) (lhs).  All
+    quadratures are composite trapezoid with n panels, so the residual
+    decreases at a predictable rate under refinement; at y = c the block
+    shrinks to the apex and I0 to I4 vanish.  The volume term I4 vanishes
+    for exact solutions of the transformed equation; for spectral
     solutions it reports their PDE defect.
     """
     if not cert.all_ok:
@@ -137,6 +149,7 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
     # gamma(a) is -inf where gamma is unbounded below
     if not (sf.gamma_a < c <= y <= x):
         raise ValueError("need gamma(a) < c <= y <= x")
+    _checked_panels(n)
     h_fd = max((x + y - 2 * c), 1.0) / (8 * n)
 
     # dense tables for A_B, phi, psi over every argument the terms touch;
@@ -157,71 +170,47 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
                 - 2.0 * log_b)
     phi_d, psi_d = sf.mp_coefficients(cert.eta, x_d, dense)
 
-    def A_B(s):
-        return np.exp(np.interp(s, dense, log_ab_d))
-
-    def phi(s):
-        return np.interp(s, dense, phi_d)
-
-    def psi(s):
-        return np.interp(s, dense, psi_d)
-
-    def vv(xi, zeta):
-        return np.asarray(v(np.asarray(xi, dtype=float),
-                            np.asarray(zeta, dtype=float)), dtype=float)
-
-    if hasattr(v, "d_zeta"):
-        d_zeta, d_xi = v.d_zeta, v.d_xi
-        dd_zeta, dd_xi = v.dd_zeta, v.dd_xi
-    else:
-        def d_zeta(xi, zeta):
-            return (vv(xi, zeta + h_fd) - vv(xi, zeta - h_fd)) / (2 * h_fd)
-
-        def d_xi(xi, zeta):
-            return (vv(xi + h_fd, zeta) - vv(xi - h_fd, zeta)) / (2 * h_fd)
-
-        def dd_zeta(xi, zeta):
-            return (vv(xi, zeta + h_fd) - 2 * vv(xi, zeta)
-                    + vv(xi, zeta - h_fd)) / h_fd ** 2
-
-        def dd_xi(xi, zeta):
-            return (vv(xi + h_fd, zeta) - 2 * vv(xi, zeta)
-                    + vv(xi - h_fd, zeta)) / h_fd ** 2
-
-    def ell_gap(xi, zeta):
-        # (l^B_zeta - l^B_xi) v
-        lap = -(dd_zeta(xi, zeta) - dd_xi(xi, zeta))
-        return lap - phi(zeta) * d_zeta(xi, zeta) + phi(xi) * d_xi(xi, zeta) \
-            + (psi(zeta) - psi(xi)) * vv(xi, zeta)
-
-    A_c = float(A_B(c))
-    H = 0.5 * A_c * (float(A_B(x - y + c)) * float(vv(x - y + c, c))
-                     + float(A_B(x + y - c)) * float(vv(x + y - c, c)))
-    s0 = np.linspace(x - y + c, x + y - c, n + 1)
-    I0 = 0.5 * A_c * float(np.trapezoid(A_B(s0) * d_zeta(s0, c), s0))
-    sy = np.linspace(c, y, n + 1)
-    I1 = 0.5 * float(np.trapezoid(
-        A_B(sy) * A_B(x - y + sy) * (phi(sy) + phi(x - y + sy))
-        * vv(x - y + sy, sy), sy)) if y > c else 0.0
-    I2 = 0.5 * float(np.trapezoid(
-        A_B(sy) * A_B(x + y - sy) * (phi(sy) - phi(x + y - sy))
-        * vv(x + y - sy, sy), sy)) if y > c else 0.0
-
     # row i of the volume block spans [x - y + z_i, x + y - z_i] at zeta = z_i
+    sy = np.linspace(c, y, n + 1)
     z = sy[:, None]
     xi_b = np.linspace(x - y + sy, x + y - sy, n + 1, axis=1)
+    (ab_x, phi_x, psi_x), (ab_z, phi_z, psi_z) = (
+        (np.exp(np.interp(s, dense, log_ab_d)), np.interp(s, dense, phi_d),
+         np.interp(s, dense, psi_d)) for s in (xi_b, z))
+    if hasattr(v, "d_zeta"):
+        fs = [f(xi_b, z) for f in (v, v.d_zeta, v.d_xi, v.dd_zeta, v.dd_xi)]
+    else:
+        f0, zp, zm, xp, xm = (
+            np.asarray(v(xi_b + dxi, z + dzeta), dtype=float)
+            for dxi, dzeta in ((0.0, 0.0), (0.0, h_fd), (0.0, -h_fd),
+                               (h_fd, 0.0), (-h_fd, 0.0)))
+        fs = [f0, (zp - zm) / (2 * h_fd), (xp - xm) / (2 * h_fd),
+              (zp - 2 * f0 + zm) / h_fd ** 2, (xp - 2 * f0 + xm) / h_fd ** 2]
+    vals, d_zeta, d_xi, dd_zeta, dd_xi = (
+        np.broadcast_to(np.asarray(f, dtype=float), xi_b.shape) for f in fs)
+
+    A_c = ab_z[0, 0]
+    H = 0.5 * A_c * (ab_x[0, 0] * vals[0, 0] + ab_x[0, n] * vals[0, n])
+    I0 = 0.5 * A_c * np.trapezoid(ab_x[0] * d_zeta[0], xi_b[0])
+    I1 = 0.5 * np.trapezoid(ab_z[:, 0] * ab_x[:, 0]
+                            * (phi_z[:, 0] + phi_x[:, 0]) * vals[:, 0], sy)
+    I2 = 0.5 * np.trapezoid(ab_z[:, 0] * ab_x[:, n]
+                            * (phi_z[:, 0] - phi_x[:, n]) * vals[:, n], sy)
 
     def volume(f):
-        rows = np.trapezoid(A_B(xi_b) * A_B(z) * f, xi_b, axis=1)
-        return 0.5 * float(np.trapezoid(rows, sy))
+        rows = np.trapezoid(ab_x * ab_z * f, xi_b, axis=1)
+        return 0.5 * np.trapezoid(rows, sy)
 
-    I3 = volume((psi(z) - psi(xi_b)) * vv(xi_b, z)) if y > c else 0.0
-    I4 = volume(ell_gap(xi_b, z)) if y > c else 0.0
-    lhs = float(A_B(x)) * float(A_B(y)) * float(vv(x, y))
+    psi_v = (psi_z - psi_x) * vals
+    I3 = volume(psi_v)
+    # (l^B_zeta - l^B_xi) v
+    I4 = volume(-(dd_zeta - dd_xi) - phi_z * d_zeta + phi_x * d_xi + psi_v)
+    lhs = ab_x[n, 0] * ab_z[n, 0] * vals[n, 0]
     residual = abs(lhs - (H + I0 + I1 + I2 + I3 - I4))
-    return TriangleIdentityReport(c=c, x=x, y=y, H=H, I0=I0, I1=I1, I2=I2,
-                                  I3=I3, I4=I4, lhs=lhs, residual=residual,
-                                  n=n)
+    return TriangleIdentityReport(
+        c=c, x=x, y=y, n=n, H=float(H), I0=float(I0), I1=float(I1),
+        I2=float(I2), I3=float(I3), I4=float(I4), lhs=float(lhs),
+        residual=float(residual))
 
 
 # ---------------------------------------------------------------------------

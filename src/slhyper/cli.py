@@ -318,8 +318,9 @@ class _EigenPair:
 
 def _triangle(args) -> dict:
     from .kernel import KernelEvaluator
-    from .cauchy import triangle_identity_residual
+    from .cauchy import _checked_panels, triangle_identity_residual
 
+    _checked_panels(args.n)
     sf = build_standard_form(args.spec)
     v = _EigenPair(KernelEvaluator(args.spec), sf, args.lam)
     return dataclasses.asdict(triangle_identity_residual(

@@ -85,8 +85,6 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, t, x, y)
     pk = product_density(t, x, y, xi_grid, sm)
-    if lam == 0.0:
-        return abs(1.0 - pk.mass)
     # one solve for the xi grid and both points
     w = sm.evaluator.eval_grid(lam, np.concatenate([pk.xi, [x, y]]))[0].real
     rhs = float(np.sum(w[:-2] * pk.values * _r_weights(sm.spec, pk.xi)))

@@ -143,3 +143,10 @@ def test_input_errors_name_what_is_wrong(sm_cosine, sol_cosine):
     with pytest.raises(ValueError, match="MP certificate required"):
         triangle_identity_residual(lambda xi, zeta: xi * 0.0, 0.5, 3.0, 1.5,
                                    failed)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_triangle_needs_a_panel(cert_cosine, n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+        triangle_identity_residual(lambda xi, zeta: xi * zeta, 0.5, 3.0, 1.5,
+                                   cert_cosine, n=n)

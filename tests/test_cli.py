@@ -173,7 +173,8 @@ def test_eigen_pair_cosine_closed_form():
 def test_eigen_pair_nearly_equal_targets():
     # the volume block of the triangle c=0.5, x=3, y=1.5 at n=40 holds
     # targets an ulp apart; on Whittaker some of their roots come out of
-    # gamma_inv out of order, and eval_grid takes only a sorted grid
+    # gamma_inv out of order, and each distinct point set is still one
+    # eval_grid
     v, calls = _counted_eigen_pair("whittaker?alpha=0.25&kappa=1.0", 2.0)
     z = np.linspace(0.5, 1.5, 41)
     xi = np.linspace(1.5 + z, 4.5 - z, 41, axis=1)
@@ -474,6 +475,62 @@ def test_triangle_where_p_r_overflows(tmp_path, capsys):
         ratio[n] = doc["residual"] / abs(doc["lhs"])
     assert ratio[50] < 1e-2
     assert ratio[200] * 3 <= ratio[100]
+
+
+JAC3 = {"a": 0.0, "b": "inf", "p": "sinh(x)^4 * cosh(x)^2",
+        "r": "sinh(x)^4 * cosh(x)^2"}
+
+
+@pytest.mark.parametrize("op, argv", [
+    (None, ["--c", "0.5", "--x", "3.0", "--y", "1.5"]),
+    (JAC3, ["--c", "0.5", "--x", "70", "--y", "1.5", "--lam", "12",
+            "--n", "50"]),
+], ids=["cosine", "jac3"])
+def test_triangle_is_two_kernel_solves(op, argv, tmp_path, monkeypatch):
+    """Every term of the identity reads the one volume block, so the test
+    eigenfunction meets two point sets, the block's xi and its zeta: two
+    ODE solves (11 when each term was evaluated apart)."""
+    import slhyper.kernel as kernel
+
+    solves = []
+    solve_ivp = kernel.solve_ivp
+
+    def counted(*args):
+        solves.append(len(args[3]))
+        return solve_ivp(*args)
+
+    monkeypatch.setattr(kernel, "solve_ivp", counted)
+    if op is not None:
+        (tmp_path / "op.json").write_text(json.dumps(op))
+        argv = ["--op", str(tmp_path / "op.json"), *argv]
+    assert run(["triangle", *argv, "--out", str(tmp_path / "t.json")]) == 0
+    assert 1 <= len(solves) <= 2
+
+
+@pytest.mark.parametrize("op", ["cosine", "whittaker?alpha=0.25&kappa=1.0"])
+def test_triangle_at_y_equal_c(op, tmp_path):
+    """At y = c the triangle is its apex: every trapezoid has width 0, so
+    I0 to I4 are 0.0 and the identity reads H = lhs (here to the bit)."""
+    out = tmp_path / "tri.json"
+    assert run(["triangle", "--op", f"builtin:{op}", "--c", "1.5", "--x",
+                "3.0", "--y", "1.5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["H"] == doc["lhs"] != 0.0
+    assert [doc[k] for k in ("I0", "I1", "I2", "I3", "I4")] == [0.0] * 5
+    assert doc["residual"] == 0.0
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_triangle_n_checked_first(n, monkeypatch, capsys):
+    """The identity's panel count is an integer of at least 1, checked
+    before the kernel evaluator is built."""
+    monkeypatch.setattr("slhyper.kernel.KernelEvaluator",
+                        lambda spec: pytest.fail("built"))
+    assert run(["triangle", "--c", "0.5", "--x", "3", "--y", "1.5",
+                "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert f"error: n must be an integer of at least 1, not {n}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, argv", [

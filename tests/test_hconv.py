@@ -46,6 +46,15 @@ def test_product_density_follows_its_grid(sm_cosine):
         assert np.allclose(pk.values, direct, rtol=1e-12, atol=1e-12)
 
 
+def test_product_formula_at_lambda_zero_is_the_mass(sm_cosine):
+    # w = 1 at lambda = 0, so the residual is |1 - mass| to the bit
+    t, x, y = 0.5, 2.0, 1.5
+    xi = np.linspace(0.0, 8.0, 81)
+    pk = product_density(t, x, y, xi, sm_cosine)
+    assert product_formula_residual(0.0, t, x, y, sm_cosine, xi) \
+        == abs(1.0 - pk.mass)
+
+
 @pytest.mark.parametrize("xi", [[3.0], np.linspace(5.0, 0.0, 11),
                                 [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
                                 [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
