@@ -101,15 +101,6 @@ def _read_grid_function(path: str) -> GridFunction:
     return GridFunction(xs, vals, compact_support=compact, smooth2=True)
 
 
-def _fmt(v, precision: int) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f) or math.isinf(f):
-        return repr(f)
-    return format(f, f".{precision}g")
-
-
 class Emitter:
     """Deterministic writer to a path, or stdout when it is None: '.'
     decimal, header row, stable key order."""
@@ -125,11 +116,23 @@ class Emitter:
         else:
             sys.stdout.write(text)
 
-    def csv(self, columns: list, rows) -> None:
-        p = self.precision
-        self.text("".join([self.header + "\n", ",".join(columns) + "\n"] +
-                          [",".join(_fmt(v, p) for v in row) + "\n"
-                           for row in rows]))
+    def csv(self, columns: dict) -> None:
+        """columns: name -> array.  The arrays broadcast against each other
+        and give one row per element, in C order.  A complex column is
+        written as <name>_re,<name>_im, an integer column with %d and every
+        other column with %.<precision>g."""
+        names, fmts, cols = [], [], []
+        for name, col in zip(columns, np.broadcast_arrays(*columns.values())):
+            parts = ((f"{name}_re", col.real), (f"{name}_im", col.imag)) \
+                if np.iscomplexobj(col) else ((name, col),)
+            for part, values in parts:
+                names.append(part)
+                fmts.append("%d" if values.dtype.kind in "iu"
+                            else f"%.{self.precision}g")
+                cols.append(values.ravel().tolist())
+        row = ",".join(fmts) + "\n"
+        self.text("".join([self.header + "\n", ",".join(names) + "\n"] +
+                          [row % values for values in zip(*cols)]))
 
     def json(self, doc: dict) -> None:
         payload = {"meta": {"version": __version__, "config": self.sha}, **doc}
@@ -162,8 +165,9 @@ def _measure(args):
 
 # ---------------------------------------------------------------------------
 # compute functions: each reads its inputs before it builds the measure and
-# returns what its format writes: (columns, rows) for CSV, with solve-inteq
-# adding its diagnostics dict; a dict for JSON; (text, exit code) for text
+# returns what its format writes: a dict of named columns for CSV (see
+# Emitter.csv), which solve-inteq pairs with its diagnostics dict; a dict for
+# JSON; (text, exit code) for text
 
 
 def _validate(args) -> dict:
@@ -187,19 +191,16 @@ def _kernel(args):
 
     ev = KernelEvaluator(args.spec)
     xs = np.sort(_parse_grid(args.x))
-    lams = [complex(v) for v in getattr(args, "lambda").split(",")]
+    lams = np.array([complex(v) for v in getattr(args, "lambda").split(",")])
     W, W1, errs = ev.eval_many(lams, xs)
-    return ["lambda_re", "lambda_im", "x", "w_re", "w_im",
-            "w1_re", "w1_im", "est_error"], [
-        (lam.real, lam.imag, x, wv.real, wv.imag, w1v.real, w1v.imag, err)
-        for lam, w, w1, err in zip(lams, W, W1, errs)
-        for x, wv, w1v in zip(xs, w, w1)]
+    return {"lambda": lams[:, None], "x": xs, "w": W, "w1": W1,
+            "est_error": errs[:, None]}
 
 
 def _spectrum(args):
     sm = _measure(args)
-    return ["k", "lambda_k", "mass_k"], [
-        (k, lam, m) for k, (lam, m) in enumerate(zip(sm.lambdas, sm.masses))]
+    return {"k": np.arange(len(sm.lambdas)), "lambda_k": sm.lambdas,
+            "mass_k": sm.masses}
 
 
 def _transform(args):
@@ -208,8 +209,7 @@ def _transform(args):
     h = _read_grid_function(args.h)
     _in_domain(args, (args.h, h.grid))
     tbl = forward_transform(h, _measure(args))
-    return ["lambda", "fh_re", "fh_im"], [
-        (lam, v.real, v.imag) for lam, v in zip(tbl.lambdas, tbl.values)]
+    return {"lambda": tbl.lambdas, "fh": tbl.values.astype(complex)}
 
 
 def _heatkernel(args):
@@ -218,9 +218,12 @@ def _heatkernel(args):
     xg, yg = _parse_grid(args.x_grid), _parse_grid(args.y_grid)
     _in_domain(args, ("--x-grid", xg), ("--y-grid", yg))
     p = heat_kernel_grid(args.t, xg, yg, _measure(args))
-    return ["t", "x", "y", "p"], [
-        (args.t, float(x), float(y), float(v))
-        for x, row in zip(xg, p) for y, v in zip(yg, row)]
+    return {"t": args.t, "x": xg[:, None], "y": yg, "p": p}
+
+
+# the largest |1 - mass| product writes: q_t is a probability density, so a
+# larger deviation is mass the xi grid or the measure's [a, L] cut off
+_MASS_TOL = 1e-3
 
 
 def _product(args):
@@ -235,8 +238,10 @@ def _product(args):
     if xi is None:
         xi = default_xi_grid(sm, args.t, args.x, args.y)
     pk = product_density(args.t, args.x, args.y, xi, sm)
-    return ["xi", "q", "mass"], [
-        (float(u), float(q), pk.mass) for u, q in zip(pk.xi, pk.values)]
+    if not abs(1.0 - pk.mass) <= _MASS_TOL:
+        raise ValueError(f"q_t has mass {pk.mass:.6g}, not 1 within "
+                         f"{_MASS_TOL:g}: widen --xi-grid or raise --L")
+    return {"xi": pk.xi, "q": pk.values, "mass": pk.mass}
 
 
 def _translate(args):
@@ -245,7 +250,7 @@ def _translate(args):
     h = _read_grid_function(args.h)
     _in_domain(args, (args.h, h.grid), ("--y", args.y))
     out = translate(h, args.y, _measure(args), t_reg=args.t_reg)
-    return ["x", "value"], list(zip(out.grid, out.values))
+    return {"x": out.grid, "value": out.values}
 
 
 def _convolve(args):
@@ -255,7 +260,7 @@ def _convolve(args):
     g = _read_grid_function(args.g)
     _in_domain(args, (args.h, h.grid), (args.g, g.grid))
     out = convolve_functions(h, g, _measure(args), t_reg=args.t_reg)
-    return ["x", "value"], list(zip(out.grid, out.values))
+    return {"x": out.grid, "value": out.values}
 
 
 def _support(args) -> dict:
@@ -277,9 +282,8 @@ def _cauchy(args):
     sol = solve_cauchy(h, _measure(args), xs)
     res = np.full_like(sol.values, np.nan)
     res[2:-2, 2:-2] = sol.pde_residual()
-    return ["x", "y", "f", "pde_residual"], [
-        (float(x), float(y), float(sol.values[i, j]), float(res[i, j]))
-        for i, x in enumerate(sol.xs) for j, y in enumerate(sol.ys)]
+    return {"x": sol.xs[:, None], "y": sol.ys, "f": sol.values,
+            "pde_residual": res}
 
 
 class _EigenPair:
@@ -357,7 +361,7 @@ def _solve_inteq(args):
         kappa = sm.sigma2 if args.kappa is None else args.kappa
         prob = EquationProblem(f=f, psi=psi, kappa=kappa, rho=args.rho)
         sol = solve_equation(prob, sm)
-    return (["x", "h"], list(zip(sol.h.grid, sol.h.values)),
+    return ({"x": sol.h.grid, "h": sol.h.values},
             dict(sorted(sol.diagnostics.items())))
 
 
@@ -371,7 +375,7 @@ def _selftest(args):
     def report(name, value, tol):
         ok = value <= tol
         lines.append(f"{'ok' if ok else 'FAIL'} {name} "
-                     f"{_fmt(value, 6)} (tol {_fmt(tol, 6)})")
+                     f"{value:.6g} (tol {tol:.6g})")
         return ok
 
     all_ok = True
@@ -623,8 +627,8 @@ def _run(args) -> int:
     if cmd.fmt == "json":
         em.json(result)
         return 0
-    columns, rows, *diagnostics = result
-    em.csv(columns, rows)
+    columns, *diagnostics = result if isinstance(result, tuple) else (result,)
+    em.csv(columns)
     for diag in diagnostics:
         Emitter(sha, args.diagnostics).json({"diagnostics": diag})
     return 0

@@ -44,12 +44,15 @@ DEFAULT_T_SCHEDULE = (0.1, 0.03, 0.01, 0.003, 0.001)
 
 @dataclass(frozen=True)
 class ProductKernel:
+    """q_t(x, y, .) on xi, with its mass and the weights rw of int . r dxi
+    on xi that the mass was summed with."""
     t: float
     x: float
     y: float
     xi: np.ndarray
     values: np.ndarray
     mass: float
+    rw: np.ndarray
 
 
 def default_xi_grid(sm: SpectralMeasure, t: float, x: float, y: float,
@@ -70,8 +73,9 @@ def product_density(t: float, x: float, y: float, xi_grid,
     xi = _checked_grid(xi_grid, "xi grid")
     wxy = sm.w_values([x, y])
     vals = sm.synthesize(np.exp(-t * sm.lambdas) * wxy[:, 0] * wxy[:, 1], xi)
-    mass = float(np.sum(vals * _r_weights(sm.spec, xi)))
-    return ProductKernel(t=t, x=x, y=y, xi=xi, values=vals, mass=mass)
+    rw = _r_weights(sm.spec, xi)
+    return ProductKernel(t=t, x=x, y=y, xi=xi, values=vals,
+                         mass=float(np.sum(vals * rw)), rw=rw)
 
 
 def product_formula_residual(lam: float, t: float, x: float, y: float,
@@ -87,7 +91,7 @@ def product_formula_residual(lam: float, t: float, x: float, y: float,
     pk = product_density(t, x, y, xi_grid, sm)
     # one solve for the xi grid and both points
     w = sm.evaluator.eval_grid(lam, np.concatenate([pk.xi, [x, y]]))[0].real
-    rhs = float(np.sum(w[:-2] * pk.values * _r_weights(sm.spec, pk.xi)))
+    rhs = float(np.sum(w[:-2] * pk.values * pk.rw))
     return abs(math.exp(-t * lam) * w[-2] * w[-1] - rhs)
 
 
@@ -128,13 +132,12 @@ def approx_nu(x: float, y: float, sm: SpectralMeasure,
     if xi_grid is None:
         xi_grid = default_xi_grid(sm, max(ts), x, y, n=6001)
     xi = _checked_grid(xi_grid, "xi grid")
-    rw = _r_weights(sm.spec, xi)
     W_probe = sm.evaluator.eval_many(probe_lambdas, xi)[0].real
     moments = np.empty((len(ts), len(probe_lambdas)))
     last = None
     for i, t in enumerate(ts):
         pk = product_density(t, x, y, xi, sm)
-        moments[i] = W_probe @ (pk.values * rw)
+        moments[i] = W_probe @ (pk.values * pk.rw)
         last = pk
     gaps = np.max(np.abs(np.diff(moments, axis=0)), axis=1)
     density = GridFunction(last.xi, last.values)

@@ -780,6 +780,52 @@ def test_real_rho_writes_the_default_bytes(tmp_path):
     assert outputs[2] == outputs[0]
 
 
+@pytest.mark.parametrize("rho, header", [("1", "x,h"), ("1+1j", "x,h_re,h_im")])
+def test_solve_inteq_writes_every_part_of_h(rho, header, sm_cosine_512,
+                                            tmp_path, capsys):
+    """A complex solution is written as x,h_re,h_im, a real one as x,h; each
+    column is solve_equation's h at 17 digits, with no ComplexWarning."""
+    from slhyper.cli import _read_grid_function
+    from slhyper.inteq import EquationProblem, solve_equation
+
+    xs = np.linspace(0.0, 12.0, 601)
+    f = tmp_path / "f.csv"
+    np.savetxt(f, np.c_[xs, 0.3 * np.exp(-xs ** 2)], delimiter=",")
+    psi = _write_bump(tmp_path / "psi.csv")
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve-inteq", "--f", str(f), "--psi", str(psi), *SMALL,
+                    "--rho", rho, "--precision", "17", "--out", str(out),
+                    "--diagnostics", str(tmp_path / "d.json")]) == 0
+    assert not [w for w in caught
+                if issubclass(w.category, np.exceptions.ComplexWarning)]
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1] == header
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    sol = solve_equation(EquationProblem(
+        f=_read_grid_function(str(f)), psi=_read_grid_function(str(psi)),
+        kappa=0.0, rho=complex(rho) if "j" in rho else float(rho)),
+        sm_cosine_512)
+    want = sol.h.values
+    assert np.iscomplexobj(want) == ("j" in rho)
+    got = rows[:, 1] + 1j * rows[:, 2] if "j" in rho else rows[:, 1]
+    assert np.array_equal(rows[:, 0], sol.h.grid)
+    assert np.allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+
+def test_product_with_lost_mass_exits_1(tmp_path, capsys):
+    """q_t is a probability density: on Whittaker at t = 0.1 the default xi
+    grid and L hold 0.624 of its mass, which is an error, not output."""
+    out = tmp_path / "q.csv"
+    assert run(["product", "--op", "builtin:whittaker?alpha=0.25&kappa=1.0",
+                "--t", "0.1", "--x", "2", "--y", "1.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slhyper: error: q_t has mass 0.624")
+    assert "--xi-grid" in err and "--L" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # runs main(argv) in a fresh interpreter and prints its scipy modules, and
 # numpy.ma and numpy.polynomial, if loaded
 _FOOTPRINT = """

@@ -55,6 +55,26 @@ def test_product_formula_at_lambda_zero_is_the_mass(sm_cosine):
         == abs(1.0 - pk.mass)
 
 
+def test_product_formula_weighs_its_grid_once(sm_cosine, monkeypatch):
+    """The residual reads the r-weights its product kernel's mass was summed
+    with: one _r_weights call (two when it weighed the grid again)."""
+    import slhyper.hconv as hconv
+
+    calls = []
+    r_weights = hconv._r_weights
+
+    def counted(spec, grid):
+        calls.append(len(grid))
+        return r_weights(spec, grid)
+
+    monkeypatch.setattr(hconv, "_r_weights", counted)
+    xi = np.linspace(0.0, 8.0, 81)
+    product_formula_residual(4.0, 0.5, 2.0, 1.5, sm_cosine, xi)
+    assert calls == [81]
+    pk = product_density(0.5, 2.0, 1.5, xi, sm_cosine)
+    assert np.array_equal(pk.rw, r_weights(sm_cosine.spec, xi))
+
+
 @pytest.mark.parametrize("xi", [[3.0], np.linspace(5.0, 0.0, 11),
                                 [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
                                 [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])

@@ -182,3 +182,30 @@ def test_l1_kappa_norm_needs_kappa_at_most_sigma2(sm_cosine):
     h = bump_function(4.0, 1.5, np.linspace(0.0, 10.0, 201))
     with pytest.raises(ValueError, match="kappa must not exceed sigma2"):
         l1_kappa_norm(h, 1.0, sm_cosine)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "wiener_levy_check samples the strip's boundary and the real ray, so a "
+    "zero of rho + Ff inside the strip is not seen (ROADMAP item 19)"))
+def test_a_zero_inside_the_strip_is_not_solvable(tmp_path):
+    """p = r = sinh(x)^2 has sigma2 = 1, and for f = e^{-x^2} the transform
+    is sqrt(pi) e^{(1 - k^2)/4} sin(k/2) / (2k) at lambda = 1 + k^2.  With
+    kappa = 0 the strip is |Im k| <= 1, so k0 = 2 + 0.5i lies inside it,
+    and rho = -Ff(1 + k0^2) makes rho + Ff vanish there."""
+    import cmath
+
+    from slhyper.operator import load_operator
+    from slhyper.spectral import build_spectral_measure
+
+    path = tmp_path / "jac.json"
+    path.write_text('{"name": "jacobi", "a": 0.0, "b": "inf", '
+                    '"p": "sinh(x)^2", "r": "sinh(x)^2", "eta": "0"}')
+    sm = build_spectral_measure(load_operator(str(path)), 16.0, 2048,
+                                lambda_max=1600.0)
+    xs = np.linspace(0.0, 12.0, 2401)
+    f = GridFunction(xs, np.exp(-xs ** 2))
+    k0 = 2.0 + 0.5j
+    rho = -(np.sqrt(np.pi) * cmath.exp((1.0 - k0 ** 2) / 4.0)
+            * cmath.sin(k0 / 2.0) / (2.0 * k0))
+    assert not wiener_levy_check(f, SpectralStrip(0.0, sm.sigma2), rho, sm,
+                                 n=16).ok
