@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import sqrt_ratio
 from .operator import MpCertificate
 from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
                        forward_transform)
@@ -162,11 +163,10 @@ def triangle_identity_residual(v, c: float, x: float, y: float,
     log_b = 0.5 * np.concatenate(
         [[0.0], np.cumsum((eta_d[1:] + eta_d[:-1]) / 2 * np.diff(dense))])
     log_b -= np.interp(c, dense, log_b)
-    # log A_B = (log p + log r) / 2 - 2 log B is interpolated, then
+    # log A_B = log sqrt(p r) - 2 log B is interpolated, then
     # exponentiated: exact where A_B grows or decays exponentially, where
-    # interpolating A_B itself measures the table, not the identity; and
-    # p r, which overflows where A is still finite, is never formed
-    log_ab_d = (0.5 * (np.log(sf.spec.p(x_d)) + np.log(sf.spec.r(x_d)))
+    # interpolating A_B itself measures the table, not the identity
+    log_ab_d = (sqrt_ratio([sf.spec.p, sf.spec.r], x=x_d, log=True)
                 - 2.0 * log_b)
     phi_d, psi_d = sf.mp_coefficients(cert.eta, x_d, dense)
 

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+from .expr import sqrt_ratio
 from .operator import (load_operator, build_standard_form, certify_mp,
                        support_params, check_left_boundary, classify_support)
 
@@ -72,7 +73,7 @@ def _real_or_complex(text: str) -> float | complex:
 def _read_grid_function(path: str) -> GridFunction:
     """(x, value) rows of a CSV file.  Blank and '#' lines are skipped, as
     is one header row before the first data row; any other row that is not
-    two numbers is an error."""
+    two finite numbers is an error."""
     from .spectral import GridFunction
 
     xs, vals = [], []
@@ -90,6 +91,9 @@ def _read_grid_function(path: str) -> GridFunction:
                                      f"(x, value) row: {row!r}") from None
                 header = True
                 continue
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise ValueError(f"{path}, line {reader.line_num}: not "
+                                 f"finite: {row!r}")
             xs.append(x)
             vals.append(v)
     if len(xs) < 2:
@@ -290,8 +294,8 @@ class _EigenPair:
     """v(xi, zeta) = u(xi) u(zeta), u = w_lam o gamma^{-1}, and its
     derivatives: the cheap exact test object for the triangle identity.
     (u, u', u'') comes once per distinct point set from one array gamma_inv
-    and one eval_grid: u' = p w' / A, A = sqrt(p) sqrt(r) (p r overflows
-    first), and, from the standard form, u'' = -lam u - (A'/A) u'."""
+    and one eval_grid: u' = p w' / A, A = sqrt(p r) (``sqrt_ratio``), and,
+    from the standard form, u'' = -lam u - (A'/A) u'."""
 
     def __init__(self, ev: KernelEvaluator, sf, lam: float):
         self.ev, self.sf, self.lam = ev, sf, lam
@@ -305,7 +309,7 @@ class _EigenPair:
             x = self.sf.gamma_inv(pts)
             w, w1, _ = self.ev.eval_grid(self.lam, x)
             spec = self.sf.spec
-            u1 = w1.real / (np.sqrt(spec.p(x)) * np.sqrt(spec.r(x)))
+            u1 = w1.real / sqrt_ratio([spec.p, spec.r], x=x)
             u2 = -self.lam * w.real - 2.0 * self.sf._half_log_pr_deriv(x) * u1
             self._known[key] = tuple(f[where].reshape(xi.shape)
                                      for f in (w.real, u1, u2))

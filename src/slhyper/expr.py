@@ -17,6 +17,10 @@ deeper than 100 levels, is an error.  The expression tree is Python's
 unary plus is dropped.  Every function has a symbolic derivative: abs(u)'
 is sign(u) u', and sign(u)' is 0.  ``pretty`` is ``ast.unparse`` with
 ``^`` for the power, and reads back to the same tree.
+
+``CoefficientExpr.log_abs`` reads (sign, log|f|) from the tree, finite
+where factors leave the floats and f does not; ``sqrt_ratio`` states the
+one rule for products of coefficients.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ import re
 
 import numpy as np
 
-__all__ = ["ExprError", "CoefficientExpr", "parse_expression"]
+__all__ = ["ExprError", "CoefficientExpr", "parse_expression", "sqrt_ratio"]
 
 _MAX_CHARS = 1000
 _MAX_DEPTH = 100
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_LOG2 = math.log(2.0)
 
 
 class ExprError(ValueError):
@@ -141,7 +147,12 @@ def _read(text: str) -> ast.AST:
 
 def _eval(node, x):
     if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, x), _eval(node.right, x))
+        try:
+            return _BINOPS[type(node.op)](_eval(node.left, x),
+                                          _eval(node.right, x))
+        except ZeroDivisionError:
+            # Python floats; numpy reads u/0 as +-inf or nan, as on arrays
+            return np.divide(_eval(node.left, x), _eval(node.right, x))
     if isinstance(node, ast.Constant):
         return node.value
     if isinstance(node, ast.Name):
@@ -149,6 +160,56 @@ def _eval(node, x):
     if isinstance(node, ast.UnaryOp):
         return -_eval(node.operand, x)
     return _FUNCTIONS[node.func.id](_eval(node.args[0], x))
+
+
+def _has_x(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(node))
+
+
+def _log_terms(node, x):
+    """(sign, terms) of the tree at x, log|f| the sum of the terms: those
+    of both factors for * and /, c times those of u for u^c with c a
+    finite constant, u for exp(u), |u| and log(1 -+ e^(-2|u|)) - log 2 for
+    sinh and cosh, and log|f(x)| for any other node.  Kept apart, equal
+    terms of two factors, such as the -1/x of exp(-1/x) in p and in r,
+    cancel exactly in ``_fsum``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        (su, tu), (sv, tv) = _log_terms(node.left, x), _log_terms(node.right, x)
+        return su * sv, tu + (tv if isinstance(node.op, ast.Mult)
+                              else [-t for t in tv])
+    if isinstance(node, ast.UnaryOp):
+        s, tu = _log_terms(node.operand, x)
+        return -s, tu
+    power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and not _has_x(node.right))
+    if power or isinstance(node, ast.Call) and node.func.id == "sqrt":
+        c = float(_eval(node.right, x)) if power else 0.5
+        if math.isfinite(c):
+            s, tu = _log_terms(node.left if power else node.args[0], x)
+            # u^0 = 1 also where u is 0, inf or nan, and c log|u| is not
+            return np.sign(np.power(s, c)), [c * t for t in tu] if c else [0.0]
+    if isinstance(node, ast.Call) and node.func.id in ("exp", "sinh", "cosh"):
+        u = _eval(node.args[0], x)
+        a, one = np.abs(u), np.where(np.isnan(u), u, 1.0)
+        if node.func.id == "exp":
+            return one, [u]
+        if node.func.id == "cosh":
+            return one, [a, np.log1p(np.exp(-2.0 * a)) - _LOG2]
+        # log(-expm1(-2a)) = log(1 - e^(-2a)) keeps its digits as a -> 0
+        return np.sign(u), [a, np.log(-np.expm1(-2.0 * a)) - _LOG2]
+    f = _eval(node, x)
+    return np.sign(f), [np.log(np.abs(f))]
+
+
+def _fsum(terms):
+    """Neumaier's compensated sum of arrays: the rounding errors of the
+    running sum are carried apart and added back at the end."""
+    total, carry = terms[0], 0.0
+    for t in terms[1:]:
+        s = total + t
+        err = np.where(np.abs(total) >= np.abs(t), total - s + t, t - s + total)
+        carry, total = carry + np.where(np.isfinite(s), err, 0.0), s
+    return total + carry
 
 
 def _bin(op: str, left, right) -> ast.BinOp:
@@ -177,7 +238,7 @@ def _diff(node):
             num = _bin("-", _bin("*", du, v), _bin("*", u, dv))
             return _bin("/", num, _bin("^", v, ast.Constant(2.0)))
         # power: constant exponent rule, otherwise through exp(v log u)
-        if not any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(v)):
+        if not _has_x(v):
             vm1 = _bin("-", v, ast.Constant(1.0))
             return _bin("*", _bin("*", v, _bin("^", u, vm1)), du)
         inner = _bin("+", _bin("*", dv, _call("log", u)),
@@ -235,6 +296,15 @@ class CoefficientExpr:
         x = np.asarray(x, dtype=float)
         return np.asarray(_eval(self._tree, x), dtype=float) + np.zeros_like(x)
 
+    def log_abs(self, x):
+        """(sign, log|f(x)|), arrays of x's shape, from the tree
+        (``_log_terms``): finite at sinh(x)^-0.5 * cosh(x), x = 1000,
+        where the value is 0 times inf.  numpy does not warn."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            s, terms = _log_terms(self._tree, x)
+            return s + np.zeros_like(x), _fsum(terms) + np.zeros_like(x)
+
     def __repr__(self):
         return f"CoefficientExpr({self.source!r})"
 
@@ -254,3 +324,52 @@ class CoefficientExpr:
 
 def parse_expression(text: str) -> CoefficientExpr:
     return CoefficientExpr(text)
+
+
+def _normal(v):
+    """Where v is a normal float: finite, nonzero and not subnormal."""
+    a = np.abs(v)
+    return (a >= _TINY) & (a <= _HUGE)
+
+
+def sqrt_ratio(num, den=(), x=None, *, log=False):
+    """sqrt(prod num / prod den), or with log=True its log, for factors
+    that are CoefficientExprs read at x or arrays, all of one shape.
+
+    The one rule for a product, quotient or root of coefficients: the
+    direct form where every factor and the value are normal floats, so
+    those values keep their bits, and exp of the half-sum of the factors'
+    logs elsewhere, nan where a factor is not positive.  A factor's log is
+    np.log of its value where that is normal, else its terms from the tree
+    (``_log_terms``); one ``_fsum`` takes every term, so the -1/x of
+    exp(-1/x) in p and in r cancels exactly.  The log is that half-sum at
+    every point.  numpy does not warn."""
+    shape = np.shape(num[0] if x is None else x)
+    x = None if x is None else np.ravel(np.asarray(x, dtype=float))
+    factors = (*num, *den)
+    with np.errstate(all="ignore"):
+        vals = [np.ravel(np.asarray(f(x) if isinstance(f, CoefficientExpr)
+                                    else f, dtype=float)) for f in factors]
+        at = slice(None)
+        if not log:
+            value = np.sqrt(math.prod(vals[:len(num)])
+                            / math.prod(vals[len(num):]))
+            at = ~_normal([value, *vals]).all(axis=0)
+            if not at.any():
+                return value.reshape(shape)
+        sign, terms = 1.0, []
+        for k, (f, v) in enumerate(zip(factors, vals)):
+            v = v[at]
+            s, logs, off = np.sign(v), [np.log(np.abs(v))], ~_normal(v)
+            if isinstance(f, CoefficientExpr) and off.any():
+                s_off, t_off = _log_terms(f._tree, x[at])
+                s = np.where(off, s_off, s)
+                logs = [np.where(off, 0.0, logs[0]),
+                        *(np.where(off, t, 0.0) for t in t_off)]
+            sign = sign * s
+            terms += logs if k < len(num) else [-t for t in logs]
+        half = _fsum(terms) / 2
+        if log:
+            return half.reshape(shape)
+        value[at] = np.where(sign > 0, np.exp(half), np.nan)
+    return value.reshape(shape)

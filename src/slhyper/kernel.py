@@ -13,7 +13,7 @@ rows a sum reads (``_extend_table``) and the terms between the nodes
 (``KernelEvaluator._terms``) taken from exact slopes, so no system is
 solved.  Further out, evaluation integrates the first-order system
 w' = w1/p, w1' = -lambda r w, one DOP853 solve (``slhyper.ode``) for every
-lambda at once, within the period budget _MAX_PERIODS (``_integrate``), by
+lambda at once, within the period budget _MAX_PERIODS (``_check_periods``), by
 ``KernelEvaluator.eval_many``; its points follow one rule (``_points``).
 
 The spectral measure reads this module's table through its first node
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import solve_ivp
+from .expr import sqrt_ratio
 from .operator import OperatorSpec, _seg_integral
 
 __all__ = ["KernelEvaluator"]
@@ -541,6 +542,9 @@ class KernelEvaluator:
         pts = xs[ser]
         if rows.size:
             x0 = float(x_h[rows].min())
+            cols = np.flatnonzero(xs > x0)
+            # before the series, whose terms overflow at such a lambda
+            self._check_periods(lams[rows], x0, xs[cols])
             pts = np.append(pts, x0)
         if pts.size:
             ws, w1s, bound = self._series(lams, pts,
@@ -550,7 +554,6 @@ class KernelEvaluator:
             W[:, ser] = ws[:, :n_ser]
             W1[:, ser] = w1s[:, :n_ser]
         if rows.size:
-            cols = np.flatnonzero(xs > x0)
             w_ode, w1_ode = self._integrate(lams[rows], x0, ws[rows, -1],
                                             w1s[rows, -1], xs[cols])
             blk = np.ix_(rows, cols)
@@ -571,7 +574,7 @@ class KernelEvaluator:
         lambda from x0.  The state is real, (w, w1), or, when some lambda
         is complex, the (Re, Im) pairs of (w, w1), which read as a complex
         array.  Returns w and w1 at xs, each (K, len(xs)); xs may repeat
-        nodes.  A span past _MAX_PERIODS is a ValueError.
+        nodes.  Its callers check the span first (``_check_periods``).
 
         The error norm is an RMS over all m K real components.  Scaling the
         tolerances by 2 / sqrt(m K) keeps each lambda's own four-component
@@ -595,22 +598,29 @@ class KernelEvaluator:
 
         scale = 2.0 / math.sqrt(len(y_init))
         targets, where = np.unique(xs, return_inverse=True)
-        lam = lams[np.argmax(np.abs(lams))]
-        # estimated by Gauss-Legendre on each interval between the targets
-        edges = np.concatenate([[x0], targets])
-        span = _seg_integral(lambda x: np.sqrt(r(x) / p(x)), edges[:-1],
-                             edges[1:])
-        periods = math.sqrt(abs(lam)) * float(np.sum(span)) / (2.0 * math.pi)
-        if periods > _MAX_PERIODS:
-            shown = lam.real if lam.imag == 0 else lam
-            raise ValueError(
-                f"{self.spec.name}: lambda = {shown:.6g} spans about "
-                f"{periods:.3g} periods of w on [{x0:.6g}, {targets[-1]:.6g}],"
-                f" past the {_MAX_PERIODS:g} that one ODE solve may take")
         y = solve_ivp(fun, x0, y_init, targets, _RTOL * scale,
                       _ATOL * scale).y[:, where]
         z = y[0::2] + 1j * y[1::2] if paired else y.astype(complex)
         return z[:K], z[K:]
+
+    def _check_periods(self, lams, x0: float, xs) -> None:
+        """ValueError if the largest |lambda| spans more than _MAX_PERIODS
+        periods of w from x0 to the last of xs, the span estimated by
+        Gauss-Legendre on each interval between the points."""
+        spec = self.spec
+        # asked for indices, np.unique does not import numpy.ma
+        targets = np.unique(xs, return_inverse=True)[0]
+        lam = lams[np.argmax(np.abs(lams))]
+        edges = np.concatenate([[x0], targets])
+        span = _seg_integral(lambda x: sqrt_ratio([spec.r], [spec.p], x),
+                             edges[:-1], edges[1:])
+        periods = math.sqrt(abs(lam)) * float(np.sum(span)) / (2.0 * math.pi)
+        if periods > _MAX_PERIODS:
+            shown = lam.real if lam.imag == 0 else lam
+            raise ValueError(
+                f"{spec.name}: lambda = {shown:.6g} spans about "
+                f"{periods:.3g} periods of w on [{x0:.6g}, {targets[-1]:.6g}],"
+                f" past the {_MAX_PERIODS:g} that one ODE solve may take")
 
     def eval_w_shifted(self, lam, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
         """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point.
@@ -629,6 +639,7 @@ class KernelEvaluator:
         live = flat != 0
         if live.any() and xs.size:
             start = np.ones(int(live.sum()), dtype=complex)
+            self._check_periods(flat[live], a_m, xs)
             w[live], w1[live] = self._integrate(flat[live], a_m, start,
                                                 0.0 * start, xs)
         return w.reshape(lams.shape + xs.shape), w1.reshape(lams.shape + xs.shape)

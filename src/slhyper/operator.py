@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expr import CoefficientExpr, parse_expression
+from .expr import CoefficientExpr, parse_expression, sqrt_ratio
 
 __all__ = [
     "OperatorSpec",
@@ -46,9 +46,6 @@ _MP_PROBES = 512
 # halvings per side (to |x - c| = 2^60 at an infinite end)
 _NODES_PER_HALVING = 8
 _HALVINGS = 60
-# below this a coefficient is a subnormal float whose spacing, 2^-1074, is
-# more than 1e-13 of it, so sqrt(r/p) has lost digits
-_COEF_FLOOR = 2.0 ** -1074 / 1e-13
 _NEWTON_STEPS = 4
 # check_left_boundary: cells per piece between two cuts, and the relative
 # tolerance and the most halvings of each step of its inner integral
@@ -74,10 +71,10 @@ def _seg_integral(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     mid = (lo + hi) / 2
     half = (hi - lo) / 2
     tot = np.zeros_like(mid)
-    for xg, wg in zip(_GL_X, _GL_W):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for xg, wg in zip(_GL_X, _GL_W):
             tot += wg * f(mid + half * xg)
-    return tot * half
+        return tot * half
 
 
 def probe_points(a: float, b: float) -> np.ndarray:
@@ -104,29 +101,23 @@ class OperatorSpec:
     eta: CoefficientExpr | None = None
 
     def validate(self) -> None:
+        """ValueError unless a < b and p and r are positive at every probe:
+        the sign and the log from ``CoefficientExpr.log_abs``, so a
+        coefficient whose value leaves the floats while it stays positive
+        (exp(-1/x) at a, sinh(x)^2 toward b) loads.  Its log may itself be
+        +-inf, as that of exp(x - exp(-x)) far toward -inf is."""
         if not self.a < self.b:
             raise ValueError(f"{self.name}: the interval needs a < b, not "
                              f"a = {self.a:g} and b = {self.b:g}")
         pts = probe_points(self.a, self.b)
-        with np.errstate(all="ignore"):
-            pv, rv = self.p(pts), self.r(pts)
-        # +inf is tolerated only as a contiguous overflow suffix toward b
-        # (e.g. sinh(x)^2 past the float range), the mirror of the zeros below
-        n = len(pts) - int(np.argmin(((pv == np.inf) | (rv == np.inf))[::-1]))
-        pts, pv, rv = pts[:n], pv[:n], rv[:n]
-        if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(rv))):
+        (sp, lp), (sr, lr) = self.p.log_abs(pts), self.r.log_abs(pts)
+        sign = np.minimum(sp, sr)
+        if np.isnan(np.stack([sign, lp, lr])).any():
             raise ValueError(f"{self.name}: coefficient not finite on probe grid")
-        if np.any(pv < 0) or np.any(rv < 0):
-            i = int(np.argmax((pv < 0) | (rv < 0)))
-            raise ValueError(f"{self.name}: negative coefficient at x={pts[i]}")
-        # exact zeros are tolerated only as a contiguous underflow prefix at
-        # a singular left endpoint (e.g. exp(-1/x) below the float range)
-        zero = (pv == 0) | (rv == 0)
-        if np.any(zero):
-            k = int(np.argmin(zero))  # first strictly positive index
-            if zero[-1] or np.any(zero[k:]):
-                i = k + int(np.argmax(zero[k:]))
-                raise ValueError(f"{self.name}: vanishing coefficient at x={pts[i]}")
+        for bad, what in ((sign < 0, "negative"), (sign == 0, "vanishing")):
+            if bad.any():
+                raise ValueError(f"{self.name}: {what} coefficient at "
+                                 f"x={pts[np.argmax(bad)]}")
 
 
 def _left_cut_sequence(a: float, c: float, k_max: int = 14):
@@ -232,11 +223,11 @@ def _outward_nodes(c: float, end: float) -> np.ndarray:
     return x
 
 
-def _quarterings(inc: np.ndarray, n_full: int, k_max: int) -> list[float]:
+def _quarterings(inc: np.ndarray, k_max: int) -> list[float]:
     """|int sqrt(r/p)| over each of the first k_max full quarterings of the
-    distance from c to an end, from the first n_full cell integrals."""
+    distance from c to an end, from the cell integrals inc."""
     per = 2 * _NODES_PER_HALVING
-    k = min(n_full // per, k_max)
+    k = min(len(inc) // per, k_max)
     return np.abs(inc[:k * per]).reshape(k, per).sum(axis=1).tolist()
 
 
@@ -248,16 +239,16 @@ class StandardForm:
         self.c = _interior_point(spec)
         self._p1 = spec.p.diff()
         self._r1 = spec.r.diff()
-        x_a, inc_a, full_a = self._side(spec.a)
-        x_b, inc_b, full_b = self._side(spec.b)
+        x_a, inc_a = self._side(spec.a)
+        x_b, inc_b = self._side(spec.b)
         x = np.concatenate([x_a[:0:-1], x_b])
         g = np.concatenate([np.cumsum(inc_a)[::-1], [0.0], np.cumsum(inc_b)])
         # cells whose integral is below the spacing of gamma add no node
         self._g, keep = np.unique(g, return_index=True)
         self._x = x[keep]
-        left = _quarterings(inc_a, full_a, 14)
+        left = _quarterings(inc_a, 14)
         self.gamma_a = -_tail_limit(left) if len(left) >= 3 else -math.inf
-        right = _quarterings(inc_b, full_b, 11)
+        right = _quarterings(inc_b, 11)
         if right and right[-1] < 1e-6 * (1.0 + sum(right[:-1])):
             raise ValueError(
                 f"{spec.name}: gamma stays bounded near b (gamma(b) must diverge)")
@@ -266,40 +257,25 @@ class StandardForm:
     # -- gamma ------------------------------------------------------------
 
     def _sqrt_rp(self, x):
-        """sqrt(r/p) where p and r keep their digits, nan elsewhere."""
-        with np.errstate(all="ignore"):
-            p, r = self.spec.p(x), self.spec.r(x)
-            s = np.sqrt(r / p)
-        return np.where((np.minimum(p, r) >= _COEF_FLOOR) & (s > 0.0)
-                        & (s < math.inf), s, math.nan)
+        """sqrt(r/p) (``sqrt_ratio``), nan where it is 0 or not finite."""
+        s = sqrt_ratio([self.spec.r], [self.spec.p], x)
+        return np.where((s > 0.0) & (s < math.inf), s, math.nan)
 
-    def _side(self, end: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """Nodes from c toward end, the signed integral of sqrt(r/p) over
-        each cell between them, and the number of full cells.  The cells
-        stop before the first one where p or r loses its digits; one last
-        partial cell reaches the edge of that run, found by bisection."""
+    def _side(self, end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes from c toward end and the signed integral of sqrt(r/p)
+        over each cell between them, up to the first cell where sqrt(r/p)
+        leaves the floats."""
         x = _outward_nodes(self.c, end)
         inc = _seg_integral(self._sqrt_rp, x[:-1], x[1:])
-        bad = ~np.isfinite(inc + self._sqrt_rp(x[1:]))
-        if not bad.any():
-            return x, inc, len(inc)
-        n = int(np.argmax(bad))
-        near, far = x[n], x[n + 1]
-        while (mid := 0.5 * (near + far)) not in (near, far):
-            if np.isfinite(self._sqrt_rp(mid)):
-                near = mid
-            else:
-                far = mid
-        edge = _seg_integral(self._sqrt_rp, x[n], near)
-        if np.isfinite(edge):
-            return np.append(x[:n + 1], near), np.append(inc[:n], edge), n
-        return x[:n + 1], inc[:n], n
+        ok = np.isfinite(inc + self._sqrt_rp(x[1:]))
+        n = len(inc) if ok.all() else int(np.argmin(ok))
+        return x[:n + 1], inc[:n]
 
     def gamma(self, x):
         """int_c^x sqrt(r/p), for a number or an array: the table value at
         the node below x, or at the end node off the table, plus one
-        Gauss-Legendre integral from that node; nan where p or r has lost
-        its digits."""
+        Gauss-Legendre integral from that node; nan where sqrt(r/p) has
+        left the floats."""
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(self._x, x, side="right") - 1,
                     0, len(self._x) - 1)
@@ -327,11 +303,13 @@ class StandardForm:
 
     def _half_log_pr_deriv(self, x):
         """g(x) = A'/(2A) at xi=gamma(x), i.e. (pr)'/(4pr) * sqrt(p/r),
-        written as (p'/p + r'/r) / 4 * sqrt(p/r) so that no product p r
-        is formed: it overflows where p and r each stay finite."""
-        p, r = self.spec.p(x), self.spec.r(x)
-        p1, r1 = self._p1(x), self._r1(x)
-        return (p1 / p + r1 / r) / 4.0 * np.sqrt(p / r)
+        written as (p'/p + r'/r) / 4 * sqrt(p/r), the root by
+        ``sqrt_ratio``; nan, without a numpy warning, where p'/p or r'/r
+        is (p and p' both overflow or underflow)."""
+        spec = self.spec
+        with np.errstate(all="ignore"):
+            return ((self._p1(x) / spec.p(x) + self._r1(x) / spec.r(x)) / 4.0
+                    * sqrt_ratio([spec.p], [spec.r], x))
 
     def mp_coefficients(self, eta: CoefficientExpr, x, xi):
         """(phi_eta, psi_eta) of assumption MP at the points x, whose
@@ -352,8 +330,7 @@ class StandardForm:
             xs = c + 4.0 ** np.arange(0, 26)
         else:
             xs = b - (b - c) * 4.0 ** -np.arange(1, 26)
-        with np.errstate(all="ignore"):
-            g = self._half_log_pr_deriv(xs)
+        g = self._half_log_pr_deriv(xs)
         g = g[np.isfinite(g)]
         sigma = _tail_limit(np.diff(g, prepend=0.0).tolist()) \
             if len(g) >= 3 else math.inf
@@ -410,8 +387,7 @@ def certify_mp(sf: StandardForm) -> MpCertificate:
     xs = _mp_probe_xs(sf)
     # drop probes where steep coefficients leave the float range
     xi = sf.gamma(xs)
-    with np.errstate(all="ignore"):
-        keep = np.isfinite(xi) & np.isfinite(sf._half_log_pr_deriv(xs))
+    keep = np.isfinite(xi) & np.isfinite(sf._half_log_pr_deriv(xs))
     xs, xi = xs[keep], xi[keep]
     phi, psi = sf.mp_coefficients(eta, xs, xi)
 

@@ -35,6 +35,7 @@ from numpy.linalg import LinAlgError
 
 from .kernel import (KernelEvaluator, RowSpline, _band_product, _design,
                      _fit_in_place, _interval, _lapack, _mapped_zeros)
+from .expr import sqrt_ratio
 from .operator import OperatorSpec, _seg_integral, build_standard_form
 
 __all__ = [
@@ -682,14 +683,7 @@ def _finite_volume(spec: OperatorSpec, a_eff: float, L: float, N: int,
             nodes, beta = nodes[j0:], beta[j0:]
             wgt = np.concatenate([[wgt[:j0 + 1].sum()], wgt[j0 + 1:]])
             diag = (np.r_[0.0, beta[:-1]] + beta) / wgt
-        # the product of two neighbouring cell masses leaves the normal
-        # floats where the masses are extreme (2e-306 on a left-infinite
-        # grid); there the two roots are taken apart, and elsewhere the
-        # product's root keeps its bits
-        prod = wgt[:-1] * wgt[1:]
-        normal = (prod >= np.finfo(float).tiny) & (prod <= np.finfo(float).max)
-        off = -beta[:-1] / np.where(normal, np.sqrt(prod),
-                                    np.sqrt(wgt[:-1]) * np.sqrt(wgt[1:]))
+        off = -beta[:-1] / sqrt_ratio([wgt[:-1], wgt[1:]])
     bad = ~np.isfinite(diag)
     bad[:-1] |= ~np.isfinite(off)
     if bad.any():

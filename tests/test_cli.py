@@ -363,6 +363,28 @@ def test_inputs_read_before_measure_build(argv, tmp_path, monkeypatch, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["1.0,nan", "inf,0.0"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--h", "PROFILE", "--L", "4"],
+    ["cauchy", "--h", "PROFILE", "--grid", "0:3:4", "--L", "4"],
+    ["translate", "--h", "PROFILE", "--y", "1", "--L", "4"],
+])
+def test_profile_rows_that_are_not_finite_rejected(argv, row, tmp_path,
+                                                   monkeypatch, capsys):
+    """A nan or inf in a profile is an error that names the file and the
+    line, found before the measure is built, not nan or inf output rows."""
+    import slhyper.cli as cli
+
+    monkeypatch.setattr(cli, "_measure", lambda args: pytest.fail("built"))
+    profile = tmp_path / "bad.csv"
+    profile.write_text(f"x,value\n0.0,0.0\n{row}\n2.0,0.0\n")
+    argv = [str(profile) if a == "PROFILE" else a for a in argv]
+    assert run(argv + ["--N", "64", "--lambda-max", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "bad.csv, line 3: not finite" in err
+    assert "Traceback" not in err
+
+
 def test_measure_command_loads_the_operator_once(tmp_path, monkeypatch):
     # heatkernel checks its grids against a before it builds the measure;
     # both read the one operator loaded from the JSON file

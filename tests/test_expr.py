@@ -1,12 +1,15 @@
 """Coefficient expression parsing, evaluation, and differentiation."""
 
+import ast
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slhyper.expr import CoefficientExpr, ExprError, parse_expression
+from slhyper.expr import (CoefficientExpr, ExprError, parse_expression,
+                          sqrt_ratio)
 
 
 def test_arithmetic_matches_numpy():
@@ -169,3 +172,118 @@ def test_hundred_deep_power_tower():
     fd = (e(xs + h) - e(xs - h)) / (2.0 * h)
     assert np.allclose(d, fd, rtol=1e-7)
     assert np.all(np.isfinite(e.diff().derivative(xs)))
+
+
+def test_division_by_a_zero_constant_is_inf_not_an_exception():
+    # a constant subtree evaluates on Python floats, which raise where numpy
+    # gives +-inf or nan, as it does on arrays
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert parse_expression("pi / (pi - pi) + x")(1.0) == math.inf
+        assert np.array_equal(parse_expression("(1 - 1) / (2 - 2) * x")(
+            np.array([1.0, 2.0])), [math.nan] * 2, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# log_abs and sqrt_ratio
+
+_GRAMMAR_FUNCTIONS = ["exp", "log", "sqrt", "sin", "cos", "sinh", "cosh",
+                      "tanh", "abs", "sign"]
+
+
+def _grammar():
+    """Text drawn from the whole expression grammar."""
+    leaf = st.one_of(st.sampled_from(["x", "pi", "e"]),
+                     st.floats(0.01, 100.0).map(repr))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(st.sampled_from(_GRAMMAR_FUNCTIONS), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, inner).map(lambda t: f"pow({t[0]}, {t[1]})"),
+            inner.map(lambda u: f"-({u})"))
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+def _subnormal_node(e, x):
+    """Where some node of e's tree is subnormal at x, so that the value
+    read directly has lost digits."""
+    out = np.zeros(x.shape, bool)
+    for node in ast.walk(e._tree):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)):
+            v = np.abs(CoefficientExpr(None, _tree=node)(x))
+            out |= (v > 0) & (v < np.finfo(float).tiny)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_grammar(), xs=st.lists(
+    st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=8))
+def test_log_abs_matches_the_log_of_a_finite_value(text, xs):
+    """Wherever f is finite and nonzero, and no node of its tree is a
+    subnormal that has lost digits, log_abs is (sign f, log|f|)."""
+    e = parse_expression(text)
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        f = e(x)
+        ok = np.isfinite(f) & (f != 0) & ~_subnormal_node(e, x)
+    sign, log = e.log_abs(x)
+    assert np.array_equal(sign[ok], np.sign(f[ok]))
+    assert np.allclose(log[ok], np.log(np.abs(f[ok])), rtol=1e-12, atol=1e-10)
+
+
+@pytest.mark.parametrize("text, x, direct, log", [
+    # 0 times inf; sinh(x)^-0.5 cosh(x) = e^(x/2) / sqrt(2) up to e^(-2x)
+    ("sinh(x)^-0.5 * cosh(x)", 1000.0, math.nan, 500.0 - 0.5 * math.log(2.0)),
+    ("exp(-1/x)", 1e-4, 0.0, -1e4),
+    ("sinh(x)^2", 800.0, math.inf, 1600.0 - 2.0 * math.log(2.0)),
+])
+def test_log_abs_where_the_value_leaves_the_floats(text, x, direct, log):
+    e = parse_expression(text)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(e(x), direct, equal_nan=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, value = e.log_abs(x)
+    assert sign == 1.0
+    assert value == pytest.approx(log, rel=1e-15)
+
+
+def test_log_abs_of_sinh_near_zero_keeps_its_digits():
+    x = np.array([1e-300, 1e-10, -1e-3, 0.5])
+    sign, log = parse_expression("sinh(x)").log_abs(x)
+    assert np.array_equal(sign, np.sign(x))
+    assert np.allclose(log, np.log(np.abs(np.sinh(x))), rtol=1e-15, atol=0.0)
+
+
+def test_sqrt_ratio_keeps_the_direct_bits_where_the_floats_hold():
+    x = np.linspace(0.1, 30.0, 301)
+    p, r = parse_expression("x^3 * exp(-x)"), parse_expression("cosh(x)")
+    pv, rv = p(x), r(x)
+    assert np.array_equal(sqrt_ratio([r], [p], x), np.sqrt(rv / pv))
+    assert np.array_equal(sqrt_ratio([p, r], x=x), np.sqrt(pv * rv))
+    assert np.array_equal(sqrt_ratio([p, r], x=x, log=True),
+                          0.5 * (np.log(pv) + np.log(rv)))
+
+
+def test_sqrt_ratio_reads_logs_where_the_floats_do_not_hold():
+    # Whittaker's p and r underflow below x = 1/745 and their ratio is
+    # 1/x^2: the -1/x of both logs cancels exactly
+    x = 2.0 ** -np.arange(0, 61, 4)
+    p = parse_expression("x^1.5 * exp(-1.0/x)")
+    r = parse_expression("x^-0.5 * exp(-1.0/x)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(sqrt_ratio([r], [p], x) * x, 1.0, rtol=1e-14,
+                           atol=0.0)
+        # cell masses whose product underflows
+        w = np.array([1e-300, 1e-200, 1e-10])
+        assert np.allclose(sqrt_ratio([w[:-1], w[1:]]), [1e-250, 1e-105],
+                           rtol=1e-15, atol=0.0)
+        # a root that leaves the floats itself, and a factor that is not
+        # positive
+        assert np.isinf(sqrt_ratio([parse_expression("exp(x)")], [], 1500.0))
+        assert np.isnan(sqrt_ratio([np.array([-1e-320])]))
+    assert sqrt_ratio([p], [r], 0.5).shape == ()

@@ -1,6 +1,7 @@
 """Kernel evaluation: closed-form oracles and shifted origins."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,16 @@ def test_a_span_past_the_period_budget_is_an_error_before_any_solve(
         ev_cosine.eval_many([1e12], np.linspace(0.0, 1.0, 3))
     with pytest.raises(ValueError, match=r"lambda = 1e\+12\+1j spans"):
         ev_cosine.eval_w_shifted(1e12 + 1j, 0.5, [1.0])
+
+
+def test_the_period_budget_is_checked_before_the_series(ev_cosine):
+    """At lambda 1e20 the series' scaled terms overflow (tau^-j), so the
+    budget comes first, and numpy does not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"lambda = 1e\+20 spans about "
+                           r"1\.59e\+09 periods"):
+            ev_cosine.eval_many([1e20], np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("budget, fails", [(15.0, True), (16.5, False)])

@@ -137,23 +137,22 @@ def test_gamma_of_gamma_inv_array(name, request):
 
 def test_gamma_inv_whittaker_near_underflow(sf_whittaker):
     # gamma = log x here; below x ~ 1/745 exp(-1/x) underflows in both p and
-    # r, so the table toward 0 stops where they lose their digits
-    assert sf_whittaker.gamma_inv(-6.0) == pytest.approx(math.exp(-6.0),
-                                                         rel=0.0, abs=1e-10)
+    # r, but sqrt(r/p) = 1/x is read from their logs, so the table toward 0
+    # runs to its last node, x = 2^-60 (gamma = -41.59)
+    t = np.linspace(-30.0, 0.0, 61)
+    assert sf_whittaker.gamma_inv(t) == pytest.approx(np.exp(t), rel=1e-12,
+                                                      abs=0.0)
     with pytest.raises(ValueError, match="beyond reachable range"):
-        sf_whittaker.gamma_inv(-8.0)
+        sf_whittaker.gamma_inv(-42.0)
 
 
 @pytest.mark.parametrize("t", [-6.5, -6.55, -6.59, -6.6, -6.6001])
 def test_gamma_inv_whittaker_at_underflow_edge(sf_whittaker, t):
-    # p is subnormal from t ~ -6.55 and loses digits further down: a target
-    # there is either reached to full accuracy or out of range
-    try:
-        x = sf_whittaker.gamma_inv(t)
-    except ValueError as exc:
-        assert t < -6.55 and "beyond reachable range" in str(exc)
-    else:
-        assert x == pytest.approx(math.exp(t), rel=1e-12, abs=0.0)
+    # p is subnormal from t ~ -6.55, where sqrt(r/p) turns from the direct
+    # form to the log form: a target on either side is reached to full
+    # accuracy
+    x = sf_whittaker.gamma_inv(t)
+    assert x == pytest.approx(math.exp(t), rel=1e-12, abs=0.0)
 
 
 def _spec(a, b, p, r):
@@ -312,6 +311,18 @@ def test_sigma_where_p_r_overflows(coeff, tmp_path):
     assert abs(sf.sigma - 3.0) <= 1e-12
 
 
+def test_sigma_where_a_coefficient_is_0_times_inf(tmp_path):
+    # p = r = sinh(x)^-0.5 cosh(x) is 0 times inf past x = 710 and loads;
+    # A'/(2A) = (tanh x - coth(x) / 2) / 2 -> 1/4
+    coeff = "sinh(x)^-0.5 * cosh(x)"
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"a": 0.0, "b": "inf", "p": coeff, "r": coeff}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sf = build_standard_form(load_operator(str(path)))
+    assert abs(sf.sigma - 0.25) <= 1e-12
+
+
 def test_gauss_legendre_rule_is_leggauss():
     x, w = np.polynomial.legendre.leggauss(8)
     assert np.array_equal(operator._GL_X, x)
@@ -342,14 +353,26 @@ def test_validate_accepts_overflow_toward_b(coeff):
         spec.validate()
 
 
+@pytest.mark.parametrize("coeff", ["exp(1000 - x)", "sinh(x)^-0.5 * cosh(x)",
+                                   "x^60 * exp(-1/x)"])
+def test_validate_accepts_a_positive_coefficient_outside_the_floats(coeff):
+    # positive with a finite log at every probe, where the value is +inf
+    # toward a, 0 times inf toward b, and 0 toward a
+    spec = OperatorSpec("log-form", 0.0, math.inf, parse_expression(coeff),
+                        parse_expression(coeff))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec.validate()
+
+
 @pytest.mark.parametrize("coeff, message", [
     ("sqrt(x - 1)", "not finite"),
     ("x - 1", "negative"),
     ("1 + sign(x - 1) * sign(x - 2)", "vanishing"),
-    ("exp(1000 - x)", "not finite"),
+    ("log(x - 1)", "not finite"),
 ])
 def test_validate_rejects(coeff, message):
-    # nan, a negative value, a zero on (1, 2), +inf followed by finite values
+    # nan, a negative value, a zero on (1, 2), nan below x = 1
     spec = OperatorSpec("bad", 0.0, math.inf, parse_expression(coeff),
                         parse_expression("1"))
     with pytest.raises(ValueError, match=message):
