@@ -7,11 +7,12 @@ function and its derivatives are evaluated once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import sqrt_ratio
+from .kernel import KernelEvaluator
 from .operator import MpCertificate
 from .spectral import (GridFunction, SpectralMeasure, _checked_grid,
                        forward_transform)
@@ -88,14 +89,19 @@ def solve_cauchy(h: GridFunction, sm: SpectralMeasure, xs,
 
 def solve_cauchy_shifted(h: GridFunction, a_m: float, sm: SpectralMeasure,
                          xs, ys=None) -> CauchySolution:
-    """Same spectral sum with the y-kernel replaced by the solution
-    normalized at the shifted origin a_m; eval_w_shifted checks a_m and ys."""
+    """Same spectral sum with the y-kernel replaced by the solution with
+    w = 1 and p w' = 0 at the shifted origin a_m, a < a_m < b: the kernel
+    of the same operator restricted to (a_m, b), which reads ys in
+    [a_m, b)."""
     xs, ys = _checked_problem(h, xs, ys)
+    if not (sm.spec.a < a_m < sm.spec.b):
+        raise ValueError("a_m must lie inside (a,b)")
     tbl = forward_transform(h, sm)
     weights = np.abs(tbl.values) * sm.masses
     keep = weights >= 1e-14 * max(weights.max(), 1e-300)
     wy = np.zeros((len(sm), len(ys)))
-    wy[keep] = sm.evaluator.eval_w_shifted(sm.lambdas[keep], a_m, ys)[0].real
+    restricted = KernelEvaluator(replace(sm.spec, a=a_m))
+    wy[keep] = restricted.eval_many(sm.lambdas[keep], ys)[0].real
     coef = sm.masses * np.where(keep, tbl.values, 0.0)
     vals = (sm.w_values(xs) * coef[:, None]).T @ wy
     return CauchySolution(h, xs, ys, vals, sm)

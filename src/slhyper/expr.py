@@ -169,10 +169,11 @@ def _has_x(node) -> bool:
 def _log_terms(node, x):
     """(sign, terms) of the tree at x, log|f| the sum of the terms: those
     of both factors for * and /, c times those of u for u^c with c a
-    finite constant, u for exp(u), |u| and log(1 -+ e^(-2|u|)) - log 2 for
-    sinh and cosh, and log|f(x)| for any other node.  Kept apart, equal
-    terms of two factors, such as the -1/x of exp(-1/x) in p and in r,
-    cancel exactly in ``_fsum``."""
+    finite constant, v(x) times them for u^v where u > 0 and v is finite
+    and not 0, u for exp(u), |u| and log(1 -+ e^(-2|u|)) - log 2 for sinh
+    and cosh, and log|f(x)| for any other node or point.  Kept apart,
+    equal terms of two factors, such as the -1/x of exp(-1/x) in p and in
+    r, cancel exactly in ``_fsum``."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
         (su, tu), (sv, tv) = _log_terms(node.left, x), _log_terms(node.right, x)
         return su * sv, tu + (tv if isinstance(node.op, ast.Mult)
@@ -180,8 +181,14 @@ def _log_terms(node, x):
     if isinstance(node, ast.UnaryOp):
         s, tu = _log_terms(node.operand, x)
         return -s, tu
-    power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-             and not _has_x(node.right))
+    power = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+    if power and _has_x(node.right):
+        s, tu = _log_terms(node.left, x)
+        v, f = _eval(node.right, x), _eval(node, x)
+        pos = (s > 0) & np.isfinite(v) & (v != 0)
+        return np.where(pos, 1.0, np.sign(f)), (
+            [np.where(pos, v * t, 0.0) for t in tu]
+            + [np.where(pos, 0.0, np.log(np.abs(f)))])
     if power or isinstance(node, ast.Call) and node.func.id == "sqrt":
         c = float(_eval(node.right, x)) if power else 0.5
         if math.isfinite(c):

@@ -10,13 +10,14 @@ rho + (Ff)(lambda) stays away from zero on the spectral strip Pi_kappa,
 and then the resolvent kernel g with 1/(rho + Ff) = rho + Fg turns the
 equation into the explicit formula h = rho psi + psi * g.
 
-Nonvanishing is checked by sampling: the real ray, the strip boundary
-curve and its conjugate, plus a tail estimate standing in for the point
-at infinity.  On the real ray the transform is exact at the measure's
-atoms only; between atoms the check takes the linear interpolation of the
-atom values, not transform samples.  This is a practical surrogate for
-the full strip (the transform is holomorphic inside, so boundary
-behaviour is what matters), not a proof.
+Nonvanishing is checked by sampling the real ray, the strip's boundary
+and a tail estimate standing in for the point at infinity, and, on a
+strip of positive width, by the winding number of rho + Ff along the
+strip's closed boundary: the transform is holomorphic inside, so by the
+argument principle that number counts its zeros there.  On the real ray
+the transform is exact at the measure's atoms only; between atoms the
+check takes the linear interpolation of the atom values, not transform
+samples.  This is a practical check from samples, not a proof.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ __all__ = [
 
 # bisection steps that locate a sign change of Re(rho + Ff) on the real ray
 _BISECT_STEPS = 48
+# rounds that halve the steps of the strip's boundary path where the phase
+# of rho + Ff moves by more than _PHASE_STEP between two samples
+_REFINE_ROUNDS, _PHASE_STEP = 8, math.pi / 4
 # heat regularization time of the convolution psi * g in solve_equation
 _T_REG = 1e-6
 
@@ -140,6 +144,7 @@ class StripCheck:
     witness: complex
     tail_modulus: float
     n_samples: int
+    zeros: int
 
 
 @dataclass(frozen=True)
@@ -180,18 +185,26 @@ def _refine_crossing(f: GridFunction, rho: complex, lo: float, hi: float,
 
 def wiener_levy_check(f: GridFunction, strip: SpectralStrip, rho: complex,
                       sm: SpectralMeasure, n: int = 512) -> StripCheck:
-    """Sample rho + (Ff)(lambda) over Pi_kappa and report the minimum modulus.
+    """Sample rho + (Ff)(lambda) over Pi_kappa and report the minimum modulus
+    and the count of its zeros inside the strip.
 
-    Sampling covers the real ray [sigma2, lam_max], the strip boundary
-    curve and its conjugate (skipped when the strip is degenerate and they
-    coincide with the ray), and a tail estimate for lambda = infinity.  On
-    the real ray, Ff is exact only at the measure's atoms; the uniform
-    refinement up to n samples takes the linear interpolation of the atom
-    values, not transform samples, so a dip of |rho + Ff| between two
-    atoms that the atom values do not show is not seen.  When rho and the
-    ray values are real, a sign change between ray samples is bisected with
-    transform samples.  ok is never an error: a failed check carries the
-    witness point.
+    Sampling covers the real ray [sigma2, lam_max], the strip's boundary
+    (skipped when the strip is degenerate and it is the ray), and a tail
+    estimate for lambda = infinity.  The boundary is one closed path: in
+    Delta = sqrt(lambda - sigma2), the upper curve tau + i hw from tau = 0
+    to T = sqrt(lam_max - sigma2), the arc T + i s from s = hw to -hw (one
+    step until refined), and the conjugate curve back to the vertex
+    lambda = kappa.  Its winding number about 0, summed from the phase
+    steps between samples, is minus the count of zeros inside, the path
+    being clockwise; each step of more than _PHASE_STEP is halved, all of
+    a round's new samples in one kernel evaluation, for at most
+    _REFINE_ROUNDS rounds.  A nonzero count fails the check.  On the real ray, Ff is exact only at the measure's atoms;
+    the uniform refinement up to n samples takes the linear interpolation
+    of the atom values, not transform samples, so a dip of |rho + Ff|
+    between two atoms that the atom values do not show is not seen.  When
+    rho and the ray values are real, a sign change between ray samples is
+    bisected with transform samples.  ok is never an error: a failed check
+    carries the witness point, the least-modulus sample.
     """
     return _strip_check(sm.basis(f.grid).forward(f.values), f, strip, rho,
                         sm, n)
@@ -234,27 +247,40 @@ def _strip_check(ff, f: GridFunction, strip: SpectralStrip, rho: complex,
                 min_mod = abs(v_c)
                 witness = complex(lam_c)
             total += _BISECT_STEPS
-    if strip.half_width > 1e-14:
+    zeros = 0
+    hw = strip.half_width
+    if hw > 1e-14:
         tau = np.linspace(0.0, math.sqrt(max(lam_max - strip.sigma2, 0.0)), n)
-        bd = strip.boundary(tau)
-        for curve in (bd, np.conj(bd)):
-            vals = rho + _transform_samples(f, curve, sm)
-            cm = np.abs(vals)
-            k = int(np.argmin(cm))
-            if cm[k] < min_mod:
-                min_mod = float(cm[k])
-                witness = complex(curve[k])
-            tail = max(tail, float(np.max(np.abs(
-                vals[-max(1, len(curve) // 20):] - rho))))
-            total += len(curve)
+        delta = np.concatenate([tau + 1j * hw, tau[::-1] - 1j * hw])
+        vals = rho + _transform_samples(f, delta ** 2 + strip.sigma2, sm)
+        # the last 5% of each curve toward lambda = infinity
+        k = max(1, n // 20)
+        tail = max(tail, float(np.max(np.abs(vals[n - k:n + k] - rho))))
+        for rounds in range(_REFINE_ROUNDS + 1):
+            steps = np.angle(vals[1:] * np.conj(vals[:-1]))
+            wide = np.flatnonzero(np.abs(steps) > _PHASE_STEP)
+            if not wide.size or rounds == _REFINE_ROUNDS:
+                break
+            mid = (delta[wide] + delta[wide + 1]) / 2.0
+            delta = np.insert(delta, wide + 1, mid)
+            vals = np.insert(vals, wide + 1, rho + _transform_samples(
+                f, mid ** 2 + strip.sigma2, sm))
+        zeros = -round(float(np.sum(steps)) / (2.0 * math.pi))
+        cm = np.abs(vals)
+        k = int(np.argmin(cm))
+        if cm[k] < min_mod:
+            min_mod = float(cm[k])
+            witness = complex(delta[k] ** 2 + strip.sigma2)
+        total += len(delta)
     # point at infinity: Ff decays along the strip, so the modulus there is
     # |rho| up to the observed tail level
     inf_mod = abs(complex(rho)) - tail
     if inf_mod < min_mod:
         min_mod = inf_mod
         witness = complex(np.inf)
-    return StripCheck(ok=min_mod > 1e-8, min_modulus=min_mod,
-                      witness=witness, tail_modulus=tail, n_samples=total)
+    return StripCheck(ok=min_mod > 1e-8 and zeros == 0, min_modulus=min_mod,
+                      witness=witness, tail_modulus=tail, n_samples=total,
+                      zeros=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +328,9 @@ def solve_equation(prob: EquationProblem, sm: SpectralMeasure) -> EquationSoluti
     if not check.ok:
         raise ValueError(
             f"equation not solvable in L1,kappa: |rho + Ff| = "
-            f"{check.min_modulus:.3e} at lambda = {check.witness}")
+            f"{check.min_modulus:.3e} at lambda = {check.witness}"
+            + (f", and it has {check.zeros} zeros inside the strip"
+               if check.zeros else ""))
     res, g_back = _resolvent(ff, prob.rho, sm, bf)
     bpsi = sm.basis(prob.psi.grid, bf)
     fpsi = bpsi.forward(prob.psi.values)

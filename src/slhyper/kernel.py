@@ -15,6 +15,8 @@ solved.  Further out, evaluation integrates the first-order system
 w' = w1/p, w1' = -lambda r w, one DOP853 solve (``slhyper.ode``) for every
 lambda at once, within the period budget _MAX_PERIODS (``_check_periods``), by
 ``KernelEvaluator.eval_many``; its points follow one rule (``_points``).
+A start at a regular point a_m > a is the kernel of the operator restricted
+to (a_m, b), a KernelEvaluator of its own (``cauchy.solve_cauchy_shifted``).
 
 The spectral measure reads this module's table through its first node
 (``KernelEvaluator.start``) and the values its eigenvectors are scaled to
@@ -331,7 +333,7 @@ class KernelEvaluator:
 
     # -- series table -------------------------------------------------------
 
-    def _left_grid(self) -> np.ndarray:
+    def _build_series_table(self) -> None:
         a, b = self.spec.a, self.spec.b
         if math.isinf(a):
             # left-infinite domains: start grid from far left, measure decay
@@ -346,14 +348,9 @@ class KernelEvaluator:
         ok = (pv > 0) & (rv > 0) & np.isfinite(inv_p)
         if math.isfinite(a):
             ok &= np.isfinite(rv) & (inv_p < 1e15)
-        return xs[ok]
-
-    def _build_series_table(self) -> None:
-        xs = self._left_grid()
+        xs, inv_p, rv = xs[ok], inv_p[ok], rv[ok]
         if xs.size < 64:
             raise ValueError(f"{self.spec.name}: cannot build series grid near a")
-        inv_p = 1.0 / self.spec.p(xs)
-        rv = self.spec.r(xs)
         # every integrand's exact slope comes from p' and r'
         with np.errstate(all="ignore"):
             dp, dr = self.spec.p.derivative(xs), self.spec.r.derivative(xs)
@@ -497,19 +494,16 @@ class KernelEvaluator:
 
     # -- public evaluation ---------------------------------------------------
 
-    def _points(self, xs, a_m: float | None = None) -> np.ndarray:
+    def _points(self, xs) -> np.ndarray:
         """xs as a 1-D float array: points in any order, none NaN (np.min,
-        unlike np.fmin, returns it), each in [a, b), or in (a_m, b) for a
-        solution started at a_m; else ValueError."""
+        unlike np.fmin, returns it), each in [a, b); else ValueError."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         lo = np.min(xs, initial=math.inf)
         if math.isnan(lo):
             raise ValueError("points must not be NaN")
         a, b = self.spec.a, self.spec.b
-        ok, ends = (lo >= a, f"[{a:g}, {b:g})") if a_m is None else (
-            lo > a_m, f"({a_m:g}, {b:g})")
-        if not ok or np.max(xs, initial=-math.inf) >= b:
-            raise ValueError(f"points outside {ends}")
+        if not lo >= a or np.max(xs, initial=-math.inf) >= b:
+            raise ValueError(f"points outside [{a:g}, {b:g})")
         return xs
 
     def eval_many(self, lams, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -574,7 +568,7 @@ class KernelEvaluator:
         lambda from x0.  The state is real, (w, w1), or, when some lambda
         is complex, the (Re, Im) pairs of (w, w1), which read as a complex
         array.  Returns w and w1 at xs, each (K, len(xs)); xs may repeat
-        nodes.  Its callers check the span first (``_check_periods``).
+        nodes.  eval_many checks the span first (``_check_periods``).
 
         The error norm is an RMS over all m K real components.  Scaling the
         tolerances by 2 / sqrt(m K) keeps each lambda's own four-component
@@ -621,26 +615,3 @@ class KernelEvaluator:
                 f"{spec.name}: lambda = {shown:.6g} spans about "
                 f"{periods:.3g} periods of w on [{x0:.6g}, {targets[-1]:.6g}],"
                 f" past the {_MAX_PERIODS:g} that one ODE solve may take")
-
-    def eval_w_shifted(self, lam, a_m: float, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Solution with w(a_m)=1, (p w')(a_m)=0 at a regular interior point.
-
-        lam is one lambda or an array of them, and xs points in (a_m, b)
-        (see _points); the results have shape np.shape(lam) + (len(xs),),
-        from one stacked solve.
-        """
-        lams = np.asarray(lam, dtype=complex)
-        if not (self.spec.a < a_m < self.spec.b):
-            raise ValueError("a_m must lie inside (a,b)")
-        xs = self._points(xs, a_m)
-        flat = lams.reshape(-1)
-        w = np.ones((flat.size, xs.size), dtype=complex)
-        w1 = np.zeros((flat.size, xs.size), dtype=complex)
-        live = flat != 0
-        if live.any() and xs.size:
-            start = np.ones(int(live.sum()), dtype=complex)
-            self._check_periods(flat[live], a_m, xs)
-            w[live], w1[live] = self._integrate(flat[live], a_m, start,
-                                                0.0 * start, xs)
-        return w.reshape(lams.shape + xs.shape), w1.reshape(lams.shape + xs.shape)
-

@@ -7,7 +7,7 @@ import pytest
 
 from slhyper.operator import (build_standard_form, builtin_operator,
                               certify_mp)
-from slhyper.spectral import GridFunction, bump_function
+from slhyper.spectral import GridFunction, bump_function, forward_transform
 from slhyper.cauchy import (CauchySolution, positivity_report, solve_cauchy,
                             solve_cauchy_shifted,
                             triangle_identity_residual)
@@ -95,6 +95,26 @@ def test_shifted_origin_approaches_plain(sm_cosine, sol_cosine):
         s = solve_cauchy_shifted(h, a_m, sm_cosine, xs)
         errs.append(float(np.max(np.abs(s.values - ref))))
     assert errs[1] < errs[0]
+
+
+def test_shifted_origin_cosine_closed_form(sm_cosine, sol_cosine):
+    """On the flat operator the kernel from the shifted origin a_m is
+    cos(sqrt(lambda) (y - a_m)): the y-kernel matches that closed form in
+    the spectral sum, and the solution is the plain one moved by a_m in y,
+    d'Alembert's (h(x + y - a_m) + h(|x - y + a_m|)) / 2, with its initial
+    data on the line y = a_m."""
+    h = sol_cosine.h
+    a_m = 0.3
+    xs, ys = np.linspace(0.0, 10.0, 101), np.linspace(0.0, 5.0, 51)
+    s = solve_cauchy_shifted(h, a_m, sm_cosine, xs, a_m + ys)
+    coef = sm_cosine.masses * forward_transform(h, sm_cosine).values
+    wy = np.cos(np.sqrt(sm_cosine.lambdas)[:, None] * ys)
+    direct = (sm_cosine.w_values(xs) * coef[:, None]).T @ wy
+    assert np.max(np.abs(s.values - direct)) < 1e-10
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    want = 0.5 * (h(X + Y) + h(np.abs(X - Y)))
+    assert np.max(np.abs(s.values - want)) < 2e-4
+    assert np.max(np.abs(s.values[:, 0] - h(xs))) < 1e-4
 
 
 @pytest.fixture(scope="module")

@@ -1086,6 +1086,27 @@ def test_deep_coefficient_is_an_error_not_a_traceback(p, tmp_path, capsys):
     assert err.startswith("slhyper: error: expression") and "Traceback" not in err
 
 
+def test_kernel_where_p_leaves_the_floats_fails_without_a_warning(tmp_path,
+                                                                  capsys):
+    """p = exp(1000 - x) overflows on the series grid near a.  The table
+    reads p and r once, under its own np.errstate, so the command exits 1
+    with the derivative error and numpy prints no overflow warning (one
+    raised as an error here, as under -W error::RuntimeWarning)."""
+    op = tmp_path / "pexp.json"
+    op.write_text(json.dumps({"a": 0.0, "b": "inf", "p": "exp(1000 - x)",
+                              "r": "1"}))
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["kernel", "--op", str(op), "--lambda", "2.0", "--x",
+                    "0:5:11", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("slhyper: error: ")
+    assert "the derivative of p is not finite" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
 def test_kernel_at_a_huge_lambda_is_an_error_not_a_hang(tmp_path, capsys,
                                                         monkeypatch):
     """At lambda 1e12 the ODE would follow 1.6e5 periods of cos(1e6 x) on

@@ -251,6 +251,20 @@ def test_log_abs_where_the_value_leaves_the_floats(text, x, direct, log):
     assert value == pytest.approx(log, rel=1e-15)
 
 
+def test_log_abs_of_a_power_with_an_exponent_in_x():
+    """u^v with v depending on x is v log|u| where u > 0: x^x at 200 is
+    inf, its log 200 log 200; where u < 0 the value's own log."""
+    e = parse_expression("pow(x, x)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, log = e.log_abs(np.array([200.0, 2.0, -2.0]))
+        assert e.log_abs(200.0)[1] == pytest.approx(1059.6634733096073,
+                                                   rel=1e-15)
+    assert np.array_equal(sign, [1.0, 1.0, 1.0])
+    assert np.allclose(log, [200.0 * math.log(200.0), 2.0 * math.log(2.0),
+                             -2.0 * math.log(2.0)], rtol=1e-15, atol=0.0)
+
+
 def test_log_abs_of_sinh_near_zero_keeps_its_digits():
     x = np.array([1e-300, 1e-10, -1e-3, 0.5])
     sign, log = parse_expression("sinh(x)").log_abs(x)

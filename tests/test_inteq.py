@@ -77,16 +77,37 @@ def test_wiener_levy_zero_f(sm_cosine):
 
 
 def test_wiener_levy_boundary_curve_sampled(sm_cosine):
-    # a strip of positive width adds the two boundary curves to the sample
-    # set; keep n small since each complex sample is an ODE solve
-    h, _ = _bump(sm_cosine, center=3.0, width=1.2)
-    chk0 = wiener_levy_check(h, SpectralStrip(0.0, 0.0), 1.0, sm_cosine,
+    # a strip of positive width adds its boundary path to the sample set;
+    # keep n small since each complex sample is an ODE solve.  On cosine
+    # |Ff| <= int f cosh(x/2) < 2 on the strip |Im sqrt(lambda)| <= 1/2,
+    # so rho = 2 leaves no zero there
+    h, g = _bump(sm_cosine, center=3.0, width=1.2)
+    assert np.trapezoid(h.values * np.cosh(g / 2.0), g) < 1.9
+    chk0 = wiener_levy_check(h, SpectralStrip(0.0, 0.0), 2.0, sm_cosine,
                              n=24)
-    chk1 = wiener_levy_check(h, SpectralStrip(-0.25, 0.0), 1.0, sm_cosine,
+    chk1 = wiener_levy_check(h, SpectralStrip(-0.25, 0.0), 2.0, sm_cosine,
                              n=24)
     assert chk1.n_samples > chk0.n_samples
-    assert chk1.ok
+    assert chk1.ok and chk1.zeros == 0
     assert chk1.min_modulus <= chk0.min_modulus + 1e-12
+
+
+def test_zeros_of_one_plus_ff_inside_the_strip_are_counted(sm_cosine_512):
+    """On cosine Ff(k^2) = int f(x) cos(k x) dx, and for this bump 1 + Ff
+    vanishes at k = 1.00679 + 0.45050i and its conjugate, inside the strip
+    |Im k| <= 1/2 of kappa = -1/4: the winding number of 1 + Ff along the
+    strip's boundary counts both, where the sampled moduli stay above
+    0.15."""
+    h, g = _bump(sm_cosine_512, center=3.0, width=1.2)
+    k0 = 1.0067850119965 + 0.4505032679778j
+    assert abs(1.0 + np.trapezoid(h.values * np.cos(k0 * g), g)) < 1e-9
+    chk = wiener_levy_check(h, SpectralStrip(-0.25, 0.0), 1.0, sm_cosine_512,
+                            n=16)
+    assert not chk.ok and chk.zeros == 2
+    assert chk.min_modulus > 0.1
+    with pytest.raises(ValueError, match="has 2 zeros inside the strip"):
+        solve_equation(EquationProblem(f=h, psi=h, kappa=-0.25),
+                       sm_cosine_512)
 
 
 def _resolvent_on_grid(f, rho, sm):
@@ -184,9 +205,6 @@ def test_l1_kappa_norm_needs_kappa_at_most_sigma2(sm_cosine):
         l1_kappa_norm(h, 1.0, sm_cosine)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "wiener_levy_check samples the strip's boundary and the real ray, so a "
-    "zero of rho + Ff inside the strip is not seen (ROADMAP item 19)"))
 def test_a_zero_inside_the_strip_is_not_solvable(tmp_path):
     """p = r = sinh(x)^2 has sigma2 = 1, and for f = e^{-x^2} the transform
     is sqrt(pi) e^{(1 - k^2)/4} sin(k/2) / (2k) at lambda = 1 + k^2.  With
@@ -207,5 +225,9 @@ def test_a_zero_inside_the_strip_is_not_solvable(tmp_path):
     k0 = 2.0 + 0.5j
     rho = -(np.sqrt(np.pi) * cmath.exp((1.0 - k0 ** 2) / 4.0)
             * cmath.sin(k0 / 2.0) / (2.0 * k0))
-    assert not wiener_levy_check(f, SpectralStrip(0.0, sm.sigma2), rho, sm,
-                                 n=16).ok
+    chk = wiener_levy_check(f, SpectralStrip(0.0, sm.sigma2), rho, sm, n=16)
+    assert not chk.ok and chk.zeros == 1
+    # the same rho + Ff has no zero in the narrower strip |Im k| <= 0.4
+    narrow = wiener_levy_check(f, SpectralStrip(1.0 - 0.16, sm.sigma2), rho,
+                               sm, n=16)
+    assert narrow.ok and narrow.zeros == 0

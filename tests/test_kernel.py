@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def ev_cosine():
 @pytest.fixture(scope="module")
 def ev_bessel():
     return KernelEvaluator(builtin_operator("bessel?alpha=0.5"))
+
+
+def _restricted(ev: KernelEvaluator, a_m: float) -> KernelEvaluator:
+    """The kernel of ev's operator restricted to (a_m, b): the solution with
+    w = 1 and p w' = 0 at the shifted origin a_m."""
+    return KernelEvaluator(replace(ev.spec, a=a_m))
 
 
 def _closed_form_table(name: str, x: np.ndarray, J: int) -> np.ndarray:
@@ -195,8 +202,8 @@ def test_lambda_zero_needs_no_ode_solve(ev_cosine, monkeypatch):
     monkeypatch.setattr("slhyper.kernel.solve_ivp", no_solve)
     w, w1, e = ev_cosine.eval_grid(0.0, xs)
     assert np.all(w == 1.0) and np.all(w1 == 0.0) and e == 0.0
-    ws, w1s = ev_cosine.eval_w_shifted(0.0, 0.5, xs[2:])
-    assert np.all(ws == 1.0) and np.all(w1s == 0.0)
+    ws, w1s, es = _restricted(ev_cosine, 0.5).eval_grid(0.0, xs[2:])
+    assert np.all(ws == 1.0) and np.all(w1s == 0.0) and es == 0.0
     assert np.all(W[0] == 1.0) and np.all(W1[0] == 0.0) and err[0] == 0.0
     assert np.allclose(W[1].real, np.cos(math.sqrt(3.0) * xs), atol=1e-9)
 
@@ -301,26 +308,30 @@ def test_shifted_kernel_converges_to_plain(ev_cosine):
     ref, _, _ = ev_cosine.eval_grid(lam, xs)
     errs = []
     for a_m in (0.1, 0.01):
-        w, _ = ev_cosine.eval_w_shifted(lam, a_m, xs)
+        w, _, _ = _restricted(ev_cosine, a_m).eval_grid(lam, xs)
         errs.append(float(np.max(np.abs(w - ref))))
     assert errs[1] < errs[0]
     assert errs[1] < 2e-2
 
 
 def test_shifted_kernel_initial_data(ev_bessel):
-    # just past a_m the solution is still close to its unit initial value
+    # at a_m the solution takes its initial data exactly, and just past a_m
+    # it is still close to them
     a_m = 0.25
-    w, w1 = ev_bessel.eval_w_shifted(3.0, a_m, np.array([a_m + 1e-6, 1.0]))
-    assert w[0] == pytest.approx(1.0, abs=1e-9)
-    assert w1[0] == pytest.approx(0.0, abs=1e-4)
+    w, w1, _ = _restricted(ev_bessel, a_m).eval_grid(
+        3.0, np.array([a_m, a_m + 1e-6, 1.0]))
+    assert w[0] == 1.0 and w1[0] == 0.0
+    assert w[1] == pytest.approx(1.0, abs=1e-9)
+    assert w1[1] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_shifted_kernel_empty_grid(ev_cosine):
-    # the same shapes as eval_grid(lam, []): np.shape(lam) + (0,)
-    w, w1 = ev_cosine.eval_w_shifted(2.0, 0.5, [])
+    # no points: shape (0,) for one lambda and (K, 0) for K of them
+    ev = _restricted(ev_cosine, 0.5)
+    w, w1, _ = ev.eval_grid(2.0, [])
     assert w.shape == w1.shape == (0,)
-    w, w1 = ev_cosine.eval_w_shifted(np.array([1.0, 4.0]), 0.5, [])
-    assert w.shape == w1.shape == (2, 0)
+    w, w1, err = ev.eval_many(np.array([1.0, 4.0]), [])
+    assert w.shape == w1.shape == (2, 0) and err.shape == (2,)
 
 
 @pytest.mark.parametrize("op", ["cosine", "bessel?alpha=0.5",
@@ -341,26 +352,28 @@ def test_eval_many_takes_points_in_any_order(op):
 
 
 def test_nan_points_raise(ev_cosine):
-    """A NaN point is an error at both entry points, not w = 1 or values
-    from memory that no solve wrote."""
+    """A NaN point is an error, from the origin a and from a shifted one,
+    not w = 1 or values from memory that no solve wrote."""
     with pytest.raises(ValueError, match="points must not be NaN"):
         ev_cosine.eval_grid(4.0, [0.5, math.nan])
     with pytest.raises(ValueError, match="points must not be NaN"):
-        ev_cosine.eval_w_shifted(4.0, 0.5, [1.0, math.nan])
+        _restricted(ev_cosine, 0.5).eval_grid(4.0, [1.0, math.nan])
 
 
 def test_shifted_points_past_b_raise():
-    """On (0, 5) a shifted solution is not evaluated at x = 7, past b, as
-    eval_many is not."""
+    """On (0, 5) a solution from the shifted origin 0.5 is not evaluated at
+    x = 7, past b, nor at 0.25, before its origin."""
     spec = OperatorSpec("box", 0.0, 5.0, parse_expression("1"),
                         parse_expression("1"))
     spec.validate()
     ev = KernelEvaluator(spec)
-    with pytest.raises(ValueError, match=r"points outside \(0\.5, 5\)"):
-        ev.eval_w_shifted(4.0, 0.5, [1.0, 7.0])
+    shifted = _restricted(ev, 0.5)
+    for xs in ([1.0, 7.0], [0.25, 1.0]):
+        with pytest.raises(ValueError, match=r"points outside \[0\.5, 5\)"):
+            shifted.eval_grid(4.0, xs)
     with pytest.raises(ValueError, match=r"points outside \[0, 5\)"):
         ev.eval_grid(4.0, [1.0, 7.0])
-    w, _ = ev.eval_w_shifted(4.0, 0.5, [3.0, 1.0])
+    w, _, _ = shifted.eval_grid(4.0, [3.0, 1.0])
     assert np.allclose(w.real, np.cos(2.0 * np.array([2.5, 0.5])), atol=1e-9)
 
 
@@ -432,8 +445,9 @@ def test_series_table_needs_finite_coefficient_slopes(coef):
 def test_a_span_past_the_period_budget_is_an_error_before_any_solve(
         ev_cosine, monkeypatch):
     """At lambda 1e12 the ODE span [x0, 1] holds 1e6 / (2 pi) periods, and
-    DOP853's steps follow them: eval_many and eval_w_shifted raise, naming
-    lambda and the count, instead of running the solve."""
+    DOP853's steps follow them: eval_many raises, from a and from a shifted
+    origin alike, naming lambda and the count, instead of running the
+    solve."""
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_ivp called past the period budget")
 
@@ -442,7 +456,7 @@ def test_a_span_past_the_period_budget_is_an_error_before_any_solve(
                        r"1\.59e\+05 periods of w on \[.*, 1\]"):
         ev_cosine.eval_many([1e12], np.linspace(0.0, 1.0, 3))
     with pytest.raises(ValueError, match=r"lambda = 1e\+12\+1j spans"):
-        ev_cosine.eval_w_shifted(1e12 + 1j, 0.5, [1.0])
+        _restricted(ev_cosine, 0.5).eval_many([1e12 + 1j], [1.0])
 
 
 def test_the_period_budget_is_checked_before_the_series(ev_cosine):
